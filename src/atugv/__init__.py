@@ -32,22 +32,20 @@ from .kinematics import (
 )
 from .network import (
     CellGraph,
-    LayeredNetwork,
     ReferenceConfiguration,
-    build_layered_network,
-    closest_pair,
+    barycentric_weights,
     min_separation,
     solve_reference_positions,
 )
-from .planner import PlannedTrajectory, PlanSpec, blend, coordinates_at, plan
-from .safety import (
-    ClearanceReport,
-    SafetyBound,
-    SafetyVerdict,
-    lambda_min,
-    validate_coordinates,
-    verify_pairwise_clearance,
+from .planner import (
+    PlannedTrajectory,
+    PlanSpec,
+    blend,
+    coordinates_at,
+    desired_positions,
+    plan,
 )
+from .safety import SafetyBound, SafetyVerdict, lambda_min, validate_coordinates
 from .scenario import Scenario, bundled_scenario_path, load_scenario, load_scenario_text
 from .simulator import SimConfig, SimState, SimulationTrace, run, step, velocity_command
 

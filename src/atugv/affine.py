@@ -4,7 +4,8 @@ The linear part (Jacobian) factors as a rigid rotation times a symmetric
 positive-definite strain matrix; the principal strains are the singular
 values of the Jacobian, which is what the collision-safety bound hooks into.
 All 2x2 algebra is written out entrywise so the conventions (row-major,
-counterclockwise-positive angles) are explicit.
+counterclockwise-positive angles) are explicit. Coordinates may be floats
+or arrays over a batch of times; matrices then stack as (..., 2, 2).
 """
 from __future__ import annotations
 
@@ -27,6 +28,8 @@ class GeneralizedCoordinates:
     sigma_r: rigid-body rotation angle [rad]
     sigma_d: shear (principal-axis) angle [rad]
     d1, d2: translation [m]
+
+    Each field is a float, or an array of equal shape for a batch of times.
     """
 
     lambda1: float
@@ -39,11 +42,11 @@ class GeneralizedCoordinates:
     def __post_init__(self):
         for name in COORD_FIELDS:
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not np.all(np.isfinite(value)):
                 raise InvalidArgumentError(f"{name} must be finite, got {value!r}")
         for name in ("lambda1", "lambda2"):
             value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
+            if not np.all((0.0 < value) & (value <= 1.0)):
                 raise InvalidArgumentError(f"{name} must lie in (0, 1], got {value}")
 
     @classmethod
@@ -52,7 +55,7 @@ class GeneralizedCoordinates:
 
     @property
     def translation(self) -> np.ndarray:
-        return np.array([self.d1, self.d2], dtype=float)
+        return np.stack([self.d1, self.d2], axis=-1).astype(float)
 
     def astuple(self):
         return tuple(getattr(self, name) for name in COORD_FIELDS)
@@ -78,33 +81,33 @@ class AffineTransform:
     def from_coordinates(cls, coords: GeneralizedCoordinates) -> "AffineTransform":
         return cls(jacobian=jacobian(coords), translation=coords.translation)
 
-    def __call__(self, reference_point) -> np.ndarray:
-        return apply(self, reference_point)
+    def __call__(self, reference_points) -> np.ndarray:
+        return apply(self, reference_points)
 
 
-def rotation_matrix(sigma_r: float) -> np.ndarray:
+def rotation_matrix(sigma_r) -> np.ndarray:
     """Counterclockwise rotation by sigma_r radians."""
-    if not math.isfinite(sigma_r):
+    if not np.all(np.isfinite(sigma_r)):
         raise InvalidArgumentError(f"rotation angle must be finite, got {sigma_r!r}")
-    c, s = math.cos(sigma_r), math.sin(sigma_r)
-    return np.array([[c, -s], [s, c]])
+    c, s = np.cos(sigma_r), np.sin(sigma_r)
+    return np.moveaxis(np.array([[c, -s], [s, c]]), (0, 1), (-2, -1))
 
 
-def strain_matrix(lambda1: float, lambda2: float, sigma_d: float) -> np.ndarray:
+def strain_matrix(lambda1, lambda2, sigma_d) -> np.ndarray:
     """Symmetric positive-definite strain with principal values lambda1 and
     lambda2, the lambda1 axis rotated by sigma_d from +x."""
     for name, value in (("lambda1", lambda1), ("lambda2", lambda2), ("sigma_d", sigma_d)):
-        if not math.isfinite(value):
+        if not np.all(np.isfinite(value)):
             raise InvalidArgumentError(f"{name} must be finite, got {value!r}")
-    if lambda1 <= 0.0 or lambda2 <= 0.0:
+    if np.any(lambda1 <= 0.0) or np.any(lambda2 <= 0.0):
         raise InvalidArgumentError(
             f"principal strains must be positive, got ({lambda1}, {lambda2})"
         )
-    c, s = math.cos(sigma_d), math.sin(sigma_d)
+    c, s = np.cos(sigma_d), np.sin(sigma_d)
     u11 = lambda1 * c * c + lambda2 * s * s
     u22 = lambda1 * s * s + lambda2 * c * c
     u12 = (lambda1 - lambda2) * c * s
-    return np.array([[u11, u12], [u12, u22]])
+    return np.moveaxis(np.array([[u11, u12], [u12, u22]]), (0, 1), (-2, -1))
 
 
 def jacobian(coords: GeneralizedCoordinates) -> np.ndarray:
@@ -114,17 +117,19 @@ def jacobian(coords: GeneralizedCoordinates) -> np.ndarray:
     )
 
 
-def apply(transform: AffineTransform, reference_point) -> np.ndarray:
-    """Map a reference point through the affine transform: Q @ a + d."""
-    a = np.asarray(reference_point, dtype=float)
-    q = transform.jacobian
-    d = transform.translation
-    return np.array(
-        [
-            q[0, 0] * a[0] + q[0, 1] * a[1] + d[0],
-            q[1, 0] * a[0] + q[1, 1] * a[1] + d[1],
-        ]
-    )
+def apply(transform: AffineTransform, reference_points) -> np.ndarray:
+    """Map reference points through the affine transform: Q @ a + d.
+
+    A point (2,) or points (N, 2) map to the same shape; a transform
+    batched over T times maps them to (T, 2) or (T, N, 2).
+    """
+    a = np.asarray(reference_points, dtype=float)
+    points = (None,) * (a.ndim - 1)  # a batch of times broadcasts over the points
+    q = transform.jacobian[(..., *points, slice(None), slice(None))]
+    d = transform.translation[(..., *points, slice(None))]
+    x = q[..., 0, 0] * a[..., 0] + q[..., 0, 1] * a[..., 1] + d[..., 0]
+    y = q[..., 1, 0] * a[..., 0] + q[..., 1, 1] * a[..., 1] + d[..., 1]
+    return np.stack([x, y], axis=-1)
 
 
 def decompose(q: np.ndarray) -> RotationStrain:

@@ -10,8 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import csv
-import math
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -22,7 +21,7 @@ from . import planner, simulator
 from .errors import AtugvError, UnsafePlanError, UnreachableSeparationError
 from .network import solve_reference_positions
 from .safety import SafetyBound
-from .scenario import BUNDLED, Scenario, load_scenario
+from .scenario import BUNDLED, load_scenario
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -35,63 +34,39 @@ def _fmt(value: float) -> str:
     return format(value, _FMT)
 
 
+def _write_csv(path: Path, header, times, labels, values):
+    """CSV with CRLF line ends, one row per time and label: t, the label's
+    integers, then values[k, m, :] for time k and label m. NaN marks a
+    missing value and prints as an empty field."""
+    label_text = [",".join(map(str, label)) for label in labels]
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for t, block in zip(times.tolist(), values):
+            t = _fmt(t)
+            for label, row in zip(label_text, block.tolist()):
+                fields = ",".join("" if v != v else _fmt(v) for v in row)
+                fh.write(f"{t},{label},{fields}\r\n")
+
+
 def write_trajectory_csv(path: Path, trace: simulator.SimulationTrace):
     """One row per step per cell; velocity-command columns are empty for
     unpowered cells (no command exists)."""
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t", "cell_id", "x_des", "y_des", "x_act", "y_act", "vx_cmd", "vy_cmd", "err_norm"]
-        )
-        powered = set(trace.powered)
-        for k, t in enumerate(trace.times):
-            for i in trace.cells:
-                if i in powered:
-                    vx = _fmt(trace.velocity_commands[i][k, 0])
-                    vy = _fmt(trace.velocity_commands[i][k, 1])
-                else:
-                    vx = vy = ""
-                writer.writerow(
-                    [
-                        _fmt(t),
-                        i,
-                        _fmt(trace.desired[i][k, 0]),
-                        _fmt(trace.desired[i][k, 1]),
-                        _fmt(trace.actual[i][k, 0]),
-                        _fmt(trace.actual[i][k, 1]),
-                        vx,
-                        vy,
-                        _fmt(trace.errors[i][k]),
-                    ]
-                )
+    header = ["t", "cell_id", "x_des", "y_des", "x_act", "y_act", "vx_cmd", "vy_cmd", "err_norm"]
+    values = (trace.desired, trace.actual, trace.velocity_commands, trace.errors[..., None])
+    _write_csv(path, header, trace.times, [(i,) for i in trace.cells], np.concatenate(values, -1))
 
 
 def write_elbow_csv(path: Path, trace: simulator.SimulationTrace):
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "cell_i", "cell_j", "theta_des", "theta_act"])
-        for k, t in enumerate(trace.times):
-            for (i, j), des in sorted(trace.elbow_desired.items()):
-                act = trace.elbow_actual[(i, j)][k]
-                writer.writerow(
-                    [_fmt(t), i, j, _fmt(des[k]), "" if math.isnan(act) else _fmt(act)]
-                )
+    header = ["t", "cell_i", "cell_j", "theta_des", "theta_act"]
+    values = np.stack([trace.elbow_desired, trace.elbow_actual], -1)
+    _write_csv(path, header, trace.times, trace.joints, values)
 
 
-def _load(args) -> Scenario:
-    return load_scenario(args.scenario, strict=not args.lenient)
-
-
-def _build(scenario: Scenario, sample_count=None):
+def _load(args):
+    """The scenario, its reference configuration and its strain bound."""
+    scenario = load_scenario(args.scenario, strict=not args.lenient)
     reference = solve_reference_positions(scenario.graph, scenario.side_length)
-    bound = SafetyBound.from_reference(scenario.graph.cell_radius, reference)
-    trajectory = planner.plan(
-        scenario.plan_spec,
-        scenario.graph,
-        reference,
-        sample_count or scenario.sample_count,
-    )
-    return reference, bound, trajectory
+    return scenario, reference, SafetyBound.from_reference(scenario.graph.cell_radius, reference)
 
 
 def _report_lines(scenario, bound, verdicts, extras=()):
@@ -110,12 +85,9 @@ def _report_lines(scenario, bound, verdicts, extras=()):
 
 
 def cmd_reference(args) -> int:
-    scenario = _load(args)
-    reference = solve_reference_positions(scenario.graph, scenario.side_length)
-    bound = SafetyBound.from_reference(scenario.graph.cell_radius, reference)
+    scenario, reference, bound = _load(args)
     print(f"scenario: {scenario.name}")
-    for i in sorted(reference.positions):
-        x, y = reference.positions[i]
+    for i, (x, y) in enumerate(reference.positions, start=1):
         tag = "powered" if i in scenario.graph.powered else "unpowered"
         print(f"  cell {i}: ({_fmt(x)}, {_fmt(y)}) m  [{tag}]")
     print(f"d_min: {_fmt(reference.d_min)} m")
@@ -123,64 +95,50 @@ def cmd_reference(args) -> int:
     return EXIT_OK
 
 
-def _validate_verdicts(scenario, reference, bound):
-    """Plan-time verdicts: principal-strain bound and mechanism reach."""
+def _validate_verdicts(scenario, reference):
+    """Plan-time verdicts (principal-strain bound and mechanism reach) and
+    the plan, or None if a verdict failed."""
     verdicts = []
-    ok = True
+    trajectory = None
     try:
-        planner.plan(scenario.plan_spec, scenario.graph, reference, scenario.sample_count)
+        trajectory = planner.plan(
+            scenario.plan_spec, scenario.graph, reference, scenario.sample_count
+        )
         verdicts.append("strain-bound verdict: SAFE (all samples)")
         verdicts.append("mechanism-reach verdict: OK (all joints, all samples)")
     except UnsafePlanError as exc:
-        ok = False
         verdicts.append(
             "strain-bound verdict: UNSAFE — principal-strain bound violated "
             f"(collision-safety guarantee): {exc}"
         )
     except UnreachableSeparationError as exc:
-        ok = False
         verdicts.append(f"mechanism-reach verdict: UNREACHABLE — {exc}")
-    return ok, verdicts
+    return trajectory, verdicts
 
 
 def cmd_validate(args) -> int:
-    scenario = _load(args)
-    reference = solve_reference_positions(scenario.graph, scenario.side_length)
-    bound = SafetyBound.from_reference(scenario.graph.cell_radius, reference)
-    ok, verdicts = _validate_verdicts(scenario, reference, bound)
+    scenario, reference, bound = _load(args)
+    trajectory, verdicts = _validate_verdicts(scenario, reference)
     for line in _report_lines(scenario, bound, verdicts):
         print(line)
-    return EXIT_OK if ok else EXIT_VERDICT
+    return EXIT_OK if trajectory is not None else EXIT_VERDICT
 
 
 def cmd_run(args) -> int:
-    scenario = _load(args)
-    reference = solve_reference_positions(scenario.graph, scenario.side_length)
-    bound = SafetyBound.from_reference(scenario.graph.cell_radius, reference)
+    scenario, reference, bound = _load(args)
 
     out_dir = args.output_dir or os.environ.get("ATUGV_OUTPUT_DIR") or "."
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    ok, verdicts = _validate_verdicts(scenario, reference, bound)
+    trajectory, verdicts = _validate_verdicts(scenario, reference)
+    ok = trajectory is not None
     extras = []
     if ok:
-        trajectory = planner.plan(
-            scenario.plan_spec,
-            scenario.graph,
-            reference,
-            args.samples or scenario.sample_count,
-        )
         sim_cfg = scenario.sim
         if args.dt is not None:
-            sim_cfg = simulator.SimConfig(
-                dt=args.dt,
-                model=sim_cfg.model,
-                alpha=sim_cfg.alpha,
-                k_v=sim_cfg.k_v,
-                initial_offsets=sim_cfg.initial_offsets,
-            )
-        trace = simulator.run(scenario.graph, reference, trajectory, sim_cfg)
+            sim_cfg = dataclasses.replace(sim_cfg, dt=args.dt)
+        trace = simulator.run(trajectory, sim_cfg)
         write_trajectory_csv(out_dir / "trajectory.csv", trace)
         write_elbow_csv(out_dir / "elbows.csv", trace)
         min_clear = float(np.min(trace.min_clearance))
@@ -191,15 +149,16 @@ def cmd_run(args) -> int:
             f"{_fmt(2 * scenario.graph.cell_radius)} m)"
         )
         threshold = scenario.terminal_error_threshold
-        worst = max(trace.terminal_errors.values())
+        terminal = trace.errors[-1]
+        worst = float(np.max(terminal))
         err_ok = worst < threshold
         verdicts.append(
             f"terminal-error verdict: {'OK' if err_ok else 'EXCEEDED'} "
             f"(worst {_fmt(worst)} m vs threshold {_fmt(threshold)} m)"
         )
         extras.append("terminal tracking errors [m]:")
-        for i in trace.cells:
-            extras.append(f"  cell {i}: {_fmt(trace.terminal_errors[i])}")
+        for i, err in zip(trace.cells, terminal.tolist()):
+            extras.append(f"  cell {i}: {_fmt(err)}")
         ok = ok and clear_ok and err_ok
 
     lines = _report_lines(scenario, bound, verdicts, extras)
@@ -233,10 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_false",
             help="reject unknown config keys (default)",
         )
-        p.add_argument("--seed", type=int, default=None, help="reserved; pipeline is deterministic")
         if name == "run":
             p.add_argument("--output-dir", default=None, help="directory for CSVs and report")
-            p.add_argument("--samples", type=int, default=None, help="plan sample count override")
             p.add_argument("--dt", type=float, default=None, help="simulation timestep override")
         p.set_defaults(func=func)
     return parser

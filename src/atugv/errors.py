@@ -2,7 +2,16 @@
 
 
 class AtugvError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package. Structured fields
+    are keyword arguments kept as attributes: array routines set `index`
+    (first failing element); the simulator adds `step`, `time` and `cell`."""
+
+    index = step = time = cell = None
+
+    def __init__(self, message, **fields):
+        super().__init__(message)
+        for name, value in fields.items():
+            setattr(self, name, value)
 
 
 class InvalidArgumentError(AtugvError, ValueError):
@@ -33,11 +42,10 @@ class ReferenceOverlapError(AtugvError):
 
 class UnreachableSeparationError(AtugvError):
     """A commanded cell separation exceeds the full extension of the
-    two-arm connection mechanism."""
+    two-arm connection mechanism. `joint` is 1 or 2 for a cell's
+    actuated joints."""
 
-    def __init__(self, message, joint=None):
-        super().__init__(message)
-        self.joint = joint
+    joint = None
 
 
 class InconsistentAnglesError(AtugvError):
@@ -48,12 +56,7 @@ class InconsistentAnglesError(AtugvError):
 class UnsafePlanError(AtugvError):
     """A planned sample violates the principal-strain safety bound."""
 
-    def __init__(self, message, time=None, field=None, value=None, bound=None):
-        super().__init__(message)
-        self.time = time
-        self.field = field
-        self.value = value
-        self.bound = bound
+    field = value = bound = None
 
 
 class ScenarioError(AtugvError):

@@ -4,10 +4,12 @@ Both arms of a joint have length L and attach at the cell rims, so a
 cell separation d corresponds to the elbow angle 2*asin(d / (2(L+r))).
 Unpowered cells are positioned by intersecting the two distance circles
 implied by their actuated elbow angles.
+
+Every function takes scalars/points or arrays of them (points as (..., 2));
+an error on an array names the first failing element in `index`.
 """
 from __future__ import annotations
 
-import math
 from typing import Tuple
 
 import numpy as np
@@ -24,26 +26,32 @@ _REACH_RTOL = 1e-12
 _TANGENT_ATOL = 1e-9
 
 
-def elbow_angle(d: float, arm_length: float, cell_radius: float) -> float:
+def elbow_angle(d, arm_length: float, cell_radius: float):
     """Angle between the two arms spanning a cell separation d; in [0, pi],
     0 when folded, pi at full extension 2(L+r)."""
     if arm_length <= 0.0 or cell_radius <= 0.0:
         raise InvalidArgumentError("arm_length and cell_radius must be positive")
-    if not math.isfinite(d) or d < 0.0:
-        raise InvalidArgumentError(f"separation must be a finite non-negative length, got {d!r}")
-    reach = 2.0 * (arm_length + cell_radius)
-    if d > reach * (1.0 + _REACH_RTOL):
-        raise UnreachableSeparationError(
-            f"separation {d:.6g} m exceeds mechanism reach {reach:.6g} m"
+    d = np.asarray(d, dtype=float)
+    invalid = ~(np.isfinite(d) & (d >= 0.0))
+    if invalid.any():
+        raise InvalidArgumentError(
+            f"separation must be a finite non-negative length, got {float(d[invalid][0])!r}"
         )
-    return 2.0 * math.asin(min(d / reach, 1.0))
+    reach = 2.0 * (arm_length + cell_radius)
+    over = d > reach * (1.0 + _REACH_RTOL)
+    if over.any():
+        k = tuple(np.argwhere(over)[0].tolist())
+        raise UnreachableSeparationError(
+            f"separation {d[k]:.6g} m exceeds mechanism reach {reach:.6g} m", index=k
+        )
+    return 2.0 * np.arcsin(np.minimum(d / reach, 1.0))
 
 
-def separation_from_angle(theta: float, arm_length: float, cell_radius: float) -> float:
+def separation_from_angle(theta, arm_length: float, cell_radius: float):
     """Inverse of elbow_angle on [0, pi]."""
-    if not 0.0 <= theta <= math.pi:
+    if not np.all((0.0 <= theta) & (theta <= np.pi)):
         raise InvalidArgumentError(f"elbow angle must lie in [0, pi], got {theta}")
-    return 2.0 * (arm_length + cell_radius) * math.sin(0.5 * theta)
+    return 2.0 * (arm_length + cell_radius) * np.sin(0.5 * theta)
 
 
 def desired_elbow_angles(
@@ -52,25 +60,26 @@ def desired_elbow_angles(
     p_j2,
     arm_length: float,
     cell_radius: float,
-) -> Tuple[float, float]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Elbow angles commanded to the two actuated joints of cell i given the
     desired positions of i and its actuated neighbors j1, j2."""
-    p_i = np.asarray(p_i, dtype=float)
-    angles = []
-    for k, p_j in enumerate((np.asarray(p_j1, dtype=float), np.asarray(p_j2, dtype=float))):
-        d = float(np.linalg.norm(p_i - p_j))
-        try:
-            angles.append(elbow_angle(d, arm_length, cell_radius))
-        except UnreachableSeparationError as exc:
-            raise UnreachableSeparationError(f"joint {k + 1}: {exc}", joint=k + 1) from None
-    return angles[0], angles[1]
+    to_neighbors = np.asarray(p_i, dtype=float)[..., None, :] - np.stack([p_j1, p_j2], axis=-2)
+    d = np.linalg.norm(to_neighbors, axis=-1)  # (..., 2): joint 1, joint 2
+    try:
+        theta = elbow_angle(d, arm_length, cell_radius)
+    except UnreachableSeparationError as exc:
+        *row, k = exc.index
+        raise UnreachableSeparationError(
+            f"joint {k + 1}: {exc}", joint=k + 1, index=tuple(row)
+        ) from None
+    return theta[..., 0], theta[..., 1]
 
 
 def resolve_unpowered_position(
     p_j1,
     p_j2,
-    theta1: float,
-    theta2: float,
+    theta1,
+    theta2,
     arm_length: float,
     cell_radius: float,
     previous,
@@ -85,25 +94,30 @@ def resolve_unpowered_position(
     d1 = separation_from_angle(theta1, arm_length, cell_radius)
     d2 = separation_from_angle(theta2, arm_length, cell_radius)
     delta = c2 - c1
-    dist = float(np.linalg.norm(delta))
-    if dist == 0.0:
+    dist = np.linalg.norm(delta, axis=-1)
+    if np.any(dist == 0.0):
         raise InconsistentAnglesError(
-            "actuated neighbors coincide; cell position is not determined"
+            "actuated neighbors coincide; cell position is not determined",
+            index=tuple(np.argwhere(dist == 0.0)[0].tolist()),
         )
     # Standard two-circle intersection in the frame of the center line.
     along = (d1 * d1 - d2 * d2 + dist * dist) / (2.0 * dist)
     h_sq = d1 * d1 - along * along
-    if h_sq < -_TANGENT_ATOL:
+    disjoint = h_sq < -_TANGENT_ATOL
+    if disjoint.any():
+        k = tuple(np.argwhere(disjoint)[0].tolist())
         raise InconsistentAnglesError(
-            f"elbow angles are inconsistent: circles of radii {d1:.6g} and "
-            f"{d2:.6g} about neighbors {dist:.6g} m apart do not intersect"
+            f"elbow angles are inconsistent: circles of radii {d1[k]:.6g} and "
+            f"{d2[k]:.6g} about neighbors {dist[k]:.6g} m apart do not intersect",
+            index=k,
         )
-    h = math.sqrt(max(h_sq, 0.0))
-    u = delta / dist
-    perp = np.array([-u[1], u[0]])
-    mid = c1 + along * u
+    h = np.sqrt(np.maximum(h_sq, 0.0))[..., None]
+    u = delta / dist[..., None]
+    perp = np.stack([-u[..., 1], u[..., 0]], axis=-1)
+    mid = c1 + along[..., None] * u
     cand_a = mid + h * perp
     cand_b = mid - h * perp
-    if np.linalg.norm(cand_a - previous) <= np.linalg.norm(cand_b - previous):
-        return cand_a
-    return cand_b
+    closer_a = np.linalg.norm(cand_a - previous, axis=-1) <= np.linalg.norm(
+        cand_b - previous, axis=-1
+    )
+    return np.where(closer_a[..., None], cand_a, cand_b)

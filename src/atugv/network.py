@@ -2,14 +2,15 @@
 
 Cells form a layered graph: three boundary cells in layer 0 anchor an
 equilateral triangle, and every interior cell has exactly three neighbors
-from strictly earlier layers, so reference positions can be solved layer by
-layer as plain averages.
+from strictly earlier layers, so each reference position is the average of
+three earlier ones. That layered network is linear: it folds into one N x 3
+weight matrix W, and the reference positions are W @ B0 for the boundary
+positions B0. Per-cell arrays are (N, 2) with row i - 1 holding cell i.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
@@ -128,70 +129,51 @@ class CellGraph:
         return frozenset(set(self.cells) - self.powered)
 
     @property
+    def joints(self) -> Tuple[Tuple[int, int], ...]:
+        """Every (interior cell, neighbor) joint, sorted."""
+        return tuple((i, j) for i in self.interior for j in sorted(self.neighbors[i]))
+
+    @property
     def reach(self) -> float:
         """Maximum joint separation the two-arm mechanism can span."""
         return 2.0 * (self.arm_length + self.cell_radius)
 
 
-@dataclass(frozen=True)
-class LayeredNetwork:
-    """Neural-network view of the cell graph: neuron sets per layer and,
-    for each neuron, the previous-layer inputs (three neighbors for a cell
-    entering at this layer, a pass-through otherwise)."""
-
-    neurons: Tuple[FrozenSet[int], ...]
-    inputs: Tuple[Dict[int, FrozenSet[int]], ...]
-
-
-def build_layered_network(graph: CellGraph) -> LayeredNetwork:
-    """Unfold the cell graph into its layered network representation."""
-    layers = graph.layers
-    last = len(layers) - 1
-    neurons = []
-    for l, layer in enumerate(layers):
-        if l == 0 or l == last:
-            neurons.append(layer)
-        else:
-            neurons.append(neurons[l - 1] | layer)
-    inputs = [dict() for _ in layers]
-    for l in range(1, len(layers)):
-        for i in neurons[l]:
-            if i in layers[l]:
-                inputs[l][i] = graph.neighbors[i]
-            else:
-                inputs[l][i] = frozenset({i})
-    return LayeredNetwork(neurons=tuple(neurons), inputs=tuple(inputs))
+def barycentric_weights(graph: CellGraph) -> np.ndarray:
+    """The layered network folded into one (N, 3) matrix W: row i - 1 holds
+    the convex weights of cell i on the boundary cells, in ascending order."""
+    w = np.zeros((len(graph.cells), 3))
+    for k, b in enumerate(sorted(graph.boundary)):
+        w[b - 1, k] = 1.0
+    for layer in graph.layers[1:]:
+        cells = sorted(layer)
+        rows = np.array([sorted(graph.neighbors[i]) for i in cells]) - 1
+        w[np.array(cells) - 1] = w[rows].sum(axis=1) / 3.0
+    return w
 
 
 @dataclass(frozen=True)
 class ReferenceConfiguration:
-    """Reference cell positions a_i and their minimum pairwise separation."""
+    """Reference cell positions a_i, as an (N, 2) array with row i - 1 for
+    cell i, and their minimum pairwise separation."""
 
-    positions: Dict[int, np.ndarray]
+    positions: np.ndarray
     d_min: float
-    side_length: float
 
 
-def min_separation(positions: Dict[int, np.ndarray]) -> float:
-    """Minimum Euclidean distance over all unordered cell pairs."""
-    if len(positions) < 2:
+def min_separation(positions: np.ndarray) -> Tuple[Tuple[int, int], float]:
+    """The closest cell pair (i, j), i < j, and its distance, for (N, 2)
+    positions with row i - 1 holding cell i. Exhaustive over all pairs."""
+    n = len(positions)
+    if n < 2:
         raise InvalidArgumentError("need at least two cells")
-    return min(
-        float(np.linalg.norm(positions[i] - positions[j]))
-        for i, j in combinations(sorted(positions), 2)
-    )
-
-
-def closest_pair(positions: Dict[int, np.ndarray]) -> Tuple[Tuple[int, int], float]:
-    """The cell pair attaining the minimum separation, with its distance."""
-    if len(positions) < 2:
-        raise InvalidArgumentError("need at least two cells")
-    best = None
-    for i, j in combinations(sorted(positions), 2):
-        d = float(np.linalg.norm(positions[i] - positions[j]))
-        if best is None or d < best[1]:
-            best = ((i, j), d)
-    return best
+    diff = positions[:, None, :] - positions[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    np.fill_diagonal(dist, np.inf)
+    # dist is exactly symmetric, so the first minimum in row-major order
+    # is the lexicographically first closest pair, with i < j.
+    i, j = divmod(int(np.argmin(dist)), n)
+    return (i + 1, j + 1), float(dist[i, j])
 
 
 def solve_reference_positions(
@@ -200,7 +182,7 @@ def solve_reference_positions(
     anchor: Optional[Dict[int, np.ndarray]] = None,
 ) -> ReferenceConfiguration:
     """Place boundary cells on an equilateral triangle and each interior
-    cell at the average of its three neighbors, layer by layer.
+    cell at the average of its three neighbors: positions = W @ B0.
 
     The default anchor puts the lowest-numbered boundary cell at the
     origin and the next on the +x axis; any other pose is reachable
@@ -209,25 +191,18 @@ def solve_reference_positions(
     if side_length <= 0.0:
         raise InvalidArgumentError(f"side_length must be positive, got {side_length}")
     boundary = sorted(graph.boundary)
-    positions: Dict[int, np.ndarray] = {}
     if anchor is not None:
         if set(anchor) != set(boundary):
             raise InvalidArgumentError("anchor must place exactly the boundary cells")
-        for i in boundary:
-            positions[i] = np.asarray(anchor[i], dtype=float)
+        b0 = np.array([anchor[i] for i in boundary], dtype=float)
     else:
         s = side_length
-        positions[boundary[0]] = np.array([0.0, 0.0])
-        positions[boundary[1]] = np.array([s, 0.0])
-        positions[boundary[2]] = np.array([0.5 * s, 0.5 * math.sqrt(3.0) * s])
-    for layer in graph.layers[1:]:
-        for i in sorted(layer):
-            ns = sorted(graph.neighbors[i])
-            positions[i] = sum(positions[j] for j in ns) / 3.0
-    d_min = min_separation(positions)
+        b0 = np.array([[0.0, 0.0], [s, 0.0], [0.5 * s, 0.5 * math.sqrt(3.0) * s]])
+    positions = barycentric_weights(graph) @ b0
+    _, d_min = min_separation(positions)
     if d_min <= 2.0 * graph.cell_radius:
         raise ReferenceOverlapError(
             f"reference separation {d_min:.6g} m does not exceed the cell "
             f"diameter {2.0 * graph.cell_radius:.6g} m"
         )
-    return ReferenceConfiguration(positions=positions, d_min=d_min, side_length=side_length)
+    return ReferenceConfiguration(positions=positions, d_min=d_min)

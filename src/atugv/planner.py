@@ -4,12 +4,12 @@ Each coordinate is interpolated between its endpoints by an increasing
 blend function with beta(t0) = 0 and beta(tf) = 1. A plan is rejected
 outright if any sample violates the principal-strain safety bound or asks
 a joint for a separation beyond the mechanism reach (fail-closed: no
-silent clamping).
+silent clamping). Times may be floats or arrays; `desired_positions` is the
+one place that maps times to desired cell positions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .safety import SafetyBound, validate_coordinates
 BLEND_KINDS = ("linear", "smoothstep", "smootherstep")
 
 
-def blend(t: float, t0: float, tf: float, kind: str = "smoothstep") -> float:
+def blend(t, t0: float, tf: float, kind: str = "smoothstep"):
     """Time-scaling beta(t) in [0, 1], strictly increasing on (t0, tf).
 
     linear: u; smoothstep: 3u^2 - 2u^3 (zero end velocity);
@@ -30,7 +30,7 @@ def blend(t: float, t0: float, tf: float, kind: str = "smoothstep") -> float:
     """
     if tf <= t0:
         raise InvalidArgumentError(f"tf must exceed t0, got [{t0}, {tf}]")
-    if not t0 <= t <= tf:
+    if not np.all((t0 <= t) & (t <= tf)):
         raise DomainError(f"t = {t} outside planning horizon [{t0}, {tf}]")
     u = (t - t0) / (tf - t0)
     if kind == "linear":
@@ -61,13 +61,10 @@ class PlanSpec:
             )
 
 
-def coordinates_at(spec: PlanSpec, t: float) -> GeneralizedCoordinates:
-    """Convex combination of the endpoint coordinates at blend fraction beta(t)."""
+def coordinates_at(spec: PlanSpec, t) -> GeneralizedCoordinates:
+    """Convex combination of the endpoint coordinates at blend fraction
+    beta(t); exactly the endpoint at beta = 0 and beta = 1."""
     b = blend(t, spec.t0, spec.tf, spec.blend_kind)
-    if b == 0.0:
-        return spec.initial
-    if b == 1.0:
-        return spec.final
     values = {
         name: (1.0 - b) * getattr(spec.initial, name) + b * getattr(spec.final, name)
         for name in COORD_FIELDS
@@ -75,24 +72,31 @@ def coordinates_at(spec: PlanSpec, t: float) -> GeneralizedCoordinates:
     return GeneralizedCoordinates(**values)
 
 
+def desired_positions(spec: PlanSpec, reference: ReferenceConfiguration, times) -> np.ndarray:
+    """Desired cell positions at `times`: the planned affine image of the
+    reference positions, (T, N, 2) for T times (row i - 1 is cell i)."""
+    coords = coordinates_at(spec, np.asarray(times, dtype=float))
+    return AffineTransform.from_coordinates(coords)(reference.positions)
+
+
+def joint_separations(graph: CellGraph, positions: np.ndarray) -> np.ndarray:
+    """Separation of every joint in `graph.joints` order, (..., J) for
+    positions (..., N, 2)."""
+    i, j = (np.array(graph.joints) - 1).T
+    return np.linalg.norm(positions[..., i, :] - positions[..., j, :], axis=-1)
+
+
 @dataclass(frozen=True)
 class PlannedTrajectory:
-    """Sampled plan: coordinates, per-cell desired positions, and desired
-    elbow angles for every interior-cell joint, at uniform times."""
+    """Sampled plan at uniform times: coordinates (fields of shape (T,)) and
+    desired positions (T, N, 2)."""
 
     spec: PlanSpec
     graph: CellGraph
     reference: ReferenceConfiguration
     times: np.ndarray
-    coords: Tuple[GeneralizedCoordinates, ...]
-    positions: Dict[int, np.ndarray]  # cell -> (n_samples, 2)
-    elbow_angles: Dict[Tuple[int, int], np.ndarray]  # (i, j) -> (n_samples,)
-    joint_tags: Dict[Tuple[int, int], bool] = field(default_factory=dict)  # actuated?
-
-    def desired_positions(self, t: float) -> Dict[int, np.ndarray]:
-        """Desired cell positions at an arbitrary time in the horizon."""
-        transform = AffineTransform.from_coordinates(coordinates_at(self.spec, t))
-        return {i: transform(a) for i, a in self.reference.positions.items()}
+    coords: GeneralizedCoordinates
+    positions: np.ndarray
 
 
 def plan(
@@ -102,48 +106,35 @@ def plan(
     sample_count: int = 200,
 ) -> PlannedTrajectory:
     """Sample the plan uniformly, gating every sample on the strain safety
-    bound and the mechanism reach of every interior-cell joint."""
+    bound and the mechanism reach of every interior-cell joint. The first
+    failing sample decides the error; the strain check goes first."""
     if sample_count < 2:
         raise InvalidArgumentError(f"sample_count must be at least 2, got {sample_count}")
     bound = SafetyBound.from_reference(graph.cell_radius, reference)
     times = np.linspace(spec.t0, spec.tf, sample_count)
-    coords: List[GeneralizedCoordinates] = []
-    cells = sorted(reference.positions)
-    positions = {i: np.empty((sample_count, 2)) for i in cells}
-    joints = [(i, j) for i in graph.interior for j in sorted(graph.neighbors[i])]
-    joint_tags = {(i, j): j in graph.actuated[i] for i, j in joints}
-    elbows = {key: np.empty(sample_count) for key in joints}
-
-    for k, t in enumerate(times):
-        c = coordinates_at(spec, float(t))
-        verdict = validate_coordinates(c, bound)
-        if not verdict:
-            raise UnsafePlanError(
-                f"plan violates the principal-strain bound at t = {t:.6g} s: "
-                f"{verdict.violating_field} = {verdict.violating_value:.6g} < "
-                f"lambda_min = {bound.lambda_min:.6g}",
-                time=float(t),
-                field=verdict.violating_field,
-                value=verdict.violating_value,
-                bound=bound.lambda_min,
-            )
-        coords.append(c)
-        transform = AffineTransform.from_coordinates(c)
-        for i in cells:
-            positions[i][k] = transform(reference.positions[i])
-        for i, j in joints:
-            d = float(np.linalg.norm(positions[i][k] - positions[j][k]))
-            elbows[(i, j)][k] = kinematics.elbow_angle(
-                d, graph.arm_length, graph.cell_radius
-            )
-
+    coords = coordinates_at(spec, times)
+    verdict = validate_coordinates(coords, bound)
+    positions = desired_positions(spec, reference, times)
+    safe_samples = sample_count if verdict else verdict.index
+    kinematics.elbow_angle(  # raises at the first unreachable joint
+        joint_separations(graph, positions[:safe_samples]), graph.arm_length, graph.cell_radius
+    )
+    if not verdict:
+        t = float(times[verdict.index])
+        raise UnsafePlanError(
+            f"plan violates the principal-strain bound at t = {t:.6g} s: "
+            f"{verdict.violating_field} = {verdict.violating_value:.6g} < "
+            f"lambda_min = {bound.lambda_min:.6g}",
+            time=t,
+            field=verdict.violating_field,
+            value=verdict.violating_value,
+            bound=bound.lambda_min,
+        )
     return PlannedTrajectory(
         spec=spec,
         graph=graph,
         reference=reference,
         times=times,
-        coords=tuple(coords),
+        coords=coords,
         positions=positions,
-        elbow_angles=elbows,
-        joint_tags=joint_tags,
     )

@@ -1,10 +1,10 @@
-"""Collision safety: the principal-strain lower bound and a brute-force
-pairwise clearance check that is independent of the bound."""
+"""Collision safety: the principal-strain lower bound and verdicts on
+planned coordinates. Clearance itself is measured, independently of the
+bound, by `network.min_separation`."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -29,14 +29,12 @@ def lambda_min(r: float, d_min: float) -> float:
 @dataclass(frozen=True)
 class SafetyBound:
     lambda_min: float
-    cell_radius: float
     d_min: float
 
     @classmethod
     def from_reference(cls, cell_radius: float, reference: ReferenceConfiguration) -> "SafetyBound":
         return cls(
             lambda_min=lambda_min(cell_radius, reference.d_min),
-            cell_radius=cell_radius,
             d_min=reference.d_min,
         )
 
@@ -45,13 +43,15 @@ class SafetyBound:
 class SafetyVerdict:
     """Outcome of checking generalized coordinates against the strain bound.
 
-    When unsafe, names the violating strain field and its value.
+    When unsafe, names the violating strain field and its value, and the
+    index of the first violating time in a batch (0 for a single instant).
     """
 
     safe: bool
     lambda_min: float
     violating_field: Optional[str] = None
     violating_value: Optional[float] = None
+    index: Optional[int] = None
 
     def __bool__(self):
         return self.safe
@@ -63,42 +63,16 @@ def validate_coordinates(coords: GeneralizedCoordinates, bound: SafetyBound) -> 
     The bound applies to min(lambda1, lambda2): that is the factor by which
     the closest reference pair can shrink.
     """
-    for name in ("lambda2", "lambda1"):
-        value = getattr(coords, name)
-        if value < bound.lambda_min:
-            return SafetyVerdict(
-                safe=False,
-                lambda_min=bound.lambda_min,
-                violating_field=name,
-                violating_value=value,
-            )
-    return SafetyVerdict(safe=True, lambda_min=bound.lambda_min)
-
-
-@dataclass(frozen=True)
-class ClearanceReport:
-    safe: bool
-    min_distance: float
-    closest_pair: Tuple[int, int]
-    required: float
-
-    def __bool__(self):
-        return self.safe
-
-
-def verify_pairwise_clearance(positions: Dict[int, np.ndarray], r: float) -> ClearanceReport:
-    """Exhaustive O(N^2) clearance oracle: SAFE iff every pairwise distance
-    is at least the cell diameter 2r. Independent of the strain-bound path."""
-    if len(positions) < 2:
-        raise InvalidArgumentError("need at least two cells")
-    best_pair, best = None, np.inf
-    for i, j in combinations(sorted(positions), 2):
-        d = float(np.linalg.norm(positions[i] - positions[j]))
-        if d < best:
-            best_pair, best = (i, j), d
-    return ClearanceReport(
-        safe=best >= 2.0 * r,
-        min_distance=best,
-        closest_pair=best_pair,
-        required=2.0 * r,
+    lambda1, lambda2 = np.atleast_1d(coords.lambda1, coords.lambda2)
+    unsafe = (lambda2 < bound.lambda_min) | (lambda1 < bound.lambda_min)
+    if not unsafe.any():
+        return SafetyVerdict(safe=True, lambda_min=bound.lambda_min)
+    k = int(np.argmax(unsafe))
+    name, values = ("lambda2", lambda2) if lambda2[k] < bound.lambda_min else ("lambda1", lambda1)
+    return SafetyVerdict(
+        safe=False,
+        lambda_min=bound.lambda_min,
+        violating_field=name,
+        violating_value=float(values[k]),
+        index=k,
     )

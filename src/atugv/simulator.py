@@ -8,16 +8,16 @@ joint motors are assumed to track commanded angles within one timestep.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from . import kinematics
 from .errors import AtugvError, InvalidArgumentError
-from .network import CellGraph, ReferenceConfiguration, min_separation
-from .planner import PlannedTrajectory, coordinates_at
+from .network import CellGraph, min_separation
+from .planner import PlannedTrajectory, desired_positions, joint_separations
+from .planner import coordinates_at  # noqa: F401  (bench/tracing.py wraps this name here)
 
 MODELS = ("single", "double")
 
@@ -49,114 +49,115 @@ class SimConfig:
                 f"alpha * dt = {self.alpha * self.dt:.3g} >= 2 is unstable "
                 "under explicit Euler"
             )
+        if self.model == "double":
+            # Per-axis Euler update of (position, velocity) about a fixed target.
+            dt, k_v = self.dt, self.k_v
+            rho = max(abs(np.linalg.eigvals([[1.0, dt], [-dt * k_v * self.alpha, 1.0 - dt * k_v]])))
+            if rho >= 1.0:
+                raise InvalidArgumentError(
+                    f"double-integrator loop with alpha = {self.alpha:.6g}, k_v = {k_v:.6g}, "
+                    f"dt = {dt:.6g} has spectral radius {rho:.3g} >= 1 under explicit Euler"
+                )
 
 
 @dataclass
 class SimState:
-    positions: Dict[int, np.ndarray]
-    velocities: Dict[int, np.ndarray]  # powered cells, double-integrator only
+    """Cell positions and velocities, (N, 2) with row i - 1 for cell i.
+    Velocities are integrated for powered cells by the double integrator."""
 
-    def copy(self) -> "SimState":
-        return SimState(
-            positions={i: p.copy() for i, p in self.positions.items()},
-            velocities={i: v.copy() for i, v in self.velocities.items()},
-        )
+    positions: np.ndarray
+    velocities: np.ndarray
 
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Everything recorded per step: actual/desired positions, velocity
-    commands, elbow angles (commanded and realized), error norms, and the
-    brute-force minimum clearance."""
+    """Everything recorded per step, with row k for times[k], per-cell
+    column i - 1 for cell i and per-joint column m for joints[m]:
+    actual/desired positions and velocity commands (T, N, 2; NaN for
+    unpowered cells, which get none), elbow angles commanded and realized
+    (T, J; realized NaN beyond the mechanism reach), error norms (T, N), and
+    the brute-force minimum clearance (T,)."""
 
     times: np.ndarray
     cells: Tuple[int, ...]
-    powered: Tuple[int, ...]
-    actual: Dict[int, np.ndarray]  # cell -> (n_steps, 2)
-    desired: Dict[int, np.ndarray]
-    velocity_commands: Dict[int, np.ndarray]  # powered cell -> (n_steps, 2)
-    elbow_desired: Dict[Tuple[int, int], np.ndarray]
-    elbow_actual: Dict[Tuple[int, int], np.ndarray]
-    errors: Dict[int, np.ndarray]  # cell -> (n_steps,)
+    joints: Tuple[Tuple[int, int], ...]
+    actual: np.ndarray
+    desired: np.ndarray
+    velocity_commands: np.ndarray
+    elbow_desired: np.ndarray
+    elbow_actual: np.ndarray
+    errors: np.ndarray
     min_clearance: np.ndarray
     cell_radius: float
-
-    @property
-    def terminal_errors(self) -> Dict[int, float]:
-        return {i: float(self.errors[i][-1]) for i in self.cells}
 
     @property
     def clearance_safe(self) -> bool:
         return bool(np.min(self.min_clearance) >= 2.0 * self.cell_radius)
 
 
-def _desired_at(trajectory: PlannedTrajectory, t: float):
-    coords = coordinates_at(trajectory.spec, t)
-    from .affine import AffineTransform
-
-    transform = AffineTransform.from_coordinates(coords)
-    return {i: transform(a) for i, a in trajectory.reference.positions.items()}
+def _rows(cells) -> np.ndarray:
+    return np.array(sorted(cells), dtype=int) - 1
 
 
 def step(
     state: SimState,
-    trajectory: PlannedTrajectory,
-    t: float,
+    graph: CellGraph,
+    desired: np.ndarray,
+    desired_next: np.ndarray,
     config: SimConfig,
 ) -> SimState:
-    """Advance one timestep from time t to t + dt.
+    """Advance one timestep from time t to t + dt, given the (N, 2) desired
+    positions at both times.
 
     Powered cells integrate the commanded velocity; unpowered cells are
     then re-resolved, in layer order, from the updated actual positions of
     their actuated neighbors and the elbow angles commanded for t + dt.
     """
-    graph = trajectory.graph
     dt = config.dt
-    desired_now = _desired_at(trajectory, t)
-    t_next = min(t + dt, trajectory.spec.tf)
-    desired_next = _desired_at(trajectory, t_next)
-
-    nxt = state.copy()
-    for i in sorted(graph.powered):
-        v_cmd = velocity_command(desired_now[i], state.positions[i], config.alpha)
-        if config.model == "single":
-            nxt.positions[i] = state.positions[i] + dt * v_cmd
-        else:
-            accel = config.k_v * (v_cmd - state.velocities[i])
-            nxt.velocities[i] = state.velocities[i] + dt * accel
-            nxt.positions[i] = state.positions[i] + dt * state.velocities[i]
+    powered = _rows(graph.powered)
+    positions, velocities = state.positions.copy(), state.velocities.copy()
+    v_cmd = velocity_command(desired[powered], state.positions[powered], config.alpha)
+    if config.model == "single":
+        positions[powered] = state.positions[powered] + dt * v_cmd
+    else:
+        v = state.velocities[powered]
+        velocities[powered] = v + dt * (config.k_v * (v_cmd - v))
+        positions[powered] = state.positions[powered] + dt * v
 
     for layer in graph.layers:
-        for i in sorted(layer & graph.unpowered):
-            j1, j2 = graph.actuated[i]
+        cells = sorted(layer & graph.unpowered)
+        if not cells:
+            continue
+        rows = _rows(cells)
+        j1, j2 = (np.array([graph.actuated[i] for i in cells]) - 1).T
+        try:
             theta1, theta2 = kinematics.desired_elbow_angles(
-                desired_next[i],
+                desired_next[rows],
                 desired_next[j1],
                 desired_next[j2],
                 graph.arm_length,
                 graph.cell_radius,
             )
-            nxt.positions[i] = kinematics.resolve_unpowered_position(
-                nxt.positions[j1],
-                nxt.positions[j2],
+            positions[rows] = kinematics.resolve_unpowered_position(
+                positions[j1],
+                positions[j2],
                 theta1,
                 theta2,
                 graph.arm_length,
                 graph.cell_radius,
-                previous=state.positions[i],
+                previous=state.positions[rows],
             )
-    return nxt
+        except AtugvError as exc:
+            if exc.index is not None:
+                exc.cell = cells[exc.index[0]]
+            raise
+    return SimState(positions=positions, velocities=velocities)
 
 
-def run(
-    graph: CellGraph,
-    reference: ReferenceConfiguration,
-    trajectory: PlannedTrajectory,
-    config: SimConfig,
-) -> SimulationTrace:
-    """Simulate the full horizon and record a deterministic trace."""
-    if trajectory.graph is not graph and trajectory.graph != graph:
-        raise InvalidArgumentError("trajectory was planned for a different graph")
+def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
+    """Simulate the full horizon from the planned pose at t0 (plus any
+    initial offsets) and record a deterministic trace."""
+    graph = trajectory.graph
     t0, tf = trajectory.spec.t0, trajectory.spec.tf
     horizon = tf - t0
     if config.dt > horizon / 10.0:
@@ -169,68 +170,47 @@ def run(
             f"dt = {config.dt} must evenly divide the horizon {horizon:.6g} s"
         )
 
-    cells = tuple(sorted(reference.positions))
-    powered = tuple(sorted(graph.powered))
-    offsets = config.initial_offsets or {}
-    state = SimState(
-        positions={
-            i: reference.positions[i] + np.asarray(offsets.get(i, (0.0, 0.0)), dtype=float)
-            for i in cells
-        },
-        velocities={i: np.zeros(2) for i in powered},
-    )
-
-    joints = [(i, j) for i in graph.interior for j in sorted(graph.neighbors[i])]
-    n_rec = n_steps + 1
-    times = t0 + config.dt * np.arange(n_rec)
+    times = t0 + config.dt * np.arange(n_steps + 1)
     times[-1] = tf
-    actual = {i: np.empty((n_rec, 2)) for i in cells}
-    desired = {i: np.empty((n_rec, 2)) for i in cells}
-    v_cmd_rec = {i: np.empty((n_rec, 2)) for i in powered}
-    elbow_des = {key: np.empty(n_rec) for key in joints}
-    elbow_act = {key: np.empty(n_rec) for key in joints}
-    errors = {i: np.empty(n_rec) for i in cells}
-    clearance = np.empty(n_rec)
-    reach = graph.reach
+    desired = desired_positions(trajectory.spec, trajectory.reference, times)
+    state = SimState(positions=desired[0].copy(), velocities=np.zeros_like(desired[0]))
+    for i, offset in (config.initial_offsets or {}).items():
+        state.positions[i - 1] += np.asarray(offset, dtype=float)
 
-    for k in range(n_rec):
-        t = float(times[k])
-        des = _desired_at(trajectory, t)
-        for i in cells:
-            actual[i][k] = state.positions[i]
-            desired[i][k] = des[i]
-            errors[i][k] = np.linalg.norm(des[i] - state.positions[i])
-        for i in powered:
-            v_cmd_rec[i][k] = velocity_command(des[i], state.positions[i], config.alpha)
-        for i, j in joints:
-            d_des = float(np.linalg.norm(des[i] - des[j]))
-            elbow_des[(i, j)][k] = kinematics.elbow_angle(
-                d_des, graph.arm_length, graph.cell_radius
-            )
-            d_act = float(np.linalg.norm(state.positions[i] - state.positions[j]))
-            if d_act > reach:
-                elbow_act[(i, j)][k] = math.nan
-            else:
-                elbow_act[(i, j)][k] = kinematics.elbow_angle(
-                    d_act, graph.arm_length, graph.cell_radius
-                )
-        clearance[k] = min_separation(state.positions)
+    actual = np.empty_like(desired)
+    for k in range(n_steps + 1):
+        actual[k] = state.positions
         if k < n_steps:
             try:
-                state = step(state, trajectory, t, config)
+                state = step(state, graph, desired[k], desired[k + 1], config)
             except AtugvError as exc:
-                raise type(exc)(f"step {k} (t = {t:.6g} s): {exc}") from exc
+                t = float(times[k])
+                exc.step, exc.time = k, t
+                exc.args = (f"step {k} (t = {t:.6g} s): {exc}",)
+                raise
 
+    powered = _rows(graph.powered)
+    v_cmd = np.full_like(desired, np.nan)
+    v_cmd[:, powered] = velocity_command(desired[:, powered], actual[:, powered], config.alpha)
+    elbow_des = kinematics.elbow_angle(
+        joint_separations(graph, desired), graph.arm_length, graph.cell_radius
+    )
+    d_act = joint_separations(graph, actual)
+    elbow_act = np.where(
+        d_act > graph.reach,
+        np.nan,
+        kinematics.elbow_angle(np.minimum(d_act, graph.reach), graph.arm_length, graph.cell_radius),
+    )
     return SimulationTrace(
         times=times,
-        cells=cells,
-        powered=powered,
+        cells=graph.cells,
+        joints=graph.joints,
         actual=actual,
         desired=desired,
-        velocity_commands=v_cmd_rec,
+        velocity_commands=v_cmd,
         elbow_desired=elbow_des,
         elbow_actual=elbow_act,
-        errors=errors,
-        min_clearance=clearance,
+        errors=np.linalg.norm(desired - actual, axis=-1),
+        min_clearance=np.array([min_separation(p)[1] for p in actual]),
         cell_radius=graph.cell_radius,
     )

@@ -22,8 +22,8 @@ from atugv import (
     rotation_matrix,
     run,
     solve_reference_positions,
+    min_separation,
     strain_matrix,
-    verify_pairwise_clearance,
 )
 from atugv.cli import main
 from conftest import random_layered_graph
@@ -63,14 +63,14 @@ def test_criterion_1_table_scenario_reproduction():
         scenario.plan_spec, scenario.graph, reference, scenario.sample_count
     )
     start = time.perf_counter()
-    trace = run(scenario.graph, reference, trajectory, scenario.sim)
+    trace = run(trajectory, scenario.sim)
     elapsed = time.perf_counter() - start
     final = scenario.plan_spec.final
     worst = 0.0
     for i in sorted(scenario.graph.powered):
-        target = oracle_position(final, reference.positions[i])
+        target = oracle_position(final, reference.positions[i - 1])
         err = math.hypot(
-            trace.actual[i][-1, 0] - target[0], trace.actual[i][-1, 1] - target[1]
+            trace.actual[-1, i - 1, 0] - target[0], trace.actual[-1, i - 1, 1] - target[1]
         )
         worst = max(worst, err)
     ok = worst < 1e-3 and elapsed < 5.0
@@ -98,19 +98,16 @@ def test_criterion_2_collision_bound_property_and_tightness():
             d2=rng.uniform(-2, 2),
         )
         t = AffineTransform.from_coordinates(coords)
-        mapped = {i: t(a) for i, a in reference.positions.items()}
-        rep = verify_pairwise_clearance(mapped, graph.cell_radius)
-        assert rep.min_distance >= 2.0 * graph.cell_radius - 1e-9, (
-            f"clearance broken at {rep.closest_pair} with safe strains"
+        pair, d = min_separation(t(reference.positions))
+        assert d >= 2.0 * graph.cell_radius - 1e-9, (
+            f"clearance broken at {pair} with safe strains"
         )
     # part B: 1% below the bound, aimed along the critical pair, must collide
-    from atugv import closest_pair
-
     for _ in range(100):
         graph, reference = random_layered_graph(rng)
         bound = 2.0 * graph.cell_radius / reference.d_min
-        (ci, cj), _ = closest_pair(reference.positions)
-        diff = reference.positions[ci] - reference.positions[cj]
+        (ci, cj), _ = min_separation(reference.positions)
+        diff = reference.positions[ci - 1] - reference.positions[cj - 1]
         # align the minor principal axis with the critical pair direction
         sigma_d = math.atan2(diff[1], diff[0]) + math.pi / 2.0
         lam2 = 0.99 * bound
@@ -123,8 +120,8 @@ def test_criterion_2_collision_bound_property_and_tightness():
             d2=0.0,
         )
         t = AffineTransform.from_coordinates(coords)
-        mapped = {i: t(a) for i, a in reference.positions.items()}
-        d_crit = float(np.linalg.norm(mapped[ci] - mapped[cj]))
+        mapped = t(reference.positions)
+        d_crit = float(np.linalg.norm(mapped[ci - 1] - mapped[cj - 1]))
         assert d_crit < 2.0 * graph.cell_radius - 1e-9, "bound is not tight"
     report("2 collision-bound property suite", True, "(1000 safe + 100 tight cases)")
 
@@ -166,11 +163,11 @@ def test_criterion_4_kinematic_round_trip():
         )
         for i in sorted(graph.unpowered):
             j1, j2 = graph.actuated[i]
-            previous = reference.positions[i]
+            previous = reference.positions[i - 1]
             for k in range(len(trajectory.times)):
-                p_i = trajectory.positions[i][k]
-                p_j1 = trajectory.positions[j1][k]
-                p_j2 = trajectory.positions[j2][k]
+                p_i = trajectory.positions[k, i - 1]
+                p_j1 = trajectory.positions[k, j1 - 1]
+                p_j2 = trajectory.positions[k, j2 - 1]
                 t1, t2 = desired_elbow_angles(
                     p_i, p_j1, p_j2, graph.arm_length, graph.cell_radius
                 )
@@ -200,11 +197,11 @@ def test_criterion_5_error_contraction(four_cell):
         alpha=alpha,
         initial_offsets={1: np.array([0.01, 0.0]), 2: np.array([0.0, -0.02])},
     )
-    trace = run(four_cell, reference, trajectory, config)
+    trace = run(trajectory, config)
     ratio = abs(1.0 - alpha * dt)
     worst = 0.0
     for i in (1, 2):
-        errs = trace.errors[i]
+        errs = trace.errors[:, i - 1]
         for k in range(100):
             worst = max(worst, abs(errs[k + 1] - ratio * errs[k]))
     report(
@@ -237,7 +234,7 @@ def test_criterion_7_four_cell_experiment_scenario(tmp_path):
 
     monotone = True
     for name in COORD_FIELDS:
-        series = np.array([getattr(c, name) for c in trajectory.coords])
+        series = getattr(trajectory.coords, name)
         sign = np.sign(series[-1] - series[0])
         if sign != 0 and not np.all(sign * np.diff(series) >= -1e-15):
             monotone = False

@@ -135,7 +135,8 @@ class TestApply:
         coords = GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)
         t = AffineTransform.from_coordinates(coords)
         q, d = t.jacobian, t.translation
-        for a in seven_cell_reference.positions.values():
+        all_cells = apply(t, seven_cell_reference.positions)
+        for i, a in enumerate(seven_cell_reference.positions):
             got = apply(t, a)
             # independent per-entry dot products
             expected = [
@@ -143,6 +144,21 @@ class TestApply:
                 q[1, 0] * a[0] + q[1, 1] * a[1] + d[1],
             ]
             np.testing.assert_allclose(got, expected, atol=1e-14)
+            np.testing.assert_array_equal(all_cells[i], got)
+
+    def test_batch_of_times_matches_each_time(self, seven_cell_reference):
+        rows = [(0.9, 0.8, 0.707, 0.3, 1.0, 1.0), (1.0, 0.6, -0.2, 2.0, -0.5, 0.1)]
+        batch = GeneralizedCoordinates(*(np.array(field) for field in zip(*rows)))
+        t = AffineTransform.from_coordinates(batch)
+        assert t.jacobian.shape == (2, 2, 2) and t.translation.shape == (2, 2)
+        got = apply(t, seven_cell_reference.positions)
+        assert got.shape == (2, 7, 2)
+        for k, row in enumerate(rows):
+            single = AffineTransform.from_coordinates(GeneralizedCoordinates(*row))
+            np.testing.assert_allclose(t.jacobian[k], single.jacobian, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(
+                got[k], apply(single, seven_cell_reference.positions), rtol=0, atol=1e-15
+            )
 
     @given(
         coords_strategy,

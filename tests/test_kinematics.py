@@ -68,9 +68,9 @@ class TestDesiredElbowAngles:
         t = AffineTransform.from_coordinates(
             GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)
         )
-        p5 = t(seven_cell_reference.positions[5])
-        p1 = t(seven_cell_reference.positions[1])
-        p2 = t(seven_cell_reference.positions[2])
+        p5 = t(seven_cell_reference.positions[4])
+        p1 = t(seven_cell_reference.positions[0])
+        p2 = t(seven_cell_reference.positions[1])
         theta1, _ = desired_elbow_angles(p5, p1, p2, L, R)
         # independent norm computation
         dx, dy = p5[0] - p1[0], p5[1] - p1[1]
@@ -139,3 +139,51 @@ class TestResolveUnpoweredPosition:
             [0, 0], [2, 0], theta, theta, arm, 0.2, previous=[1.0, 0.3]
         )
         np.testing.assert_allclose(got, [1.0, 0.0], atol=1e-9)
+
+
+class TestBatches:
+    """Array arguments give the per-row results of scalar calls, and an
+    error names the first failing row."""
+
+    def test_elbow_angle_array_matches_scalars(self):
+        d = np.array([[0.0, 0.1], [L + R, REACH]])
+        got = elbow_angle(d, L, R)
+        assert got.shape == d.shape
+        for idx in np.ndindex(d.shape):
+            assert got[idx] == elbow_angle(float(d[idx]), L, R)
+
+    def test_elbow_angle_error_names_first_element(self):
+        with pytest.raises(UnreachableSeparationError) as excinfo:
+            elbow_angle(np.array([[0.1, 0.2], [REACH + 1, REACH + 2]]), L, R)
+        assert excinfo.value.index == (1, 0)
+
+    def test_desired_and_resolved_rows_match_scalars(self):
+        rng = np.random.default_rng(8)
+        p_j1 = rng.uniform(-0.2, 0.2, size=(5, 2))
+        p_j2 = p_j1 + np.array([0.3, 0.0])
+        p_i = p_j1 + np.array([0.15, 0.2]) + rng.uniform(-0.02, 0.02, size=(5, 2))
+        previous = p_i + 0.01
+        t1, t2 = desired_elbow_angles(p_i, p_j1, p_j2, L, R)
+        got = resolve_unpowered_position(p_j1, p_j2, t1, t2, L, R, previous)
+        for m in range(5):
+            s1, s2 = desired_elbow_angles(p_i[m], p_j1[m], p_j2[m], L, R)
+            assert (t1[m], t2[m]) == (s1, s2)
+            one = resolve_unpowered_position(p_j1[m], p_j2[m], s1, s2, L, R, previous[m])
+            np.testing.assert_array_equal(got[m], one)
+
+    def test_desired_angles_error_names_row_and_joint(self):
+        p_i = np.zeros((3, 2))
+        p_j1 = np.array([[0.1, 0.0], [0.1, 0.0], [REACH + 0.1, 0.0]])
+        p_j2 = np.array([[0.1, 0.0], [REACH + 0.1, 0.0], [0.1, 0.0]])
+        with pytest.raises(UnreachableSeparationError) as excinfo:
+            desired_elbow_angles(p_i, p_j1, p_j2, L, R)
+        assert (excinfo.value.index, excinfo.value.joint) == ((1,), 2)
+        assert str(excinfo.value).startswith("joint 2: ")
+
+    def test_inconsistent_row_named(self):
+        c1 = np.zeros((2, 2))
+        c2 = np.array([[0.3, 0.0], [5.0, 0.0]])
+        theta = np.full(2, math.pi / 2)
+        with pytest.raises(InconsistentAnglesError) as excinfo:
+            resolve_unpowered_position(c1, c2, theta, theta, L, R, previous=c1)
+        assert excinfo.value.index == (1,)

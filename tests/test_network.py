@@ -9,7 +9,7 @@ from atugv import (
     InvalidArgumentError,
     LayeringViolationError,
     ReferenceOverlapError,
-    build_layered_network,
+    barycentric_weights,
     min_separation,
     solve_reference_positions,
 )
@@ -65,48 +65,51 @@ class TestGraphValidation:
 
 
 class TestLayeredNetwork:
+    """The layered averaging network folds into one weight matrix W: row
+    i - 1 holds cell i's weights on boundary cells 1, 2, 3."""
+
     def test_four_cell_two_layers(self, four_cell):
-        net = build_layered_network(four_cell)
-        assert net.neurons == (frozenset({1, 2, 3}), frozenset({4}))
-        assert net.inputs[1][4] == {1, 2, 3}
+        w = barycentric_weights(four_cell)
+        np.testing.assert_array_equal(w[:3], np.eye(3))
+        np.testing.assert_allclose(w[3], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
     def test_seven_cell_three_layers(self, seven_cell):
-        net = build_layered_network(seven_cell)
-        assert net.neurons[0] == {1, 2, 3}
-        assert net.neurons[1] == {1, 2, 3, 4}  # intermediate layer passes through
-        assert net.neurons[2] == {5, 6, 7}  # endpoint layer holds only its own cells
-        assert net.inputs[1][4] == {1, 2, 3}
-        assert net.inputs[1][1] == {1}  # pass-through
-        assert net.inputs[2][5] == {1, 2, 4}
-        assert net.inputs[2][6] == {2, 3, 4}
-        assert net.inputs[2][7] == {1, 3, 4}
+        w = barycentric_weights(seven_cell)
+        np.testing.assert_array_equal(w[:3], np.eye(3))
+        np.testing.assert_allclose(w[3], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+        # layer 2 averages two boundary cells and the layer-1 cell 4
+        np.testing.assert_allclose(w[4], [4 / 9, 4 / 9, 1 / 9], atol=1e-15)
+        np.testing.assert_allclose(w[5], [1 / 9, 4 / 9, 4 / 9], atol=1e-15)
+        np.testing.assert_allclose(w[6], [4 / 9, 1 / 9, 4 / 9], atol=1e-15)
+        assert np.all(w >= 0.0)
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-15)
 
 
 class TestReferenceConfiguration:
     def test_four_cell_centroid(self, four_cell):
         ref = solve_reference_positions(four_cell, side_length=1.0)
-        np.testing.assert_allclose(ref.positions[4], [0.5, SQRT3 / 6], atol=1e-15)
+        np.testing.assert_allclose(ref.positions[3], [0.5, SQRT3 / 6], atol=1e-15)
 
     def test_seven_cell_interior_positions(self, seven_cell_reference):
         pos = seven_cell_reference.positions
         # oracle: evaluate the 1/3-average layer by layer
-        np.testing.assert_allclose(pos[5], [0.5, SQRT3 / 18], atol=1e-14)
-        np.testing.assert_allclose(pos[6], [2.0 / 3.0, 2 * SQRT3 / 9], atol=1e-14)
-        np.testing.assert_allclose(pos[7], [1.0 / 3.0, 2 * SQRT3 / 9], atol=1e-14)
+        np.testing.assert_allclose(pos[4], [0.5, SQRT3 / 18], atol=1e-14)
+        np.testing.assert_allclose(pos[5], [2.0 / 3.0, 2 * SQRT3 / 9], atol=1e-14)
+        np.testing.assert_allclose(pos[6], [1.0 / 3.0, 2 * SQRT3 / 9], atol=1e-14)
 
     def test_interior_averaging_residual(self, seven_cell, seven_cell_reference):
         pos = seven_cell_reference.positions
         for i in seven_cell.interior:
-            avg = sum(pos[j] for j in seven_cell.neighbors[i]) / 3.0
-            assert np.linalg.norm(pos[i] - avg) <= 1e-10
+            avg = sum(pos[j - 1] for j in seven_cell.neighbors[i]) / 3.0
+            assert np.linalg.norm(pos[i - 1] - avg) <= 1e-10
 
     def test_interior_inside_neighbor_hull(self, seven_cell, seven_cell_reference):
         # a strict 1/3-convex combination lies inside the neighbor triangle
         pos = seven_cell_reference.positions
         for i in seven_cell.interior:
-            tri = [pos[j] for j in sorted(seven_cell.neighbors[i])]
+            tri = [pos[j - 1] for j in sorted(seven_cell.neighbors[i])]
             a = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-            w = np.linalg.solve(a, pos[i] - tri[0])
+            w = np.linalg.solve(a, pos[i - 1] - tri[0])
             assert 0.0 < w[0] < 1.0 and 0.0 < w[1] < 1.0 and w[0] + w[1] < 1.0
 
     def test_seven_cell_d_min(self, seven_cell_reference):
@@ -123,20 +126,42 @@ class TestReferenceConfiguration:
     def test_custom_anchor(self, four_cell):
         anchor = {1: [2.0, 1.0], 2: [3.0, 1.0], 3: [2.5, 1.0 + SQRT3 / 2]}
         ref = solve_reference_positions(four_cell, side_length=1.0, anchor=anchor)
-        np.testing.assert_allclose(ref.positions[4], [2.5, 1.0 + SQRT3 / 6], atol=1e-14)
+        np.testing.assert_allclose(ref.positions[3], [2.5, 1.0 + SQRT3 / 6], atol=1e-14)
 
 
 class TestMinSeparation:
     def test_two_cells(self):
-        assert min_separation({1: np.array([0.0, 0.0]), 2: np.array([1.0, 0.0])}) == 1.0
+        assert min_separation(np.array([[0.0, 0.0], [1.0, 0.0]])) == ((1, 2), 1.0)
+
+    def test_one_cell_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            min_separation(np.zeros((1, 2)))
 
     def test_matches_brute_force(self, seven_cell_reference):
         pos = seven_cell_reference.positions
-        cells = sorted(pos)
+        n = len(pos)
+        # first closest pair in (i, j) order, as a pairwise loop finds it
         brute = min(
-            float(np.linalg.norm(pos[i] - pos[j]))
-            for i in cells
-            for j in cells
-            if i < j
+            (
+                ((i + 1, j + 1), math.hypot(*(pos[i] - pos[j])))
+                for i in range(n)
+                for j in range(i + 1, n)
+            ),
+            key=lambda pair_distance: pair_distance[1],
         )
-        assert min_separation(pos) == brute
+        pair, d = min_separation(pos)
+        assert abs(d - brute[1]) < 1e-15
+        assert pair == brute[0]
+
+    def test_random_points_match_brute_force(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 17, 60):
+            pos = rng.uniform(-1, 1, size=(n, 2))
+            dist = {
+                (i + 1, j + 1): float(np.linalg.norm(pos[i] - pos[j]))
+                for i in range(n)
+                for j in range(i + 1, n)
+            }
+            pair, d = min_separation(pos)
+            assert abs(d - min(dist.values())) < 1e-15
+            assert dist[pair] == min(dist.values())

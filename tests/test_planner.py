@@ -12,9 +12,10 @@ from atugv import (
     UnsafePlanError,
     blend,
     coordinates_at,
+    desired_positions,
     jacobian,
+    min_separation,
     plan,
-    verify_pairwise_clearance,
 )
 
 IDENTITY = GeneralizedCoordinates.identity()
@@ -81,34 +82,36 @@ class TestPlan:
     def test_identity_plan_keeps_reference(self, seven_cell, seven_cell_reference):
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=IDENTITY)
         traj = plan(spec, seven_cell, seven_cell_reference, sample_count=20)
-        for i, a in seven_cell_reference.positions.items():
-            np.testing.assert_allclose(traj.positions[i], np.tile(a, (20, 1)), atol=1e-14)
+        np.testing.assert_allclose(
+            traj.positions, np.tile(seven_cell_reference.positions, (20, 1, 1)), atol=1e-14
+        )
 
     def test_positions_match_affine_oracle(self, seven_cell, seven_cell_reference):
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL)
         traj = plan(spec, seven_cell, seven_cell_reference, sample_count=30)
-        for k, c in enumerate(traj.coords):
+        for k, t in enumerate(traj.times):
+            c = coordinates_at(spec, float(t))
             q = jacobian(c)
-            for i, a in seven_cell_reference.positions.items():
+            for i, a in enumerate(seven_cell_reference.positions):
                 expected = [
                     q[0, 0] * a[0] + q[0, 1] * a[1] + c.d1,
                     q[1, 0] * a[0] + q[1, 1] * a[1] + c.d2,
                 ]
-                np.testing.assert_allclose(traj.positions[i][k], expected, atol=1e-12)
+                np.testing.assert_allclose(traj.positions[k, i], expected, atol=1e-12)
 
     def test_relative_positions_depend_only_on_jacobian(
         self, seven_cell, seven_cell_reference
     ):
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL)
         traj = plan(spec, seven_cell, seven_cell_reference, sample_count=25)
-        cells = sorted(seven_cell_reference.positions)
-        for k, c in enumerate(traj.coords):
-            q = jacobian(c)
+        cells = range(len(seven_cell_reference.positions))
+        for k, t in enumerate(traj.times):
+            q = jacobian(coordinates_at(spec, float(t)))
             for i in cells:
                 for j in cells:
                     if i >= j:
                         continue
-                    lhs = traj.positions[i][k] - traj.positions[j][k]
+                    lhs = traj.positions[k, i] - traj.positions[k, j]
                     rhs = q @ (
                         seven_cell_reference.positions[i]
                         - seven_cell_reference.positions[j]
@@ -134,9 +137,9 @@ class TestPlan:
     def test_accepted_plan_clears_everywhere(self, seven_cell, seven_cell_reference):
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL)
         traj = plan(spec, seven_cell, seven_cell_reference, sample_count=100)
-        for k in range(len(traj.times)):
-            sample = {i: traj.positions[i][k] for i in traj.positions}
-            assert verify_pairwise_clearance(sample, seven_cell.cell_radius).safe
+        for sample in traj.positions:
+            _, d = min_separation(sample)
+            assert d >= 2 * seven_cell.cell_radius
 
     def test_monotone_coordinates(self, seven_cell, seven_cell_reference):
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL)
@@ -144,10 +147,34 @@ class TestPlan:
         from atugv.affine import COORD_FIELDS
 
         for name in COORD_FIELDS:
-            series = np.array([getattr(c, name) for c in traj.coords])
+            series = getattr(traj.coords, name)
             diffs = np.diff(series)
             sign = np.sign(getattr(SIM_FINAL, name) - getattr(IDENTITY, name))
             assert np.all(sign * diffs >= -1e-15)
+
+    def test_first_failing_sample_decides_the_error(self, seven_cell_reference):
+        # joints out of reach from t0, strain unsafe only late: reach reported
+        from conftest import make_seven_cell
+
+        short_arms = make_seven_cell(cell_radius=0.05, arm_length=0.2)
+        late_unsafe = GeneralizedCoordinates(1.0, 0.4, 0.0, 0.0, 0.0, 0.0)
+        spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=late_unsafe)
+        with pytest.raises(UnreachableSeparationError):
+            plan(spec, short_arms, seven_cell_reference, sample_count=10)
+        # strain unsafe from t0: strain reported even though reach fails too
+        spec = PlanSpec(t0=0.0, tf=10.0, initial=late_unsafe, final=late_unsafe)
+        with pytest.raises(UnsafePlanError) as excinfo:
+            plan(spec, short_arms, seven_cell_reference, sample_count=10)
+        assert excinfo.value.time == 0.0
+
+    def test_desired_positions_match_per_time_map(self, seven_cell_reference):
+        spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL)
+        times = np.array([0.0, 2.5, 7.0, 10.0])
+        batch = desired_positions(spec, seven_cell_reference, times)
+        assert batch.shape == (4, 7, 2)
+        for k, t in enumerate(times):
+            single = desired_positions(spec, seven_cell_reference, float(t))
+            np.testing.assert_allclose(batch[k], single, rtol=0, atol=1e-15)
 
     def test_too_few_samples_rejected(self, seven_cell, seven_cell_reference):
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL)

@@ -10,8 +10,8 @@ from atugv import (
     SafetyBound,
     jacobian,
     lambda_min,
+    min_separation,
     validate_coordinates,
-    verify_pairwise_clearance,
 )
 from conftest import random_layered_graph
 
@@ -38,7 +38,7 @@ class TestLambdaMin:
 
 class TestValidateCoordinates:
     def make_bound(self, lam):
-        return SafetyBound(lambda_min=lam, cell_radius=0.05, d_min=0.1 / lam)
+        return SafetyBound(lambda_min=lam, d_min=0.1 / lam)
 
     def test_undeformed_is_safe(self):
         coords = GeneralizedCoordinates.identity()
@@ -47,7 +47,6 @@ class TestValidateCoordinates:
     def test_table_strains_against_derived_bound(self, seven_cell_reference):
         bound = SafetyBound(
             lambda_min=lambda_min(0.05, seven_cell_reference.d_min),
-            cell_radius=0.05,
             d_min=seven_cell_reference.d_min,
         )
         coords = GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)
@@ -60,16 +59,29 @@ class TestValidateCoordinates:
         assert verdict.violating_field == "lambda2"
         assert verdict.violating_value == 0.4
 
+    def test_batch_names_first_violating_time(self):
+        lam1 = np.array([1.0, 0.9, 0.45, 0.4])
+        lam2 = np.array([1.0, 0.6, 0.6, 0.3])
+        zeros = np.zeros(4)
+        coords = GeneralizedCoordinates(lam1, lam2, zeros, zeros, zeros, zeros)
+        verdict = validate_coordinates(coords, self.make_bound(0.5))
+        assert not verdict
+        assert (verdict.index, verdict.violating_field, verdict.violating_value) == (
+            2,
+            "lambda1",
+            0.45,
+        )
+
 
 class TestPairwiseClearance:
     def test_just_clear(self):
-        pos = {1: np.array([0.0, 0.0]), 2: np.array([0.101, 0.0])}
-        assert verify_pairwise_clearance(pos, 0.05).safe
+        _, d = min_separation(np.array([[0.0, 0.0], [0.101, 0.0]]))
+        assert d >= 2 * 0.05
 
     def test_seven_cell_reference_clear(self, seven_cell_reference):
-        report = verify_pairwise_clearance(seven_cell_reference.positions, 0.05)
-        assert report.safe
-        assert abs(report.min_distance - SQRT3 / 9) < 1e-12
+        _, d = min_separation(seven_cell_reference.positions)
+        assert d >= 2 * 0.05
+        assert abs(d - SQRT3 / 9) < 1e-12
 
     def test_shrinking_below_bound_collides(self, seven_cell_reference):
         # strain slightly under lambda_min aligned with the critical pair
@@ -77,9 +89,8 @@ class TestPairwiseClearance:
         lam = lambda_min(0.05, seven_cell_reference.d_min)
         coords = GeneralizedCoordinates(0.99 * lam, 0.99 * lam, 0.0, 0.0, 0.0, 0.0)
         t = AffineTransform.from_coordinates(coords)
-        mapped = {i: t(a) for i, a in pos.items()}
-        report = verify_pairwise_clearance(mapped, 0.05)
-        assert not report.safe
+        _, d = min_separation(t(pos))
+        assert d < 2 * 0.05
 
 
 class TestCollisionTheoremProperties:
@@ -99,9 +110,8 @@ class TestCollisionTheoremProperties:
                 d2=rng.uniform(-3, 3),
             )
             t = AffineTransform.from_coordinates(coords)
-            mapped = {i: t(a) for i, a in reference.positions.items()}
-            report = verify_pairwise_clearance(mapped, graph.cell_radius)
-            assert report.min_distance >= 2.0 * graph.cell_radius - 1e-9
+            _, d = min_separation(t(reference.positions))
+            assert d >= 2.0 * graph.cell_radius - 1e-9
 
     def test_quadratic_form_lower_bound(self):
         rng = np.random.default_rng(11)

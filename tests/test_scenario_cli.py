@@ -100,7 +100,7 @@ class TestCli:
         traj = plan(
             scenario.plan_spec, scenario.graph, reference, scenario.sample_count
         )
-        trace = run(scenario.graph, reference, traj, scenario.sim)
+        trace = run(traj, scenario.sim)
         with (tmp_path / "trajectory.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         n = len(trace.times)
@@ -112,15 +112,15 @@ class TestCli:
             i = int(row["cell_id"])
             assert math.isclose(float(row["t"]), trace.times[k], abs_tol=1e-8)
             assert math.isclose(
-                float(row["x_act"]), trace.actual[i][k, 0], rel_tol=1e-8, abs_tol=1e-8
+                float(row["x_act"]), trace.actual[k, i - 1, 0], rel_tol=1e-8, abs_tol=1e-8
             )
             assert math.isclose(
-                float(row["err_norm"]), trace.errors[i][k], rel_tol=1e-8, abs_tol=1e-8
+                float(row["err_norm"]), trace.errors[k, i - 1], rel_tol=1e-8, abs_tol=1e-8
             )
-            if i in trace.powered:
+            if i in scenario.graph.powered:
                 assert math.isclose(
                     float(row["vx_cmd"]),
-                    trace.velocity_commands[i][k, 0],
+                    trace.velocity_commands[k, i - 1, 0],
                     rel_tol=1e-8,
                     abs_tol=1e-8,
                 )
@@ -174,6 +174,21 @@ class TestCli:
         for line in report.splitlines():
             if "verdict" in line:
                 assert "UNSAFE" not in line and "EXCEEDED" not in line
+
+    def test_non_identity_initial_pose_runs(self, tmp_path):
+        cfg = tmp_path / "posed.cfg"
+        cfg.write_text(
+            SEVEN.replace(
+                "[plan]\n",
+                "[plan]\nlambda1_initial = 0.7\nlambda2_initial = 0.9\n"
+                "sigma_d_initial = 1.0\nsigma_r_initial = 0.5\n",
+            )
+        )
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
+        report = (tmp_path / "out" / "report.txt").read_text()
+        verdicts = [line for line in report.splitlines() if "verdict" in line]
+        assert len(verdicts) == 4
+        assert all("SAFE" in line or "OK" in line for line in verdicts)
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "broken.cfg"
