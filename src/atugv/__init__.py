@@ -47,6 +47,14 @@ from .planner import (
 )
 from .safety import SafetyBound, SafetyVerdict, lambda_min, validate_coordinates
 from .scenario import Scenario, bundled_scenario_path, load_scenario, load_scenario_text
-from .simulator import SimConfig, SimState, SimulationTrace, run, step, velocity_command
+from .simulator import (
+    SimConfig,
+    SimState,
+    SimulationTrace,
+    resolve_unpowered,
+    run,
+    step,
+    velocity_command,
+)
 
 __version__ = "0.1.0"

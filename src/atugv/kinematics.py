@@ -86,26 +86,44 @@ def resolve_unpowered_position(
 ) -> np.ndarray:
     """Forward kinematics of an unpowered cell: intersect the circle of
     radius d_k = 2(L+r) sin(theta_k/2) about each actuated neighbor and pick
-    the intersection closest to `previous` (the mechanism cannot jump
-    between branches)."""
+    the intersection closest to the position before (the mechanism cannot
+    jump between branches).
+
+    With `previous` of the points' shape (..., 2), each result is the
+    intersection closest to it. With `previous` one axis shorter, the first
+    axis of the points is a sequence of steps: the first step picks the
+    intersection closest to `previous`, every later one the intersection
+    closest to the step before, and an error names the earliest failing
+    step. Within a step (or a single call), coincident neighbors are
+    reported before disjoint circles.
+    """
     c1 = np.asarray(p_j1, dtype=float)
     c2 = np.asarray(p_j2, dtype=float)
     previous = np.asarray(previous, dtype=float)
+    steps = previous.ndim < c1.ndim
     d1 = separation_from_angle(theta1, arm_length, cell_radius)
     d2 = separation_from_angle(theta2, arm_length, cell_radius)
     delta = c2 - c1
     dist = np.linalg.norm(delta, axis=-1)
-    if np.any(dist == 0.0):
-        raise InconsistentAnglesError(
-            "actuated neighbors coincide; cell position is not determined",
-            index=tuple(np.argwhere(dist == 0.0)[0].tolist()),
-        )
     # Standard two-circle intersection in the frame of the center line.
-    along = (d1 * d1 - d2 * d2 + dist * dist) / (2.0 * dist)
-    h_sq = d1 * d1 - along * along
+    with np.errstate(divide="ignore", invalid="ignore"):  # coincident neighbors raise below
+        along = (d1 * d1 - d2 * d2 + dist * dist) / (2.0 * dist)
+        h_sq = d1 * d1 - along * along
+    coincide = dist == 0.0
     disjoint = h_sq < -_TANGENT_ATOL
-    if disjoint.any():
-        k = tuple(np.argwhere(disjoint)[0].tolist())
+    failed = coincide | disjoint
+    if steps:
+        failing = np.flatnonzero(failed.reshape(len(failed), -1).any(axis=1))
+        at = (int(failing[0]),) if failing.size else None
+    else:
+        at = () if failed.any() else None
+    if at is not None:
+        if coincide[at].any():
+            raise InconsistentAnglesError(
+                "actuated neighbors coincide; cell position is not determined",
+                index=at + tuple(np.argwhere(coincide[at])[0].tolist()),
+            )
+        k = at + tuple(np.argwhere(disjoint[at])[0].tolist())
         raise InconsistentAnglesError(
             f"elbow angles are inconsistent: circles of radii {d1[k]:.6g} and "
             f"{d2[k]:.6g} about neighbors {dist[k]:.6g} m apart do not intersect",
@@ -117,7 +135,30 @@ def resolve_unpowered_position(
     mid = c1 + along[..., None] * u
     cand_a = mid + h * perp
     cand_b = mid - h * perp
-    closer_a = np.linalg.norm(cand_a - previous, axis=-1) <= np.linalg.norm(
-        cand_b - previous, axis=-1
+    if not steps:
+        return np.where(_closer_to_a(cand_a, cand_b, previous)[..., None], cand_a, cand_b)
+    on_a = _follow_branches(
+        _closer_to_a(cand_a, cand_b, np.concatenate([previous[None], cand_a[:-1]])),
+        _closer_to_a(cand_a, cand_b, np.concatenate([previous[None], cand_b[:-1]])),
     )
-    return np.where(closer_a[..., None], cand_a, cand_b)
+    return np.where(on_a[..., None], cand_a, cand_b)
+
+
+def _closer_to_a(cand_a, cand_b, previous) -> np.ndarray:
+    return np.linalg.norm(cand_a - previous, axis=-1) <= np.linalg.norm(cand_b - previous, axis=-1)
+
+
+def _follow_branches(a_after_a: np.ndarray, a_after_b: np.ndarray) -> np.ndarray:
+    """Whether each step lands on branch a, given for every step the choice
+    after a step on branch a and after one on branch b (equal at step 0).
+
+    A step whose two choices agree fixes the branch; a step where they
+    differ keeps the branch of the step before or swaps it. So each step
+    is on the branch of the last fixing step, swapped once per swapping
+    step since: a prefix scan over the precomputed comparisons.
+    """
+    steps = np.arange(len(a_after_a)).reshape((-1,) + (1,) * (a_after_a.ndim - 1))
+    last_fixed = np.maximum.accumulate(np.where(a_after_a == a_after_b, steps, 0), axis=0)
+    swaps = np.cumsum(a_after_b & ~a_after_a, axis=0)
+    odd = (swaps - np.take_along_axis(swaps, last_fixed, axis=0)) % 2 == 1
+    return np.take_along_axis(a_after_a, last_fixed, axis=0) ^ odd

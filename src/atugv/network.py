@@ -161,19 +161,47 @@ class ReferenceConfiguration:
     d_min: float
 
 
-def min_separation(positions: np.ndarray) -> Tuple[Tuple[int, int], float]:
-    """The closest cell pair (i, j), i < j, and its distance, for (N, 2)
-    positions with row i - 1 holding cell i. Exhaustive over all pairs."""
-    n = len(positions)
+# Bound on the pairwise differences of one block in `min_separation`; with
+# the distances, a block's temporaries stay near 0.5 MB (or those of a
+# single configuration, where that is more).
+_CLEARANCE_BLOCK_BYTES = 1 << 18
+
+
+def min_separation(positions: np.ndarray):
+    """The closest cell pair (i, j), i < j, and its distance, exhaustive
+    over all pairs of (..., N, 2) positions with row i - 1 holding cell i.
+
+    One configuration (N, 2) gives a pair of ints and a float; more give
+    pairs (..., 2) and distances (...). Configurations are scanned in
+    blocks of bounded size, so memory does not grow with their number.
+    """
+    positions = np.asarray(positions, dtype=float)
+    *batch, n, _ = positions.shape
     if n < 2:
         raise InvalidArgumentError("need at least two cells")
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    np.fill_diagonal(dist, np.inf)
+    flat = positions.reshape(-1, n, 2)
+    block = max(1, _CLEARANCE_BLOCK_BYTES // (n * n * 2 * flat.itemsize))
+    pairs = np.empty((len(flat), 2), dtype=int)
+    distances = np.empty(len(flat))
+    for start in range(0, len(flat), block):
+        rows = slice(start, start + block)
+        pairs[rows], distances[rows] = _closest_pairs(flat[rows])
+    if not batch:
+        return (int(pairs[0, 0]), int(pairs[0, 1])), float(distances[0])
+    return pairs.reshape(*batch, 2), distances.reshape(batch)
+
+
+def _closest_pairs(p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Closest pairs (B, 2) and distances (B,) of a block of (B, N, 2)
+    positions; its temporaries are freed before the next block."""
+    b, n, _ = p.shape
+    diff = p[:, :, None, :] - p[:, None, :, :]
+    dist = np.sqrt(np.einsum("...ijk,...ijk->...ij", diff, diff)).reshape(b, n * n)
+    dist[:, np.arange(n) * (n + 1)] = np.inf
     # dist is exactly symmetric, so the first minimum in row-major order
     # is the lexicographically first closest pair, with i < j.
-    i, j = divmod(int(np.argmin(dist)), n)
-    return (i + 1, j + 1), float(dist[i, j])
+    first = np.argmin(dist, axis=1)
+    return np.stack(np.divmod(first, n), axis=-1) + 1, dist[np.arange(b), first]
 
 
 def solve_reference_positions(

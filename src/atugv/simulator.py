@@ -14,7 +14,12 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import kinematics
-from .errors import AtugvError, InvalidArgumentError
+from .errors import (
+    AtugvError,
+    InconsistentAnglesError,
+    InvalidArgumentError,
+    UnreachableSeparationError,
+)
 from .network import CellGraph, min_separation
 from .planner import PlannedTrajectory, desired_positions, joint_separations
 from .planner import coordinates_at  # noqa: F401  (bench/tracing.py wraps this name here)
@@ -62,8 +67,8 @@ class SimConfig:
 
 @dataclass
 class SimState:
-    """Cell positions and velocities, (N, 2) with row i - 1 for cell i.
-    Velocities are integrated for powered cells by the double integrator."""
+    """Positions and velocities of the powered cells, (P, 2) in ascending
+    cell order. Velocities are integrated by the double integrator."""
 
     positions: np.ndarray
     velocities: np.ndarray
@@ -99,64 +104,88 @@ def _rows(cells) -> np.ndarray:
     return np.array(sorted(cells), dtype=int) - 1
 
 
-def step(
-    state: SimState,
-    graph: CellGraph,
-    desired: np.ndarray,
-    desired_next: np.ndarray,
-    config: SimConfig,
-) -> SimState:
-    """Advance one timestep from time t to t + dt, given the (N, 2) desired
-    positions at both times.
-
-    Powered cells integrate the commanded velocity; unpowered cells are
-    then re-resolved, in layer order, from the updated actual positions of
-    their actuated neighbors and the elbow angles commanded for t + dt.
-    """
+def step(state: SimState, desired: np.ndarray, config: SimConfig) -> SimState:
+    """Advance the powered cells one timestep from t to t + dt by explicit
+    Euler on the commanded velocity, given their (P, 2) desired positions
+    at t."""
     dt = config.dt
-    powered = _rows(graph.powered)
-    positions, velocities = state.positions.copy(), state.velocities.copy()
-    v_cmd = velocity_command(desired[powered], state.positions[powered], config.alpha)
+    v_cmd = velocity_command(desired, state.positions, config.alpha)
     if config.model == "single":
-        positions[powered] = state.positions[powered] + dt * v_cmd
-    else:
-        v = state.velocities[powered]
-        velocities[powered] = v + dt * (config.k_v * (v_cmd - v))
-        positions[powered] = state.positions[powered] + dt * v
+        return SimState(positions=state.positions + dt * v_cmd, velocities=state.velocities)
+    v = state.velocities
+    return SimState(
+        positions=state.positions + dt * v,
+        velocities=v + dt * (config.k_v * (v_cmd - v)),
+    )
 
+
+def resolve_unpowered(graph: CellGraph, actual: np.ndarray, desired: np.ndarray) -> None:
+    """Fill in the unpowered rows of actual[1:], given actual[0] and the
+    powered rows at every time ((T, N, 2) arrays, like `desired`).
+
+    At every time each unpowered cell lies where the circles about the
+    actual positions of its two actuated neighbors meet, with radii set by
+    the elbow angles commanded for the desired positions, on the branch
+    closest to where the cell was a step before. Powered motion never
+    depends on unpowered cells, so each layer, in order, is one batched
+    call over all steps. The error raised is the one a step-by-step
+    simulation meets first: earliest step, then layer, then the commanded
+    angles before the resolve, then cell. It names the failing `cell` and
+    the `step` k of the move from actual[k] to actual[k + 1].
+    """
+    unpowered = graph.unpowered
+    error, end = None, len(actual) - 1  # steps before `end` have not failed
     for layer in graph.layers:
-        cells = sorted(layer & graph.unpowered)
+        cells = sorted(layer & unpowered)
         if not cells:
             continue
         rows = _rows(cells)
         j1, j2 = (np.array([graph.actuated[i] for i in cells]) - 1).T
-        try:
-            theta1, theta2 = kinematics.desired_elbow_angles(
-                desired_next[rows],
-                desired_next[j1],
-                desired_next[j2],
-                graph.arm_length,
-                graph.cell_radius,
-            )
-            positions[rows] = kinematics.resolve_unpowered_position(
-                positions[j1],
-                positions[j2],
-                theta1,
-                theta2,
-                graph.arm_length,
-                graph.cell_radius,
-                previous=state.positions[rows],
-            )
-        except AtugvError as exc:
-            if exc.index is not None:
-                exc.cell = cells[exc.index[0]]
-            raise
-    return SimState(positions=positions, velocities=velocities)
+        while end > 0:
+            now = slice(1, end + 1)
+            try:
+                theta1, theta2 = kinematics.desired_elbow_angles(
+                    desired[now, rows],
+                    desired[now, j1],
+                    desired[now, j2],
+                    graph.arm_length,
+                    graph.cell_radius,
+                )
+                actual[now, rows] = kinematics.resolve_unpowered_position(
+                    actual[now, j1],
+                    actual[now, j2],
+                    theta1,
+                    theta2,
+                    graph.arm_length,
+                    graph.cell_radius,
+                    previous=actual[0, rows],
+                )
+                break
+            except (UnreachableSeparationError, InconsistentAnglesError) as exc:
+                # Redo the steps before the failure: the commanded angles
+                # pass there, but the resolve may fail still earlier.
+                k, c = exc.index
+                exc.step, exc.cell, exc.index = k, cells[c], (c,)
+                error, end = exc, k
+    if error is not None:
+        raise error
+
+
+def _name_step(exc: AtugvError, times: np.ndarray) -> None:
+    """Add the time of `exc.step` and put both in front of the message."""
+    t = float(times[exc.step])
+    exc.time = t
+    exc.args = (f"step {exc.step} (t = {t:.6g} s): {exc}",)
 
 
 def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
     """Simulate the full horizon from the planned pose at t0 (plus any
-    initial offsets) and record a deterministic trace."""
+    initial offsets) and record a deterministic trace.
+
+    Three passes: `step` moves the powered cells through every step,
+    `resolve_unpowered` then places the unpowered cells layer by layer,
+    and clearance is one batched scan of the whole trace.
+    """
     graph = trajectory.graph
     t0, tf = trajectory.spec.t0, trajectory.spec.tf
     horizon = tf - t0
@@ -173,28 +202,36 @@ def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
     times = t0 + config.dt * np.arange(n_steps + 1)
     times[-1] = tf
     desired = desired_positions(trajectory.spec, trajectory.reference, times)
-    state = SimState(positions=desired[0].copy(), velocities=np.zeros_like(desired[0]))
-    for i, offset in (config.initial_offsets or {}).items():
-        state.positions[i - 1] += np.asarray(offset, dtype=float)
-
     actual = np.empty_like(desired)
-    for k in range(n_steps + 1):
-        actual[k] = state.positions
-        if k < n_steps:
-            try:
-                state = step(state, graph, desired[k], desired[k + 1], config)
-            except AtugvError as exc:
-                t = float(times[k])
-                exc.step, exc.time = k, t
-                exc.args = (f"step {k} (t = {t:.6g} s): {exc}",)
-                raise
+    actual[0] = desired[0]
+    for i, offset in (config.initial_offsets or {}).items():
+        actual[0, i - 1] += np.asarray(offset, dtype=float)
 
     powered = _rows(graph.powered)
+    targets = desired[:, powered]
+    state = SimState(positions=actual[0, powered], velocities=np.zeros((len(powered), 2)))
+    path = np.empty_like(targets)
+    path[0] = state.positions
+    for k in range(n_steps):
+        state = step(state, targets[k], config)
+        path[k + 1] = state.positions
+    actual[:, powered] = path
+
+    try:
+        resolve_unpowered(graph, actual, desired)
+    except (UnreachableSeparationError, InconsistentAnglesError) as exc:
+        _name_step(exc, times)
+        raise
+    try:
+        elbow_des = kinematics.elbow_angle(
+            joint_separations(graph, desired), graph.arm_length, graph.cell_radius
+        )
+    except UnreachableSeparationError as exc:  # a joint no unpowered cell uses
+        exc.step = exc.index[0]
+        _name_step(exc, times)
+        raise
     v_cmd = np.full_like(desired, np.nan)
-    v_cmd[:, powered] = velocity_command(desired[:, powered], actual[:, powered], config.alpha)
-    elbow_des = kinematics.elbow_angle(
-        joint_separations(graph, desired), graph.arm_length, graph.cell_radius
-    )
+    v_cmd[:, powered] = velocity_command(targets, path, config.alpha)
     d_act = joint_separations(graph, actual)
     elbow_act = np.where(
         d_act > graph.reach,
@@ -211,6 +248,6 @@ def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
         elbow_desired=elbow_des,
         elbow_actual=elbow_act,
         errors=np.linalg.norm(desired - actual, axis=-1),
-        min_clearance=np.array([min_separation(p)[1] for p in actual]),
+        min_clearance=min_separation(actual)[1],
         cell_radius=graph.cell_radius,
     )

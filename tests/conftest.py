@@ -102,3 +102,31 @@ def random_layered_graph(rng, cell_radius_fraction=0.3, max_extra_layers=3):
             arm_length=10.0,
         )
         return graph, solve_reference_positions(graph, side_length=1.0)
+
+
+def stellar_layered_graph(n_cells, rng):
+    """Random stellar subdivision of the boundary triangle into n_cells
+    cells, with the default powered set: each new cell sits at the centroid
+    of a random current triangle, which splits in three. The cell radius is
+    a quarter of d_min and the mechanism reach 1.2 times the longest
+    reference joint."""
+    triangles = [(1, 2, 3)]
+    neighbors, layer_of = {}, {1: 0, 2: 0, 3: 0}
+    for cell in range(4, n_cells + 1):
+        k = int(rng.integers(len(triangles)))
+        a, b, c = triangles[k]
+        triangles[k] = (a, b, cell)
+        triangles += [(b, c, cell), (a, c, cell)]
+        neighbors[cell] = frozenset((a, b, c))
+        layer_of[cell] = 1 + max(layer_of[a], layer_of[b], layer_of[c])
+    layers = tuple(
+        frozenset(i for i, l in layer_of.items() if l == depth)
+        for depth in range(max(layer_of.values()) + 1)
+    )
+    probe = CellGraph(layers=layers, neighbors=neighbors, cell_radius=1e-12, arm_length=10.0)
+    reference = solve_reference_positions(probe, side_length=1.0)
+    p = reference.positions
+    longest = max(np.linalg.norm(p[i - 1] - p[j - 1]) for i, js in neighbors.items() for j in js)
+    r = 0.25 * reference.d_min
+    graph = CellGraph(layers=layers, neighbors=neighbors, cell_radius=r, arm_length=0.6 * longest - r)
+    return graph, solve_reference_positions(graph, side_length=1.0)

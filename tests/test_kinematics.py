@@ -187,3 +187,40 @@ class TestBatches:
         with pytest.raises(InconsistentAnglesError) as excinfo:
             resolve_unpowered_position(c1, c2, theta, theta, L, R, previous=c1)
         assert excinfo.value.index == (1,)
+
+    def test_step_sequence_matches_single_steps(self):
+        # neighbors jitter and randomly trade places, which swaps the two
+        # intersections, the cell hops across their center line, and long
+        # jumps of the whole mechanism make the choice independent of the
+        # step before
+        rng = np.random.default_rng(9)
+        steps = 400
+        jumps = rng.uniform(-1, 1, size=(steps, 3, 2)) * (rng.random((steps, 3, 1)) < 0.2)
+        p_j1 = rng.uniform(-0.05, 0.05, size=(steps, 3, 2)) + jumps
+        p_j2 = p_j1 + np.array([0.3, 0.0]) + rng.uniform(-0.05, 0.05, size=(steps, 3, 2))
+        trade = (rng.random((steps, 3)) < 0.3)[..., None]
+        p_j1, p_j2 = np.where(trade, p_j2, p_j1), np.where(trade, p_j1, p_j2)
+        side = rng.choice([-1.0, 1.0], size=(steps, 3, 1))
+        p_i = 0.5 * (p_j1 + p_j2) + side * np.array([0.0, 0.15])
+        t1, t2 = desired_elbow_angles(p_i, p_j1, p_j2, L, R)
+        start = rng.uniform(-0.2, 0.2, size=(3, 2))
+        got = resolve_unpowered_position(p_j1, p_j2, t1, t2, L, R, start)
+        previous = start
+        for k in range(steps):
+            previous = resolve_unpowered_position(p_j1[k], p_j2[k], t1[k], t2[k], L, R, previous)
+            np.testing.assert_array_equal(got[k], previous)
+
+    def test_step_sequence_error_names_earliest_step(self):
+        c1 = np.zeros((4, 2, 2))
+        c2 = np.tile([0.3, 0.0], (4, 2, 1))
+        theta = np.full((4, 2), math.pi / 2)
+        start = np.array([[0.15, 0.2], [0.15, 0.2]])
+        c2[3, 0] = 0.0  # neighbors coincide at step 3
+        c2[2, 0] = [5.0, 0.0]  # disjoint circles at step 2
+        with pytest.raises(InconsistentAnglesError) as excinfo:
+            resolve_unpowered_position(c1, c2, theta, theta, L, R, start)
+        assert excinfo.value.index == (2, 0)
+        c2[2, 1] = 0.0  # within a step, coincident neighbors come first
+        with pytest.raises(InconsistentAnglesError, match="coincide") as excinfo:
+            resolve_unpowered_position(c1, c2, theta, theta, L, R, start)
+        assert excinfo.value.index == (2, 1)

@@ -165,3 +165,33 @@ class TestMinSeparation:
             pair, d = min_separation(pos)
             assert abs(d - min(dist.values())) < 1e-15
             assert dist[pair] == min(dist.values())
+
+    def test_batches_match_per_configuration_calls(self):
+        # sizes span several blocks: a thousand small configurations per
+        # block, a few mid-sized ones, or one large one
+        rng = np.random.default_rng(11)
+        for t, n in ((5000, 4), (3, 300), (40, 60)):
+            pos = rng.uniform(-1, 1, size=(t, n, 2))
+            # every other configuration on a coarse grid: exact ties, zeros too
+            pos[::2] = rng.integers(0, 6, size=pos[::2].shape) * 0.25
+            pairs, dists = min_separation(pos)
+            assert pairs.shape == (t, 2) and dists.shape == (t,)
+            for k in range(t):
+                pair, d = min_separation(pos[k])
+                assert tuple(pairs[k]) == pair and dists[k] == d
+
+    def test_ties_go_to_the_first_pair(self):
+        rng = np.random.default_rng(12)
+        pos = rng.integers(0, 4, size=(2, 3, 9, 2)) * 0.5  # exact distances
+        pairs, dists = min_separation(pos)
+        assert pairs.shape == (2, 3, 2) and dists.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            p = pos[idx]
+            squared = {
+                (i + 1, j + 1): float((p[i] - p[j]) @ (p[i] - p[j]))
+                for i in range(9)
+                for j in range(i + 1, 9)
+            }
+            first = min(squared, key=lambda pair: (squared[pair], pair))
+            assert tuple(pairs[idx]) == first
+            assert dists[idx] == math.sqrt(squared[first])

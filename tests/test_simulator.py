@@ -1,26 +1,161 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import random_layered_graph, stellar_layered_graph
 
 from atugv import (
+    AtugvError,
     GeneralizedCoordinates,
+    InconsistentAnglesError,
     InvalidArgumentError,
     PlanSpec,
     SimConfig,
     SimState,
     UnreachableSeparationError,
+    bundled_scenario_path,
+    desired_elbow_angles,
     desired_positions,
+    elbow_angle,
     load_scenario_text,
+    min_separation,
     plan,
+    resolve_unpowered,
+    resolve_unpowered_position,
     run,
     solve_reference_positions,
     step,
     velocity_command,
 )
+from atugv.planner import joint_separations
 
 IDENTITY = GeneralizedCoordinates.identity()
 SIM_FINAL = GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)
+TRACE_ARRAYS = (
+    "times",
+    "actual",
+    "desired",
+    "velocity_commands",
+    "elbow_desired",
+    "elbow_actual",
+    "errors",
+    "min_clearance",
+)
+ERROR_FIELDS = ("step", "time", "cell", "joint", "index")
+
+# The four-cell reach reproduction: reach 0.55 m, and two plan samples miss
+# the joint over-extension that the sigma_d sweep produces between them.
+REACH_SCENARIO = f"""
+[graph]
+layers = 1,2,3 | 4
+neighbors.4 = 1,2,3
+{{powered}}
+[geometry]
+cell_radius = 0.05
+arm_length = 0.225
+[plan]
+tf = 10.0
+lambda1_initial = 1.0
+lambda2_initial = 0.6
+sigma_d_final = {math.pi!r}
+blend = linear
+samples = 2
+"""
+
+
+def reference_run(trajectory, config):
+    """The step-by-step simulation that `run` must reproduce exactly: each
+    step moves the powered cells, then resolves the unpowered cells layer
+    by layer from the positions just reached. Returns the trace arrays."""
+    graph, spec = trajectory.graph, trajectory.spec
+    L, r = graph.arm_length, graph.cell_radius
+    n_steps = int(round((spec.tf - spec.t0) / config.dt))
+    times = spec.t0 + config.dt * np.arange(n_steps + 1)
+    times[-1] = spec.tf
+    desired = desired_positions(spec, trajectory.reference, times)
+    actual = np.empty_like(desired)
+    actual[0] = desired[0]
+    for i, offset in (config.initial_offsets or {}).items():
+        actual[0, i - 1] += np.asarray(offset, dtype=float)
+    powered = np.array(sorted(graph.powered)) - 1
+    velocities = np.zeros((len(powered), 2))
+    for k in range(n_steps):
+        actual[k + 1] = actual[k]
+        v_cmd = velocity_command(desired[k, powered], actual[k, powered], config.alpha)
+        if config.model == "single":
+            actual[k + 1, powered] = actual[k, powered] + config.dt * v_cmd
+        else:
+            actual[k + 1, powered] = actual[k, powered] + config.dt * velocities
+            velocities = velocities + config.dt * (config.k_v * (v_cmd - velocities))
+        for layer in graph.layers:
+            cells = sorted(layer & graph.unpowered)
+            if not cells:
+                continue
+            rows = np.array(cells) - 1
+            j1, j2 = (np.array([graph.actuated[i] for i in cells]) - 1).T
+            try:
+                theta1, theta2 = desired_elbow_angles(
+                    desired[k + 1, rows], desired[k + 1, j1], desired[k + 1, j2], L, r
+                )
+                actual[k + 1, rows] = resolve_unpowered_position(
+                    actual[k + 1, j1], actual[k + 1, j2], theta1, theta2, L, r, actual[k, rows]
+                )
+            except AtugvError as exc:
+                exc.cell = cells[exc.index[0]]
+                raise _at_step(exc, k, times)
+    try:
+        elbow_desired = elbow_angle(joint_separations(graph, desired), L, r)
+    except UnreachableSeparationError as exc:
+        raise _at_step(exc, exc.index[0], times)
+    d_act = joint_separations(graph, actual)
+    v_cmd = np.full_like(desired, np.nan)
+    v_cmd[:, powered] = config.alpha * (desired[:, powered] - actual[:, powered])
+    return {
+        "times": times,
+        "actual": actual,
+        "desired": desired,
+        "velocity_commands": v_cmd,
+        "elbow_desired": elbow_desired,
+        "elbow_actual": np.where(
+            d_act > graph.reach, np.nan, elbow_angle(np.minimum(d_act, graph.reach), L, r)
+        ),
+        "errors": np.linalg.norm(desired - actual, axis=-1),
+        "min_clearance": np.array([min_separation(p)[1] for p in actual]),
+    }
+
+
+def _at_step(exc, k, times):
+    t = float(times[k])
+    exc.step, exc.time = k, t
+    exc.args = (f"step {k} (t = {t:.6g} s): {exc}",)
+    return exc
+
+
+def _error_of(simulate, trajectory, config):
+    with pytest.raises(AtugvError) as excinfo:
+        simulate(trajectory, config)
+    exc = excinfo.value
+    return type(exc), str(exc), {name: getattr(exc, name, None) for name in ERROR_FIELDS}
+
+
+def assert_same_as_reference(trajectory, config):
+    """`run` gives the reference trace bit for bit, or the same error with
+    the same fields."""
+    try:
+        expected = reference_run(trajectory, config)
+    except AtugvError:
+        assert _error_of(run, trajectory, config) == _error_of(reference_run, trajectory, config)
+        return
+    trace = run(trajectory, config)
+    for name in TRACE_ARRAYS:
+        assert np.array_equal(getattr(trace, name), expected[name], equal_nan=True), name
+
+
+def scenario_trajectory(text):
+    scenario = load_scenario_text(text)
+    reference = solve_reference_positions(scenario.graph, scenario.side_length)
+    return plan(scenario.plan_spec, scenario.graph, reference, scenario.sample_count), scenario.sim
 
 
 class TestVelocityCommand:
@@ -45,7 +180,7 @@ class TestStep:
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=IDENTITY)
         desired = desired_positions(spec, reference, [0.0, 0.1])
         config = SimConfig(dt=0.1, model="single", alpha=1.0)
-        return step(state, graph, desired[0], desired[1], config)
+        return step(state, desired[0], config)
 
     def test_fixed_point_identity_plan(self, four_cell, four_cell_reference):
         reference = four_cell_reference.positions
@@ -55,8 +190,6 @@ class TestStep:
 
     def test_single_euler_arithmetic(self, four_cell, four_cell_reference):
         # offset cell 3 so its error is exactly (1, 0); one Euler step moves 0.1
-        # (cell 3 is not an actuated neighbor of cell 4, so the offset cannot
-        # make the unpowered cell's joint circles disjoint)
         reference = four_cell_reference.positions
         state = SimState(positions=reference.copy(), velocities=np.zeros_like(reference))
         state.positions[2] -= np.array([1.0, 0.0])
@@ -66,13 +199,13 @@ class TestStep:
 
     def test_error_names_the_failing_cell(self, seven_cell, seven_cell_reference):
         reference = seven_cell_reference.positions
-        state = SimState(positions=reference.copy(), velocities=np.zeros_like(reference))
         desired_next = reference.copy()
         desired_next[5] += [0.0, 1.0]  # cell 6 beyond the reach of its joint to cell 2
-        config = SimConfig(dt=0.1, alpha=1.0)
+        actual = np.stack([reference, reference])
         with pytest.raises(UnreachableSeparationError) as excinfo:
-            step(state, seven_cell, reference, desired_next, config)
+            resolve_unpowered(seven_cell, actual, np.stack([reference, desired_next]))
         assert (excinfo.value.cell, excinfo.value.joint) == (6, 1)
+        assert excinfo.value.step == 0
 
 
 class TestRun:
@@ -151,33 +284,24 @@ class TestRun:
         assert np.max(trace.errors[-1]) < 1e-3
 
     def test_error_keeps_structured_fields(self):
-        # reach 0.55 m; two plan samples miss the joint over-extension that
-        # the sigma_d sweep produces between them
-        scenario = load_scenario_text(
-            f"""
-[graph]
-layers = 1,2,3 | 4
-neighbors.4 = 1,2,3
-[geometry]
-cell_radius = 0.05
-arm_length = 0.225
-[plan]
-tf = 10.0
-lambda1_initial = 1.0
-lambda2_initial = 0.6
-sigma_d_final = {math.pi!r}
-blend = linear
-samples = 2
-"""
-        )
-        reference = solve_reference_positions(scenario.graph, scenario.side_length)
-        traj = plan(scenario.plan_spec, scenario.graph, reference, scenario.sample_count)
+        traj, config = scenario_trajectory(REACH_SCENARIO.format(powered=""))
         with pytest.raises(UnreachableSeparationError) as excinfo:
-            run(traj, scenario.sim)
+            run(traj, config)
         exc = excinfo.value
         assert (exc.step, exc.joint, exc.cell) == (42, 1, 4)
         assert abs(exc.time - 0.42) < 1e-12
         assert str(exc).startswith("step 42 (t = 0.42 s): joint 1: ")
+
+    def test_unused_joint_error_names_its_step(self):
+        # every cell powered: the over-extended joint drags no unpowered cell,
+        # and the commanded angles at time index 43 are out of reach
+        traj, config = scenario_trajectory(REACH_SCENARIO.format(powered="powered = 1,2,3,4"))
+        with pytest.raises(UnreachableSeparationError) as excinfo:
+            run(traj, config)
+        exc = excinfo.value
+        assert (exc.step, exc.index) == (43, (43, 0))
+        assert abs(exc.time - 0.43) < 1e-12
+        assert str(exc).startswith("step 43 (t = 0.43 s): separation ")
 
     def test_coarse_dt_rejected(self, seven_cell, seven_cell_reference):
         traj = self.sim_trajectory(seven_cell, seven_cell_reference, tf=1.0)
@@ -197,3 +321,71 @@ samples = 2
         diffs = np.diff(trace.times)
         np.testing.assert_allclose(diffs, 0.05, atol=1e-9)
         assert np.all(diffs > 0)
+
+
+def _bundled_text(name):
+    return Path(bundled_scenario_path(name)).read_text()
+
+
+class TestMatchesStepByStep:
+    """`run` resolves each layer over all steps at once; the step-by-step
+    reference fixes what that must give."""
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("four_cell_experiment", None),
+            ("seven_cell_sim", None),
+            ("seven_cell_sim", ("model = single", "model = double")),
+            (
+                "seven_cell_sim",
+                ("initial_mode = reference", "initial_mode = perturbed\noffset = 0.01, -0.02"),
+            ),
+        ],
+    )
+    def test_bundled_scenarios(self, name, edit):
+        text = _bundled_text(name)
+        if edit is not None:
+            assert edit[0] in text
+            text = text.replace(*edit)
+        assert_same_as_reference(*scenario_trajectory(text))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_layered_graphs(self, seed):
+        graph, reference = random_layered_graph(np.random.default_rng(seed))
+        spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL)
+        traj = plan(spec, graph, reference, sample_count=100)
+        assert_same_as_reference(traj, SimConfig(dt=0.01))
+
+    @pytest.mark.parametrize("n_cells", [19, 67])
+    def test_near_collinear_crash(self, n_cells):
+        # default powered set: an unpowered cell nearly collinear with its
+        # actuated neighbors loses its circle intersection to tracking lag
+        graph, reference = stellar_layered_graph(n_cells, np.random.default_rng(0))
+        spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL, blend_kind="smootherstep")
+        traj = plan(spec, graph, reference, sample_count=200)
+        kind, _, fields = _error_of(reference_run, traj, SimConfig(dt=0.01))
+        assert kind is InconsistentAnglesError and fields["step"] > 0
+        assert_same_as_reference(traj, SimConfig(dt=0.01))
+
+    def test_later_layer_failing_first_wins(self):
+        # cell 4 (layer 1) is asked past its reach at step 42; the offset of
+        # powered cell 3 pulls the neighbors of cell 6 (layer 2) apart at step 0
+        text = REACH_SCENARIO.replace(
+            "layers = 1,2,3 | 4\nneighbors.4 = 1,2,3",
+            "layers = 1,2,3 | 4 | 5,6,7\nneighbors.4 = 1,2,3\nneighbors.5 = 1,2,4\n"
+            "neighbors.6 = 2,3,4\nneighbors.7 = 1,3,4",
+        )
+        traj, config = scenario_trajectory(
+            text.format(powered="powered = 1,2,3,5,7")
+            + "[sim]\ninitial_mode = perturbed\noffset.3 = 0.3, 0.3\n"
+        )
+        kind, _, fields = _error_of(run, traj, config)
+        assert (kind, fields["step"], fields["cell"]) == (InconsistentAnglesError, 0, 6)
+        unperturbed = SimConfig(dt=config.dt)
+        assert _error_of(run, traj, unperturbed)[2]["cell"] == 4  # layer 1 alone fails later
+        assert_same_as_reference(traj, config)
+
+    def test_reach_errors(self):
+        for powered in ("", "powered = 1,2,3,4"):
+            assert_same_as_reference(*scenario_trajectory(REACH_SCENARIO.format(powered=powered)))
