@@ -34,18 +34,48 @@ def _fmt(value: float) -> str:
     return format(value, _FMT)
 
 
+# Bytes of one block of rows in `_write_csv`; formatting a block takes
+# about seven times this in temporaries.
+_CSV_BLOCK_BYTES = 1 << 17
+
+
 def _write_csv(path: Path, header, times, labels, values):
     """CSV with CRLF line ends, one row per time and label: t, the label's
-    integers, then values[k, m, :] for time k and label m. NaN marks a
-    missing value and prints as an empty field."""
-    label_text = [",".join(map(str, label)) for label in labels]
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for t, block in zip(times.tolist(), values):
-            t = _fmt(t)
-            for label, row in zip(label_text, block.tolist()):
-                fields = ",".join("" if v != v else _fmt(v) for v in row)
-                fh.write(f"{t},{label},{fields}\r\n")
+    integers, then values[k, m, :] for time k and label m. Values print as
+    format(v, ".9g"); NaN marks a missing value and prints as an empty
+    field.
+
+    Rows are laid out as NUL-padded bytes, a block of rows at a time, and
+    written without the NUL bytes."""
+    # Imported here: only `run` writes CSV files, and the module's tables
+    # and bytecode stay out of the start-up of every other command.
+    from .csvtext import WIDTH, g9_bytes
+
+    n_labels, n_values = values.shape[1:]
+    label_text = [("," + ",".join(map(str, label))).encode() for label in labels]
+    label_width = max(map(len, label_text), default=0)
+    label_bytes = np.zeros((n_labels, label_width), dtype=np.uint8)
+    for row, text in zip(label_bytes, label_text):
+        row[: len(text)] = np.frombuffer(text, dtype=np.uint8)
+    width = WIDTH + label_width + n_values * (1 + WIDTH) + 2
+    block = max(1, _CSV_BLOCK_BYTES // width)
+    rows = values.reshape(-1, n_values)
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for start in range(0, len(rows), block):
+            stop = min(start + block, len(rows))
+            step, label = np.divmod(np.arange(start, stop), n_labels)
+            first = start // n_labels
+            text = g9_bytes(np.concatenate([rows[start:stop].ravel(), times[first : step[-1] + 1]]))
+            n_fields = (stop - start) * n_values
+            buf = np.empty((stop - start, width), dtype=np.uint8)
+            buf[:, :WIDTH] = text[n_fields:].take(step - first, axis=0)
+            buf[:, WIDTH : WIDTH + label_width] = label_bytes.take(label, axis=0)
+            fields = buf[:, WIDTH + label_width : -2].reshape(-1, n_values, 1 + WIDTH)
+            fields[..., 0] = ord(",")
+            fields[..., 1:] = text[:n_fields].reshape(-1, n_values, WIDTH)
+            buf[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+            fh.write(buf[buf != 0])
 
 
 def write_trajectory_csv(path: Path, trace: simulator.SimulationTrace):

@@ -29,8 +29,10 @@ class CellGraph:
 
     layers[0] holds the three boundary cells; every cell in layers[l>=1] is
     interior with exactly three neighbors from earlier layers. `powered`
-    defaults to everything except the last layer. `actuated[i]` names the
-    two neighbor joints of interior cell i that carry motors.
+    must hold the boundary cells; it defaults to everything except the last
+    layer, and to the boundary cells when they are the only layer.
+    `actuated[i]` names the two neighbor joints of interior cell i that
+    carry motors.
     """
 
     layers: Tuple[FrozenSet[int], ...]
@@ -78,17 +80,20 @@ class CellGraph:
             if i in layers[0]:
                 raise InvalidArgumentError(f"boundary cell {i} cannot have neighbors")
 
-        if self.cell_radius <= 0.0:
-            raise InvalidArgumentError(f"cell_radius must be positive, got {self.cell_radius}")
-        if self.arm_length <= 0.0:
-            raise InvalidArgumentError(f"arm_length must be positive, got {self.arm_length}")
+        for name in ("cell_radius", "arm_length"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # NaN fails too
+                raise InvalidArgumentError(f"{name} must be positive and finite, got {value}")
 
         powered = self.powered
         if powered is None:
-            powered = frozenset(cells - layers[-1])
+            powered = frozenset(cells - layers[-1]) | layers[0]
         powered = frozenset(powered)
         if not powered <= cells:
             raise InvalidArgumentError("powered set references unknown cells")
+        idle = sorted(layers[0] - powered)
+        if idle:  # no joint drags a boundary cell; only its own drive moves it
+            raise InvalidArgumentError(f"boundary cell {idle[0]} must be powered")
         object.__setattr__(self, "powered", powered)
 
         actuated = dict(self.actuated) if self.actuated else {}
@@ -216,8 +221,8 @@ def solve_reference_positions(
     origin and the next on the +x axis; any other pose is reachable
     through the affine transform itself.
     """
-    if side_length <= 0.0:
-        raise InvalidArgumentError(f"side_length must be positive, got {side_length}")
+    if not 0.0 < side_length < math.inf:
+        raise InvalidArgumentError(f"side_length must be positive and finite, got {side_length}")
     boundary = sorted(graph.boundary)
     if anchor is not None:
         if set(anchor) != set(boundary):

@@ -6,6 +6,7 @@ table are bundled: four_cell_experiment and seven_cell_sim.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -105,9 +106,9 @@ class _Parsed:
                 self.fail(section, key, "required key missing")
             return default
         try:
-            return float(items[key])
+            return _finite(items[key])
         except ValueError:
-            self.fail(section, key, f"expected a number, got {items[key]!r}")
+            self.fail(section, key, f"expected a finite number, got {items[key]!r}")
 
     def get_int(self, section: str, items: Dict[str, str], key: str, default=None) -> int:
         if key not in items:
@@ -118,6 +119,13 @@ class _Parsed:
             return int(items[key])
         except ValueError:
             self.fail(section, key, f"expected an integer, got {items[key]!r}")
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {text!r}")
+    return value
 
 
 def _parse_int_list(raw: str):
@@ -224,17 +232,17 @@ def load_scenario_text(text: str, name: str = "<scenario>", strict: bool = True)
         uniform = sim_items.get("offset")
         if uniform is not None:
             try:
-                dx, dy = (float(tok) for tok in uniform.replace(",", " ").split())
+                dx, dy = (_finite(tok) for tok in uniform.replace(",", " ").split())
             except ValueError:
-                parsed.fail("sim", "offset", "expected two numbers")
+                parsed.fail("sim", "offset", "expected two finite numbers")
             offsets.update({i: np.array([dx, dy]) for i in graph.cells})
         for key, raw in sim_items.items():
             if key.startswith("offset."):
                 try:
                     cell = int(key.split(".", 1)[1])
-                    dx, dy = (float(tok) for tok in raw.replace(",", " ").split())
+                    dx, dy = (_finite(tok) for tok in raw.replace(",", " ").split())
                 except ValueError:
-                    parsed.fail("sim", key, "expected two numbers")
+                    parsed.fail("sim", key, "expected two finite numbers")
                 offsets[cell] = np.array([dx, dy])
         unknown = set(offsets) - set(graph.cells)
         if unknown:

@@ -8,6 +8,7 @@ joint motors are assumed to track commanded angles within one timestep.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -43,13 +44,14 @@ class SimConfig:
     initial_offsets: Optional[Dict[int, np.ndarray]] = None
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise InvalidArgumentError(f"dt must be positive, got {self.dt}")
+        # Written so that NaN fails each check.
+        for name in ("dt", "alpha", "k_v"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise InvalidArgumentError(f"{name} must be positive and finite, got {value}")
         if self.model not in MODELS:
             raise InvalidArgumentError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.alpha <= 0.0 or self.k_v <= 0.0:
-            raise InvalidArgumentError("gains must be positive")
-        if self.alpha * self.dt >= 2.0:
+        if not self.alpha * self.dt < 2.0:
             raise InvalidArgumentError(
                 f"alpha * dt = {self.alpha * self.dt:.3g} >= 2 is unstable "
                 "under explicit Euler"

@@ -195,3 +195,75 @@ class TestCli:
         cfg.write_text("[graph\nlayers = 1,2,3")
         assert main(["validate", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def _with_key(text, section, key, value):
+    """Scenario text with `key = value` in [section], replacing any old value."""
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+    at = lines.index(f"[{section}]") + 1
+    return "\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]) + "\n"
+
+
+class TestRejectedInput:
+    """Bad input ends at load time with exit 2 and a named error, never in a
+    traceback from the simulator or in a verdict."""
+
+    def test_boundary_cell_left_out_of_powered(self, tmp_path, capsys):
+        # Passed `validate`, then `run` died with `KeyError: 1` in the simulator.
+        from atugv import CellGraph, InvalidArgumentError, bundled_scenario_path
+
+        text = bundled_scenario_path("four_cell_experiment").read_text()
+        cfg = tmp_path / "idle_boundary.cfg"
+        cfg.write_text(_with_key(text, "graph", "powered", "2,3,4"))
+        assert main(["validate", str(cfg)]) == 2
+        assert "boundary cell 1 must be powered" in capsys.readouterr().err
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "boundary cell 1 must be powered" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        graph = load_scenario("four_cell_experiment").graph
+        with pytest.raises(InvalidArgumentError, match="boundary cell 3"):
+            CellGraph(graph.layers, graph.neighbors, 0.05, 0.25, powered={1, 2, 4})
+
+    def test_single_layer_graph_powers_its_boundary_by_default(self):
+        from atugv import CellGraph
+
+        assert CellGraph((frozenset({1, 2, 3}),), {}, 0.05, 0.25).powered == {1, 2, 3}
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("sim", "dt"), ("geometry", "cell_radius"), ("sim", "alpha"), ("sim", "terminal_error_threshold")],
+    )
+    def test_nan_in_scenario_file(self, section, key, tmp_path, capsys):
+        # dt: ValueError traceback in the simulator; cell_radius: an array of
+        # NaNs; alpha: an unrelated separation error; threshold: EXCEEDED, exit 1.
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(_with_key(SEVEN, section, key, "nan"))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "nan.cfg:" in err and f"[{section}] {key}: expected a finite number, got 'nan'" in err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "-nan"])
+    def test_non_finite_numbers_rejected(self, value):
+        with pytest.raises(ScenarioError, match=r":\d+: \[plan\] tf: expected a finite number"):
+            load_scenario_text(_with_key(SEVEN, "plan", "tf", value))
+        perturbed = _with_key(SEVEN, "sim", "initial_mode", "perturbed")
+        with pytest.raises(ScenarioError, match=r"\[sim\] offset: expected two finite numbers"):
+            load_scenario_text(_with_key(perturbed, "sim", "offset", f"0.01, {value}"))
+
+    def test_nan_dt_flag(self, tmp_path, capsys):
+        # `--dt nan` ended in a ValueError traceback at the simulator.
+        assert main(["run", "seven_cell_sim", "--dt", "nan", "--output-dir", str(tmp_path)]) == 2
+        assert "dt must be positive and finite, got nan" in capsys.readouterr().err
+
+    def test_range_checks_reject_nan(self):
+        from atugv import CellGraph, InvalidArgumentError, SimConfig
+
+        for field in ("dt", "alpha", "k_v"):
+            with pytest.raises(InvalidArgumentError, match=field):
+                SimConfig(**{field: math.nan})
+        with pytest.raises(InvalidArgumentError, match="alpha"):
+            SimConfig(alpha=math.inf)
+        for field in ("cell_radius", "arm_length"):
+            geometry = {"cell_radius": 0.05, "arm_length": 0.25, field: math.nan}
+            with pytest.raises(InvalidArgumentError, match=field):
+                CellGraph((frozenset({1, 2, 3}),), {}, **geometry)
