@@ -45,7 +45,7 @@ from .planner import (
     desired_positions,
     plan,
 )
-from .safety import SafetyBound, SafetyVerdict, lambda_min, validate_coordinates
+from .safety import SafetyVerdict, lambda_min, validate_coordinates
 from .scenario import Scenario, bundled_scenario_path, load_scenario, load_scenario_text
 from .simulator import (
     SimConfig,

@@ -20,7 +20,7 @@ import numpy as np
 from . import planner, simulator
 from .errors import AtugvError, UnsafePlanError, UnreachableSeparationError
 from .network import solve_reference_positions
-from .safety import SafetyBound
+from .safety import lambda_min
 from .scenario import BUNDLED, load_scenario
 
 EXIT_OK = 0
@@ -93,20 +93,21 @@ def write_elbow_csv(path: Path, trace: simulator.SimulationTrace):
 
 
 def _load(args):
-    """The scenario, its reference configuration and its strain bound."""
-    scenario = load_scenario(args.scenario, strict=not args.lenient)
+    """The scenario, its reference configuration and its strain bound
+    lambda_min."""
+    scenario = load_scenario(args.scenario)
     reference = solve_reference_positions(scenario.graph, scenario.side_length)
-    return scenario, reference, SafetyBound.from_reference(scenario.graph.cell_radius, reference)
+    return scenario, reference, lambda_min(scenario.graph.cell_radius, reference.d_min)
 
 
-def _report_lines(scenario, bound, verdicts, extras=()):
+def _report_lines(scenario, reference, lam, verdicts, extras=()):
     lines = [
         f"scenario: {scenario.name}",
         f"cells: {len(scenario.graph.cells)} "
         f"(powered: {sorted(scenario.graph.powered)}, "
         f"unpowered: {sorted(scenario.graph.unpowered)})",
-        f"d_min: {_fmt(bound.d_min)} m",
-        f"lambda_min: {_fmt(bound.lambda_min)}",
+        f"d_min: {_fmt(reference.d_min)} m",
+        f"lambda_min: {_fmt(lam)}",
     ]
     lines.extend(verdicts)
     lines.extend(extras)
@@ -115,13 +116,13 @@ def _report_lines(scenario, bound, verdicts, extras=()):
 
 
 def cmd_reference(args) -> int:
-    scenario, reference, bound = _load(args)
+    scenario, reference, lam = _load(args)
     print(f"scenario: {scenario.name}")
     for i, (x, y) in enumerate(reference.positions, start=1):
         tag = "powered" if i in scenario.graph.powered else "unpowered"
         print(f"  cell {i}: ({_fmt(x)}, {_fmt(y)}) m  [{tag}]")
     print(f"d_min: {_fmt(reference.d_min)} m")
-    print(f"lambda_min: {_fmt(bound.lambda_min)}")
+    print(f"lambda_min: {_fmt(lam)}")
     return EXIT_OK
 
 
@@ -147,15 +148,15 @@ def _validate_verdicts(scenario, reference):
 
 
 def cmd_validate(args) -> int:
-    scenario, reference, bound = _load(args)
+    scenario, reference, lam = _load(args)
     trajectory, verdicts = _validate_verdicts(scenario, reference)
-    for line in _report_lines(scenario, bound, verdicts):
+    for line in _report_lines(scenario, reference, lam, verdicts):
         print(line)
     return EXIT_OK if trajectory is not None else EXIT_VERDICT
 
 
 def cmd_run(args) -> int:
-    scenario, reference, bound = _load(args)
+    scenario, reference, lam = _load(args)
 
     out_dir = args.output_dir or os.environ.get("ATUGV_OUTPUT_DIR") or "."
     out_dir = Path(out_dir)
@@ -191,7 +192,7 @@ def cmd_run(args) -> int:
             extras.append(f"  cell {i}: {_fmt(err)}")
         ok = ok and clear_ok and err_ok
 
-    lines = _report_lines(scenario, bound, verdicts, extras)
+    lines = _report_lines(scenario, reference, lam, verdicts, extras)
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
     for line in lines:
         print(line)
@@ -214,13 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "scenario",
             help=f"scenario file path or bundled name {BUNDLED}",
-        )
-        p.add_argument("--lenient", action="store_true", help="allow unknown config keys")
-        p.add_argument(
-            "--strict",
-            dest="lenient",
-            action="store_false",
-            help="reject unknown config keys (default)",
         )
         if name == "run":
             p.add_argument("--output-dir", default=None, help="directory for CSVs and report")

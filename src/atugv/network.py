@@ -77,6 +77,8 @@ class CellGraph:
                         f"(layer {layer_of[j]}): neighbors must come from earlier layers"
                     )
         for i in neighbors:
+            if i not in cells:
+                raise InvalidArgumentError(f"cell {i} is in no layer, cannot have neighbors")
             if i in layers[0]:
                 raise InvalidArgumentError(f"boundary cell {i} cannot have neighbors")
 

@@ -17,7 +17,7 @@ from . import kinematics
 from .affine import COORD_FIELDS, AffineTransform, GeneralizedCoordinates
 from .errors import DomainError, InvalidArgumentError, UnsafePlanError
 from .network import CellGraph, ReferenceConfiguration
-from .safety import SafetyBound, validate_coordinates
+from .safety import lambda_min, validate_coordinates
 
 BLEND_KINDS = ("linear", "smoothstep", "smootherstep")
 
@@ -110,7 +110,7 @@ def plan(
     failing sample decides the error; the strain check goes first."""
     if sample_count < 2:
         raise InvalidArgumentError(f"sample_count must be at least 2, got {sample_count}")
-    bound = SafetyBound.from_reference(graph.cell_radius, reference)
+    bound = lambda_min(graph.cell_radius, reference.d_min)
     times = np.linspace(spec.t0, spec.tf, sample_count)
     coords = coordinates_at(spec, times)
     verdict = validate_coordinates(coords, bound)
@@ -124,11 +124,11 @@ def plan(
         raise UnsafePlanError(
             f"plan violates the principal-strain bound at t = {t:.6g} s: "
             f"{verdict.violating_field} = {verdict.violating_value:.6g} < "
-            f"lambda_min = {bound.lambda_min:.6g}",
+            f"lambda_min = {bound:.6g}",
             time=t,
             field=verdict.violating_field,
             value=verdict.violating_value,
-            bound=bound.lambda_min,
+            bound=bound,
         )
     return PlannedTrajectory(
         spec=spec,

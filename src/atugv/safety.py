@@ -10,7 +10,6 @@ import numpy as np
 
 from .affine import GeneralizedCoordinates
 from .errors import InvalidArgumentError, ReferenceOverlapError
-from .network import ReferenceConfiguration
 
 
 def lambda_min(r: float, d_min: float) -> float:
@@ -27,19 +26,6 @@ def lambda_min(r: float, d_min: float) -> float:
 
 
 @dataclass(frozen=True)
-class SafetyBound:
-    lambda_min: float
-    d_min: float
-
-    @classmethod
-    def from_reference(cls, cell_radius: float, reference: ReferenceConfiguration) -> "SafetyBound":
-        return cls(
-            lambda_min=lambda_min(cell_radius, reference.d_min),
-            d_min=reference.d_min,
-        )
-
-
-@dataclass(frozen=True)
 class SafetyVerdict:
     """Outcome of checking generalized coordinates against the strain bound.
 
@@ -48,7 +34,6 @@ class SafetyVerdict:
     """
 
     safe: bool
-    lambda_min: float
     violating_field: Optional[str] = None
     violating_value: Optional[float] = None
     index: Optional[int] = None
@@ -57,21 +42,20 @@ class SafetyVerdict:
         return self.safe
 
 
-def validate_coordinates(coords: GeneralizedCoordinates, bound: SafetyBound) -> SafetyVerdict:
+def validate_coordinates(coords: GeneralizedCoordinates, lambda_min: float) -> SafetyVerdict:
     """SAFE iff both principal strains stay at or above lambda_min.
 
     The bound applies to min(lambda1, lambda2): that is the factor by which
     the closest reference pair can shrink.
     """
     lambda1, lambda2 = np.atleast_1d(coords.lambda1, coords.lambda2)
-    unsafe = (lambda2 < bound.lambda_min) | (lambda1 < bound.lambda_min)
+    unsafe = (lambda2 < lambda_min) | (lambda1 < lambda_min)
     if not unsafe.any():
-        return SafetyVerdict(safe=True, lambda_min=bound.lambda_min)
+        return SafetyVerdict(safe=True)
     k = int(np.argmax(unsafe))
-    name, values = ("lambda2", lambda2) if lambda2[k] < bound.lambda_min else ("lambda1", lambda1)
+    name, values = ("lambda2", lambda2) if lambda2[k] < lambda_min else ("lambda1", lambda1)
     return SafetyVerdict(
         safe=False,
-        lambda_min=bound.lambda_min,
         violating_field=name,
         violating_value=float(values[k]),
         index=k,

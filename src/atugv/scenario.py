@@ -10,11 +10,11 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
-from .affine import GeneralizedCoordinates
+from .affine import COORD_FIELDS, GeneralizedCoordinates
 from .errors import ScenarioError
 from .network import CellGraph
 from .planner import BLEND_KINDS, PlanSpec
@@ -22,36 +22,9 @@ from .simulator import MODELS, SimConfig
 
 BUNDLED = ("four_cell_experiment", "seven_cell_sim")
 
-_KNOWN_KEYS = {
-    "graph": {"layers", "powered"},  # plus neighbors.<i> and actuated.<i>
-    "geometry": {"cell_radius", "arm_length", "side_length"},
-    "plan": {
-        "t0",
-        "tf",
-        "blend",
-        "samples",
-        "lambda1_initial",
-        "lambda2_initial",
-        "sigma_r_initial",
-        "sigma_d_initial",
-        "d1_initial",
-        "d2_initial",
-        "lambda1_final",
-        "lambda2_final",
-        "sigma_r_final",
-        "sigma_d_final",
-        "d1_final",
-        "d2_final",
-    },
-    "sim": {
-        "model",
-        "dt",
-        "alpha",
-        "k_v",
-        "initial_mode",
-        "terminal_error_threshold",
-    },  # plus offset and offset.<i>
-}
+# Defaults of the `*_initial` keys, built once: construction runs numpy
+# checks on every field, a noticeable share of loading a small file.
+_IDENTITY = GeneralizedCoordinates.identity()
 
 
 @dataclass(frozen=True)
@@ -66,18 +39,23 @@ class Scenario:
 
 
 def _line_of(text: str, section: str, key: str) -> Optional[int]:
-    """Best-effort line number of a key for error messages."""
+    """Line number of `key = ...` in [section], for error messages."""
     current = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
             current = stripped[1:-1].strip().lower()
-        elif current == section and stripped.lower().startswith(key.lower()):
-            return lineno
+        elif current == section:
+            name, delimiter, _ = stripped.partition("=")
+            if delimiter and name.rstrip().lower() == key.lower():
+                return lineno
     return None
 
 
 class _Parsed:
+    """The key/value text of each section, and the keys of each section the
+    loader has read: the grammar is exactly the keys the loader reads."""
+
     def __init__(self, text: str, name: str):
         self.text = text
         self.name = name
@@ -88,37 +66,53 @@ class _Parsed:
             parser.read_string(text, source=name)
         except configparser.Error as exc:
             raise ScenarioError(f"parse error: {exc}") from None
-        self.parser = parser
-
-    def section(self, name: str) -> Dict[str, str]:
-        if not self.parser.has_section(name):
-            raise ScenarioError(f"{self.name}: missing required section [{name}]")
-        return dict(self.parser.items(name))
+        # raw: values are used as written; there is no interpolation.
+        self.sections = {s: dict(parser.items(s, raw=True)) for s in parser.sections()}
+        self.read = {section: set() for section in self.sections}
 
     def fail(self, section: str, key: str, message: str):
         lineno = _line_of(self.text, section, key)
         where = f"{self.name}:{lineno}" if lineno else self.name
         raise ScenarioError(f"{where}: [{section}] {key}: {message}")
 
-    def get_float(self, section: str, items: Dict[str, str], key: str, default=None) -> float:
-        if key not in items:
-            if default is None:
-                self.fail(section, key, "required key missing")
+    def get(self, section: str, key: str, default: Optional[str] = None) -> Optional[str]:
+        if section not in self.sections:
             return default
-        try:
-            return _finite(items[key])
-        except ValueError:
-            self.fail(section, key, f"expected a finite number, got {items[key]!r}")
+        self.read[section].add(key)
+        return self.sections[section].get(key, default)
 
-    def get_int(self, section: str, items: Dict[str, str], key: str, default=None) -> int:
-        if key not in items:
+    def indexed(self, section: str, base: str):
+        """(key, i, text) of every `base.<i>` key in the section."""
+        prefix = base + "."
+        read = self.read.get(section, set())
+        for key, text in self.sections.get(section, {}).items():
+            if key.startswith(prefix):
+                read.add(key)
+                yield key, key[len(prefix):], text
+
+    def number(self, section: str, key: str, default=None, kind=float):
+        """The key as a finite float or an int; `default` if the file leaves
+        it out, and an error if there is no default either."""
+        text = self.get(section, key)
+        if text is None:
             if default is None:
                 self.fail(section, key, "required key missing")
             return default
         try:
-            return int(items[key])
+            return _finite(text) if kind is float else kind(text)
         except ValueError:
-            self.fail(section, key, f"expected an integer, got {items[key]!r}")
+            expected = "a finite number" if kind is float else "an integer"
+            self.fail(section, key, f"expected {expected}, got {text!r}")
+
+    def reject_unread(self):
+        """Fail on the first section or key the loader never read."""
+        for section, items in self.sections.items():
+            read = self.read[section]
+            if not read:
+                raise ScenarioError(f"{self.name}: unknown section [{section}]")
+            unread = [key for key in items if key not in read]
+            if unread:
+                self.fail(section, unread[0], "unknown key")
 
 
 def _finite(text: str) -> float:
@@ -132,59 +126,42 @@ def _parse_int_list(raw: str):
     return [int(tok) for tok in raw.replace(",", " ").split()]
 
 
-def load_scenario_text(text: str, name: str = "<scenario>", strict: bool = True) -> Scenario:
+def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
     parsed = _Parsed(text, name)
+    for section in ("graph", "geometry", "plan"):
+        if section not in parsed.sections:
+            raise ScenarioError(f"{name}: missing required section [{section}]")
 
-    if strict:
-        for section in parsed.parser.sections():
-            if section not in _KNOWN_KEYS:
-                raise ScenarioError(f"{name}: unknown section [{section}]")
-            for key in parsed.parser.options(section):
-                base = key.split(".", 1)[0]
-                known = key in _KNOWN_KEYS[section]
-                known = known or (section == "graph" and base in ("neighbors", "actuated"))
-                known = known or (section == "sim" and base == "offset")
-                if not known:
-                    parsed.fail(section, key, "unknown key (strict mode)")
-
-    graph_items = parsed.section("graph")
-    geom_items = parsed.section("geometry")
-    plan_items = parsed.section("plan")
-    sim_items = dict(parsed.parser.items("sim")) if parsed.parser.has_section("sim") else {}
-
-    if "layers" not in graph_items:
+    layers = parsed.get("graph", "layers")
+    if layers is None:
         parsed.fail("graph", "layers", "required key missing")
     try:
-        layers = [
-            frozenset(_parse_int_list(part))
-            for part in graph_items["layers"].split("|")
-        ]
+        layers = [frozenset(_parse_int_list(part)) for part in layers.split("|")]
     except ValueError:
         parsed.fail("graph", "layers", "expected cell lists separated by '|'")
     neighbors = {}
-    actuated = {}
-    for key, raw in graph_items.items():
-        if key.startswith("neighbors."):
-            try:
-                neighbors[int(key.split(".", 1)[1])] = frozenset(_parse_int_list(raw))
-            except ValueError:
-                parsed.fail("graph", key, "expected a comma-separated cell list")
-        elif key.startswith("actuated."):
-            try:
-                pair = _parse_int_list(raw)
-                actuated[int(key.split(".", 1)[1])] = (pair[0], pair[1])
-            except (ValueError, IndexError):
-                parsed.fail("graph", key, "expected two comma-separated cell ids")
-    powered = None
-    if "powered" in graph_items:
+    for key, cell, raw in parsed.indexed("graph", "neighbors"):
         try:
-            powered = frozenset(_parse_int_list(graph_items["powered"]))
+            neighbors[int(cell)] = frozenset(_parse_int_list(raw))
+        except ValueError:
+            parsed.fail("graph", key, "expected a comma-separated cell list")
+    actuated = {}
+    for key, cell, raw in parsed.indexed("graph", "actuated"):
+        try:
+            pair = _parse_int_list(raw)
+            actuated[int(cell)] = (pair[0], pair[1])
+        except (ValueError, IndexError):
+            parsed.fail("graph", key, "expected two comma-separated cell ids")
+    powered = parsed.get("graph", "powered")
+    if powered is not None:
+        try:
+            powered = frozenset(_parse_int_list(powered))
         except ValueError:
             parsed.fail("graph", "powered", "expected a comma-separated cell list")
 
-    cell_radius = parsed.get_float("geometry", geom_items, "cell_radius")
-    arm_length = parsed.get_float("geometry", geom_items, "arm_length")
-    side_length = parsed.get_float("geometry", geom_items, "side_length", 1.0)
+    cell_radius = parsed.number("geometry", "cell_radius")
+    arm_length = parsed.number("geometry", "arm_length")
+    side_length = parsed.number("geometry", "side_length", 1.0)
 
     graph = CellGraph(
         layers=tuple(layers),
@@ -195,62 +172,64 @@ def load_scenario_text(text: str, name: str = "<scenario>", strict: bool = True)
         actuated=actuated or None,
     )
 
-    t0 = parsed.get_float("plan", plan_items, "t0", 0.0)
-    tf = parsed.get_float("plan", plan_items, "tf")
-    blend_kind = plan_items.get("blend", "smoothstep")
+    t0 = parsed.number("plan", "t0", 0.0)
+    tf = parsed.number("plan", "tf")
+    blend_kind = parsed.get("plan", "blend", PlanSpec.blend_kind)
     if blend_kind not in BLEND_KINDS:
         parsed.fail("plan", "blend", f"expected one of {BLEND_KINDS}")
-    samples = parsed.get_int("plan", plan_items, "samples", 200)
+    samples = parsed.number("plan", "samples", 200, int)
 
-    def coords(suffix: str, defaults) -> GeneralizedCoordinates:
-        return GeneralizedCoordinates(
-            lambda1=parsed.get_float("plan", plan_items, f"lambda1_{suffix}", defaults[0]),
-            lambda2=parsed.get_float("plan", plan_items, f"lambda2_{suffix}", defaults[1]),
-            sigma_r=parsed.get_float("plan", plan_items, f"sigma_r_{suffix}", defaults[2]),
-            sigma_d=parsed.get_float("plan", plan_items, f"sigma_d_{suffix}", defaults[3]),
-            d1=parsed.get_float("plan", plan_items, f"d1_{suffix}", defaults[4]),
-            d2=parsed.get_float("plan", plan_items, f"d2_{suffix}", defaults[5]),
-        )
+    def coords(suffix: str, defaults: GeneralizedCoordinates) -> GeneralizedCoordinates:
+        return GeneralizedCoordinates(**{
+            field: parsed.number("plan", f"{field}_{suffix}", getattr(defaults, field))
+            for field in COORD_FIELDS
+        })
 
-    initial = coords("initial", (1.0, 1.0, 0.0, 0.0, 0.0, 0.0))
-    final = coords("final", initial.astuple())
+    initial = coords("initial", _IDENTITY)
+    final = coords("final", initial)
     if not tf > t0:
         parsed.fail("plan", "tf", f"tf = {tf} must exceed t0 = {t0}")
     plan_spec = PlanSpec(t0=t0, tf=tf, initial=initial, final=final, blend_kind=blend_kind)
 
-    model = sim_items.get("model", "single")
+    model = parsed.get("sim", "model", SimConfig.model)
     if model not in MODELS:
         parsed.fail("sim", "model", f"expected one of {MODELS}")
-    dt = parsed.get_float("sim", sim_items, "dt", 0.01)
-    alpha = parsed.get_float("sim", sim_items, "alpha", 10.0)
-    k_v = parsed.get_float("sim", sim_items, "k_v", 20.0)
-    threshold = parsed.get_float("sim", sim_items, "terminal_error_threshold", 1e-3)
-    initial_mode = sim_items.get("initial_mode", "reference")
+    dt = parsed.number("sim", "dt", SimConfig.dt)
+    alpha = parsed.number("sim", "alpha", SimConfig.alpha)
+    k_v = parsed.number("sim", "k_v", SimConfig.k_v)
+    threshold = parsed.number("sim", "terminal_error_threshold", 1e-3)
+    if not threshold > 0:
+        parsed.fail("sim", "terminal_error_threshold", f"threshold = {threshold} must be positive")
+    initial_mode = parsed.get("sim", "initial_mode", "reference")
     offsets = None
     if initial_mode == "perturbed":
         offsets = {}
-        uniform = sim_items.get("offset")
+        uniform = parsed.get("sim", "offset")
         if uniform is not None:
             try:
                 dx, dy = (_finite(tok) for tok in uniform.replace(",", " ").split())
             except ValueError:
                 parsed.fail("sim", "offset", "expected two finite numbers")
             offsets.update({i: np.array([dx, dy]) for i in graph.cells})
-        for key, raw in sim_items.items():
-            if key.startswith("offset."):
-                try:
-                    cell = int(key.split(".", 1)[1])
-                    dx, dy = (_finite(tok) for tok in raw.replace(",", " ").split())
-                except ValueError:
-                    parsed.fail("sim", key, "expected two finite numbers")
-                offsets[cell] = np.array([dx, dy])
+        for key, cell, raw in parsed.indexed("sim", "offset"):
+            try:
+                cell = int(cell)
+                dx, dy = (_finite(tok) for tok in raw.replace(",", " ").split())
+            except ValueError:
+                parsed.fail("sim", key, "expected two finite numbers")
+            offsets[cell] = np.array([dx, dy])
         unknown = set(offsets) - set(graph.cells)
         if unknown:
             raise ScenarioError(f"{name}: offsets reference unknown cells {sorted(unknown)}")
-    elif initial_mode != "reference":
+    elif initial_mode == "reference":
+        for key in parsed.sections.get("sim", ()):
+            if key.split(".", 1)[0] == "offset":
+                parsed.fail("sim", key, "an offset needs initial_mode = perturbed")
+    else:
         parsed.fail("sim", "initial_mode", "expected 'reference' or 'perturbed'")
 
     sim = SimConfig(dt=dt, model=model, alpha=alpha, k_v=k_v, initial_offsets=offsets)
+    parsed.reject_unread()
     return Scenario(
         name=name,
         graph=graph,
@@ -268,11 +247,11 @@ def bundled_scenario_path(name: str) -> Path:
     return Path(resources.files("atugv") / "scenarios" / f"{name}.cfg")
 
 
-def load_scenario(path, strict: bool = True) -> Scenario:
+def load_scenario(path) -> Scenario:
     """Load a scenario from a file path or a bundled scenario name."""
     p = Path(path)
     if not p.exists() and str(path) in BUNDLED:
         p = bundled_scenario_path(str(path))
     if not p.exists():
         raise ScenarioError(f"scenario file not found: {path}")
-    return load_scenario_text(p.read_text(), name=str(p), strict=strict)
+    return load_scenario_text(p.read_text(), name=str(p))

@@ -7,7 +7,6 @@ from atugv import (
     AffineTransform,
     GeneralizedCoordinates,
     ReferenceOverlapError,
-    SafetyBound,
     jacobian,
     lambda_min,
     min_separation,
@@ -37,24 +36,18 @@ class TestLambdaMin:
 
 
 class TestValidateCoordinates:
-    def make_bound(self, lam):
-        return SafetyBound(lambda_min=lam, d_min=0.1 / lam)
-
     def test_undeformed_is_safe(self):
         coords = GeneralizedCoordinates.identity()
-        assert validate_coordinates(coords, self.make_bound(0.9))
+        assert validate_coordinates(coords, 0.9)
 
     def test_table_strains_against_derived_bound(self, seven_cell_reference):
-        bound = SafetyBound(
-            lambda_min=lambda_min(0.05, seven_cell_reference.d_min),
-            d_min=seven_cell_reference.d_min,
-        )
+        bound = lambda_min(0.05, seven_cell_reference.d_min)
         coords = GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)
         assert validate_coordinates(coords, bound)
 
     def test_violation_names_the_strain(self):
         coords = GeneralizedCoordinates(0.9, 0.4, 0.0, 0.0, 0.0, 0.0)
-        verdict = validate_coordinates(coords, self.make_bound(0.5))
+        verdict = validate_coordinates(coords, 0.5)
         assert not verdict
         assert verdict.violating_field == "lambda2"
         assert verdict.violating_value == 0.4
@@ -64,7 +57,7 @@ class TestValidateCoordinates:
         lam2 = np.array([1.0, 0.6, 0.6, 0.3])
         zeros = np.zeros(4)
         coords = GeneralizedCoordinates(lam1, lam2, zeros, zeros, zeros, zeros)
-        verdict = validate_coordinates(coords, self.make_bound(0.5))
+        verdict = validate_coordinates(coords, 0.5)
         assert not verdict
         assert (verdict.index, verdict.violating_field, verdict.violating_value) == (
             2,

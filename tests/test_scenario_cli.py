@@ -57,7 +57,6 @@ class TestLoadScenario:
         text = SEVEN + "\nwarp_speed = 9\n"
         with pytest.raises(ScenarioError, match="unknown key"):
             load_scenario_text(text)
-        load_scenario_text(text, strict=False)  # lenient mode accepts it
 
     def test_four_neighbor_cell_rejected(self):
         from atugv import DegreeViolationError
@@ -267,3 +266,68 @@ class TestRejectedInput:
             geometry = {"cell_radius": 0.05, "arm_length": 0.25, field: math.nan}
             with pytest.raises(InvalidArgumentError, match=field):
                 CellGraph((frozenset({1, 2, 3}),), {}, **geometry)
+
+    def test_unknown_key_exits_2_and_no_flag_allows_it(self, tmp_path, capsys):
+        from atugv import bundled_scenario_path
+
+        text = bundled_scenario_path("seven_cell_sim").read_text()
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(text + "warp_speed = 9\n")
+        assert main(["validate", str(cfg)]) == 2
+        assert f"{cfg}:34: [sim] warp_speed: unknown key" in capsys.readouterr().err
+        for flag in ("--lenient", "--strict"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["validate", str(cfg), flag])
+            assert exit_info.value.code == 2
+
+    def test_offset_under_reference_mode(self, tmp_path, capsys):
+        # Was ignored: `run` exited 0 from the unperturbed pose.
+        from atugv import bundled_scenario_path
+
+        text = bundled_scenario_path("seven_cell_sim").read_text()
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(text + "offset = 0.3, 0.3\n")
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:34: [sim] offset: an offset needs initial_mode = perturbed" in err
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+        with pytest.raises(ScenarioError, match=r"\[sim\] offset\.2: .*initial_mode = perturbed"):
+            load_scenario_text(_with_key(SEVEN, "sim", "offset.2", "0.1, 0"))
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_non_positive_terminal_error_threshold(self, value, tmp_path, capsys):
+        # -1: `validate` exited 0 and `run` reported EXCEEDED, exit 1; 0: `validate` exited 0.
+        from atugv import bundled_scenario_path
+
+        text = bundled_scenario_path("seven_cell_sim").read_text()
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(_with_key(text, "sim", "terminal_error_threshold", value))
+        expected = f"[sim] terminal_error_threshold: threshold = {float(value)} must be positive"
+        assert main(["validate", str(cfg)]) == 2
+        assert expected in capsys.readouterr().err
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert expected in capsys.readouterr().err
+
+    def test_neighbors_of_a_cell_in_no_layer(self, tmp_path, capsys):
+        # Was ignored: `validate` exited 0.
+        from atugv import bundled_scenario_path
+
+        text = bundled_scenario_path("seven_cell_sim").read_text()
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(text.replace("neighbors.7 = 1,3,4\n", "neighbors.7 = 1,3,4\nneighbors.9 = 1,2,3\n"))
+        assert main(["validate", str(cfg)]) == 2
+        assert "cell 9 is in no layer, cannot have neighbors" in capsys.readouterr().err
+
+    def test_error_line_matches_the_key_exactly(self, tmp_path):
+        # Reported line 33, where `offset.3` starts with `offset`.
+        from atugv import bundled_scenario_path
+        from atugv.scenario import _line_of
+
+        text = bundled_scenario_path("seven_cell_sim").read_text().replace(
+            "initial_mode = reference",
+            "initial_mode = perturbed\noffset.3 = 0.01, 0.02\noffset = 0.01, nan",
+        )
+        with pytest.raises(ScenarioError) as info:
+            load_scenario_text(text, name="x.cfg")
+        assert str(info.value) == "x.cfg:34: [sim] offset: expected two finite numbers"
+        assert _line_of("[graph]\nneighbors.40 = 1,2,3\nneighbors.4 = 1,x", "graph", "neighbors.4") == 3
