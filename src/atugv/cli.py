@@ -161,6 +161,9 @@ def cmd_run(args) -> int:
     out_dir = args.output_dir or os.environ.get("ATUGV_OUTPUT_DIR") or "."
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Outputs of an earlier run would otherwise outlive a run that fails.
+    for name in ("report.txt", "trajectory.csv", "elbows.csv"):
+        (out_dir / name).unlink(missing_ok=True)
 
     trajectory, verdicts = _validate_verdicts(scenario, reference)
     ok = trajectory is not None

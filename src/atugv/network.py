@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
@@ -114,11 +115,11 @@ class CellGraph:
                 raise InvalidArgumentError(f"cell {i} is not interior, cannot have joints")
         object.__setattr__(self, "actuated", actuated)
 
-    @property
+    @cached_property
     def cells(self) -> Tuple[int, ...]:
         return tuple(range(1, sum(len(layer) for layer in self.layers) + 1))
 
-    @property
+    @cached_property
     def layer_of(self) -> Dict[int, int]:
         return {i: l for l, layer in enumerate(self.layers) for i in layer}
 
@@ -126,16 +127,15 @@ class CellGraph:
     def boundary(self) -> FrozenSet[int]:
         return self.layers[0]
 
-    @property
+    @cached_property
     def interior(self) -> Tuple[int, ...]:
-        boundary = self.layers[0]
-        return tuple(i for i in self.cells if i not in boundary)
+        return tuple(i for i in self.cells if i not in self.layers[0])
 
-    @property
+    @cached_property
     def unpowered(self) -> FrozenSet[int]:
         return frozenset(set(self.cells) - self.powered)
 
-    @property
+    @cached_property
     def joints(self) -> Tuple[Tuple[int, int], ...]:
         """Every (interior cell, neighbor) joint, sorted."""
         return tuple((i, j) for i in self.interior for j in sorted(self.neighbors[i]))
@@ -168,47 +168,39 @@ class ReferenceConfiguration:
     d_min: float
 
 
-# Bound on the pairwise differences of one block in `min_separation`; with
-# the distances, a block's temporaries stay near 0.5 MB (or those of a
-# single configuration, where that is more).
-_CLEARANCE_BLOCK_BYTES = 1 << 18
-
-
 def min_separation(positions: np.ndarray):
-    """The closest cell pair (i, j), i < j, and its distance, exhaustive
-    over all pairs of (..., N, 2) positions with row i - 1 holding cell i.
+    """The closest cell pair (i, j), i < j, and its distance over all pairs
+    of finite (..., N, 2) positions with row i - 1 holding cell i; of equal
+    distances, the lexicographically first pair. One configuration (N, 2)
+    gives a pair of ints and a float; more give pairs (..., 2) and (...).
 
-    One configuration (N, 2) gives a pair of ints and a float; more give
-    pairs (..., 2) and distances (...). Configurations are scanned in
-    blocks of bounded size, so memory does not grow with their number.
-    """
+    All configurations are swept at once, cells in x order, comparing cells
+    w = 1, 2, ... ranks apart until no pair has sqrt(dx * dx) within the best
+    distance. dx only grows with w and sqrt(dx * dx + dy * dy) >= sqrt(dx * dx),
+    so each skipped pair is strictly farther: the result is the exhaustive
+    scan's, bit for bit."""
     positions = np.asarray(positions, dtype=float)
     *batch, n, _ = positions.shape
     if n < 2:
         raise InvalidArgumentError("need at least two cells")
     flat = positions.reshape(-1, n, 2)
-    block = max(1, _CLEARANCE_BLOCK_BYTES // (n * n * 2 * flat.itemsize))
-    pairs = np.empty((len(flat), 2), dtype=int)
-    distances = np.empty(len(flat))
-    for start in range(0, len(flat), block):
-        rows = slice(start, start + block)
-        pairs[rows], distances[rows] = _closest_pairs(flat[rows])
+    order = np.argsort(flat[..., 0].T, axis=0)  # (N, T): one configuration per column
+    xs, ys = np.take_along_axis(flat.T, order[None], axis=1)
+    best = np.full(len(flat), np.inf)
+    key = np.full(len(flat), n * n)  # (i - 1) * n + j - 1 of the pair found
+    for w in range(1, n):
+        dx2 = np.square(xs[w:] - xs[:-w])
+        if not (np.sqrt(dx2) <= best).any():
+            break
+        d = np.sqrt(dx2 + np.square(ys[w:] - ys[:-w]))
+        new = np.minimum(best, d.min(axis=0))
+        a, b = order[w:], order[:-w]
+        tied = np.where(d == new, np.minimum(a, b) * n + np.maximum(a, b), n * n).min(axis=0)
+        key, best = np.where(new < best, tied, np.minimum(key, tied)), new
+    pairs = np.stack(np.divmod(key, n), axis=-1) + 1
     if not batch:
-        return (int(pairs[0, 0]), int(pairs[0, 1])), float(distances[0])
-    return pairs.reshape(*batch, 2), distances.reshape(batch)
-
-
-def _closest_pairs(p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Closest pairs (B, 2) and distances (B,) of a block of (B, N, 2)
-    positions; its temporaries are freed before the next block."""
-    b, n, _ = p.shape
-    diff = p[:, :, None, :] - p[:, None, :, :]
-    dist = np.sqrt(np.einsum("...ijk,...ijk->...ij", diff, diff)).reshape(b, n * n)
-    dist[:, np.arange(n) * (n + 1)] = np.inf
-    # dist is exactly symmetric, so the first minimum in row-major order
-    # is the lexicographically first closest pair, with i < j.
-    first = np.argmin(dist, axis=1)
-    return np.stack(np.divmod(first, n), axis=-1) + 1, dist[np.arange(b), first]
+        return (int(pairs[0, 0]), int(pairs[0, 1])), float(best[0])
+    return pairs.reshape(*batch, 2), best.reshape(batch)
 
 
 def solve_reference_positions(

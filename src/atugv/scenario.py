@@ -38,13 +38,15 @@ class Scenario:
     terminal_error_threshold: float
 
 
-def _line_of(text: str, section: str, key: str) -> Optional[int]:
-    """Line number of `key = ...` in [section], for error messages."""
+def _line_of(text: str, section: str, key: Optional[str] = None) -> Optional[int]:
+    """Line number of `key = ...` in [section], or of its header if key is None."""
     current = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
             current = stripped[1:-1].strip().lower()
+            if key is None and stripped[1:-1] == section:
+                return lineno
         elif current == section:
             name, delimiter, _ = stripped.partition("=")
             if delimiter and name.rstrip().lower() == key.lower():
@@ -59,8 +61,9 @@ class _Parsed:
     def __init__(self, text: str, name: str):
         self.text = text
         self.name = name
+        # No header names "", so [DEFAULT] is one more (unknown) section.
         parser = configparser.ConfigParser(
-            delimiters=("=",), inline_comment_prefixes=("#",), interpolation=None
+            delimiters=("=",), inline_comment_prefixes=("#",), interpolation=None, default_section=""
         )
         try:
             parser.read_string(text, source=name)
@@ -109,7 +112,9 @@ class _Parsed:
         for section, items in self.sections.items():
             read = self.read[section]
             if not read:
-                raise ScenarioError(f"{self.name}: unknown section [{section}]")
+                lineno = _line_of(self.text, section)
+                where = f"{self.name}:{lineno}" if lineno else self.name
+                raise ScenarioError(f"{where}: unknown section [{section}]")
             unread = [key for key in items if key not in read]
             if unread:
                 self.fail(section, unread[0], "unknown key")

@@ -83,7 +83,7 @@ class SimulationTrace:
     actual/desired positions and velocity commands (T, N, 2; NaN for
     unpowered cells, which get none), elbow angles commanded and realized
     (T, J; realized NaN beyond the mechanism reach), error norms (T, N), and
-    the brute-force minimum clearance (T,)."""
+    the minimum clearance (T,), the exact closest-pair distance per step."""
 
     times: np.ndarray
     cells: Tuple[int, ...]

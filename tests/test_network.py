@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from atugv import (
     CellGraph,
@@ -10,9 +13,13 @@ from atugv import (
     LayeringViolationError,
     ReferenceOverlapError,
     barycentric_weights,
+    load_scenario_text,
     min_separation,
+    plan,
+    run,
     solve_reference_positions,
 )
+from test_bench_contract import BENCH, _bench_module
 
 SQRT3 = math.sqrt(3.0)
 
@@ -167,8 +174,7 @@ class TestMinSeparation:
             assert dist[pair] == min(dist.values())
 
     def test_batches_match_per_configuration_calls(self):
-        # sizes span several blocks: a thousand small configurations per
-        # block, a few mid-sized ones, or one large one
+        # many small configurations, a few large ones, and between
         rng = np.random.default_rng(11)
         for t, n in ((5000, 4), (3, 300), (40, 60)):
             pos = rng.uniform(-1, 1, size=(t, n, 2))
@@ -195,3 +201,92 @@ class TestMinSeparation:
             first = min(squared, key=lambda pair: (squared[pair], pair))
             assert tuple(pairs[idx]) == first
             assert dists[idx] == math.sqrt(squared[first])
+
+
+def exhaustive_min_separation(positions):
+    """The oracle: every pairwise distance of (..., N, 2) positions, then
+    per configuration the first minimum in row-major order, as pairs
+    (..., 2) and distances (...)."""
+    positions = np.asarray(positions, dtype=float)
+    *batch, n, _ = positions.shape
+    p = positions.reshape(-1, n, 2)
+    diff = p[:, :, None, :] - p[:, None, :, :]
+    dist = np.sqrt(np.einsum("...ijk,...ijk->...ij", diff, diff)).reshape(len(p), n * n)
+    dist[:, np.arange(n) * (n + 1)] = np.inf
+    # dist is exactly symmetric, so the first minimum in row-major order
+    # is the lexicographically first closest pair, with i < j.
+    first = np.argmin(dist, axis=1)
+    pairs = np.stack(np.divmod(first, n), axis=-1) + 1
+    return pairs.reshape(*batch, 2), dist[np.arange(len(p)), first].reshape(batch)
+
+
+def assert_matches_oracle(positions):
+    pairs, distances = min_separation(positions)
+    expected_pairs, expected = exhaustive_min_separation(positions)
+    assert np.array_equal(pairs, expected_pairs)
+    assert np.array_equal(distances, expected)  # bitwise: no tolerance
+    for k, config in enumerate(positions):  # batched == one at a time
+        assert min_separation(config) == (tuple(pairs[k].tolist()), float(distances[k]))
+
+
+def configurations(elements):
+    """A batch of 1-4 configurations of 2-40 cells."""
+    shapes = st.tuples(st.integers(1, 4), st.integers(2, 40), st.just(2))
+    return shapes.flatmap(lambda shape: hnp.arrays(float, shape, elements=elements))
+
+
+# Subnormals included: their differences square to zero.
+random_points = configurations(st.floats(-2.0, 2.0, allow_nan=False))
+# Few distinct points: exact ties and coincident cells in most draws.
+lattice_points = configurations(st.integers(-3, 3).map(lambda k: 0.25 * k))
+
+
+class TestSweepMatchesExhaustiveScan:
+    """`min_separation` sweeps cells in x order and stops early; its pairs
+    and distances must be bitwise those of the exhaustive scan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_points | lattice_points)
+    def test_property(self, positions):
+        assert_matches_oracle(positions)
+
+    def test_lattice_full_of_ties(self):
+        grid = np.stack(np.meshgrid(np.arange(16.0), np.arange(16.0)), -1).reshape(-1, 2)
+        rng = np.random.default_rng(3)
+        assert_matches_oracle(np.stack([grid, grid[rng.permutation(256)], 0.1 * grid]))
+
+    def test_coincident_cells(self):
+        rng = np.random.default_rng(4)
+        pos = rng.uniform(-1, 1, size=(3, 12, 2))
+        pos[0] = 0.0
+        pos[1, 9] = pos[1, 4]
+        pos[2, [2, 7, 11]] = pos[2, 5]
+        assert_matches_oracle(pos)
+        assert min_separation(pos[2]) == ((3, 6), 0.0)
+
+    def test_one_shared_x(self):
+        # Every pair is within every dx bound: the sweep runs to w = N - 1.
+        rng = np.random.default_rng(5)
+        pos = np.zeros((4, 60, 2))
+        pos[..., 0] = 0.3
+        pos[:2, :, 1] = rng.uniform(size=(2, 60))
+        pos[2:, :, 1] = rng.integers(0, 20, size=(2, 60)) * 0.125
+        assert_matches_oracle(pos)
+
+    def test_two_cells(self):
+        pos = np.array([[[0.0, 0.0], [3.0, 4.0]], [[1.0, 1.0], [1.0, 1.0]], [[2.0, 0.0], [-1.0, 0.0]]])
+        assert_matches_oracle(pos)
+        pairs, distances = min_separation(pos)
+        assert pairs.tolist() == [[1, 2]] * 3 and distances.tolist() == [5.0, 0.0, 3.0]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_all_powered_250_cell_traces(self, seed, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))  # workloads imports oracle by name
+        workloads = _bench_module("workloads")
+        scenario = load_scenario_text(workloads.synthetic_scenario(np.random.default_rng([seed, 0])))
+        reference = solve_reference_positions(scenario.graph, scenario.side_length)
+        assert reference.d_min == exhaustive_min_separation(reference.positions)[1]
+        trace = run(plan(scenario.plan_spec, scenario.graph, reference, scenario.sample_count), scenario.sim)
+        assert trace.actual.shape == (11, 250, 2)
+        assert np.array_equal(trace.min_clearance, exhaustive_min_separation(trace.actual)[1])
+        assert_matches_oracle(trace.actual)

@@ -331,3 +331,55 @@ class TestRejectedInput:
             load_scenario_text(text, name="x.cfg")
         assert str(info.value) == "x.cfg:34: [sim] offset: expected two finite numbers"
         assert _line_of("[graph]\nneighbors.40 = 1,2,3\nneighbors.4 = 1,x", "graph", "neighbors.4") == 3
+
+    def test_default_section_is_an_unknown_section(self, tmp_path, capsys):
+        # configparser copied its keys into every section, so the error
+        # blamed another one, with no line: `default.cfg: [graph] dt: unknown key`.
+        from atugv import bundled_scenario_path
+
+        text = bundled_scenario_path("seven_cell_sim").read_text()
+        cfg = tmp_path / "default.cfg"
+        cfg.write_text(text + "\n[DEFAULT]\ndt = 0.02\n")
+        assert main(["validate", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:35: unknown section [DEFAULT]\n"
+        with pytest.raises(ScenarioError, match=r"^x\.cfg:1: unknown section \[DEFAULT\]$"):
+            load_scenario_text("[DEFAULT]\n" + SEVEN, name="x.cfg")
+
+
+class TestStaleOutputs:
+    """`run` removes the outputs an earlier run left in its directory, so a
+    failed run never leaves another input's files behind."""
+
+    def test_failed_runs_leave_no_earlier_outputs(self, tmp_path, capsys):
+        # The second failing run exited 2 and the first one's UNREACHABLE
+        # report stayed; the first left the bundled run's CSVs beside it.
+        from atugv import bundled_scenario_path
+
+        text = _with_key(bundled_scenario_path("four_cell_experiment").read_text(), "geometry", "arm_length", "0.225")
+        for key, value in (
+            ("lambda1_final", "1.0"),
+            ("lambda2_final", "0.6"),
+            ("sigma_d_final", repr(math.pi)),
+            ("blend", "linear"),
+            ("tf", "10"),
+            ("d1_final", "0"),
+            ("d2_final", "0"),
+            ("sigma_r_final", "0"),
+        ):
+            text = _with_key(text, "plan", key, value)
+        unreachable = tmp_path / "unreachable.cfg"
+        unreachable.write_text(text)
+        sampled = tmp_path / "sampled.cfg"
+        sampled.write_text(_with_key(_with_key(text, "plan", "lambda2_initial", "0.6"), "plan", "samples", "4"))
+        out = tmp_path / "out"
+
+        assert main(["run", "four_cell_experiment", "--output-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["elbows.csv", "report.txt", "trajectory.csv"]
+        assert main(["run", str(unreachable), "--output-dir", str(out)]) == 1
+        assert [p.name for p in out.iterdir()] == ["report.txt"]
+        assert "mechanism-reach verdict: UNREACHABLE" in (out / "report.txt").read_text()
+        capsys.readouterr()
+        assert main(["run", str(sampled), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: step 42 (t = 0.42 s): joint 1: separation 0.550201 m")
+        assert list(out.iterdir()) == []
