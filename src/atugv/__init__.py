@@ -43,13 +43,13 @@ from .planner import (
     blend,
     coordinates_at,
     desired_positions,
+    lambda_min,
     plan,
+    validate_coordinates,
 )
-from .safety import SafetyVerdict, lambda_min, validate_coordinates
 from .scenario import Scenario, bundled_scenario_path, load_scenario, load_scenario_text
 from .simulator import (
     SimConfig,
-    SimState,
     SimulationTrace,
     resolve_unpowered,
     run,

@@ -57,9 +57,6 @@ class GeneralizedCoordinates:
     def translation(self) -> np.ndarray:
         return np.stack([self.d1, self.d2], axis=-1).astype(float)
 
-    def astuple(self):
-        return tuple(getattr(self, name) for name in COORD_FIELDS)
-
 
 class RotationStrain(NamedTuple):
     """Rotation/strain part recovered from a Jacobian (no translation)."""

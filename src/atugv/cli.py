@@ -20,7 +20,7 @@ import numpy as np
 from . import planner, simulator
 from .errors import AtugvError, UnsafePlanError, UnreachableSeparationError
 from .network import solve_reference_positions
-from .safety import lambda_min
+from .planner import lambda_min
 from .scenario import BUNDLED, load_scenario
 
 EXIT_OK = 0

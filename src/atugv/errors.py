@@ -54,7 +54,9 @@ class InconsistentAnglesError(AtugvError):
 
 
 class UnsafePlanError(AtugvError):
-    """A planned sample violates the principal-strain safety bound."""
+    """A planned sample violates the principal-strain safety bound: the
+    strain `field` has `value` below `bound` at sample `index`, which the
+    planner gives a `time`."""
 
     field = value = bound = None
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 import numpy as np
 
@@ -123,10 +123,6 @@ class CellGraph:
     def layer_of(self) -> Dict[int, int]:
         return {i: l for l, layer in enumerate(self.layers) for i in layer}
 
-    @property
-    def boundary(self) -> FrozenSet[int]:
-        return self.layers[0]
-
     @cached_property
     def interior(self) -> Tuple[int, ...]:
         return tuple(i for i in self.cells if i not in self.layers[0])
@@ -150,7 +146,7 @@ def barycentric_weights(graph: CellGraph) -> np.ndarray:
     """The layered network folded into one (N, 3) matrix W: row i - 1 holds
     the convex weights of cell i on the boundary cells, in ascending order."""
     w = np.zeros((len(graph.cells), 3))
-    for k, b in enumerate(sorted(graph.boundary)):
+    for k, b in enumerate(sorted(graph.layers[0])):
         w[b - 1, k] = 1.0
     for layer in graph.layers[1:]:
         cells = sorted(layer)
@@ -203,28 +199,18 @@ def min_separation(positions: np.ndarray):
     return pairs.reshape(*batch, 2), best.reshape(batch)
 
 
-def solve_reference_positions(
-    graph: CellGraph,
-    side_length: float = 1.0,
-    anchor: Optional[Dict[int, np.ndarray]] = None,
-) -> ReferenceConfiguration:
+def solve_reference_positions(graph: CellGraph, side_length: float = 1.0) -> ReferenceConfiguration:
     """Place boundary cells on an equilateral triangle and each interior
     cell at the average of its three neighbors: positions = W @ B0.
 
-    The default anchor puts the lowest-numbered boundary cell at the
-    origin and the next on the +x axis; any other pose is reachable
-    through the affine transform itself.
+    The lowest-numbered boundary cell sits at the origin and the next on
+    the +x axis; any other pose is reachable through the affine transform
+    itself.
     """
     if not 0.0 < side_length < math.inf:
         raise InvalidArgumentError(f"side_length must be positive and finite, got {side_length}")
-    boundary = sorted(graph.boundary)
-    if anchor is not None:
-        if set(anchor) != set(boundary):
-            raise InvalidArgumentError("anchor must place exactly the boundary cells")
-        b0 = np.array([anchor[i] for i in boundary], dtype=float)
-    else:
-        s = side_length
-        b0 = np.array([[0.0, 0.0], [s, 0.0], [0.5 * s, 0.5 * math.sqrt(3.0) * s]])
+    s = side_length
+    b0 = np.array([[0.0, 0.0], [s, 0.0], [0.5 * s, 0.5 * math.sqrt(3.0) * s]])
     positions = barycentric_weights(graph) @ b0
     _, d_min = min_separation(positions)
     if d_min <= 2.0 * graph.cell_radius:

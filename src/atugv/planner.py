@@ -15,9 +15,8 @@ import numpy as np
 
 from . import kinematics
 from .affine import COORD_FIELDS, AffineTransform, GeneralizedCoordinates
-from .errors import DomainError, InvalidArgumentError, UnsafePlanError
+from .errors import DomainError, InvalidArgumentError, ReferenceOverlapError, UnsafePlanError
 from .network import CellGraph, ReferenceConfiguration
-from .safety import lambda_min, validate_coordinates
 
 BLEND_KINDS = ("linear", "smoothstep", "smootherstep")
 
@@ -79,6 +78,35 @@ def desired_positions(spec: PlanSpec, reference: ReferenceConfiguration, times) 
     return AffineTransform.from_coordinates(coords)(reference.positions)
 
 
+def lambda_min(r: float, d_min: float) -> float:
+    """Lower bound 2r/d_min on both principal strains: shrinking the
+    closest reference pair by less than this keeps every pair of cell
+    disks from overlapping."""
+    if r <= 0.0:
+        raise InvalidArgumentError(f"cell radius must be positive, got {r}")
+    if d_min <= 2.0 * r:
+        raise ReferenceOverlapError(
+            f"d_min = {d_min:.6g} m must exceed the cell diameter {2 * r:.6g} m"
+        )
+    return 2.0 * r / d_min
+
+
+def validate_coordinates(coords: GeneralizedCoordinates, bound: float) -> None:
+    """Raise UnsafePlanError, naming the strain `field`, its `value` and the
+    first violating `index` of a batch (0 for a single instant), unless both
+    principal strains stay at or above the bound lambda_min. It applies to
+    min(lambda1, lambda2): the factor by which the closest pair can shrink."""
+    lambda1, lambda2 = np.atleast_1d(coords.lambda1, coords.lambda2)
+    unsafe = (lambda2 < bound) | (lambda1 < bound)
+    if not unsafe.any():
+        return
+    k = int(np.argmax(unsafe))
+    name, values = ("lambda2", lambda2) if lambda2[k] < bound else ("lambda1", lambda1)
+    value = float(values[k])
+    message = f"{name} = {value:.6g} < lambda_min = {bound:.6g}"
+    raise UnsafePlanError(message, field=name, value=value, bound=bound, index=k)
+
+
 def joint_separations(graph: CellGraph, positions: np.ndarray) -> np.ndarray:
     """Separation of every joint in `graph.joints` order, (..., J) for
     positions (..., N, 2)."""
@@ -88,15 +116,12 @@ def joint_separations(graph: CellGraph, positions: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PlannedTrajectory:
-    """Sampled plan at uniform times: coordinates (fields of shape (T,)) and
-    desired positions (T, N, 2)."""
+    """A plan that passed the gate of `plan`, with the graph and reference
+    it was checked on."""
 
     spec: PlanSpec
     graph: CellGraph
     reference: ReferenceConfiguration
-    times: np.ndarray
-    coords: GeneralizedCoordinates
-    positions: np.ndarray
 
 
 def plan(
@@ -112,29 +137,18 @@ def plan(
         raise InvalidArgumentError(f"sample_count must be at least 2, got {sample_count}")
     bound = lambda_min(graph.cell_radius, reference.d_min)
     times = np.linspace(spec.t0, spec.tf, sample_count)
-    coords = coordinates_at(spec, times)
-    verdict = validate_coordinates(coords, bound)
+    unsafe = None
+    try:
+        validate_coordinates(coordinates_at(spec, times), bound)
+    except UnsafePlanError as exc:
+        unsafe = exc
     positions = desired_positions(spec, reference, times)
-    safe_samples = sample_count if verdict else verdict.index
+    safe_samples = sample_count if unsafe is None else unsafe.index
     kinematics.elbow_angle(  # raises at the first unreachable joint
         joint_separations(graph, positions[:safe_samples]), graph.arm_length, graph.cell_radius
     )
-    if not verdict:
-        t = float(times[verdict.index])
-        raise UnsafePlanError(
-            f"plan violates the principal-strain bound at t = {t:.6g} s: "
-            f"{verdict.violating_field} = {verdict.violating_value:.6g} < "
-            f"lambda_min = {bound:.6g}",
-            time=t,
-            field=verdict.violating_field,
-            value=verdict.violating_value,
-            bound=bound,
-        )
-    return PlannedTrajectory(
-        spec=spec,
-        graph=graph,
-        reference=reference,
-        times=times,
-        coords=coords,
-        positions=positions,
-    )
+    if unsafe is not None:
+        unsafe.time = t = float(times[unsafe.index])
+        unsafe.args = (f"plan violates the principal-strain bound at t = {t:.6g} s: {unsafe}",)
+        raise unsafe
+    return PlannedTrajectory(spec=spec, graph=graph, reference=reference)

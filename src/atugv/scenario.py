@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -39,13 +40,15 @@ class Scenario:
 
 
 def _line_of(text: str, section: str, key: Optional[str] = None) -> Optional[int]:
-    """Line number of `key = ...` in [section], or of its header if key is None."""
+    """Line number of `key = ...` in [section], or of its header if key is None.
+    Like configparser, a `#` at the start or after whitespace begins a comment."""
     current = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            current = stripped[1:-1].strip().lower()
-            if key is None and stripped[1:-1] == section:
+        stripped = re.split(r"(?<!\S)#", line, maxsplit=1)[0].strip()
+        header = configparser.ConfigParser.SECTCRE.match(stripped)
+        if header:
+            current = header.group("header")
+            if key is None and current == section:
                 return lineno
         elif current == section:
             name, delimiter, _ = stripped.partition("=")
@@ -153,10 +156,10 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
     actuated = {}
     for key, cell, raw in parsed.indexed("graph", "actuated"):
         try:
-            pair = _parse_int_list(raw)
-            actuated[int(cell)] = (pair[0], pair[1])
-        except (ValueError, IndexError):
+            i, (j1, j2) = int(cell), _parse_int_list(raw)
+        except ValueError:  # also a list of more or fewer than two ids
             parsed.fail("graph", key, "expected two comma-separated cell ids")
+        actuated[i] = (j1, j2)
     powered = parsed.get("graph", "powered")
     if powered is not None:
         try:
@@ -183,6 +186,8 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
     if blend_kind not in BLEND_KINDS:
         parsed.fail("plan", "blend", f"expected one of {BLEND_KINDS}")
     samples = parsed.number("plan", "samples", 200, int)
+    if samples < 2:
+        parsed.fail("plan", "samples", f"samples = {samples} must be at least 2")
 
     def coords(suffix: str, defaults: GeneralizedCoordinates) -> GeneralizedCoordinates:
         return GeneralizedCoordinates(**{

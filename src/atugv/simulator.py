@@ -67,15 +67,6 @@ class SimConfig:
                 )
 
 
-@dataclass
-class SimState:
-    """Positions and velocities of the powered cells, (P, 2) in ascending
-    cell order. Velocities are integrated by the double integrator."""
-
-    positions: np.ndarray
-    velocities: np.ndarray
-
-
 @dataclass(frozen=True)
 class SimulationTrace:
     """Everything recorded per step, with row k for times[k], per-cell
@@ -106,19 +97,16 @@ def _rows(cells) -> np.ndarray:
     return np.array(sorted(cells), dtype=int) - 1
 
 
-def step(state: SimState, desired: np.ndarray, config: SimConfig) -> SimState:
-    """Advance the powered cells one timestep from t to t + dt by explicit
-    Euler on the commanded velocity, given their (P, 2) desired positions
-    at t."""
+def step(positions: np.ndarray, velocities: np.ndarray, desired: np.ndarray, config: SimConfig):
+    """The powered cells' next (P, 2) positions and velocities, in ascending
+    cell order: one explicit Euler step from t to t + dt on the commanded
+    velocity, given their positions, velocities (integrated by the double
+    integrator) and desired positions at t."""
     dt = config.dt
-    v_cmd = velocity_command(desired, state.positions, config.alpha)
+    v_cmd = velocity_command(desired, positions, config.alpha)
     if config.model == "single":
-        return SimState(positions=state.positions + dt * v_cmd, velocities=state.velocities)
-    v = state.velocities
-    return SimState(
-        positions=state.positions + dt * v,
-        velocities=v + dt * (config.k_v * (v_cmd - v)),
-    )
+        return positions + dt * v_cmd, velocities
+    return positions + dt * velocities, velocities + dt * (config.k_v * (v_cmd - velocities))
 
 
 def resolve_unpowered(graph: CellGraph, actual: np.ndarray, desired: np.ndarray) -> None:
@@ -211,12 +199,12 @@ def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
 
     powered = _rows(graph.powered)
     targets = desired[:, powered]
-    state = SimState(positions=actual[0, powered], velocities=np.zeros((len(powered), 2)))
+    positions, velocities = actual[0, powered], np.zeros((len(powered), 2))
     path = np.empty_like(targets)
-    path[0] = state.positions
+    path[0] = positions
     for k in range(n_steps):
-        state = step(state, targets[k], config)
-        path[k + 1] = state.positions
+        positions, velocities = step(positions, velocities, targets[k], config)
+        path[k + 1] = positions
     actual[:, powered] = path
 
     try:

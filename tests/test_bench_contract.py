@@ -41,6 +41,7 @@ def test_traced_run_passes_the_output_oracle(tmp_path):
     spec, calls = _traced_run("four_cell_experiment", tmp_path)
     assert calls["cli.command"] == 1
     assert calls["planner.plan"] == 1  # the gated plan is the simulated one
+    assert calls["safety.validate"] == 1  # the strain check runs on the tracer's hook
     assert calls["simulator.step"] == spec.steps
 
 

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from atugv import (
+    AffineTransform,
     CellGraph,
     DegreeViolationError,
+    GeneralizedCoordinates,
     InvalidArgumentError,
     LayeringViolationError,
     ReferenceOverlapError,
@@ -131,9 +133,13 @@ class TestReferenceConfiguration:
             solve_reference_positions(seven_cell, side_length=0.1)
 
     def test_custom_anchor(self, four_cell):
-        anchor = {1: [2.0, 1.0], 2: [3.0, 1.0], 3: [2.5, 1.0 + SQRT3 / 2]}
-        ref = solve_reference_positions(four_cell, side_length=1.0, anchor=anchor)
-        np.testing.assert_allclose(ref.positions[3], [2.5, 1.0 + SQRT3 / 6], atol=1e-14)
+        # another pose of the boundary is an affine image of the default one
+        ref = solve_reference_positions(four_cell, side_length=1.0)
+        shift = GeneralizedCoordinates(1.0, 1.0, 0.0, 0.0, 2.0, 1.0)
+        moved = AffineTransform.from_coordinates(shift)(ref.positions)
+        anchor = [[2.0, 1.0], [3.0, 1.0], [2.5, 1.0 + SQRT3 / 2]]
+        np.testing.assert_allclose(moved[:3], anchor, atol=1e-14)
+        np.testing.assert_allclose(moved[3], [2.5, 1.0 + SQRT3 / 6], atol=1e-14)
 
 
 class TestMinSeparation:

@@ -7,6 +7,7 @@ from atugv import (
     AffineTransform,
     GeneralizedCoordinates,
     ReferenceOverlapError,
+    UnsafePlanError,
     jacobian,
     lambda_min,
     min_separation,
@@ -38,32 +39,29 @@ class TestLambdaMin:
 class TestValidateCoordinates:
     def test_undeformed_is_safe(self):
         coords = GeneralizedCoordinates.identity()
-        assert validate_coordinates(coords, 0.9)
+        validate_coordinates(coords, 0.9)
 
     def test_table_strains_against_derived_bound(self, seven_cell_reference):
         bound = lambda_min(0.05, seven_cell_reference.d_min)
         coords = GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)
-        assert validate_coordinates(coords, bound)
+        validate_coordinates(coords, bound)
 
     def test_violation_names_the_strain(self):
         coords = GeneralizedCoordinates(0.9, 0.4, 0.0, 0.0, 0.0, 0.0)
-        verdict = validate_coordinates(coords, 0.5)
-        assert not verdict
-        assert verdict.violating_field == "lambda2"
-        assert verdict.violating_value == 0.4
+        with pytest.raises(UnsafePlanError) as excinfo:
+            validate_coordinates(coords, 0.5)
+        error = excinfo.value
+        assert (error.field, error.value, error.bound, error.index) == ("lambda2", 0.4, 0.5, 0)
 
     def test_batch_names_first_violating_time(self):
         lam1 = np.array([1.0, 0.9, 0.45, 0.4])
         lam2 = np.array([1.0, 0.6, 0.6, 0.3])
         zeros = np.zeros(4)
         coords = GeneralizedCoordinates(lam1, lam2, zeros, zeros, zeros, zeros)
-        verdict = validate_coordinates(coords, 0.5)
-        assert not verdict
-        assert (verdict.index, verdict.violating_field, verdict.violating_value) == (
-            2,
-            "lambda1",
-            0.45,
-        )
+        with pytest.raises(UnsafePlanError) as excinfo:
+            validate_coordinates(coords, 0.5)
+        error = excinfo.value
+        assert (error.index, error.field, error.value) == (2, "lambda1", 0.45)
 
 
 class TestPairwiseClearance:

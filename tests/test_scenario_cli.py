@@ -345,6 +345,42 @@ class TestRejectedInput:
         with pytest.raises(ScenarioError, match=r"^x\.cfg:1: unknown section \[DEFAULT\]$"):
             load_scenario_text("[DEFAULT]\n" + SEVEN, name="x.cfg")
 
+    def test_section_header_with_an_inline_comment_keeps_error_lines(self, tmp_path, capsys):
+        # configparser drops the comment; the line lookup did not, so both
+        # errors lost their line: `c.cfg: [sim] warp: unknown key` and
+        # `d.cfg: unknown section [DEFAULT]`.
+        from atugv import bundled_scenario_path
+
+        text = bundled_scenario_path("seven_cell_sim").read_text()
+        commented = tmp_path / "c.cfg"
+        commented.write_text(text.replace("[sim]\n", "[sim]  # simulation\n") + "warp = 1\n")
+        assert main(["validate", str(commented)]) == 2
+        assert capsys.readouterr().err == f"error: {commented}:34: [sim] warp: unknown key\n"
+        default = tmp_path / "d.cfg"
+        default.write_text(text + "[DEFAULT]  # note\nx = 1\n")
+        assert main(["validate", str(default)]) == 2
+        assert capsys.readouterr().err == f"error: {default}:34: unknown section [DEFAULT]\n"
+
+    @pytest.mark.parametrize(
+        "section, key, value, line, message",
+        [
+            # Exited 0: the loader kept (1, 2) and dropped the 4.
+            ("graph", "actuated.5", "1,2,4", 5, "expected two comma-separated cell ids"),
+            # Exited 2 with `error: sample_count must be at least 2, got 1`:
+            # no file, line or key.
+            ("plan", "samples", "1", 17, "samples = 1 must be at least 2"),
+        ],
+        ids=["actuated", "samples"],
+    )
+    def test_bad_value_is_located(self, section, key, value, line, message, tmp_path, capsys):
+        from atugv import bundled_scenario_path
+
+        text = bundled_scenario_path("seven_cell_sim").read_text()
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(_with_key(text, section, key, value))
+        assert main(["validate", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: [{section}] {key}: {message}\n"
+
 
 class TestStaleOutputs:
     """`run` removes the outputs an earlier run left in its directory, so a

@@ -12,7 +12,6 @@ from atugv import (
     InvalidArgumentError,
     PlanSpec,
     SimConfig,
-    SimState,
     UnreachableSeparationError,
     bundled_scenario_path,
     desired_elbow_angles,
@@ -176,25 +175,24 @@ class TestVelocityCommand:
 
 
 class TestStep:
-    def identity_step(self, graph, reference, state):
+    def identity_step(self, graph, reference, positions):
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=IDENTITY)
         desired = desired_positions(spec, reference, [0.0, 0.1])
         config = SimConfig(dt=0.1, model="single", alpha=1.0)
-        return step(state, desired[0], config)
+        return step(positions, np.zeros_like(positions), desired[0], config)
 
     def test_fixed_point_identity_plan(self, four_cell, four_cell_reference):
         reference = four_cell_reference.positions
-        state = SimState(positions=reference.copy(), velocities=np.zeros_like(reference))
-        nxt = self.identity_step(four_cell, four_cell_reference, state)
-        np.testing.assert_allclose(nxt.positions, reference, atol=1e-12)
+        positions, _ = self.identity_step(four_cell, four_cell_reference, reference.copy())
+        np.testing.assert_allclose(positions, reference, atol=1e-12)
 
     def test_single_euler_arithmetic(self, four_cell, four_cell_reference):
         # offset cell 3 so its error is exactly (1, 0); one Euler step moves 0.1
         reference = four_cell_reference.positions
-        state = SimState(positions=reference.copy(), velocities=np.zeros_like(reference))
-        state.positions[2] -= np.array([1.0, 0.0])
-        nxt = self.identity_step(four_cell, four_cell_reference, state)
-        moved = nxt.positions[2] - state.positions[2]
+        start = reference.copy()
+        start[2] -= np.array([1.0, 0.0])
+        positions, _ = self.identity_step(four_cell, four_cell_reference, start)
+        moved = positions[2] - start[2]
         np.testing.assert_allclose(moved, [0.1, 0.0], atol=1e-15)
 
     def test_error_names_the_failing_cell(self, seven_cell, seven_cell_reference):
