@@ -43,11 +43,11 @@ class GeneralizedCoordinates:
         for name in COORD_FIELDS:
             value = getattr(self, name)
             if not np.all(np.isfinite(value)):
-                raise InvalidArgumentError(f"{name} must be finite, got {value!r}")
+                raise InvalidArgumentError(f"{name} must be finite, got {value!r}", field=name)
         for name in ("lambda1", "lambda2"):
             value = getattr(self, name)
             if not np.all((0.0 < value) & (value <= 1.0)):
-                raise InvalidArgumentError(f"{name} must lie in (0, 1], got {value}")
+                raise InvalidArgumentError(f"{name} must lie in (0, 1], got {value}", field=name)
 
     @classmethod
     def identity(cls) -> "GeneralizedCoordinates":

@@ -10,8 +10,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -158,8 +156,7 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     scenario, reference, lam = _load(args)
 
-    out_dir = args.output_dir or os.environ.get("ATUGV_OUTPUT_DIR") or "."
-    out_dir = Path(out_dir)
+    out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # Outputs of an earlier run would otherwise outlive a run that fails.
     for name in ("report.txt", "trajectory.csv", "elbows.csv"):
@@ -169,10 +166,7 @@ def cmd_run(args) -> int:
     ok = trajectory is not None
     extras = []
     if ok:
-        sim_cfg = scenario.sim
-        if args.dt is not None:
-            sim_cfg = dataclasses.replace(sim_cfg, dt=args.dt)
-        trace = simulator.run(trajectory, sim_cfg)
+        trace = simulator.run(trajectory, scenario.sim)
         write_trajectory_csv(out_dir / "trajectory.csv", trace)
         write_elbow_csv(out_dir / "elbows.csv", trace)
         min_clear = float(np.min(trace.min_clearance))
@@ -220,8 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"scenario file path or bundled name {BUNDLED}",
         )
         if name == "run":
-            p.add_argument("--output-dir", default=None, help="directory for CSVs and report")
-            p.add_argument("--dt", type=float, default=None, help="simulation timestep override")
+            p.add_argument("--output-dir", default=".", help="directory for CSVs and report")
         p.set_defaults(func=func)
     return parser
 

@@ -4,9 +4,10 @@
 class AtugvError(Exception):
     """Base class for every error raised by this package. Structured fields
     are keyword arguments kept as attributes: array routines set `index`
-    (first failing element); the simulator adds `step`, `time` and `cell`."""
+    (first failing element); the simulator adds `step`, `time` and `cell`;
+    a config type names the `field` whose value it rejects."""
 
-    index = step = time = cell = None
+    index = step = time = cell = field = None
 
     def __init__(self, message, **fields):
         super().__init__(message)
@@ -58,7 +59,7 @@ class UnsafePlanError(AtugvError):
     strain `field` has `value` below `bound` at sample `index`, which the
     planner gives a `time`."""
 
-    field = value = bound = None
+    value = bound = None
 
 
 class ScenarioError(AtugvError):

@@ -29,8 +29,6 @@ _TANGENT_ATOL = 1e-9
 def elbow_angle(d, arm_length: float, cell_radius: float):
     """Angle between the two arms spanning a cell separation d; in [0, pi],
     0 when folded, pi at full extension 2(L+r)."""
-    if arm_length <= 0.0 or cell_radius <= 0.0:
-        raise InvalidArgumentError("arm_length and cell_radius must be positive")
     d = np.asarray(d, dtype=float)
     invalid = ~(np.isfinite(d) & (d >= 0.0))
     if invalid.any():

@@ -86,17 +86,17 @@ class CellGraph:
         for name in ("cell_radius", "arm_length"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:  # NaN fails too
-                raise InvalidArgumentError(f"{name} must be positive and finite, got {value}")
+                raise InvalidArgumentError(f"{name} must be positive and finite, got {value}", field=name)
 
         powered = self.powered
         if powered is None:
             powered = frozenset(cells - layers[-1]) | layers[0]
         powered = frozenset(powered)
         if not powered <= cells:
-            raise InvalidArgumentError("powered set references unknown cells")
+            raise InvalidArgumentError("powered set references unknown cells", field="powered")
         idle = sorted(layers[0] - powered)
         if idle:  # no joint drags a boundary cell; only its own drive moves it
-            raise InvalidArgumentError(f"boundary cell {idle[0]} must be powered")
+            raise InvalidArgumentError(f"boundary cell {idle[0]} must be powered", field="powered")
         object.__setattr__(self, "powered", powered)
 
         actuated = dict(self.actuated) if self.actuated else {}

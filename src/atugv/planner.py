@@ -27,8 +27,6 @@ def blend(t, t0: float, tf: float, kind: str = "smoothstep"):
     linear: u; smoothstep: 3u^2 - 2u^3 (zero end velocity);
     smootherstep: 10u^3 - 15u^4 + 6u^5 (zero end velocity and acceleration).
     """
-    if tf <= t0:
-        raise InvalidArgumentError(f"tf must exceed t0, got [{t0}, {tf}]")
     if not np.all((t0 <= t) & (t <= tf)):
         raise DomainError(f"t = {t} outside planning horizon [{t0}, {tf}]")
     u = (t - t0) / (tf - t0)
@@ -53,10 +51,10 @@ class PlanSpec:
 
     def __post_init__(self):
         if not self.tf > self.t0:
-            raise InvalidArgumentError(f"tf must exceed t0, got [{self.t0}, {self.tf}]")
+            raise InvalidArgumentError(f"tf must exceed t0, got [{self.t0}, {self.tf}]", field="tf")
         if self.blend_kind not in BLEND_KINDS:
             raise InvalidArgumentError(
-                f"unknown blend kind {self.blend_kind!r}; choose from {BLEND_KINDS}"
+                f"unknown blend kind {self.blend_kind!r}; choose from {BLEND_KINDS}", field="blend_kind"
             )
 
 

@@ -16,10 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .affine import COORD_FIELDS, GeneralizedCoordinates
-from .errors import ScenarioError
+from .errors import InvalidArgumentError, ScenarioError
 from .network import CellGraph
-from .planner import BLEND_KINDS, PlanSpec
-from .simulator import MODELS, SimConfig
+from .planner import PlanSpec
+from .simulator import SimConfig, step_count
 
 BUNDLED = ("four_cell_experiment", "seven_cell_sim")
 
@@ -76,10 +76,21 @@ class _Parsed:
         self.sections = {s: dict(parser.items(s, raw=True)) for s in parser.sections()}
         self.read = {section: set() for section in self.sections}
 
-    def fail(self, section: str, key: str, message: str):
+    def fail(self, section: str, key: str, message: str, cause: Optional[Exception] = None):
         lineno = _line_of(self.text, section, key)
         where = f"{self.name}:{lineno}" if lineno else self.name
-        raise ScenarioError(f"{where}: [{section}] {key}: {message}")
+        raise ScenarioError(f"{where}: [{section}] {key}: {message}") from cause
+
+    def build(self, keys, make, *args, **kwargs):
+        """make(*args, **kwargs). The config types decide what is valid: an
+        InvalidArgumentError naming a `field` that `keys` maps to its
+        (section, key) fails at that key, with the error's own message."""
+        try:
+            return make(*args, **kwargs)
+        except InvalidArgumentError as exc:
+            if exc.field not in keys:
+                raise
+            self.fail(*keys[exc.field], str(exc), cause=exc)
 
     def get(self, section: str, key: str, default: Optional[str] = None) -> Optional[str]:
         if section not in self.sections:
@@ -171,74 +182,62 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
     arm_length = parsed.number("geometry", "arm_length")
     side_length = parsed.number("geometry", "side_length", 1.0)
 
-    graph = CellGraph(
-        layers=tuple(layers),
-        neighbors=neighbors,
-        cell_radius=cell_radius,
-        arm_length=arm_length,
-        powered=powered,
-        actuated=actuated or None,
+    graph_keys = {
+        "cell_radius": ("geometry", "cell_radius"),
+        "arm_length": ("geometry", "arm_length"),
+        "powered": ("graph", "powered"),
+    }
+    graph = parsed.build(
+        graph_keys, CellGraph, tuple(layers), neighbors, cell_radius, arm_length, powered, actuated or None
     )
 
     t0 = parsed.number("plan", "t0", 0.0)
     tf = parsed.number("plan", "tf")
     blend_kind = parsed.get("plan", "blend", PlanSpec.blend_kind)
-    if blend_kind not in BLEND_KINDS:
-        parsed.fail("plan", "blend", f"expected one of {BLEND_KINDS}")
     samples = parsed.number("plan", "samples", 200, int)
     if samples < 2:
         parsed.fail("plan", "samples", f"samples = {samples} must be at least 2")
 
     def coords(suffix: str, defaults: GeneralizedCoordinates) -> GeneralizedCoordinates:
-        return GeneralizedCoordinates(**{
-            field: parsed.number("plan", f"{field}_{suffix}", getattr(defaults, field))
-            for field in COORD_FIELDS
-        })
+        keys = {field: ("plan", f"{field}_{suffix}") for field in COORD_FIELDS}
+        values = {field: parsed.number(*key, getattr(defaults, field)) for field, key in keys.items()}
+        return parsed.build(keys, GeneralizedCoordinates, **values)
 
     initial = coords("initial", _IDENTITY)
     final = coords("final", initial)
-    if not tf > t0:
-        parsed.fail("plan", "tf", f"tf = {tf} must exceed t0 = {t0}")
-    plan_spec = PlanSpec(t0=t0, tf=tf, initial=initial, final=final, blend_kind=blend_kind)
+    spec_keys = {"tf": ("plan", "tf"), "blend_kind": ("plan", "blend")}
+    plan_spec = parsed.build(spec_keys, PlanSpec, t0, tf, initial, final, blend_kind)
 
     model = parsed.get("sim", "model", SimConfig.model)
-    if model not in MODELS:
-        parsed.fail("sim", "model", f"expected one of {MODELS}")
     dt = parsed.number("sim", "dt", SimConfig.dt)
     alpha = parsed.number("sim", "alpha", SimConfig.alpha)
     k_v = parsed.number("sim", "k_v", SimConfig.k_v)
     threshold = parsed.number("sim", "terminal_error_threshold", 1e-3)
     if not threshold > 0:
         parsed.fail("sim", "terminal_error_threshold", f"threshold = {threshold} must be positive")
-    initial_mode = parsed.get("sim", "initial_mode", "reference")
-    offsets = None
-    if initial_mode == "perturbed":
-        offsets = {}
-        uniform = parsed.get("sim", "offset")
-        if uniform is not None:
-            try:
-                dx, dy = (_finite(tok) for tok in uniform.replace(",", " ").split())
-            except ValueError:
-                parsed.fail("sim", "offset", "expected two finite numbers")
-            offsets.update({i: np.array([dx, dy]) for i in graph.cells})
-        for key, cell, raw in parsed.indexed("sim", "offset"):
-            try:
-                cell = int(cell)
-                dx, dy = (_finite(tok) for tok in raw.replace(",", " ").split())
-            except ValueError:
-                parsed.fail("sim", key, "expected two finite numbers")
-            offsets[cell] = np.array([dx, dy])
-        unknown = set(offsets) - set(graph.cells)
-        if unknown:
-            raise ScenarioError(f"{name}: offsets reference unknown cells {sorted(unknown)}")
-    elif initial_mode == "reference":
-        for key in parsed.sections.get("sim", ()):
-            if key.split(".", 1)[0] == "offset":
-                parsed.fail("sim", key, "an offset needs initial_mode = perturbed")
-    else:
-        parsed.fail("sim", "initial_mode", "expected 'reference' or 'perturbed'")
+    offsets = {}
+    uniform = parsed.get("sim", "offset")
+    if uniform is not None:
+        try:
+            dx, dy = (_finite(tok) for tok in uniform.replace(",", " ").split())
+        except ValueError:
+            parsed.fail("sim", "offset", "expected two finite numbers")
+        offsets.update({i: np.array([dx, dy]) for i in graph.cells})
+    for key, cell, raw in parsed.indexed("sim", "offset"):
+        try:
+            cell = int(cell)
+            dx, dy = (_finite(tok) for tok in raw.replace(",", " ").split())
+        except ValueError:
+            parsed.fail("sim", key, "expected two finite numbers")
+        if cell not in graph.cells:
+            parsed.fail("sim", key, f"cell {cell} is in no layer")
+        offsets[cell] = np.array([dx, dy])
 
-    sim = SimConfig(dt=dt, model=model, alpha=alpha, k_v=k_v, initial_offsets=offsets)
+    sim_keys = {field: ("sim", field) for field in ("dt", "model", "alpha", "k_v")}
+    sim = parsed.build(
+        sim_keys, SimConfig, dt=dt, model=model, alpha=alpha, k_v=k_v, initial_offsets=offsets or None
+    )
+    parsed.build(sim_keys, step_count, plan_spec, sim.dt)
     parsed.reject_unread()
     return Scenario(
         name=name,

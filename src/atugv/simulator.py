@@ -22,7 +22,7 @@ from .errors import (
     UnreachableSeparationError,
 )
 from .network import CellGraph, min_separation
-from .planner import PlannedTrajectory, desired_positions, joint_separations
+from .planner import PlannedTrajectory, PlanSpec, desired_positions, joint_separations
 from .planner import coordinates_at  # noqa: F401  (bench/tracing.py wraps this name here)
 
 MODELS = ("single", "double")
@@ -48,13 +48,14 @@ class SimConfig:
         for name in ("dt", "alpha", "k_v"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
-                raise InvalidArgumentError(f"{name} must be positive and finite, got {value}")
+                raise InvalidArgumentError(f"{name} must be positive and finite, got {value}", field=name)
         if self.model not in MODELS:
-            raise InvalidArgumentError(f"model must be one of {MODELS}, got {self.model!r}")
+            raise InvalidArgumentError(f"model must be one of {MODELS}, got {self.model!r}", field="model")
         if not self.alpha * self.dt < 2.0:
             raise InvalidArgumentError(
                 f"alpha * dt = {self.alpha * self.dt:.3g} >= 2 is unstable "
-                "under explicit Euler"
+                "under explicit Euler",
+                field="alpha",
             )
         if self.model == "double":
             # Per-axis Euler update of (position, velocity) about a fixed target.
@@ -63,8 +64,23 @@ class SimConfig:
             if rho >= 1.0:
                 raise InvalidArgumentError(
                     f"double-integrator loop with alpha = {self.alpha:.6g}, k_v = {k_v:.6g}, "
-                    f"dt = {dt:.6g} has spectral radius {rho:.3g} >= 1 under explicit Euler"
+                    f"dt = {dt:.6g} has spectral radius {rho:.3g} >= 1 under explicit Euler",
+                    field="k_v",
                 )
+
+
+def step_count(spec: PlanSpec, dt: float) -> int:
+    """The number of steps of `dt` over the plan's horizon, which `dt` must
+    divide evenly in at least ten steps."""
+    horizon = spec.tf - spec.t0
+    if dt > horizon / 10.0:
+        raise InvalidArgumentError(
+            f"dt = {dt} must not exceed a tenth of the horizon {horizon:.6g} s", field="dt"
+        )
+    n_steps = int(round(horizon / dt))
+    if abs(n_steps * dt - horizon) > 1e-9:
+        raise InvalidArgumentError(f"dt = {dt} must evenly divide the horizon {horizon:.6g} s", field="dt")
+    return n_steps
 
 
 @dataclass(frozen=True)
@@ -178,16 +194,7 @@ def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
     """
     graph = trajectory.graph
     t0, tf = trajectory.spec.t0, trajectory.spec.tf
-    horizon = tf - t0
-    if config.dt > horizon / 10.0:
-        raise InvalidArgumentError(
-            f"dt = {config.dt} must not exceed a tenth of the horizon {horizon:.6g} s"
-        )
-    n_steps = int(round(horizon / config.dt))
-    if abs(n_steps * config.dt - horizon) > 1e-9:
-        raise InvalidArgumentError(
-            f"dt = {config.dt} must evenly divide the horizon {horizon:.6g} s"
-        )
+    n_steps = step_count(trajectory.spec, config.dt)
 
     times = t0 + config.dt * np.arange(n_steps + 1)
     times[-1] = tf

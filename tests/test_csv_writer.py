@@ -141,9 +141,7 @@ def assert_same_files(trace, tmp_path, monkeypatch):
 
 
 SEVEN_DOUBLE = _bundled("seven_cell_sim").replace("model = single", "model = double")
-SEVEN_PERTURBED = _bundled("seven_cell_sim").replace(
-    "initial_mode = reference", "initial_mode = perturbed\noffset = 0.01, -0.02\noffset.6 = -0.015, 0.005"
-)
+SEVEN_PERTURBED = _bundled("seven_cell_sim") + "offset = 0.01, -0.02\noffset.6 = -0.015, 0.005\n"
 
 
 class TestFilesMatchReference:
@@ -153,7 +151,7 @@ class TestFilesMatchReference:
 
     @pytest.mark.parametrize("text", [SEVEN_DOUBLE, SEVEN_PERTURBED], ids=["double", "perturbed"])
     def test_seven_cell_variants(self, text, tmp_path, monkeypatch):
-        assert "model = double" in text or "initial_mode = perturbed" in text
+        assert "model = double" in text or "\noffset = 0.01" in text
         assert_same_files(_trace(text), tmp_path, monkeypatch)
 
     def test_all_powered_synthetic_graph(self, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +79,31 @@ class TestLoadScenario:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
             load_scenario(tmp_path / "nope.cfg")
+
+    def test_readme_grammar_block_is_a_complete_scenario(self):
+        # Could not load: two neighbour lines were missing, and its `offset`
+        # sat under `initial_mode = reference`.
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Scenario file grammar", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+        scenario = load_scenario_text(block, name="README.md")
+        assert scenario.graph.cells == (1, 2, 3, 4, 5, 6, 7)
+        assert scenario.graph.powered == {1, 2, 3, 4}
+        assert scenario.sample_count == 200 and scenario.terminal_error_threshold == 1e-3
+        offsets = scenario.sim.initial_offsets
+        assert sorted(offsets) == [1, 2, 3, 4, 5, 6, 7]
+        assert offsets[1].tolist() == [0.01, -0.02] and offsets[6].tolist() == [0.0, 0.01]
+
+    def test_offset_alone_perturbs_the_start(self):
+        # An offset needed `initial_mode = perturbed` and was rejected without it.
+        from atugv import desired_positions, plan, run, solve_reference_positions
+
+        scenario = load_scenario_text(_with_key(SEVEN, "sim", "offset", "0.01, -0.02") + "offset.6 = 0.3, 0.3\n")
+        reference = solve_reference_positions(scenario.graph, scenario.side_length)
+        trace = run(plan(scenario.plan_spec, scenario.graph, reference), scenario.sim)
+        offsets = np.array([[0.01, -0.02]] * 5 + [[0.3, 0.3], [0.01, -0.02]])
+        desired = desired_positions(scenario.plan_spec, reference, scenario.plan_spec.t0)
+        np.testing.assert_array_equal(trace.actual[0], desired + offsets)
+        assert load_scenario_text(SEVEN).sim.initial_offsets is None
 
 
 class TestCli:
@@ -161,11 +187,11 @@ class TestCli:
         assert "d_min: 0.19245009" in out
         assert "cell 7" in out
 
-    def test_output_dir_env_fallback(self, tmp_path, monkeypatch):
-        target = tmp_path / "envout"
-        monkeypatch.setenv("ATUGV_OUTPUT_DIR", str(target))
+    def test_output_dir_defaults_to_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("ATUGV_OUTPUT_DIR", str(tmp_path / "envout"))  # no longer read
         assert main(["run", "four_cell_experiment"]) == 0
-        assert (target / "trajectory.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["elbows.csv", "report.txt", "trajectory.csv"]
 
     def test_exit_zero_implies_all_safe_verdicts(self, tmp_path):
         assert main(["run", "seven_cell_sim", "--output-dir", str(tmp_path)]) == 0
@@ -245,14 +271,8 @@ class TestRejectedInput:
     def test_non_finite_numbers_rejected(self, value):
         with pytest.raises(ScenarioError, match=r":\d+: \[plan\] tf: expected a finite number"):
             load_scenario_text(_with_key(SEVEN, "plan", "tf", value))
-        perturbed = _with_key(SEVEN, "sim", "initial_mode", "perturbed")
         with pytest.raises(ScenarioError, match=r"\[sim\] offset: expected two finite numbers"):
-            load_scenario_text(_with_key(perturbed, "sim", "offset", f"0.01, {value}"))
-
-    def test_nan_dt_flag(self, tmp_path, capsys):
-        # `--dt nan` ended in a ValueError traceback at the simulator.
-        assert main(["run", "seven_cell_sim", "--dt", "nan", "--output-dir", str(tmp_path)]) == 2
-        assert "dt must be positive and finite, got nan" in capsys.readouterr().err
+            load_scenario_text(_with_key(SEVEN, "sim", "offset", f"0.01, {value}"))
 
     def test_range_checks_reject_nan(self):
         from atugv import CellGraph, InvalidArgumentError, SimConfig
@@ -280,19 +300,15 @@ class TestRejectedInput:
                 main(["validate", str(cfg), flag])
             assert exit_info.value.code == 2
 
-    def test_offset_under_reference_mode(self, tmp_path, capsys):
-        # Was ignored: `run` exited 0 from the unperturbed pose.
-        from atugv import bundled_scenario_path
-
-        text = bundled_scenario_path("seven_cell_sim").read_text()
-        cfg = tmp_path / "x.cfg"
-        cfg.write_text(text + "offset = 0.3, 0.3\n")
-        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert f"{cfg}:34: [sim] offset: an offset needs initial_mode = perturbed" in err
-        assert not (tmp_path / "out" / "trajectory.csv").exists()
-        with pytest.raises(ScenarioError, match=r"\[sim\] offset\.2: .*initial_mode = perturbed"):
-            load_scenario_text(_with_key(SEVEN, "sim", "offset.2", "0.1, 0"))
+    def test_nan_dt_flag(self, tmp_path, capsys):
+        # `--dt nan` ended in a ValueError traceback at the simulator. The
+        # scenario file is now the one source of dt, so the flag is refused
+        # at argument parsing and no run starts.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "seven_cell_sim", "--dt", "nan", "--output-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --dt nan" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["-1", "0"])
     def test_non_positive_terminal_error_threshold(self, value, tmp_path, capsys):
@@ -324,13 +340,22 @@ class TestRejectedInput:
         from atugv.scenario import _line_of
 
         text = bundled_scenario_path("seven_cell_sim").read_text().replace(
-            "initial_mode = reference",
-            "initial_mode = perturbed\noffset.3 = 0.01, 0.02\noffset = 0.01, nan",
+            "terminal_error_threshold = 1e-3",
+            "offset.3 = 0.01, 0.02\noffset = 0.01, nan\nterminal_error_threshold = 1e-3",
         )
         with pytest.raises(ScenarioError) as info:
             load_scenario_text(text, name="x.cfg")
         assert str(info.value) == "x.cfg:34: [sim] offset: expected two finite numbers"
         assert _line_of("[graph]\nneighbors.40 = 1,2,3\nneighbors.4 = 1,x", "graph", "neighbors.4") == 3
+
+    def test_config_type_error_is_the_cause(self):
+        from atugv import InvalidArgumentError
+
+        with pytest.raises(ScenarioError) as info:
+            load_scenario_text(_with_key(SEVEN, "sim", "model", "triple"), name="x.cfg")
+        cause = info.value.__cause__
+        assert isinstance(cause, InvalidArgumentError) and cause.field == "model"
+        assert str(info.value) == f"x.cfg:24: [sim] model: {cause}"
 
     def test_default_section_is_an_unknown_section(self, tmp_path, capsys):
         # configparser copied its keys into every section, so the error
@@ -362,20 +387,54 @@ class TestRejectedInput:
         assert capsys.readouterr().err == f"error: {default}:34: unknown section [DEFAULT]\n"
 
     @pytest.mark.parametrize(
-        "section, key, value, line, message",
+        "scenario, section, key, value, line, message",
         [
             # Exited 0: the loader kept (1, 2) and dropped the 4.
-            ("graph", "actuated.5", "1,2,4", 5, "expected two comma-separated cell ids"),
+            ("seven_cell_sim", "graph", "actuated.5", "1,2,4", 5, "expected two comma-separated cell ids"),
             # Exited 2 with `error: sample_count must be at least 2, got 1`:
             # no file, line or key.
-            ("plan", "samples", "1", 17, "samples = 1 must be at least 2"),
+            ("seven_cell_sim", "plan", "samples", "1", 17, "samples = 1 must be at least 2"),
+            # Exited 0; then `run` exited 2 with no line and no report.
+            ("seven_cell_sim", "sim", "dt", "0.03", 29, "dt = 0.03 must evenly divide the horizon 10 s"),
+            # The rest exited 2 with no file, line or key, or with the
+            # loader's own wording for `model`, `blend`, `tf` and `offset.9`.
+            ("seven_cell_sim", "sim", "dt", "-1", 29, "dt must be positive and finite, got -1.0"),
+            ("seven_cell_sim", "sim", "alpha", "300", 29, "alpha * dt = 3 >= 2 is unstable under explicit Euler"),
+            ("seven_cell_sim", "plan", "lambda1_final", "1.5", 17, "lambda1 must lie in (0, 1], got 1.5"),
+            ("seven_cell_sim", "geometry", "cell_radius", "-1", 12, "cell_radius must be positive and finite, got -1.0"),
+            ("seven_cell_sim", "sim", "model", "triple", 29, "model must be one of ('single', 'double'), got 'triple'"),
+            (
+                "seven_cell_sim",
+                "plan",
+                "blend",
+                "cubic",
+                17,
+                "unknown blend kind 'cubic'; choose from ('linear', 'smoothstep', 'smootherstep')",
+            ),
+            ("seven_cell_sim", "plan", "tf", "-1", 17, "tf must exceed t0, got [0.0, -1.0]"),
+            ("four_cell_experiment", "graph", "powered", "2,3,4", 5, "boundary cell 1 must be powered"),
+            # Exited 2 with `error: <file>: offsets reference unknown cells [9]`: no line or key.
+            ("seven_cell_sim", "sim", "offset.9", "0.1, 0", 29, "cell 9 is in no layer"),
         ],
-        ids=["actuated", "samples"],
+        ids=[
+            "actuated",
+            "samples",
+            "dt_horizon",
+            "dt",
+            "alpha",
+            "lambda1",
+            "cell_radius",
+            "model",
+            "blend",
+            "tf",
+            "powered",
+            "offset_cell",
+        ],
     )
-    def test_bad_value_is_located(self, section, key, value, line, message, tmp_path, capsys):
+    def test_bad_value_is_located(self, scenario, section, key, value, line, message, tmp_path, capsys):
         from atugv import bundled_scenario_path
 
-        text = bundled_scenario_path("seven_cell_sim").read_text()
+        text = bundled_scenario_path(scenario).read_text()
         cfg = tmp_path / "x.cfg"
         cfg.write_text(_with_key(text, section, key, value))
         assert main(["validate", str(cfg)]) == 2

@@ -337,7 +337,7 @@ class TestMatchesStepByStep:
             ("seven_cell_sim", ("model = single", "model = double")),
             (
                 "seven_cell_sim",
-                ("initial_mode = reference", "initial_mode = perturbed\noffset = 0.01, -0.02"),
+                ("alpha = 10.0", "alpha = 10.0\noffset = 0.01, -0.02"),
             ),
         ],
     )
@@ -376,7 +376,7 @@ class TestMatchesStepByStep:
         )
         traj, config = scenario_trajectory(
             text.format(powered="powered = 1,2,3,5,7")
-            + "[sim]\ninitial_mode = perturbed\noffset.3 = 0.3, 0.3\n"
+            + "[sim]\noffset.3 = 0.3, 0.3\n"
         )
         kind, _, fields = _error_of(run, traj, config)
         assert (kind, fields["step"], fields["cell"]) == (InconsistentAnglesError, 0, 6)
