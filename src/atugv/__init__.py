@@ -2,7 +2,6 @@
 ground vehicles."""
 
 from .affine import (
-    AffineTransform,
     GeneralizedCoordinates,
     RotationStrain,
     apply,

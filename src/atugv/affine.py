@@ -53,10 +53,6 @@ class GeneralizedCoordinates:
     def identity(cls) -> "GeneralizedCoordinates":
         return cls(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 
-    @property
-    def translation(self) -> np.ndarray:
-        return np.stack([self.d1, self.d2], axis=-1).astype(float)
-
 
 class RotationStrain(NamedTuple):
     """Rotation/strain part recovered from a Jacobian (no translation)."""
@@ -65,21 +61,6 @@ class RotationStrain(NamedTuple):
     sigma_d: float
     lambda1: float
     lambda2: float
-
-
-@dataclass(frozen=True)
-class AffineTransform:
-    """p = jacobian @ a + translation, applied uniformly to all cells."""
-
-    jacobian: np.ndarray
-    translation: np.ndarray
-
-    @classmethod
-    def from_coordinates(cls, coords: GeneralizedCoordinates) -> "AffineTransform":
-        return cls(jacobian=jacobian(coords), translation=coords.translation)
-
-    def __call__(self, reference_points) -> np.ndarray:
-        return apply(self, reference_points)
 
 
 def rotation_matrix(sigma_r) -> np.ndarray:
@@ -114,18 +95,19 @@ def jacobian(coords: GeneralizedCoordinates) -> np.ndarray:
     )
 
 
-def apply(transform: AffineTransform, reference_points) -> np.ndarray:
-    """Map reference points through the affine transform: Q @ a + d.
+def apply(coords: GeneralizedCoordinates, reference_points) -> np.ndarray:
+    """Map reference points through the affine map of `coords`: Q @ a + d,
+    with Q = jacobian(coords) and d = (d1, d2).
 
-    A point (2,) or points (N, 2) map to the same shape; a transform
-    batched over T times maps them to (T, 2) or (T, N, 2).
+    A point (2,) or points (N, 2) map to the same shape; coordinates
+    batched over T times map them to (T, 2) or (T, N, 2).
     """
     a = np.asarray(reference_points, dtype=float)
     points = (None,) * (a.ndim - 1)  # a batch of times broadcasts over the points
-    q = transform.jacobian[(..., *points, slice(None), slice(None))]
-    d = transform.translation[(..., *points, slice(None))]
-    x = q[..., 0, 0] * a[..., 0] + q[..., 0, 1] * a[..., 1] + d[..., 0]
-    y = q[..., 1, 0] * a[..., 0] + q[..., 1, 1] * a[..., 1] + d[..., 1]
+    q = jacobian(coords)[(..., *points, slice(None), slice(None))]
+    d1, d2 = (np.asarray(d, dtype=float)[(..., *points)] for d in (coords.d1, coords.d2))
+    x = q[..., 0, 0] * a[..., 0] + q[..., 0, 1] * a[..., 1] + d1
+    y = q[..., 1, 0] * a[..., 0] + q[..., 1, 1] * a[..., 1] + d2
     return np.stack([x, y], axis=-1)
 
 

@@ -94,7 +94,7 @@ def _load(args):
     """The scenario, its reference configuration and its strain bound
     lambda_min."""
     scenario = load_scenario(args.scenario)
-    reference = solve_reference_positions(scenario.graph, scenario.side_length)
+    reference = solve_reference_positions(scenario.graph)
     return scenario, reference, lambda_min(scenario.graph.cell_radius, reference.d_min)
 
 
@@ -169,12 +169,11 @@ def cmd_run(args) -> int:
         trace = simulator.run(trajectory, scenario.sim)
         write_trajectory_csv(out_dir / "trajectory.csv", trace)
         write_elbow_csv(out_dir / "elbows.csv", trace)
-        min_clear = float(np.min(trace.min_clearance))
-        clear_ok = trace.clearance_safe
+        min_clear, required = float(np.min(trace.min_clearance)), 2 * scenario.graph.cell_radius
+        clear_ok = min_clear >= required
         verdicts.append(
             f"trace clearance verdict: {'SAFE' if clear_ok else 'UNSAFE'} "
-            f"(min clearance {_fmt(min_clear)} m vs required "
-            f"{_fmt(2 * scenario.graph.cell_radius)} m)"
+            f"(min clearance {_fmt(min_clear)} m vs required {_fmt(required)} m)"
         )
         threshold = scenario.terminal_error_threshold
         terminal = trace.errors[-1]
@@ -223,7 +222,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AtugvError as exc:
+    except (AtugvError, OSError) as exc:  # bad input, or an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

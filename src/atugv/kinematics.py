@@ -1,7 +1,8 @@
 """Elbow-joint kinematics of the two-arm connection mechanism.
 
 Both arms of a joint have length L and attach at the cell rims, so a
-cell separation d corresponds to the elbow angle 2*asin(d / (2(L+r))).
+cell separation d corresponds to the elbow angle 2*asin(d / reach), with
+the mechanism reach 2(L+r) that `CellGraph.reach` computes.
 Unpowered cells are positioned by intersecting the two distance circles
 implied by their actuated elbow angles.
 
@@ -26,16 +27,15 @@ _REACH_RTOL = 1e-12
 _TANGENT_ATOL = 1e-9
 
 
-def elbow_angle(d, arm_length: float, cell_radius: float):
+def elbow_angle(d, reach: float):
     """Angle between the two arms spanning a cell separation d; in [0, pi],
-    0 when folded, pi at full extension 2(L+r)."""
+    0 when folded, pi at full extension `reach`."""
     d = np.asarray(d, dtype=float)
     invalid = ~(np.isfinite(d) & (d >= 0.0))
     if invalid.any():
         raise InvalidArgumentError(
             f"separation must be a finite non-negative length, got {float(d[invalid][0])!r}"
         )
-    reach = 2.0 * (arm_length + cell_radius)
     over = d > reach * (1.0 + _REACH_RTOL)
     if over.any():
         k = tuple(np.argwhere(over)[0].tolist())
@@ -45,26 +45,25 @@ def elbow_angle(d, arm_length: float, cell_radius: float):
     return 2.0 * np.arcsin(np.minimum(d / reach, 1.0))
 
 
-def separation_from_angle(theta, arm_length: float, cell_radius: float):
+def separation_from_angle(theta, reach: float):
     """Inverse of elbow_angle on [0, pi]."""
     if not np.all((0.0 <= theta) & (theta <= np.pi)):
         raise InvalidArgumentError(f"elbow angle must lie in [0, pi], got {theta}")
-    return 2.0 * (arm_length + cell_radius) * np.sin(0.5 * theta)
+    return reach * np.sin(0.5 * theta)
 
 
 def desired_elbow_angles(
     p_i,
     p_j1,
     p_j2,
-    arm_length: float,
-    cell_radius: float,
+    reach: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Elbow angles commanded to the two actuated joints of cell i given the
     desired positions of i and its actuated neighbors j1, j2."""
     to_neighbors = np.asarray(p_i, dtype=float)[..., None, :] - np.stack([p_j1, p_j2], axis=-2)
     d = np.linalg.norm(to_neighbors, axis=-1)  # (..., 2): joint 1, joint 2
     try:
-        theta = elbow_angle(d, arm_length, cell_radius)
+        theta = elbow_angle(d, reach)
     except UnreachableSeparationError as exc:
         *row, k = exc.index
         raise UnreachableSeparationError(
@@ -78,12 +77,11 @@ def resolve_unpowered_position(
     p_j2,
     theta1,
     theta2,
-    arm_length: float,
-    cell_radius: float,
+    reach: float,
     previous,
 ) -> np.ndarray:
     """Forward kinematics of an unpowered cell: intersect the circle of
-    radius d_k = 2(L+r) sin(theta_k/2) about each actuated neighbor and pick
+    radius d_k = reach * sin(theta_k/2) about each actuated neighbor and pick
     the intersection closest to the position before (the mechanism cannot
     jump between branches).
 
@@ -99,8 +97,8 @@ def resolve_unpowered_position(
     c2 = np.asarray(p_j2, dtype=float)
     previous = np.asarray(previous, dtype=float)
     steps = previous.ndim < c1.ndim
-    d1 = separation_from_angle(theta1, arm_length, cell_radius)
-    d2 = separation_from_angle(theta2, arm_length, cell_radius)
+    d1 = separation_from_angle(theta1, reach)
+    d2 = separation_from_angle(theta2, reach)
     delta = c2 - c1
     dist = np.linalg.norm(delta, axis=-1)
     # Standard two-circle intersection in the frame of the center line.

@@ -33,7 +33,10 @@ class CellGraph:
     must hold the boundary cells; it defaults to everything except the last
     layer, and to the boundary cells when they are the only layer.
     `actuated[i]` names the two neighbor joints of interior cell i that
-    carry motors.
+    carry motors. `side_length` is the side of the boundary triangle.
+
+    An error names the `field` it rejects: `layers`, `neighbors.<i>` or
+    `actuated.<i>` for cell i, `powered`, or a geometry field.
     """
 
     layers: Tuple[FrozenSet[int], ...]
@@ -42,48 +45,52 @@ class CellGraph:
     arm_length: float
     powered: FrozenSet[int] = field(default=None)  # type: ignore[assignment]
     actuated: Dict[int, Tuple[int, int]] = field(default=None)  # type: ignore[assignment]
+    side_length: float = 1.0
 
     def __post_init__(self):
         layers = tuple(frozenset(layer) for layer in self.layers)
         object.__setattr__(self, "layers", layers)
         if not layers or len(layers[0]) != 3:
-            raise InvalidArgumentError("layer 0 must contain exactly 3 boundary cells")
+            raise InvalidArgumentError("layer 0 must contain exactly 3 boundary cells", field="layers")
         cells = set()
         for layer in layers:
             if not layer:
-                raise InvalidArgumentError("empty layer")
+                raise InvalidArgumentError("empty layer", field="layers")
             if layer & cells:
-                raise InvalidArgumentError(f"layers are not disjoint: {sorted(layer & cells)}")
+                duplicated = sorted(layer & cells)
+                raise InvalidArgumentError(f"layers are not disjoint: {duplicated}", field="layers")
             cells |= layer
         if cells != set(range(1, len(cells) + 1)):
-            raise InvalidArgumentError("cells must be numbered 1..N without gaps")
+            raise InvalidArgumentError("cells must be numbered 1..N without gaps", field="layers")
 
         neighbors = {i: frozenset(js) for i, js in self.neighbors.items()}
         object.__setattr__(self, "neighbors", neighbors)
         layer_of = self.layer_of
         interior = cells - layers[0]
         for i in sorted(interior):
-            ns = neighbors.get(i)
+            ns, key = neighbors.get(i), f"neighbors.{i}"
             if ns is None or len(ns) != 3:
                 raise DegreeViolationError(
                     f"interior cell {i} must have exactly 3 neighbors, got "
-                    f"{sorted(ns) if ns else ns}"
+                    f"{sorted(ns) if ns else ns}", field=key
                 )
             for j in ns:
                 if j not in cells:
-                    raise InvalidArgumentError(f"cell {i} lists unknown neighbor {j}")
+                    raise InvalidArgumentError(f"cell {i} lists unknown neighbor {j}", field=key)
                 if layer_of[j] >= layer_of[i]:
                     raise LayeringViolationError(
                         f"cell {i} (layer {layer_of[i]}) lists neighbor {j} "
-                        f"(layer {layer_of[j]}): neighbors must come from earlier layers"
+                        f"(layer {layer_of[j]}): neighbors must come from earlier layers",
+                        field=key,
                     )
         for i in neighbors:
+            key = f"neighbors.{i}"
             if i not in cells:
-                raise InvalidArgumentError(f"cell {i} is in no layer, cannot have neighbors")
+                raise InvalidArgumentError(f"cell {i} is in no layer, cannot have neighbors", field=key)
             if i in layers[0]:
-                raise InvalidArgumentError(f"boundary cell {i} cannot have neighbors")
+                raise InvalidArgumentError(f"boundary cell {i} cannot have neighbors", field=key)
 
-        for name in ("cell_radius", "arm_length"):
+        for name in ("cell_radius", "arm_length", "side_length"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:  # NaN fails too
                 raise InvalidArgumentError(f"{name} must be positive and finite, got {value}", field=name)
@@ -105,14 +112,16 @@ class CellGraph:
                 pair = tuple(actuated[i])
                 if len(pair) != 2 or pair[0] == pair[1] or not set(pair) <= neighbors[i]:
                     raise InvalidArgumentError(
-                        f"actuated joints of cell {i} must be two distinct neighbors"
+                        f"actuated joints of cell {i} must be two distinct neighbors",
+                        field=f"actuated.{i}",
                     )
                 actuated[i] = (min(pair), max(pair))
             else:
                 actuated[i] = tuple(sorted(neighbors[i])[:2])
         for i in actuated:
             if i not in interior:
-                raise InvalidArgumentError(f"cell {i} is not interior, cannot have joints")
+                message = f"cell {i} is not interior, cannot have joints"
+                raise InvalidArgumentError(message, field=f"actuated.{i}")
         object.__setattr__(self, "actuated", actuated)
 
     @cached_property
@@ -199,17 +208,16 @@ def min_separation(positions: np.ndarray):
     return pairs.reshape(*batch, 2), best.reshape(batch)
 
 
-def solve_reference_positions(graph: CellGraph, side_length: float = 1.0) -> ReferenceConfiguration:
-    """Place boundary cells on an equilateral triangle and each interior
-    cell at the average of its three neighbors: positions = W @ B0.
+def solve_reference_positions(graph: CellGraph) -> ReferenceConfiguration:
+    """Place boundary cells on an equilateral triangle of side
+    `graph.side_length` and each interior cell at the average of its three
+    neighbors: positions = W @ B0.
 
     The lowest-numbered boundary cell sits at the origin and the next on
     the +x axis; any other pose is reachable through the affine transform
     itself.
     """
-    if not 0.0 < side_length < math.inf:
-        raise InvalidArgumentError(f"side_length must be positive and finite, got {side_length}")
-    s = side_length
+    s = graph.side_length
     b0 = np.array([[0.0, 0.0], [s, 0.0], [0.5 * s, 0.5 * math.sqrt(3.0) * s]])
     positions = barycentric_weights(graph) @ b0
     _, d_min = min_separation(positions)

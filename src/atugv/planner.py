@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kinematics
-from .affine import COORD_FIELDS, AffineTransform, GeneralizedCoordinates
+from . import affine, kinematics
+from .affine import COORD_FIELDS, GeneralizedCoordinates
 from .errors import DomainError, InvalidArgumentError, ReferenceOverlapError, UnsafePlanError
 from .network import CellGraph, ReferenceConfiguration
 
@@ -72,8 +72,7 @@ def coordinates_at(spec: PlanSpec, t) -> GeneralizedCoordinates:
 def desired_positions(spec: PlanSpec, reference: ReferenceConfiguration, times) -> np.ndarray:
     """Desired cell positions at `times`: the planned affine image of the
     reference positions, (T, N, 2) for T times (row i - 1 is cell i)."""
-    coords = coordinates_at(spec, np.asarray(times, dtype=float))
-    return AffineTransform.from_coordinates(coords)(reference.positions)
+    return affine.apply(coordinates_at(spec, np.asarray(times, dtype=float)), reference.positions)
 
 
 def lambda_min(r: float, d_min: float) -> float:
@@ -135,16 +134,16 @@ def plan(
         raise InvalidArgumentError(f"sample_count must be at least 2, got {sample_count}")
     bound = lambda_min(graph.cell_radius, reference.d_min)
     times = np.linspace(spec.t0, spec.tf, sample_count)
+    coords = coordinates_at(spec, times)
     unsafe = None
     try:
-        validate_coordinates(coordinates_at(spec, times), bound)
+        validate_coordinates(coords, bound)
     except UnsafePlanError as exc:
         unsafe = exc
-    positions = desired_positions(spec, reference, times)
+    positions = affine.apply(coords, reference.positions)
     safe_samples = sample_count if unsafe is None else unsafe.index
-    kinematics.elbow_angle(  # raises at the first unreachable joint
-        joint_separations(graph, positions[:safe_samples]), graph.arm_length, graph.cell_radius
-    )
+    # raises at the first unreachable joint
+    kinematics.elbow_angle(joint_separations(graph, positions[:safe_samples]), graph.reach)
     if unsafe is not None:
         unsafe.time = t = float(times[unsafe.index])
         unsafe.args = (f"plan violates the principal-strain bound at t = {t:.6g} s: {unsafe}",)

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .affine import COORD_FIELDS, GeneralizedCoordinates
-from .errors import InvalidArgumentError, ScenarioError
+from .errors import AtugvError, ScenarioError
 from .network import CellGraph
 from .planner import PlanSpec
 from .simulator import SimConfig, step_count
@@ -32,7 +32,6 @@ _IDENTITY = GeneralizedCoordinates.identity()
 class Scenario:
     name: str
     graph: CellGraph
-    side_length: float
     plan_spec: PlanSpec
     sample_count: int
     sim: SimConfig
@@ -83,11 +82,11 @@ class _Parsed:
 
     def build(self, keys, make, *args, **kwargs):
         """make(*args, **kwargs). The config types decide what is valid: an
-        InvalidArgumentError naming a `field` that `keys` maps to its
-        (section, key) fails at that key, with the error's own message."""
+        error naming a `field` that `keys` maps to its (section, key) fails
+        at that key, with the error's own message."""
         try:
             return make(*args, **kwargs)
-        except InvalidArgumentError as exc:
+        except AtugvError as exc:
             if exc.field not in keys:
                 raise
             self.fail(*keys[exc.field], str(exc), cause=exc)
@@ -151,6 +150,7 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
         if section not in parsed.sections:
             raise ScenarioError(f"{name}: missing required section [{section}]")
 
+    graph_keys = {"layers": ("graph", "layers"), "powered": ("graph", "powered")}
     layers = parsed.get("graph", "layers")
     if layers is None:
         parsed.fail("graph", "layers", "required key missing")
@@ -158,19 +158,21 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
         layers = [frozenset(_parse_int_list(part)) for part in layers.split("|")]
     except ValueError:
         parsed.fail("graph", "layers", "expected cell lists separated by '|'")
+    graph_keys.update({f"neighbors.{i}": ("graph", f"neighbors.{i}") for layer in layers for i in layer})
     neighbors = {}
     for key, cell, raw in parsed.indexed("graph", "neighbors"):
         try:
-            neighbors[int(cell)] = frozenset(_parse_int_list(raw))
+            i, ns = int(cell), frozenset(_parse_int_list(raw))
         except ValueError:
             parsed.fail("graph", key, "expected a comma-separated cell list")
+        neighbors[i], graph_keys[f"neighbors.{i}"] = ns, ("graph", key)
     actuated = {}
     for key, cell, raw in parsed.indexed("graph", "actuated"):
         try:
             i, (j1, j2) = int(cell), _parse_int_list(raw)
         except ValueError:  # also a list of more or fewer than two ids
             parsed.fail("graph", key, "expected two comma-separated cell ids")
-        actuated[i] = (j1, j2)
+        actuated[i], graph_keys[f"actuated.{i}"] = (j1, j2), ("graph", key)
     powered = parsed.get("graph", "powered")
     if powered is not None:
         try:
@@ -180,16 +182,10 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
 
     cell_radius = parsed.number("geometry", "cell_radius")
     arm_length = parsed.number("geometry", "arm_length")
-    side_length = parsed.number("geometry", "side_length", 1.0)
-
-    graph_keys = {
-        "cell_radius": ("geometry", "cell_radius"),
-        "arm_length": ("geometry", "arm_length"),
-        "powered": ("graph", "powered"),
-    }
-    graph = parsed.build(
-        graph_keys, CellGraph, tuple(layers), neighbors, cell_radius, arm_length, powered, actuated or None
-    )
+    side_length = parsed.number("geometry", "side_length", CellGraph.side_length)
+    graph_keys.update({name: ("geometry", name) for name in ("cell_radius", "arm_length", "side_length")})
+    args = (tuple(layers), neighbors, cell_radius, arm_length, powered, actuated or None, side_length)
+    graph = parsed.build(graph_keys, CellGraph, *args)
 
     t0 = parsed.number("plan", "t0", 0.0)
     tf = parsed.number("plan", "tf")
@@ -242,7 +238,6 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
     return Scenario(
         name=name,
         graph=graph,
-        side_length=side_length,
         plan_spec=plan_spec,
         sample_count=samples,
         sim=sim,
@@ -263,4 +258,9 @@ def load_scenario(path) -> Scenario:
         p = bundled_scenario_path(str(path))
     if not p.exists():
         raise ScenarioError(f"scenario file not found: {path}")
-    return load_scenario_text(p.read_text(), name=str(p))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ScenarioError(f"cannot read scenario file {p}: {reason}") from exc
+    return load_scenario_text(text, name=str(p))

@@ -102,11 +102,6 @@ class SimulationTrace:
     elbow_actual: np.ndarray
     errors: np.ndarray
     min_clearance: np.ndarray
-    cell_radius: float
-
-    @property
-    def clearance_safe(self) -> bool:
-        return bool(np.min(self.min_clearance) >= 2.0 * self.cell_radius)
 
 
 def _rows(cells) -> np.ndarray:
@@ -151,20 +146,10 @@ def resolve_unpowered(graph: CellGraph, actual: np.ndarray, desired: np.ndarray)
             now = slice(1, end + 1)
             try:
                 theta1, theta2 = kinematics.desired_elbow_angles(
-                    desired[now, rows],
-                    desired[now, j1],
-                    desired[now, j2],
-                    graph.arm_length,
-                    graph.cell_radius,
+                    desired[now, rows], desired[now, j1], desired[now, j2], graph.reach
                 )
                 actual[now, rows] = kinematics.resolve_unpowered_position(
-                    actual[now, j1],
-                    actual[now, j2],
-                    theta1,
-                    theta2,
-                    graph.arm_length,
-                    graph.cell_radius,
-                    previous=actual[0, rows],
+                    actual[now, j1], actual[now, j2], theta1, theta2, graph.reach, previous=actual[0, rows]
                 )
                 break
             except (UnreachableSeparationError, InconsistentAnglesError) as exc:
@@ -220,9 +205,7 @@ def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
         _name_step(exc, times)
         raise
     try:
-        elbow_des = kinematics.elbow_angle(
-            joint_separations(graph, desired), graph.arm_length, graph.cell_radius
-        )
+        elbow_des = kinematics.elbow_angle(joint_separations(graph, desired), graph.reach)
     except UnreachableSeparationError as exc:  # a joint no unpowered cell uses
         exc.step = exc.index[0]
         _name_step(exc, times)
@@ -233,7 +216,7 @@ def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
     elbow_act = np.where(
         d_act > graph.reach,
         np.nan,
-        kinematics.elbow_angle(np.minimum(d_act, graph.reach), graph.arm_length, graph.cell_radius),
+        kinematics.elbow_angle(np.minimum(d_act, graph.reach), graph.reach),
     )
     return SimulationTrace(
         times=times,
@@ -246,5 +229,4 @@ def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
         elbow_actual=elbow_act,
         errors=np.linalg.norm(desired - actual, axis=-1),
         min_clearance=min_separation(actual)[1],
-        cell_radius=graph.cell_radius,
     )

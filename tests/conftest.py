@@ -41,12 +41,12 @@ def seven_cell():
 
 @pytest.fixture
 def seven_cell_reference(seven_cell):
-    return solve_reference_positions(seven_cell, side_length=1.0)
+    return solve_reference_positions(seven_cell)
 
 
 @pytest.fixture
 def four_cell_reference(four_cell):
-    return solve_reference_positions(four_cell, side_length=1.0)
+    return solve_reference_positions(four_cell)
 
 
 def random_layered_graph(rng, cell_radius_fraction=0.3, max_extra_layers=3):
@@ -89,7 +89,7 @@ def random_layered_graph(rng, cell_radius_fraction=0.3, max_extra_layers=3):
             arm_length=10.0,
         )
         try:
-            reference = solve_reference_positions(probe, side_length=1.0)
+            reference = solve_reference_positions(probe)
         except ReferenceOverlapError:
             continue
         if reference.d_min < 1e-6:
@@ -101,7 +101,7 @@ def random_layered_graph(rng, cell_radius_fraction=0.3, max_extra_layers=3):
             cell_radius=r,
             arm_length=10.0,
         )
-        return graph, solve_reference_positions(graph, side_length=1.0)
+        return graph, solve_reference_positions(graph)
 
 
 def stellar_layered_graph(n_cells, rng):
@@ -124,9 +124,9 @@ def stellar_layered_graph(n_cells, rng):
         for depth in range(max(layer_of.values()) + 1)
     )
     probe = CellGraph(layers=layers, neighbors=neighbors, cell_radius=1e-12, arm_length=10.0)
-    reference = solve_reference_positions(probe, side_length=1.0)
+    reference = solve_reference_positions(probe)
     p = reference.positions
     longest = max(np.linalg.norm(p[i - 1] - p[j - 1]) for i, js in neighbors.items() for j in js)
     r = 0.25 * reference.d_min
     graph = CellGraph(layers=layers, neighbors=neighbors, cell_radius=r, arm_length=0.6 * longest - r)
-    return graph, solve_reference_positions(graph, side_length=1.0)
+    return graph, solve_reference_positions(graph)

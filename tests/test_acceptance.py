@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from atugv import (
-    AffineTransform,
     GeneralizedCoordinates,
+    apply,
     coordinates_at,
     decompose,
     desired_elbow_angles,
@@ -60,7 +60,7 @@ def oracle_position(coords, a):
 def test_criterion_1_table_scenario_reproduction():
     scenario = load_scenario("seven_cell_sim")
     assert scenario.sim.model == "single" and scenario.sim.alpha == 10.0
-    reference = solve_reference_positions(scenario.graph, scenario.side_length)
+    reference = solve_reference_positions(scenario.graph)
     trajectory = plan(
         scenario.plan_spec, scenario.graph, reference, scenario.sample_count
     )
@@ -99,8 +99,7 @@ def test_criterion_2_collision_bound_property_and_tightness():
             d1=rng.uniform(-2, 2),
             d2=rng.uniform(-2, 2),
         )
-        t = AffineTransform.from_coordinates(coords)
-        pair, d = min_separation(t(reference.positions))
+        pair, d = min_separation(apply(coords, reference.positions))
         assert d >= 2.0 * graph.cell_radius - 1e-9, (
             f"clearance broken at {pair} with safe strains"
         )
@@ -121,8 +120,7 @@ def test_criterion_2_collision_bound_property_and_tightness():
             d1=0.0,
             d2=0.0,
         )
-        t = AffineTransform.from_coordinates(coords)
-        mapped = t(reference.positions)
+        mapped = apply(coords, reference.positions)
         d_crit = float(np.linalg.norm(mapped[ci - 1] - mapped[cj - 1]))
         assert d_crit < 2.0 * graph.cell_radius - 1e-9, "bound is not tight"
     report("2 collision-bound property suite", True, "(1000 safe + 100 tight cases)")
@@ -159,7 +157,7 @@ def test_criterion_4_kinematic_round_trip():
     for name in ("four_cell_experiment", "seven_cell_sim"):
         scenario = load_scenario(name)
         graph = scenario.graph
-        reference = solve_reference_positions(graph, scenario.side_length)
+        reference = solve_reference_positions(graph)
         spec = scenario.plan_spec
         plan(spec, graph, reference, scenario.sample_count)
         times = np.linspace(spec.t0, spec.tf, scenario.sample_count)
@@ -171,12 +169,8 @@ def test_criterion_4_kinematic_round_trip():
                 p_i = positions[k, i - 1]
                 p_j1 = positions[k, j1 - 1]
                 p_j2 = positions[k, j2 - 1]
-                t1, t2 = desired_elbow_angles(
-                    p_i, p_j1, p_j2, graph.arm_length, graph.cell_radius
-                )
-                got = resolve_unpowered_position(
-                    p_j1, p_j2, t1, t2, graph.arm_length, graph.cell_radius, previous
-                )
+                t1, t2 = desired_elbow_angles(p_i, p_j1, p_j2, graph.reach)
+                got = resolve_unpowered_position(p_j1, p_j2, t1, t2, graph.reach, previous)
                 worst = max(worst, float(np.linalg.norm(got - p_i)))
                 previous = p_i
     report(
@@ -190,7 +184,7 @@ def test_criterion_5_error_contraction(four_cell):
     from atugv import PlanSpec, SimConfig
 
     identity = GeneralizedCoordinates.identity()
-    reference = solve_reference_positions(four_cell, side_length=1.0)
+    reference = solve_reference_positions(four_cell)
     spec = PlanSpec(t0=0.0, tf=5.0, initial=identity, final=identity)
     trajectory = plan(spec, four_cell, reference, sample_count=10)
     alpha, dt = 5.0, 0.05  # 100 steps over the horizon
@@ -229,7 +223,7 @@ def test_criterion_6_derived_constants(seven_cell_reference):
 def test_criterion_7_four_cell_experiment_scenario(tmp_path):
     code = main(["run", "four_cell_experiment", "--output-dir", str(tmp_path)])
     scenario = load_scenario("four_cell_experiment")
-    reference = solve_reference_positions(scenario.graph, scenario.side_length)
+    reference = solve_reference_positions(scenario.graph)
     spec = scenario.plan_spec
     plan(spec, scenario.graph, reference, scenario.sample_count)
     coords = coordinates_at(spec, np.linspace(spec.t0, spec.tf, scenario.sample_count))

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atugv import (
-    AffineTransform,
     DecompositionError,
     GeneralizedCoordinates,
     InvalidArgumentError,
@@ -124,20 +123,19 @@ class TestJacobian:
 
 class TestApply:
     def test_identity_transform(self):
-        t = AffineTransform(np.eye(2), np.zeros(2))
+        t = GeneralizedCoordinates.identity()
         np.testing.assert_array_equal(apply(t, [1.0, 2.0]), [1.0, 2.0])
 
     def test_pure_translation(self):
-        t = AffineTransform(np.eye(2), np.array([1.0, 1.0]))
+        t = GeneralizedCoordinates(1.0, 1.0, 0.0, 0.0, 1.0, 1.0)
         np.testing.assert_array_equal(apply(t, [0.0, 0.0]), [1.0, 1.0])
 
     def test_table_coords_on_seven_cell_reference(self, seven_cell_reference):
         coords = GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)
-        t = AffineTransform.from_coordinates(coords)
-        q, d = t.jacobian, t.translation
-        all_cells = apply(t, seven_cell_reference.positions)
+        q, d = jacobian(coords), (coords.d1, coords.d2)
+        all_cells = apply(coords, seven_cell_reference.positions)
         for i, a in enumerate(seven_cell_reference.positions):
-            got = apply(t, a)
+            got = apply(coords, a)
             # independent per-entry dot products
             expected = [
                 q[0, 0] * a[0] + q[0, 1] * a[1] + d[0],
@@ -149,13 +147,13 @@ class TestApply:
     def test_batch_of_times_matches_each_time(self, seven_cell_reference):
         rows = [(0.9, 0.8, 0.707, 0.3, 1.0, 1.0), (1.0, 0.6, -0.2, 2.0, -0.5, 0.1)]
         batch = GeneralizedCoordinates(*(np.array(field) for field in zip(*rows)))
-        t = AffineTransform.from_coordinates(batch)
-        assert t.jacobian.shape == (2, 2, 2) and t.translation.shape == (2, 2)
-        got = apply(t, seven_cell_reference.positions)
+        q = jacobian(batch)
+        assert q.shape == (2, 2, 2)
+        got = apply(batch, seven_cell_reference.positions)
         assert got.shape == (2, 7, 2)
         for k, row in enumerate(rows):
-            single = AffineTransform.from_coordinates(GeneralizedCoordinates(*row))
-            np.testing.assert_allclose(t.jacobian[k], single.jacobian, rtol=0, atol=1e-15)
+            single = GeneralizedCoordinates(*row)
+            np.testing.assert_allclose(q[k], jacobian(single), rtol=0, atol=1e-15)
             np.testing.assert_allclose(
                 got[k], apply(single, seven_cell_reference.positions), rtol=0, atol=1e-15
             )
@@ -169,10 +167,10 @@ class TestApply:
     )
     @settings(max_examples=50)
     def test_affine_linearity(self, coords, a, b, alpha, beta):
-        t = AffineTransform.from_coordinates(coords)
         a, b = np.array(a), np.array(b)
-        lhs = apply(t, alpha * a + beta * b)
-        rhs = alpha * apply(t, a) + beta * apply(t, b) - (alpha + beta - 1.0) * t.translation
+        d = np.array([coords.d1, coords.d2])
+        lhs = apply(coords, alpha * a + beta * b)
+        rhs = alpha * apply(coords, a) + beta * apply(coords, b) - (alpha + beta - 1.0) * d
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 

@@ -42,6 +42,7 @@ def test_traced_run_passes_the_output_oracle(tmp_path):
     assert calls["cli.command"] == 1
     assert calls["planner.plan"] == 1  # the gated plan is the simulated one
     assert calls["safety.validate"] == 1  # the strain check runs on the tracer's hook
+    assert calls["planner.coordinates_at"] == 2  # one for the plan, one for the simulation
     assert calls["simulator.step"] == spec.steps
 
 

@@ -112,7 +112,7 @@ class TestFormatKernel:
 
 def _trace(text, name="<scenario>"):
     scenario = load_scenario_text(text, name=name)
-    reference = solve_reference_positions(scenario.graph, scenario.side_length)
+    reference = solve_reference_positions(scenario.graph)
     return run(plan(scenario.plan_spec, scenario.graph, reference, scenario.sample_count), scenario.sim)
 
 

@@ -21,57 +21,55 @@ REACH = 2 * (L + R)
 
 class TestElbowAngle:
     def test_folded(self):
-        assert elbow_angle(0.0, L, R) == 0.0
+        assert elbow_angle(0.0, REACH) == 0.0
 
     def test_full_extension(self):
-        assert abs(elbow_angle(REACH, L, R) - math.pi) < 1e-12
+        assert abs(elbow_angle(REACH, REACH) - math.pi) < 1e-12
 
     def test_exact_asin_value(self):
-        assert abs(elbow_angle(L + R, L, R) - math.pi / 3) < 1e-12
+        assert abs(elbow_angle(L + R, REACH) - math.pi / 3) < 1e-12
 
     def test_unreachable_rejected(self):
         with pytest.raises(UnreachableSeparationError):
-            elbow_angle(REACH + 1e-6, L, R)
+            elbow_angle(REACH + 1e-6, REACH)
 
     def test_negative_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            elbow_angle(-0.1, L, R)
+            elbow_angle(-0.1, REACH)
 
     @given(st.floats(0.0, REACH), st.floats(0.0, REACH))
     def test_strictly_increasing(self, d1, d2):
         if d1 == d2:
             return
         lo, hi = sorted((d1, d2))
-        assert elbow_angle(lo, L, R) < elbow_angle(hi, L, R)
+        assert elbow_angle(lo, REACH) < elbow_angle(hi, REACH)
 
     @given(st.floats(0.0, REACH))
     def test_range_and_inverse(self, d):
-        theta = elbow_angle(d, L, R)
+        theta = elbow_angle(d, REACH)
         assert 0.0 <= theta <= math.pi
-        assert abs(separation_from_angle(theta, L, R) - d) < 1e-12
+        assert abs(separation_from_angle(theta, REACH) - d) < 1e-12
 
 
 class TestDesiredElbowAngles:
     def test_coincident_cells_fold(self):
-        t1, t2 = desired_elbow_angles([1, 1], [1, 1], [1 + REACH, 1], L, R)
+        t1, t2 = desired_elbow_angles([1, 1], [1, 1], [1 + REACH, 1], REACH)
         assert t1 == 0.0
         assert abs(t2 - math.pi) < 1e-12
 
     def test_unreachable_names_joint(self):
         with pytest.raises(UnreachableSeparationError) as excinfo:
-            desired_elbow_angles([0, 0], [0.1, 0], [REACH + 0.1, 0], L, R)
+            desired_elbow_angles([0, 0], [0.1, 0], [REACH + 0.1, 0], REACH)
         assert excinfo.value.joint == 2
 
     def test_seven_cell_final_configuration_joint(self, seven_cell, seven_cell_reference):
-        from atugv import AffineTransform, GeneralizedCoordinates
+        from atugv import GeneralizedCoordinates, apply
 
-        t = AffineTransform.from_coordinates(
-            GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)
-        )
-        p5 = t(seven_cell_reference.positions[4])
-        p1 = t(seven_cell_reference.positions[0])
-        p2 = t(seven_cell_reference.positions[1])
-        theta1, _ = desired_elbow_angles(p5, p1, p2, L, R)
+        t = GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)
+        p5 = apply(t, seven_cell_reference.positions[4])
+        p1 = apply(t, seven_cell_reference.positions[0])
+        p2 = apply(t, seven_cell_reference.positions[1])
+        theta1, _ = desired_elbow_angles(p5, p1, p2, REACH)
         # independent norm computation
         dx, dy = p5[0] - p1[0], p5[1] - p1[1]
         expected = 2 * math.asin(math.sqrt(dx * dx + dy * dy) / REACH)
@@ -83,7 +81,7 @@ class TestResolveUnpoweredPosition:
         arm, radius = 0.65, 0.06  # reach 1.42 covers sqrt(2)
         theta = 2 * math.asin(math.sqrt(2.0) / (2 * (arm + radius)))
         got = resolve_unpowered_position(
-            [0, 0], [2, 0], theta, theta, arm, radius, previous=[1.0, 0.5]
+            [0, 0], [2, 0], theta, theta, 2 * (arm + radius), previous=[1.0, 0.5]
         )
         np.testing.assert_allclose(got, [1.0, 1.0], atol=1e-12)
 
@@ -91,18 +89,18 @@ class TestResolveUnpoweredPosition:
         arm, radius = 0.65, 0.06
         theta = 2 * math.asin(math.sqrt(2.0) / (2 * (arm + radius)))
         got = resolve_unpowered_position(
-            [0, 0], [2, 0], theta, theta, arm, radius, previous=[1.0, -0.5]
+            [0, 0], [2, 0], theta, theta, 2 * (arm + radius), previous=[1.0, -0.5]
         )
         np.testing.assert_allclose(got, [1.0, -1.0], atol=1e-12)
 
     def test_zero_angles_distinct_centers_inconsistent(self):
         with pytest.raises(InconsistentAnglesError):
-            resolve_unpowered_position([0, 0], [1, 0], 0.0, 0.0, L, R, previous=[0, 0])
+            resolve_unpowered_position([0, 0], [1, 0], 0.0, 0.0, REACH, previous=[0, 0])
 
     def test_disjoint_circles_inconsistent(self):
         with pytest.raises(InconsistentAnglesError):
             resolve_unpowered_position(
-                [0, 0], [5, 0], math.pi / 6, math.pi / 6, L, R, previous=[2.5, 0]
+                [0, 0], [5, 0], math.pi / 6, math.pi / 6, REACH, previous=[2.5, 0]
             )
 
     def test_round_trip_with_desired_angles(self):
@@ -123,20 +121,20 @@ class TestResolveUnpoweredPosition:
             off_line = abs((p_i - p_j1) @ np.array([-u[1], u[0]]))
             if off_line < 0.02:
                 continue
-            t1, t2 = desired_elbow_angles(p_i, p_j1, p_j2, L, R)
+            t1, t2 = desired_elbow_angles(p_i, p_j1, p_j2, REACH)
             got = resolve_unpowered_position(
-                p_j1, p_j2, t1, t2, L, R, previous=p_i + rng.uniform(-0.01, 0.01, 2)
+                p_j1, p_j2, t1, t2, REACH, previous=p_i + rng.uniform(-0.01, 0.01, 2)
             )
             np.testing.assert_allclose(got, p_i, atol=1e-9)
-            assert abs(np.linalg.norm(got - p_j1) - separation_from_angle(t1, L, R)) < 1e-9
-            assert abs(np.linalg.norm(got - p_j2) - separation_from_angle(t2, L, R)) < 1e-9
+            assert abs(np.linalg.norm(got - p_j1) - separation_from_angle(t1, REACH)) < 1e-9
+            assert abs(np.linalg.norm(got - p_j2) - separation_from_angle(t2, REACH)) < 1e-9
 
     def test_tangent_circles_resolve_to_touch_point(self):
         # centers 2 apart, radii 1 and 1: single intersection at the midpoint
         arm = 0.8
         theta = 2 * math.asin(1.0 / (2 * (arm + 0.2)))
         got = resolve_unpowered_position(
-            [0, 0], [2, 0], theta, theta, arm, 0.2, previous=[1.0, 0.3]
+            [0, 0], [2, 0], theta, theta, 2 * (arm + 0.2), previous=[1.0, 0.3]
         )
         np.testing.assert_allclose(got, [1.0, 0.0], atol=1e-9)
 
@@ -147,14 +145,14 @@ class TestBatches:
 
     def test_elbow_angle_array_matches_scalars(self):
         d = np.array([[0.0, 0.1], [L + R, REACH]])
-        got = elbow_angle(d, L, R)
+        got = elbow_angle(d, REACH)
         assert got.shape == d.shape
         for idx in np.ndindex(d.shape):
-            assert got[idx] == elbow_angle(float(d[idx]), L, R)
+            assert got[idx] == elbow_angle(float(d[idx]), REACH)
 
     def test_elbow_angle_error_names_first_element(self):
         with pytest.raises(UnreachableSeparationError) as excinfo:
-            elbow_angle(np.array([[0.1, 0.2], [REACH + 1, REACH + 2]]), L, R)
+            elbow_angle(np.array([[0.1, 0.2], [REACH + 1, REACH + 2]]), REACH)
         assert excinfo.value.index == (1, 0)
 
     def test_desired_and_resolved_rows_match_scalars(self):
@@ -163,12 +161,12 @@ class TestBatches:
         p_j2 = p_j1 + np.array([0.3, 0.0])
         p_i = p_j1 + np.array([0.15, 0.2]) + rng.uniform(-0.02, 0.02, size=(5, 2))
         previous = p_i + 0.01
-        t1, t2 = desired_elbow_angles(p_i, p_j1, p_j2, L, R)
-        got = resolve_unpowered_position(p_j1, p_j2, t1, t2, L, R, previous)
+        t1, t2 = desired_elbow_angles(p_i, p_j1, p_j2, REACH)
+        got = resolve_unpowered_position(p_j1, p_j2, t1, t2, REACH, previous)
         for m in range(5):
-            s1, s2 = desired_elbow_angles(p_i[m], p_j1[m], p_j2[m], L, R)
+            s1, s2 = desired_elbow_angles(p_i[m], p_j1[m], p_j2[m], REACH)
             assert (t1[m], t2[m]) == (s1, s2)
-            one = resolve_unpowered_position(p_j1[m], p_j2[m], s1, s2, L, R, previous[m])
+            one = resolve_unpowered_position(p_j1[m], p_j2[m], s1, s2, REACH, previous[m])
             np.testing.assert_array_equal(got[m], one)
 
     def test_desired_angles_error_names_row_and_joint(self):
@@ -176,7 +174,7 @@ class TestBatches:
         p_j1 = np.array([[0.1, 0.0], [0.1, 0.0], [REACH + 0.1, 0.0]])
         p_j2 = np.array([[0.1, 0.0], [REACH + 0.1, 0.0], [0.1, 0.0]])
         with pytest.raises(UnreachableSeparationError) as excinfo:
-            desired_elbow_angles(p_i, p_j1, p_j2, L, R)
+            desired_elbow_angles(p_i, p_j1, p_j2, REACH)
         assert (excinfo.value.index, excinfo.value.joint) == ((1,), 2)
         assert str(excinfo.value).startswith("joint 2: ")
 
@@ -185,7 +183,7 @@ class TestBatches:
         c2 = np.array([[0.3, 0.0], [5.0, 0.0]])
         theta = np.full(2, math.pi / 2)
         with pytest.raises(InconsistentAnglesError) as excinfo:
-            resolve_unpowered_position(c1, c2, theta, theta, L, R, previous=c1)
+            resolve_unpowered_position(c1, c2, theta, theta, REACH, previous=c1)
         assert excinfo.value.index == (1,)
 
     def test_step_sequence_matches_single_steps(self):
@@ -202,12 +200,12 @@ class TestBatches:
         p_j1, p_j2 = np.where(trade, p_j2, p_j1), np.where(trade, p_j1, p_j2)
         side = rng.choice([-1.0, 1.0], size=(steps, 3, 1))
         p_i = 0.5 * (p_j1 + p_j2) + side * np.array([0.0, 0.15])
-        t1, t2 = desired_elbow_angles(p_i, p_j1, p_j2, L, R)
+        t1, t2 = desired_elbow_angles(p_i, p_j1, p_j2, REACH)
         start = rng.uniform(-0.2, 0.2, size=(3, 2))
-        got = resolve_unpowered_position(p_j1, p_j2, t1, t2, L, R, start)
+        got = resolve_unpowered_position(p_j1, p_j2, t1, t2, REACH, start)
         previous = start
         for k in range(steps):
-            previous = resolve_unpowered_position(p_j1[k], p_j2[k], t1[k], t2[k], L, R, previous)
+            previous = resolve_unpowered_position(p_j1[k], p_j2[k], t1[k], t2[k], REACH, previous)
             np.testing.assert_array_equal(got[k], previous)
 
     def test_step_sequence_error_names_earliest_step(self):
@@ -218,9 +216,9 @@ class TestBatches:
         c2[3, 0] = 0.0  # neighbors coincide at step 3
         c2[2, 0] = [5.0, 0.0]  # disjoint circles at step 2
         with pytest.raises(InconsistentAnglesError) as excinfo:
-            resolve_unpowered_position(c1, c2, theta, theta, L, R, start)
+            resolve_unpowered_position(c1, c2, theta, theta, REACH, start)
         assert excinfo.value.index == (2, 0)
         c2[2, 1] = 0.0  # within a step, coincident neighbors come first
         with pytest.raises(InconsistentAnglesError, match="coincide") as excinfo:
-            resolve_unpowered_position(c1, c2, theta, theta, L, R, start)
+            resolve_unpowered_position(c1, c2, theta, theta, REACH, start)
         assert excinfo.value.index == (2, 1)

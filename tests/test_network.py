@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from atugv import (
-    AffineTransform,
     CellGraph,
     DegreeViolationError,
     GeneralizedCoordinates,
@@ -19,6 +19,7 @@ from atugv import (
     min_separation,
     plan,
     run,
+    apply,
     solve_reference_positions,
 )
 from test_bench_contract import BENCH, _bench_module
@@ -96,7 +97,7 @@ class TestLayeredNetwork:
 
 class TestReferenceConfiguration:
     def test_four_cell_centroid(self, four_cell):
-        ref = solve_reference_positions(four_cell, side_length=1.0)
+        ref = solve_reference_positions(four_cell)
         np.testing.assert_allclose(ref.positions[3], [0.5, SQRT3 / 6], atol=1e-15)
 
     def test_seven_cell_interior_positions(self, seven_cell_reference):
@@ -125,18 +126,18 @@ class TestReferenceConfiguration:
         assert abs(seven_cell_reference.d_min - SQRT3 / 9) < 1e-12
 
     def test_four_cell_d_min(self, four_cell):
-        ref = solve_reference_positions(four_cell, side_length=1.0)
+        ref = solve_reference_positions(four_cell)
         assert abs(ref.d_min - 1.0 / SQRT3) < 1e-12
 
     def test_overlapping_reference_rejected(self, seven_cell):
         with pytest.raises(ReferenceOverlapError):
-            solve_reference_positions(seven_cell, side_length=0.1)
+            solve_reference_positions(dataclasses.replace(seven_cell, side_length=0.1))
 
     def test_custom_anchor(self, four_cell):
         # another pose of the boundary is an affine image of the default one
-        ref = solve_reference_positions(four_cell, side_length=1.0)
+        ref = solve_reference_positions(four_cell)
         shift = GeneralizedCoordinates(1.0, 1.0, 0.0, 0.0, 2.0, 1.0)
-        moved = AffineTransform.from_coordinates(shift)(ref.positions)
+        moved = apply(shift, ref.positions)
         anchor = [[2.0, 1.0], [3.0, 1.0], [2.5, 1.0 + SQRT3 / 2]]
         np.testing.assert_allclose(moved[:3], anchor, atol=1e-14)
         np.testing.assert_allclose(moved[3], [2.5, 1.0 + SQRT3 / 6], atol=1e-14)
@@ -290,7 +291,7 @@ class TestSweepMatchesExhaustiveScan:
         monkeypatch.syspath_prepend(str(BENCH))  # workloads imports oracle by name
         workloads = _bench_module("workloads")
         scenario = load_scenario_text(workloads.synthetic_scenario(np.random.default_rng([seed, 0])))
-        reference = solve_reference_positions(scenario.graph, scenario.side_length)
+        reference = solve_reference_positions(scenario.graph)
         assert reference.d_min == exhaustive_min_separation(reference.positions)[1]
         trace = run(plan(scenario.plan_spec, scenario.graph, reference, scenario.sample_count), scenario.sim)
         assert trace.actual.shape == (11, 250, 2)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from atugv import (
-    AffineTransform,
     GeneralizedCoordinates,
     ReferenceOverlapError,
     UnsafePlanError,
+    apply,
     jacobian,
     lambda_min,
     min_separation,
@@ -79,8 +79,7 @@ class TestPairwiseClearance:
         pos = seven_cell_reference.positions
         lam = lambda_min(0.05, seven_cell_reference.d_min)
         coords = GeneralizedCoordinates(0.99 * lam, 0.99 * lam, 0.0, 0.0, 0.0, 0.0)
-        t = AffineTransform.from_coordinates(coords)
-        _, d = min_separation(t(pos))
+        _, d = min_separation(apply(coords, pos))
         assert d < 2 * 0.05
 
 
@@ -100,8 +99,7 @@ class TestCollisionTheoremProperties:
                 d1=rng.uniform(-3, 3),
                 d2=rng.uniform(-3, 3),
             )
-            t = AffineTransform.from_coordinates(coords)
-            _, d = min_separation(t(reference.positions))
+            _, d = min_separation(apply(coords, reference.positions))
             assert d >= 2.0 * graph.cell_radius - 1e-9
 
     def test_quadratic_form_lower_bound(self):

@@ -63,8 +63,9 @@ class TestLoadScenario:
         from atugv import DegreeViolationError
 
         text = SEVEN.replace("neighbors.5 = 1,2,4", "neighbors.5 = 1,2,3,4")
-        with pytest.raises(DegreeViolationError):
+        with pytest.raises(ScenarioError, match=r"^<scenario>:\d+: \[graph\] neighbors\.5: ") as excinfo:
             load_scenario_text(text)
+        assert isinstance(excinfo.value.__cause__, DegreeViolationError)
 
     def test_reversed_horizon_rejected(self):
         text = SEVEN.replace("tf = 10.0", "tf = -1.0")
@@ -98,7 +99,7 @@ class TestLoadScenario:
         from atugv import desired_positions, plan, run, solve_reference_positions
 
         scenario = load_scenario_text(_with_key(SEVEN, "sim", "offset", "0.01, -0.02") + "offset.6 = 0.3, 0.3\n")
-        reference = solve_reference_positions(scenario.graph, scenario.side_length)
+        reference = solve_reference_positions(scenario.graph)
         trace = run(plan(scenario.plan_spec, scenario.graph, reference), scenario.sim)
         offsets = np.array([[0.01, -0.02]] * 5 + [[0.3, 0.3], [0.01, -0.02]])
         desired = desired_positions(scenario.plan_spec, reference, scenario.plan_spec.t0)
@@ -121,7 +122,7 @@ class TestCli:
 
         scenario = load_scenario("seven_cell_sim")
         assert main(["run", "seven_cell_sim", "--output-dir", str(tmp_path)]) == 0
-        reference = solve_reference_positions(scenario.graph, scenario.side_length)
+        reference = solve_reference_positions(scenario.graph)
         traj = plan(
             scenario.plan_spec, scenario.graph, reference, scenario.sample_count
         )
@@ -334,6 +335,36 @@ class TestRejectedInput:
         assert main(["validate", str(cfg)]) == 2
         assert "cell 9 is in no layer, cannot have neighbors" in capsys.readouterr().err
 
+    def test_missing_neighbors_key_is_named(self):
+        # Exited 2 as `error: interior cell 7 must have exactly 3 neighbors, got None`.
+        with pytest.raises(
+            ScenarioError, match=r"^<scenario>: \[graph\] neighbors\.7: interior cell 7 must have exactly 3 neighbors"
+        ):
+            load_scenario_text(SEVEN.replace("neighbors.7 = 1,3,4\n", ""))
+
+    def test_output_dir_that_is_a_file(self, tmp_path, capsys):
+        # `mkdir` raised FileExistsError: a traceback and exit 1.
+        existing = tmp_path / "README.md"
+        existing.write_text("notes\n")
+        assert main(["run", "seven_cell_sim", "--output-dir", str(existing)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{existing}'\n"
+        assert existing.read_text() == "notes\n"
+
+    def test_scenario_path_that_is_a_directory(self, tmp_path, capsys):
+        # Reading it raised IsADirectoryError: a traceback and exit 1.
+        assert main(["validate", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: cannot read scenario file {tmp_path}: Is a directory\n"
+
+    def test_scenario_file_that_is_not_utf8(self, tmp_path, capsys):
+        # Decoding it raised UnicodeDecodeError: a traceback and exit 1.
+        cfg = tmp_path / "utf16.cfg"
+        cfg.write_bytes(b"\xff\xfe" + "[graph]\n".encode("utf-16-le"))
+        assert main(["validate", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read scenario file {cfg}: "
+            "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        )
+
     def test_error_line_matches_the_key_exactly(self, tmp_path):
         # Reported line 33, where `offset.3` starts with `offset`.
         from atugv import bundled_scenario_path
@@ -415,6 +446,18 @@ class TestRejectedInput:
             ("four_cell_experiment", "graph", "powered", "2,3,4", 5, "boundary cell 1 must be powered"),
             # Exited 2 with `error: <file>: offsets reference unknown cells [9]`: no line or key.
             ("seven_cell_sim", "sim", "offset.9", "0.1, 0", 29, "cell 9 is in no layer"),
+            # The graph and side_length errors exited 2 with no file, line or key.
+            (
+                "seven_cell_sim",
+                "graph",
+                "neighbors.7",
+                "1,3,5",
+                5,
+                "cell 7 (layer 2) lists neighbor 5 (layer 2): neighbors must come from earlier layers",
+            ),
+            ("seven_cell_sim", "graph", "actuated.5", "1,3", 5, "actuated joints of cell 5 must be two distinct neighbors"),
+            ("seven_cell_sim", "graph", "layers", "1,2,3 | 4 | 5,6,8", 5, "cells must be numbered 1..N without gaps"),
+            ("seven_cell_sim", "geometry", "side_length", "-1", 12, "side_length must be positive and finite, got -1.0"),
         ],
         ids=[
             "actuated",
@@ -429,6 +472,10 @@ class TestRejectedInput:
             "tf",
             "powered",
             "offset_cell",
+            "neighbors_layering",
+            "actuated_pair",
+            "layers_gap",
+            "side_length",
         ],
     )
     def test_bad_value_is_located(self, scenario, section, key, value, line, message, tmp_path, capsys):

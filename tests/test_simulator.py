@@ -68,7 +68,7 @@ def reference_run(trajectory, config):
     step moves the powered cells, then resolves the unpowered cells layer
     by layer from the positions just reached. Returns the trace arrays."""
     graph, spec = trajectory.graph, trajectory.spec
-    L, r = graph.arm_length, graph.cell_radius
+    reach = graph.reach
     n_steps = int(round((spec.tf - spec.t0) / config.dt))
     times = spec.t0 + config.dt * np.arange(n_steps + 1)
     times[-1] = spec.tf
@@ -95,16 +95,16 @@ def reference_run(trajectory, config):
             j1, j2 = (np.array([graph.actuated[i] for i in cells]) - 1).T
             try:
                 theta1, theta2 = desired_elbow_angles(
-                    desired[k + 1, rows], desired[k + 1, j1], desired[k + 1, j2], L, r
+                    desired[k + 1, rows], desired[k + 1, j1], desired[k + 1, j2], reach
                 )
                 actual[k + 1, rows] = resolve_unpowered_position(
-                    actual[k + 1, j1], actual[k + 1, j2], theta1, theta2, L, r, actual[k, rows]
+                    actual[k + 1, j1], actual[k + 1, j2], theta1, theta2, reach, actual[k, rows]
                 )
             except AtugvError as exc:
                 exc.cell = cells[exc.index[0]]
                 raise _at_step(exc, k, times)
     try:
-        elbow_desired = elbow_angle(joint_separations(graph, desired), L, r)
+        elbow_desired = elbow_angle(joint_separations(graph, desired), reach)
     except UnreachableSeparationError as exc:
         raise _at_step(exc, exc.index[0], times)
     d_act = joint_separations(graph, actual)
@@ -117,7 +117,7 @@ def reference_run(trajectory, config):
         "velocity_commands": v_cmd,
         "elbow_desired": elbow_desired,
         "elbow_actual": np.where(
-            d_act > graph.reach, np.nan, elbow_angle(np.minimum(d_act, graph.reach), L, r)
+            d_act > graph.reach, np.nan, elbow_angle(np.minimum(d_act, graph.reach), reach)
         ),
         "errors": np.linalg.norm(desired - actual, axis=-1),
         "min_clearance": np.array([min_separation(p)[1] for p in actual]),
@@ -153,7 +153,7 @@ def assert_same_as_reference(trajectory, config):
 
 def scenario_trajectory(text):
     scenario = load_scenario_text(text)
-    reference = solve_reference_positions(scenario.graph, scenario.side_length)
+    reference = solve_reference_positions(scenario.graph)
     return plan(scenario.plan_spec, scenario.graph, reference, scenario.sample_count), scenario.sim
 
 
@@ -243,7 +243,6 @@ class TestRun:
     def test_clearance_monitored_and_safe(self, seven_cell, seven_cell_reference):
         traj = self.sim_trajectory(seven_cell, seven_cell_reference)
         trace = run(traj, SimConfig(dt=0.01, alpha=10.0))
-        assert trace.clearance_safe
         assert np.min(trace.min_clearance) >= 2 * seven_cell.cell_radius
 
     def test_double_integrator_tracks(self, seven_cell, seven_cell_reference):
@@ -251,7 +250,7 @@ class TestRun:
         config = SimConfig(dt=0.01, model="double", alpha=10.0, k_v=20.0)
         trace = run(traj, config)
         assert np.max(trace.errors[-1]) < 1e-2
-        assert trace.clearance_safe
+        assert np.min(trace.min_clearance) >= 2 * seven_cell.cell_radius
 
     def test_unstable_gain_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -278,7 +277,7 @@ class TestRun:
         expected = desired_positions(spec, seven_cell_reference, 0.0)
         expected[3] += offsets[4]
         np.testing.assert_array_equal(trace.actual[0], expected)
-        assert trace.clearance_safe
+        assert np.min(trace.min_clearance) >= 2 * seven_cell.cell_radius
         assert np.max(trace.errors[-1]) < 1e-3
 
     def test_error_keeps_structured_fields(self):
