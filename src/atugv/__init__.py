@@ -42,7 +42,6 @@ from .planner import (
     blend,
     coordinates_at,
     desired_positions,
-    lambda_min,
     plan,
     validate_coordinates,
 )

@@ -18,7 +18,6 @@ import numpy as np
 from . import planner, simulator
 from .errors import AtugvError, UnsafePlanError, UnreachableSeparationError
 from .network import solve_reference_positions
-from .planner import lambda_min
 from .scenario import BUNDLED, load_scenario
 
 EXIT_OK = 0
@@ -91,21 +90,19 @@ def write_elbow_csv(path: Path, trace: simulator.SimulationTrace):
 
 
 def _load(args):
-    """The scenario, its reference configuration and its strain bound
-    lambda_min."""
+    """The scenario and its reference configuration."""
     scenario = load_scenario(args.scenario)
-    reference = solve_reference_positions(scenario.graph)
-    return scenario, reference, lambda_min(scenario.graph.cell_radius, reference.d_min)
+    return scenario, solve_reference_positions(scenario.graph)
 
 
-def _report_lines(scenario, reference, lam, verdicts, extras=()):
+def _report_lines(scenario, reference, verdicts, extras=()):
     lines = [
         f"scenario: {scenario.name}",
         f"cells: {len(scenario.graph.cells)} "
         f"(powered: {sorted(scenario.graph.powered)}, "
         f"unpowered: {sorted(scenario.graph.unpowered)})",
         f"d_min: {_fmt(reference.d_min)} m",
-        f"lambda_min: {_fmt(lam)}",
+        f"lambda_min: {_fmt(reference.lambda_min)}",
     ]
     lines.extend(verdicts)
     lines.extend(extras)
@@ -114,13 +111,13 @@ def _report_lines(scenario, reference, lam, verdicts, extras=()):
 
 
 def cmd_reference(args) -> int:
-    scenario, reference, lam = _load(args)
+    scenario, reference = _load(args)
     print(f"scenario: {scenario.name}")
     for i, (x, y) in enumerate(reference.positions, start=1):
         tag = "powered" if i in scenario.graph.powered else "unpowered"
         print(f"  cell {i}: ({_fmt(x)}, {_fmt(y)}) m  [{tag}]")
     print(f"d_min: {_fmt(reference.d_min)} m")
-    print(f"lambda_min: {_fmt(lam)}")
+    print(f"lambda_min: {_fmt(reference.lambda_min)}")
     return EXIT_OK
 
 
@@ -146,15 +143,15 @@ def _validate_verdicts(scenario, reference):
 
 
 def cmd_validate(args) -> int:
-    scenario, reference, lam = _load(args)
+    scenario, reference = _load(args)
     trajectory, verdicts = _validate_verdicts(scenario, reference)
-    for line in _report_lines(scenario, reference, lam, verdicts):
+    for line in _report_lines(scenario, reference, verdicts):
         print(line)
     return EXIT_OK if trajectory is not None else EXIT_VERDICT
 
 
 def cmd_run(args) -> int:
-    scenario, reference, lam = _load(args)
+    scenario, reference = _load(args)
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -188,7 +185,7 @@ def cmd_run(args) -> int:
             extras.append(f"  cell {i}: {_fmt(err)}")
         ok = ok and clear_ok and err_ok
 
-    lines = _report_lines(scenario, reference, lam, verdicts, extras)
+    lines = _report_lines(scenario, reference, verdicts, extras)
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
     for line in lines:
         print(line)

@@ -44,7 +44,8 @@ class ReferenceOverlapError(AtugvError):
 class UnreachableSeparationError(AtugvError):
     """A commanded cell separation exceeds the full extension of the
     two-arm connection mechanism. `joint` is 1 or 2 for a cell's
-    actuated joints."""
+    actuated joints; the planner names the `time` and the interior `cell`
+    of the first unreachable joint."""
 
     joint = None
 

@@ -167,10 +167,13 @@ def barycentric_weights(graph: CellGraph) -> np.ndarray:
 @dataclass(frozen=True)
 class ReferenceConfiguration:
     """Reference cell positions a_i, as an (N, 2) array with row i - 1 for
-    cell i, and their minimum pairwise separation."""
+    cell i, their minimum pairwise separation, and the strain bound
+    lambda_min = 2r / d_min: shrinking the closest pair by less than this
+    keeps every pair of cell disks from overlapping."""
 
     positions: np.ndarray
     d_min: float
+    lambda_min: float
 
 
 def min_separation(positions: np.ndarray):
@@ -211,7 +214,8 @@ def min_separation(positions: np.ndarray):
 def solve_reference_positions(graph: CellGraph) -> ReferenceConfiguration:
     """Place boundary cells on an equilateral triangle of side
     `graph.side_length` and each interior cell at the average of its three
-    neighbors: positions = W @ B0.
+    neighbors: positions = W @ B0. The reference must keep every pair of
+    cells apart by more than a cell diameter, which makes lambda_min < 1.
 
     The lowest-numbered boundary cell sits at the origin and the next on
     the +x axis; any other pose is reachable through the affine transform
@@ -226,4 +230,4 @@ def solve_reference_positions(graph: CellGraph) -> ReferenceConfiguration:
             f"reference separation {d_min:.6g} m does not exceed the cell "
             f"diameter {2.0 * graph.cell_radius:.6g} m"
         )
-    return ReferenceConfiguration(positions=positions, d_min=d_min)
+    return ReferenceConfiguration(positions, d_min, 2.0 * graph.cell_radius / d_min)

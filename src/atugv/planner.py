@@ -15,7 +15,7 @@ import numpy as np
 
 from . import affine, kinematics
 from .affine import COORD_FIELDS, GeneralizedCoordinates
-from .errors import DomainError, InvalidArgumentError, ReferenceOverlapError, UnsafePlanError
+from .errors import DomainError, InvalidArgumentError, UnreachableSeparationError, UnsafePlanError
 from .network import CellGraph, ReferenceConfiguration
 
 BLEND_KINDS = ("linear", "smoothstep", "smootherstep")
@@ -75,24 +75,12 @@ def desired_positions(spec: PlanSpec, reference: ReferenceConfiguration, times) 
     return affine.apply(coordinates_at(spec, np.asarray(times, dtype=float)), reference.positions)
 
 
-def lambda_min(r: float, d_min: float) -> float:
-    """Lower bound 2r/d_min on both principal strains: shrinking the
-    closest reference pair by less than this keeps every pair of cell
-    disks from overlapping."""
-    if r <= 0.0:
-        raise InvalidArgumentError(f"cell radius must be positive, got {r}")
-    if d_min <= 2.0 * r:
-        raise ReferenceOverlapError(
-            f"d_min = {d_min:.6g} m must exceed the cell diameter {2 * r:.6g} m"
-        )
-    return 2.0 * r / d_min
-
-
 def validate_coordinates(coords: GeneralizedCoordinates, bound: float) -> None:
     """Raise UnsafePlanError, naming the strain `field`, its `value` and the
     first violating `index` of a batch (0 for a single instant), unless both
-    principal strains stay at or above the bound lambda_min. It applies to
-    min(lambda1, lambda2): the factor by which the closest pair can shrink."""
+    principal strains stay at or above the bound, the reference's lambda_min.
+    It applies to min(lambda1, lambda2): the factor by which the closest pair
+    can shrink."""
     lambda1, lambda2 = np.atleast_1d(coords.lambda1, coords.lambda2)
     unsafe = (lambda2 < bound) | (lambda1 < bound)
     if not unsafe.any():
@@ -107,7 +95,7 @@ def validate_coordinates(coords: GeneralizedCoordinates, bound: float) -> None:
 def joint_separations(graph: CellGraph, positions: np.ndarray) -> np.ndarray:
     """Separation of every joint in `graph.joints` order, (..., J) for
     positions (..., N, 2)."""
-    i, j = (np.array(graph.joints) - 1).T
+    i, j = (np.array(graph.joints, dtype=int).reshape(-1, 2) - 1).T
     return np.linalg.norm(positions[..., i, :] - positions[..., j, :], axis=-1)
 
 
@@ -129,21 +117,26 @@ def plan(
 ) -> PlannedTrajectory:
     """Sample the plan uniformly, gating every sample on the strain safety
     bound and the mechanism reach of every interior-cell joint. The first
-    failing sample decides the error; the strain check goes first."""
+    failing sample decides the error, which names its `time`; the strain
+    check goes first."""
     if sample_count < 2:
         raise InvalidArgumentError(f"sample_count must be at least 2, got {sample_count}")
-    bound = lambda_min(graph.cell_radius, reference.d_min)
     times = np.linspace(spec.t0, spec.tf, sample_count)
     coords = coordinates_at(spec, times)
     unsafe = None
     try:
-        validate_coordinates(coords, bound)
+        validate_coordinates(coords, reference.lambda_min)
     except UnsafePlanError as exc:
         unsafe = exc
     positions = affine.apply(coords, reference.positions)
     safe_samples = sample_count if unsafe is None else unsafe.index
-    # raises at the first unreachable joint
-    kinematics.elbow_angle(joint_separations(graph, positions[:safe_samples]), graph.reach)
+    try:
+        kinematics.elbow_angle(joint_separations(graph, positions[:safe_samples]), graph.reach)
+    except UnreachableSeparationError as exc:
+        k, m = exc.index  # the first unreachable sample, then joint
+        exc.index, exc.time, exc.cell = k, float(times[k]), graph.joints[m][0]
+        exc.args = (f"plan is out of reach at t = {exc.time:.6g} s, joint {graph.joints[m]}: {exc}",)
+        raise
     if unsafe is not None:
         unsafe.time = t = float(times[unsafe.index])
         unsafe.args = (f"plan violates the principal-strain bound at t = {t:.6g} s: {unsafe}",)

@@ -98,13 +98,18 @@ class _Parsed:
         return self.sections[section].get(key, default)
 
     def indexed(self, section: str, base: str):
-        """(key, i, text) of every `base.<i>` key in the section."""
+        """(key, i, text) of every `base.<i>` key in the section. A cell i
+        has one spelling, str(i): any other suffix fails at its key."""
         prefix = base + "."
         read = self.read.get(section, set())
         for key, text in self.sections.get(section, {}).items():
             if key.startswith(prefix):
                 read.add(key)
-                yield key, key[len(prefix):], text
+                suffix = key[len(prefix):]
+                cell = int(suffix) if re.fullmatch(r"-?[0-9]{1,9}", suffix) else None
+                if str(cell) != suffix:
+                    self.fail(section, key, f"expected {base}.<i> with i a cell number")
+                yield key, cell, text
 
     def number(self, section: str, key: str, default=None, kind=float):
         """The key as a finite float or an int; `default` if the file leaves
@@ -160,19 +165,19 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
         parsed.fail("graph", "layers", "expected cell lists separated by '|'")
     graph_keys.update({f"neighbors.{i}": ("graph", f"neighbors.{i}") for layer in layers for i in layer})
     neighbors = {}
-    for key, cell, raw in parsed.indexed("graph", "neighbors"):
+    for key, i, raw in parsed.indexed("graph", "neighbors"):
         try:
-            i, ns = int(cell), frozenset(_parse_int_list(raw))
+            neighbors[i] = frozenset(_parse_int_list(raw))
         except ValueError:
             parsed.fail("graph", key, "expected a comma-separated cell list")
-        neighbors[i], graph_keys[f"neighbors.{i}"] = ns, ("graph", key)
+        graph_keys[key] = ("graph", key)
     actuated = {}
-    for key, cell, raw in parsed.indexed("graph", "actuated"):
+    for key, i, raw in parsed.indexed("graph", "actuated"):
         try:
-            i, (j1, j2) = int(cell), _parse_int_list(raw)
+            j1, j2 = _parse_int_list(raw)
         except ValueError:  # also a list of more or fewer than two ids
             parsed.fail("graph", key, "expected two comma-separated cell ids")
-        actuated[i], graph_keys[f"actuated.{i}"] = (j1, j2), ("graph", key)
+        actuated[i], graph_keys[key] = (j1, j2), ("graph", key)
     powered = parsed.get("graph", "powered")
     if powered is not None:
         try:
@@ -221,7 +226,6 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
         offsets.update({i: np.array([dx, dy]) for i in graph.cells})
     for key, cell, raw in parsed.indexed("sim", "offset"):
         try:
-            cell = int(cell)
             dx, dy = (_finite(tok) for tok in raw.replace(",", " ").split())
         except ValueError:
             parsed.fail("sim", key, "expected two finite numbers")

@@ -17,7 +17,6 @@ from atugv import (
     desired_elbow_angles,
     desired_positions,
     jacobian,
-    lambda_min,
     load_scenario,
     plan,
     resolve_unpowered_position,
@@ -210,7 +209,7 @@ def test_criterion_5_error_contraction(four_cell):
 
 def test_criterion_6_derived_constants(seven_cell_reference):
     d_min = seven_cell_reference.d_min
-    lam = lambda_min(0.05, d_min)
+    lam = seven_cell_reference.lambda_min
     err_d = abs(d_min - SQRT3 / 9)
     err_l = abs(lam - 0.9 / SQRT3)
     report(

@@ -1,16 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from atugv import (
+    CellGraph,
     GeneralizedCoordinates,
     ReferenceOverlapError,
     UnsafePlanError,
     apply,
     jacobian,
-    lambda_min,
     min_separation,
+    solve_reference_positions,
     validate_coordinates,
 )
 from conftest import random_layered_graph
@@ -18,22 +20,30 @@ from conftest import random_layered_graph
 SQRT3 = math.sqrt(3.0)
 
 
+def boundary_only(cell_radius, side_length=1.0):
+    return CellGraph((frozenset({1, 2, 3}),), {}, cell_radius, 0.25, side_length=side_length)
+
+
 class TestLambdaMin:
-    def test_direct_substitution(self):
-        assert lambda_min(0.25, 1.0) == 0.5
+    """The reference owns the strain bound lambda_min = 2r / d_min."""
+
+    def test_direct_substitution(self, four_cell, seven_cell):
+        for graph in (boundary_only(0.25), four_cell, seven_cell):
+            reference = solve_reference_positions(graph)
+            assert reference.lambda_min == 2 * graph.cell_radius / reference.d_min
 
     def test_seven_cell_value(self, seven_cell_reference):
-        got = lambda_min(0.05, seven_cell_reference.d_min)
-        assert abs(got - 0.9 / SQRT3) < 1e-12
+        assert abs(seven_cell_reference.lambda_min - 0.9 / SQRT3) < 1e-12
 
     def test_overlapping_reference_rejected(self):
         with pytest.raises(ReferenceOverlapError):
-            lambda_min(0.3, 0.5)
+            solve_reference_positions(boundary_only(0.3, side_length=0.5))
 
-    def test_scale_invariance(self):
-        base = lambda_min(0.05, 0.2)
+    def test_scale_invariance(self, seven_cell):
+        base = solve_reference_positions(seven_cell).lambda_min
         for scale in (0.1, 2.0, 37.5):
-            assert abs(lambda_min(0.05 * scale, 0.2 * scale) - base) < 1e-15
+            graph = dataclasses.replace(seven_cell, side_length=scale, cell_radius=0.05 * scale)
+            assert abs(solve_reference_positions(graph).lambda_min - base) < 1e-15
 
 
 class TestValidateCoordinates:
@@ -42,7 +52,7 @@ class TestValidateCoordinates:
         validate_coordinates(coords, 0.9)
 
     def test_table_strains_against_derived_bound(self, seven_cell_reference):
-        bound = lambda_min(0.05, seven_cell_reference.d_min)
+        bound = seven_cell_reference.lambda_min
         coords = GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)
         validate_coordinates(coords, bound)
 
@@ -77,7 +87,7 @@ class TestPairwiseClearance:
     def test_shrinking_below_bound_collides(self, seven_cell_reference):
         # strain slightly under lambda_min aligned with the critical pair
         pos = seven_cell_reference.positions
-        lam = lambda_min(0.05, seven_cell_reference.d_min)
+        lam = seven_cell_reference.lambda_min
         coords = GeneralizedCoordinates(0.99 * lam, 0.99 * lam, 0.0, 0.0, 0.0, 0.0)
         _, d = min_separation(apply(coords, pos))
         assert d < 2 * 0.05

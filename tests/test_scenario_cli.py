@@ -216,6 +216,28 @@ class TestCli:
         assert len(verdicts) == 4
         assert all("SAFE" in line or "OK" in line for line in verdicts)
 
+    def test_boundary_only_vehicle(self, tmp_path, capsys):
+        # `validate` and `run` died in `joint_separations` with `ValueError:
+        # not enough values to unpack`: a vehicle of three cells has no joints.
+        cfg = tmp_path / "boundary.cfg"
+        cfg.write_text(
+            "[graph]\nlayers = 1,2,3\n[geometry]\ncell_radius = 0.05\narm_length = 0.25\n"
+            "[plan]\ntf = 10\nlambda1_final = 0.9\n[sim]\ndt = 0.01\n"
+        )
+        assert main(["validate", str(cfg)]) == 0
+        verdicts = [line for line in capsys.readouterr().out.splitlines() if "verdict" in line]
+        assert verdicts == [
+            "strain-bound verdict: SAFE (all samples)",
+            "mechanism-reach verdict: OK (all joints, all samples)",
+        ]
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
+        report = (tmp_path / "out" / "report.txt").read_text()
+        verdicts = [line for line in report.splitlines() if "verdict" in line]
+        assert len(verdicts) == 4
+        assert all(line.split("verdict: ")[1].startswith(("SAFE ", "OK ")) for line in verdicts)
+        assert (tmp_path / "out" / "elbows.csv").read_bytes() == b"t,cell_i,cell_j,theta_des,theta_act\r\n"
+        assert main(["reference", str(cfg)]) == 0
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "broken.cfg"
         cfg.write_text("[graph\nlayers = 1,2,3")
@@ -458,6 +480,13 @@ class TestRejectedInput:
             ("seven_cell_sim", "graph", "actuated.5", "1,3", 5, "actuated joints of cell 5 must be two distinct neighbors"),
             ("seven_cell_sim", "graph", "layers", "1,2,3 | 4 | 5,6,8", 5, "cells must be numbered 1..N without gaps"),
             ("seven_cell_sim", "geometry", "side_length", "-1", 12, "side_length must be positive and finite, got -1.0"),
+            # Read as cells 4, 4 and 10: the first two exited 0, the third
+            # failed with `cell 10 is not interior, cannot have joints`.
+            ("seven_cell_sim", "graph", "neighbors.+4", "1,2,3", 5, "expected neighbors.<i> with i a cell number"),
+            ("seven_cell_sim", "sim", "offset.04", "5, 5", 29, "expected offset.<i> with i a cell number"),
+            ("seven_cell_sim", "graph", "actuated.1_0", "1,2", 5, "expected actuated.<i> with i a cell number"),
+            # Blamed the value: `expected a comma-separated cell list`.
+            ("seven_cell_sim", "graph", "neighbors.x", "1,2,3", 5, "expected neighbors.<i> with i a cell number"),
         ],
         ids=[
             "actuated",
@@ -476,6 +505,10 @@ class TestRejectedInput:
             "actuated_pair",
             "layers_gap",
             "side_length",
+            "neighbors_signed_key",
+            "offset_zero_padded_key",
+            "actuated_underscored_key",
+            "neighbors_word_key",
         ],
     )
     def test_bad_value_is_located(self, scenario, section, key, value, line, message, tmp_path, capsys):
@@ -488,6 +521,37 @@ class TestRejectedInput:
         assert capsys.readouterr().err == f"error: {cfg}:{line}: [{section}] {key}: {message}\n"
 
 
+    def test_a_cell_key_has_one_spelling(self, tmp_path, capsys):
+        # Loaded as {4: [5., 5.]}: the later spelling of cell 4 won.
+        from atugv import bundled_scenario_path
+
+        text = bundled_scenario_path("seven_cell_sim").read_text()
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(_with_key(_with_key(text, "sim", "offset.04", "5, 5"), "sim", "offset.4", "0.01, 0"))
+        assert main(["validate", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:30: [sim] offset.04: expected offset.<i> with i a cell number\n"
+
+
+def _unreachable_text():
+    """four_cell_experiment with reach 0.55 m and a plan that asks joint
+    (4, 1) for 0.57735 m from its first sample on."""
+    from atugv import bundled_scenario_path
+
+    text = _with_key(bundled_scenario_path("four_cell_experiment").read_text(), "geometry", "arm_length", "0.225")
+    for key, value in (
+        ("lambda1_final", "1.0"),
+        ("lambda2_final", "0.6"),
+        ("sigma_d_final", repr(math.pi)),
+        ("blend", "linear"),
+        ("tf", "10"),
+        ("d1_final", "0"),
+        ("d2_final", "0"),
+        ("sigma_r_final", "0"),
+    ):
+        text = _with_key(text, "plan", key, value)
+    return text
+
+
 class TestStaleOutputs:
     """`run` removes the outputs an earlier run left in its directory, so a
     failed run never leaves another input's files behind."""
@@ -495,20 +559,7 @@ class TestStaleOutputs:
     def test_failed_runs_leave_no_earlier_outputs(self, tmp_path, capsys):
         # The second failing run exited 2 and the first one's UNREACHABLE
         # report stayed; the first left the bundled run's CSVs beside it.
-        from atugv import bundled_scenario_path
-
-        text = _with_key(bundled_scenario_path("four_cell_experiment").read_text(), "geometry", "arm_length", "0.225")
-        for key, value in (
-            ("lambda1_final", "1.0"),
-            ("lambda2_final", "0.6"),
-            ("sigma_d_final", repr(math.pi)),
-            ("blend", "linear"),
-            ("tf", "10"),
-            ("d1_final", "0"),
-            ("d2_final", "0"),
-            ("sigma_r_final", "0"),
-        ):
-            text = _with_key(text, "plan", key, value)
+        text = _unreachable_text()
         unreachable = tmp_path / "unreachable.cfg"
         unreachable.write_text(text)
         sampled = tmp_path / "sampled.cfg"
@@ -525,3 +576,21 @@ class TestStaleOutputs:
         err = capsys.readouterr().err
         assert err.startswith("error: step 42 (t = 0.42 s): joint 1: separation 0.550201 m")
         assert list(out.iterdir()) == []
+
+    def test_unreachable_plan_names_its_time_and_joint(self, tmp_path, capsys):
+        # The verdict read `UNREACHABLE — separation 0.57735 m exceeds
+        # mechanism reach 0.55 m`: no time and no joint.
+        from atugv import UnreachableSeparationError, plan, solve_reference_positions
+
+        scenario = load_scenario_text(_unreachable_text())
+        reference = solve_reference_positions(scenario.graph)
+        with pytest.raises(UnreachableSeparationError) as excinfo:
+            plan(scenario.plan_spec, scenario.graph, reference, scenario.sample_count)
+        error = excinfo.value
+        assert (scenario.sample_count, error.index, error.time, error.cell) == (200, 0, 0.0, 4)
+        message = "plan is out of reach at t = 0 s, joint (4, 1): separation 0.57735 m exceeds mechanism reach 0.55 m"
+        assert str(error) == message
+        cfg = tmp_path / "unreachable.cfg"
+        cfg.write_text(_unreachable_text())
+        assert main(["validate", str(cfg)]) == 1
+        assert f"mechanism-reach verdict: UNREACHABLE — {message}\n" in capsys.readouterr().out

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import random_layered_graph, stellar_layered_graph
+from test_bench_contract import BENCH, _bench_module
 
 from atugv import (
     AtugvError,
@@ -13,6 +14,7 @@ from atugv import (
     PlanSpec,
     SimConfig,
     UnreachableSeparationError,
+    barycentric_weights,
     bundled_scenario_path,
     desired_elbow_angles,
     desired_positions,
@@ -386,3 +388,32 @@ class TestMatchesStepByStep:
     def test_reach_errors(self):
         for powered in ("", "powered = 1,2,3,4"):
             assert_same_as_reference(*scenario_trajectory(REACH_SCENARIO.format(powered=powered)))
+
+
+class TestAllPoweredIsBarycentric:
+    """Every desired position is the image of fixed convex weights on the
+    boundary cells, and the tracking loop is linear: an all-powered vehicle
+    started with one offset for every cell keeps actual = W @ boundary."""
+
+    @staticmethod
+    def assert_barycentric(text):
+        trajectory, config = scenario_trajectory(text)
+        graph = trajectory.graph
+        assert graph.unpowered == frozenset()
+        actual = run(trajectory, config).actual
+        boundary = actual[:, np.array(sorted(graph.layers[0])) - 1]
+        assert np.max(np.abs(actual - barycentric_weights(graph) @ boundary)) <= 1e-12
+
+    @pytest.mark.parametrize("offset", [None, "0.01, -0.02"])
+    @pytest.mark.parametrize("model", ["single", "double"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_synthetic_graphs(self, seed, model, offset, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))  # workloads imports oracle by name
+        text = _bench_module("workloads").synthetic_scenario(np.random.default_rng([seed, 0]))
+        text = text.replace("model = single", f"model = {model}")
+        self.assert_barycentric(text + (f"offset = {offset}\n" if offset else ""))
+
+    def test_seven_cell_sim(self):
+        text = _bundled_text("seven_cell_sim").replace("[graph]\n", "[graph]\npowered = 1,2,3,4,5,6,7\n")
+        assert "\ndt = 0.01\n" in text and "\ntf = 10.0\n" in text  # 1001 steps
+        self.assert_barycentric(text)
