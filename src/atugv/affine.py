@@ -64,23 +64,15 @@ class RotationStrain(NamedTuple):
 
 
 def rotation_matrix(sigma_r) -> np.ndarray:
-    """Counterclockwise rotation by sigma_r radians."""
-    if not np.all(np.isfinite(sigma_r)):
-        raise InvalidArgumentError(f"rotation angle must be finite, got {sigma_r!r}")
+    """Counterclockwise rotation by sigma_r radians (`GeneralizedCoordinates` checks it is finite)."""
     c, s = np.cos(sigma_r), np.sin(sigma_r)
     return np.moveaxis(np.array([[c, -s], [s, c]]), (0, 1), (-2, -1))
 
 
 def strain_matrix(lambda1, lambda2, sigma_d) -> np.ndarray:
     """Symmetric positive-definite strain with principal values lambda1 and
-    lambda2, the lambda1 axis rotated by sigma_d from +x."""
-    for name, value in (("lambda1", lambda1), ("lambda2", lambda2), ("sigma_d", sigma_d)):
-        if not np.all(np.isfinite(value)):
-            raise InvalidArgumentError(f"{name} must be finite, got {value!r}")
-    if np.any(lambda1 <= 0.0) or np.any(lambda2 <= 0.0):
-        raise InvalidArgumentError(
-            f"principal strains must be positive, got ({lambda1}, {lambda2})"
-        )
+    lambda2, the lambda1 axis rotated by sigma_d from +x. Its callers own the
+    finite values and positive strains: `GeneralizedCoordinates`, `decompose`."""
     c, s = np.cos(sigma_d), np.sin(sigma_d)
     u11 = lambda1 * c * c + lambda2 * s * s
     u22 = lambda1 * s * s + lambda2 * c * c
@@ -133,8 +125,8 @@ def decompose(q: np.ndarray) -> RotationStrain:
     mean = 0.5 * (c11 + c22)
     radius = math.hypot(0.5 * (c11 - c22), c12)
     mu1, mu2 = mean + radius, mean - radius
-    if mu2 <= 0.0:
-        raise DecompositionError("matrix is numerically singular")
+    if not (mu2 > 0.0 and mu1 < math.inf):  # an overflow of C (inf or NaN) fails too
+        raise DecompositionError("matrix is numerically singular or too large")
     lambda1, lambda2 = math.sqrt(mu1), math.sqrt(mu2)
     if radius == 0.0:
         sigma_d = 0.0

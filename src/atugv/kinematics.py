@@ -46,9 +46,7 @@ def elbow_angle(d, reach: float):
 
 
 def separation_from_angle(theta, reach: float):
-    """Inverse of elbow_angle on [0, pi]."""
-    if not np.all((0.0 <= theta) & (theta <= np.pi)):
-        raise InvalidArgumentError(f"elbow angle must lie in [0, pi], got {theta}")
+    """Inverse of elbow_angle on [0, pi], where `elbow_angle` puts every angle."""
     return reach * np.sin(0.5 * theta)
 
 

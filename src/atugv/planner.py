@@ -99,6 +99,17 @@ def joint_separations(graph: CellGraph, positions: np.ndarray) -> np.ndarray:
     return np.linalg.norm(positions[..., i, :] - positions[..., j, :], axis=-1)
 
 
+def joint_elbow_angles(graph: CellGraph, positions: np.ndarray) -> np.ndarray:
+    """`elbow_angle` of every joint, (..., J) like `joint_separations`; an
+    out-of-reach joint is named in front of the message and by its interior `cell`."""
+    try:
+        return kinematics.elbow_angle(joint_separations(graph, positions), graph.reach)
+    except UnreachableSeparationError as exc:
+        joint = graph.joints[exc.index[-1]]
+        exc.cell, exc.args = joint[0], (f"joint {joint}: {exc}",)
+        raise
+
+
 @dataclass(frozen=True)
 class PlannedTrajectory:
     """A plan that passed the gate of `plan`, with the graph and reference
@@ -131,11 +142,11 @@ def plan(
     positions = affine.apply(coords, reference.positions)
     safe_samples = sample_count if unsafe is None else unsafe.index
     try:
-        kinematics.elbow_angle(joint_separations(graph, positions[:safe_samples]), graph.reach)
+        joint_elbow_angles(graph, positions[:safe_samples])
     except UnreachableSeparationError as exc:
-        k, m = exc.index  # the first unreachable sample, then joint
-        exc.index, exc.time, exc.cell = k, float(times[k]), graph.joints[m][0]
-        exc.args = (f"plan is out of reach at t = {exc.time:.6g} s, joint {graph.joints[m]}: {exc}",)
+        k = exc.index[0]  # the first unreachable sample
+        exc.index, exc.time = k, float(times[k])
+        exc.args = (f"plan is out of reach at t = {exc.time:.6g} s, {exc}",)
         raise
     if unsafe is not None:
         unsafe.time = t = float(times[unsafe.index])

@@ -69,8 +69,14 @@ class _Parsed:
         )
         try:
             parser.read_string(text, source=name)
-        except configparser.Error as exc:
-            raise ScenarioError(f"parse error: {exc}") from None
+        except configparser.DuplicateOptionError as exc:
+            raise ScenarioError(f"{name}:{exc.lineno}: [{exc.section}] {exc.option}: duplicate key") from None
+        except configparser.DuplicateSectionError as exc:
+            raise ScenarioError(f"{name}:{exc.lineno}: duplicate section [{exc.section}]") from None
+        except configparser.MissingSectionHeaderError as exc:
+            raise ScenarioError(f"{name}:{exc.lineno}: expected a [section] header") from None
+        except configparser.ParsingError as exc:  # the first line without a `=`
+            raise ScenarioError(f"{name}:{exc.errors[0][0]}: expected key = value") from None
         # raw: values are used as written; there is no interpolation.
         self.sections = {s: dict(parser.items(s, raw=True)) for s in parser.sections()}
         self.read = {section: set() for section in self.sections}
@@ -105,11 +111,23 @@ class _Parsed:
         for key, text in self.sections.get(section, {}).items():
             if key.startswith(prefix):
                 read.add(key)
-                suffix = key[len(prefix):]
-                cell = int(suffix) if re.fullmatch(r"-?[0-9]{1,9}", suffix) else None
-                if str(cell) != suffix:
+                cell = _cell(key[len(prefix):])
+                if cell is None:
                     self.fail(section, key, f"expected {base}.<i> with i a cell number")
                 yield key, cell, text
+
+    def cells(self, section: str, key: str, text: str, expected="expected a comma-separated cell list") -> list:
+        """The cell list `text`, the key's value or one layer of it: cells
+        spelled as in keys, each named once, separated by commas with optional
+        spaces around them. A bad spelling, a missing comma or an empty entry
+        fails with `expected`."""
+        cells = [_cell(token.strip()) for token in text.split(",")]
+        if None in cells:
+            self.fail(section, key, expected)
+        if len(set(cells)) < len(cells):
+            twice = next(i for k, i in enumerate(cells) if i in cells[:k])
+            self.fail(section, key, f"cell {twice} is listed twice")
+        return cells
 
     def number(self, section: str, key: str, default=None, kind=float):
         """The key as a finite float or an int; `default` if the file leaves
@@ -145,8 +163,13 @@ def _finite(text: str) -> float:
     return value
 
 
-def _parse_int_list(raw: str):
-    return [int(tok) for tok in raw.replace(",", " ").split()]
+# A cell number has one spelling, str(i), of at most nine digits.
+_CELL_NUMBER = re.compile(r"0|-?[1-9][0-9]{0,8}")
+
+
+def _cell(text: str) -> Optional[int]:
+    """The cell number `text` spells, or None if it spells none."""
+    return int(text) if _CELL_NUMBER.fullmatch(text) else None
 
 
 def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
@@ -159,31 +182,22 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
     layers = parsed.get("graph", "layers")
     if layers is None:
         parsed.fail("graph", "layers", "required key missing")
-    try:
-        layers = [frozenset(_parse_int_list(part)) for part in layers.split("|")]
-    except ValueError:
-        parsed.fail("graph", "layers", "expected cell lists separated by '|'")
+    bad_layers = "expected cell lists separated by '|'"
+    layers = [frozenset(parsed.cells("graph", "layers", part, bad_layers)) for part in layers.split("|")]
     graph_keys.update({f"neighbors.{i}": ("graph", f"neighbors.{i}") for layer in layers for i in layer})
     neighbors = {}
     for key, i, raw in parsed.indexed("graph", "neighbors"):
-        try:
-            neighbors[i] = frozenset(_parse_int_list(raw))
-        except ValueError:
-            parsed.fail("graph", key, "expected a comma-separated cell list")
-        graph_keys[key] = ("graph", key)
+        neighbors[i], graph_keys[key] = frozenset(parsed.cells("graph", key, raw)), ("graph", key)
     actuated = {}
     for key, i, raw in parsed.indexed("graph", "actuated"):
-        try:
-            j1, j2 = _parse_int_list(raw)
-        except ValueError:  # also a list of more or fewer than two ids
-            parsed.fail("graph", key, "expected two comma-separated cell ids")
-        actuated[i], graph_keys[key] = (j1, j2), ("graph", key)
+        bad_pair = "expected two comma-separated cell ids"
+        pair = parsed.cells("graph", key, raw, bad_pair)
+        if len(pair) != 2:
+            parsed.fail("graph", key, bad_pair)
+        actuated[i], graph_keys[key] = tuple(pair), ("graph", key)
     powered = parsed.get("graph", "powered")
     if powered is not None:
-        try:
-            powered = frozenset(_parse_int_list(powered))
-        except ValueError:
-            parsed.fail("graph", "powered", "expected a comma-separated cell list")
+        powered = frozenset(parsed.cells("graph", "powered", powered))
 
     cell_radius = parsed.number("geometry", "cell_radius")
     arm_length = parsed.number("geometry", "arm_length")

@@ -22,16 +22,14 @@ from .errors import (
     UnreachableSeparationError,
 )
 from .network import CellGraph, min_separation
-from .planner import PlannedTrajectory, PlanSpec, desired_positions, joint_separations
+from .planner import PlannedTrajectory, PlanSpec, desired_positions, joint_elbow_angles, joint_separations
 from .planner import coordinates_at  # noqa: F401  (bench/tracing.py wraps this name here)
 
 MODELS = ("single", "double")
 
 
 def velocity_command(desired, actual, gain: float) -> np.ndarray:
-    """Proportional velocity command v = gain * (desired - actual)."""
-    if gain <= 0.0:
-        raise InvalidArgumentError(f"gain must be positive, got {gain}")
+    """Proportional velocity command v = gain * (desired - actual), gain = `SimConfig.alpha` > 0."""
     return gain * (np.asarray(desired, dtype=float) - np.asarray(actual, dtype=float))
 
 
@@ -205,7 +203,7 @@ def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
         _name_step(exc, times)
         raise
     try:
-        elbow_des = kinematics.elbow_angle(joint_separations(graph, desired), graph.reach)
+        elbow_des = joint_elbow_angles(graph, desired)
     except UnreachableSeparationError as exc:  # a joint no unpowered cell uses
         exc.step = exc.index[0]
         _name_step(exc, times)

@@ -48,10 +48,6 @@ class TestRotationMatrix:
         ]
         np.testing.assert_allclose(r, expected, atol=1e-12)
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            rotation_matrix(float("nan"))
-
     @given(finite_angle)
     def test_orthogonal_det_one(self, angle):
         r = rotation_matrix(angle)
@@ -76,12 +72,6 @@ class TestStrainMatrix:
         major = eigvecs[:, np.argmax(eigvals)]
         angle = math.atan2(major[1], major[0]) % math.pi
         assert abs(angle - 0.3) < 1e-12
-
-    def test_nonpositive_strain_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            strain_matrix(0.0, 0.8, 0.1)
-        with pytest.raises(InvalidArgumentError):
-            strain_matrix(0.9, -0.1, 0.1)
 
     @given(strain, strain, finite_angle)
     def test_symmetric_with_bounded_eigenvalues(self, l1, l2, sd):
@@ -206,6 +196,13 @@ class TestDecompose:
     def test_reflection_rejected(self):
         with pytest.raises(DecompositionError):
             decompose(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("scale", [1e200, 1.3e154])
+    def test_overflow_rejected(self, scale):
+        # C = Q^T Q overflows to NaN (1e200) or inf (1.3e154); both raised
+        # InvalidArgumentError from strain_matrix, which no longer checks.
+        with np.errstate(all="ignore"), pytest.raises(DecompositionError):
+            decompose(np.diag([scale, scale]))
 
     @given(coords_strategy)
     @settings(max_examples=200)

@@ -487,6 +487,19 @@ class TestRejectedInput:
             ("seven_cell_sim", "graph", "actuated.1_0", "1,2", 5, "expected actuated.<i> with i a cell number"),
             # Blamed the value: `expected a comma-separated cell list`.
             ("seven_cell_sim", "graph", "neighbors.x", "1,2,3", 5, "expected neighbors.<i> with i a cell number"),
+            # A cell in a list is spelled as in a key. All three exited 0;
+            # the last was read as cells 1 to 4.
+            ("four_cell_experiment", "graph", "layers", "1,2,03 | 4", 5, "expected cell lists separated by '|'"),
+            ("four_cell_experiment", "graph", "neighbors.4", "1,2,+3", 5, "expected a comma-separated cell list"),
+            ("four_cell_experiment", "graph", "powered", "1,2,3,0_4", 5, "expected a comma-separated cell list"),
+            # A list names each cell once, separated by commas. All four
+            # exited 0; the first was read as three neighbours.
+            ("four_cell_experiment", "graph", "neighbors.4", "1,2,2,3", 5, "cell 2 is listed twice"),
+            ("four_cell_experiment", "graph", "layers", "1,2,3,3 | 4", 5, "cell 3 is listed twice"),
+            ("four_cell_experiment", "graph", "neighbors.4", "1 2 3", 5, "expected a comma-separated cell list"),
+            ("four_cell_experiment", "graph", "neighbors.4", "1,,2,3", 5, "expected a comma-separated cell list"),
+            # Read `actuated joints of cell 4 must be two distinct neighbors`.
+            ("four_cell_experiment", "graph", "actuated.4", "1,1", 5, "cell 1 is listed twice"),
         ],
         ids=[
             "actuated",
@@ -509,6 +522,14 @@ class TestRejectedInput:
             "offset_zero_padded_key",
             "actuated_underscored_key",
             "neighbors_word_key",
+            "layers_zero_padded_cell",
+            "neighbors_signed_cell",
+            "powered_underscored_cell",
+            "neighbors_cell_twice",
+            "layers_cell_twice",
+            "neighbors_no_commas",
+            "neighbors_empty_entry",
+            "actuated_cell_twice",
         ],
     )
     def test_bad_value_is_located(self, scenario, section, key, value, line, message, tmp_path, capsys):
@@ -520,6 +541,37 @@ class TestRejectedInput:
         assert main(["validate", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {cfg}:{line}: [{section}] {key}: {message}\n"
 
+
+    def test_spaces_around_commas_are_allowed(self):
+        from atugv import bundled_scenario_path
+
+        text = bundled_scenario_path("four_cell_experiment").read_text()
+        text = _with_key(_with_key(text, "graph", "neighbors.4", "1 , 2,3 "), "graph", "layers", " 1, 2 ,3|4")
+        graph = load_scenario_text(text).graph
+        assert graph.layers == (frozenset({1, 2, 3}), frozenset({4})) and graph.neighbors[4] == {1, 2, 3}
+
+    @pytest.mark.parametrize(
+        "edit, line, message",
+        [
+            (("dt = 0.01\n", "dt = 0.01\ndt = 0.02\n"), 31, "[sim] dt: duplicate key"),
+            (("= 1e-3\n", "= 1e-3\n\n[sim]\ndt = 0.02\n"), 35, "duplicate section [sim]"),
+            (("# Seven-cell", "layers = 1,2,3\n# Seven-cell"), 1, "expected a [section] header"),
+            (("dt = 0.01\n", "dt = 0.01\ngarbage\n"), 31, "expected key = value"),
+        ],
+        ids=["duplicate_key", "duplicate_section", "key_above_first_header", "line_without_equals"],
+    )
+    def test_parse_error_is_located(self, edit, line, message, tmp_path, capsys):
+        # Each printed configparser's own text after `error: parse error: `:
+        # the first two on one line without the file:line form, the last two
+        # on three and two lines.
+        from atugv import bundled_scenario_path
+
+        text = bundled_scenario_path("seven_cell_sim").read_text()
+        assert text.count(edit[0]) == 1
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(text.replace(*edit))
+        assert main(["validate", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: {message}\n"
 
     def test_a_cell_key_has_one_spelling(self, tmp_path, capsys):
         # Loaded as {4: [5., 5.]}: the later spelling of cell 4 won.

@@ -29,6 +29,7 @@ from atugv import (
     step,
     velocity_command,
 )
+from atugv.cli import main
 from atugv.planner import joint_separations
 
 IDENTITY = GeneralizedCoordinates.identity()
@@ -108,6 +109,8 @@ def reference_run(trajectory, config):
     try:
         elbow_desired = elbow_angle(joint_separations(graph, desired), reach)
     except UnreachableSeparationError as exc:
+        joint = graph.joints[exc.index[1]]
+        exc.cell, exc.args = joint[0], (f"joint {joint}: {exc}",)
         raise _at_step(exc, exc.index[0], times)
     d_act = joint_separations(graph, actual)
     v_cmd = np.full_like(desired, np.nan)
@@ -170,10 +173,6 @@ class TestVelocityCommand:
         np.testing.assert_allclose(
             velocity_command([1, 1], [0.6, 0.2], 2.5), [1.0, 2.0], atol=1e-15
         )
-
-    def test_nonpositive_gain_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            velocity_command([1, 0], [0, 0], 0.0)
 
 
 class TestStep:
@@ -258,6 +257,13 @@ class TestRun:
         with pytest.raises(InvalidArgumentError):
             SimConfig(dt=0.25, model="single", alpha=10.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    def test_nonpositive_alpha_rejected(self, alpha):
+        # the one check of the gain that velocity_command is given
+        with pytest.raises(InvalidArgumentError) as excinfo:
+            SimConfig(alpha=alpha)
+        assert excinfo.value.field == "alpha"
+
     @pytest.mark.parametrize(
         "alpha, k_v",
         [(10.0, 250.0), (150.0, 20.0)],  # spectral radius 1.396 and 1.049
@@ -291,16 +297,22 @@ class TestRun:
         assert abs(exc.time - 0.42) < 1e-12
         assert str(exc).startswith("step 42 (t = 0.42 s): joint 1: ")
 
-    def test_unused_joint_error_names_its_step(self):
+    def test_unused_joint_error_names_its_step(self, tmp_path, capsys):
         # every cell powered: the over-extended joint drags no unpowered cell,
         # and the commanded angles at time index 43 are out of reach
         traj, config = scenario_trajectory(REACH_SCENARIO.format(powered="powered = 1,2,3,4"))
         with pytest.raises(UnreachableSeparationError) as excinfo:
             run(traj, config)
         exc = excinfo.value
-        assert (exc.step, exc.index) == (43, (43, 0))
+        assert (exc.step, exc.index, exc.cell) == (43, (43, 0), 4)
         assert abs(exc.time - 0.43) < 1e-12
-        assert str(exc).startswith("step 43 (t = 0.43 s): separation ")
+        # Read `step 43 (t = 0.43 s): separation ...`, with no joint and no cell.
+        message = "step 43 (t = 0.43 s): joint (4, 1): separation 0.550201 m exceeds mechanism reach 0.55 m"
+        assert str(exc) == message
+        cfg = tmp_path / "reach.cfg"
+        cfg.write_text(REACH_SCENARIO.format(powered="powered = 1,2,3,4"))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_coarse_dt_rejected(self, seven_cell, seven_cell_reference):
         traj = self.sim_trajectory(seven_cell, seven_cell_reference, tf=1.0)
