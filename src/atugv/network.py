@@ -72,7 +72,7 @@ class CellGraph:
             if ns is None or len(ns) != 3:
                 raise DegreeViolationError(
                     f"interior cell {i} must have exactly 3 neighbors, got "
-                    f"{sorted(ns) if ns else ns}", field=key
+                    f"{None if ns is None else sorted(ns)}", field=key
                 )
             for j in ns:
                 if j not in cells:

@@ -129,6 +129,15 @@ class _Parsed:
             self.fail(section, key, f"cell {twice} is listed twice")
         return cells
 
+    def pair(self, section: str, key: str, text: str) -> tuple:
+        """The value `text` as exactly two finite numbers, separated by a
+        comma with optional spaces around it."""
+        try:
+            x, y = (_finite(token) for token in text.split(","))
+        except ValueError:
+            self.fail(section, key, "expected two finite numbers")
+        return x, y
+
     def number(self, section: str, key: str, default=None, kind=float):
         """The key as a finite float or an int; `default` if the file leaves
         it out, and an error if there is no default either."""
@@ -233,19 +242,13 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
     offsets = {}
     uniform = parsed.get("sim", "offset")
     if uniform is not None:
-        try:
-            dx, dy = (_finite(tok) for tok in uniform.replace(",", " ").split())
-        except ValueError:
-            parsed.fail("sim", "offset", "expected two finite numbers")
-        offsets.update({i: np.array([dx, dy]) for i in graph.cells})
+        offset = parsed.pair("sim", "offset", uniform)
+        offsets.update({i: np.array(offset) for i in graph.cells})
     for key, cell, raw in parsed.indexed("sim", "offset"):
-        try:
-            dx, dy = (_finite(tok) for tok in raw.replace(",", " ").split())
-        except ValueError:
-            parsed.fail("sim", key, "expected two finite numbers")
+        offset = parsed.pair("sim", key, raw)
         if cell not in graph.cells:
             parsed.fail("sim", key, f"cell {cell} is in no layer")
-        offsets[cell] = np.array([dx, dy])
+        offsets[cell] = np.array(offset)
 
     sim_keys = {field: ("sim", field) for field in ("dt", "model", "alpha", "k_v")}
     sim = parsed.build(

@@ -56,15 +56,22 @@ class SimConfig:
                 field="alpha",
             )
         if self.model == "double":
-            # Per-axis Euler update of (position, velocity) about a fixed target.
-            dt, k_v = self.dt, self.k_v
-            rho = max(abs(np.linalg.eigvals([[1.0, dt], [-dt * k_v * self.alpha, 1.0 - dt * k_v]])))
+            rho = max(abs(np.linalg.eigvals(self.euler_matrix())))
             if rho >= 1.0:
                 raise InvalidArgumentError(
-                    f"double-integrator loop with alpha = {self.alpha:.6g}, k_v = {k_v:.6g}, "
-                    f"dt = {dt:.6g} has spectral radius {rho:.3g} >= 1 under explicit Euler",
+                    f"double-integrator loop with alpha = {self.alpha:.6g}, k_v = {self.k_v:.6g}, "
+                    f"dt = {self.dt:.6g} has spectral radius {rho:.3g} >= 1 under explicit Euler",
                     field="k_v",
                 )
+
+    def euler_matrix(self) -> np.ndarray:
+        """The matrix A of one Euler step x -> A x of a powered cell's state
+        x = (position - target, velocity) on one axis, about a fixed target:
+        `step` as one linear map. The single integrator's velocity stays 0."""
+        dt, alpha, k_v = self.dt, self.alpha, self.k_v
+        if self.model == "single":
+            return np.array([[1.0 - alpha * dt, 0.0], [0.0, 1.0]])
+        return np.array([[1.0, dt], [-dt * k_v * alpha, 1.0 - dt * k_v]])
 
 
 def step_count(spec: PlanSpec, dt: float) -> int:
@@ -116,6 +123,37 @@ def step(positions: np.ndarray, velocities: np.ndarray, desired: np.ndarray, con
     if config.model == "single":
         return positions + dt * v_cmd, velocities
     return positions + dt * velocities, velocities + dt * (config.k_v * (v_cmd - velocities))
+
+
+def track(start: np.ndarray, targets: np.ndarray, config: SimConfig) -> np.ndarray:
+    """The powered cells' (T, P, 2) positions at the T times of their
+    desired positions `targets`, from `start` at rest: what T - 1 calls of
+    `step` give, each toward the target at its start time.
+
+    Per cell and axis, `step` maps x = (p - d, v) to x[k + 1] = A x[k] +
+    X[k + 1], with A = `config.euler_matrix()`, X[k + 1] = (d[k] - d[k + 1], 0)
+    and X[0] = x[0]. So x[k] sums A^(k - j) X[j] over j <= k, which a
+    Hillis-Steele prefix scan forms in ceil(log2 T) passes: pass s = 1, 2,
+    4, ... adds A^s times the sums s rows back, then squares A. Scanning
+    the error, not the position, keeps a fixed target a fixed point of the
+    rounded arithmetic however small alpha * dt is.
+    """
+    (a00, a01), (a10, a11) = config.euler_matrix().tolist()
+    e, v = np.empty_like(targets), np.zeros_like(targets)
+    e[0] = start - targets[0]
+    e[1:] = targets[:-1] - targets[1:]
+    s = 1
+    while s < len(targets):
+        de = a00 * e[:-s] + a01 * v[:-s]
+        dv = a10 * e[:-s] + a11 * v[:-s]
+        e[s:] += de
+        v[s:] += dv
+        diagonal = a00 + a11
+        a00, a01, a10, a11 = a00 * a00 + a01 * a10, diagonal * a01, diagonal * a10, a10 * a01 + a11 * a11
+        s *= 2
+    positions = targets + e
+    positions[0] = start  # targets[0] + (start - targets[0]) may round
+    return positions
 
 
 def resolve_unpowered(graph: CellGraph, actual: np.ndarray, desired: np.ndarray) -> None:
@@ -171,9 +209,9 @@ def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
     """Simulate the full horizon from the planned pose at t0 (plus any
     initial offsets) and record a deterministic trace.
 
-    Three passes: `step` moves the powered cells through every step,
-    `resolve_unpowered` then places the unpowered cells layer by layer,
-    and clearance is one batched scan of the whole trace.
+    Three passes: `track` moves the powered cells over the whole horizon
+    in one prefix scan, `resolve_unpowered` then places the unpowered cells
+    layer by layer, and clearance is one batched scan of the whole trace.
     """
     graph = trajectory.graph
     t0, tf = trajectory.spec.t0, trajectory.spec.tf
@@ -189,12 +227,7 @@ def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
 
     powered = _rows(graph.powered)
     targets = desired[:, powered]
-    positions, velocities = actual[0, powered], np.zeros((len(powered), 2))
-    path = np.empty_like(targets)
-    path[0] = positions
-    for k in range(n_steps):
-        positions, velocities = step(positions, velocities, targets[k], config)
-        path[k + 1] = positions
+    path = track(actual[0, powered], targets, config)
     actual[:, powered] = path
 
     try:

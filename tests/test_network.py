@@ -64,6 +64,12 @@ class TestGraphValidation:
                 arm_length=0.25,
             )
 
+    def test_degree_error_prints_an_empty_neighbor_list(self):
+        # Read `got frozenset()`.
+        with pytest.raises(DegreeViolationError) as excinfo:
+            CellGraph(layers=[{1, 2, 3}, {4}], neighbors={4: []}, cell_radius=0.05, arm_length=0.25)
+        assert str(excinfo.value) == "interior cell 4 must have exactly 3 neighbors, got []"
+
     def test_boundary_must_be_three_cells(self):
         with pytest.raises(InvalidArgumentError):
             CellGraph(

@@ -500,6 +500,9 @@ class TestRejectedInput:
             ("four_cell_experiment", "graph", "neighbors.4", "1,,2,3", 5, "expected a comma-separated cell list"),
             # Read `actuated joints of cell 4 must be two distinct neighbors`.
             ("four_cell_experiment", "graph", "actuated.4", "1,1", 5, "cell 1 is listed twice"),
+            # An offset is two numbers separated by a comma. Both exited 0.
+            ("seven_cell_sim", "sim", "offset", "0.01,,-0.02", 29, "expected two finite numbers"),
+            ("seven_cell_sim", "sim", "offset.5", "0.01 -0.02", 29, "expected two finite numbers"),
         ],
         ids=[
             "actuated",
@@ -530,6 +533,8 @@ class TestRejectedInput:
             "neighbors_no_commas",
             "neighbors_empty_entry",
             "actuated_cell_twice",
+            "offset_empty_field",
+            "offset_no_comma",
         ],
     )
     def test_bad_value_is_located(self, scenario, section, key, value, line, message, tmp_path, capsys):

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_layered_graph, stellar_layered_graph
+from conftest import make_seven_cell, random_layered_graph, stellar_layered_graph
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from test_bench_contract import BENCH, _bench_module
 
 from atugv import (
@@ -31,6 +34,7 @@ from atugv import (
 )
 from atugv.cli import main
 from atugv.planner import joint_separations
+from atugv.simulator import MODELS
 
 IDENTITY = GeneralizedCoordinates.identity()
 SIM_FINAL = GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)
@@ -44,6 +48,7 @@ TRACE_ARRAYS = (
     "errors",
     "min_clearance",
 )
+EXACT_ARRAYS = ("times", "desired", "elbow_desired")
 ERROR_FIELDS = ("step", "time", "cell", "joint", "index")
 
 # The four-cell reach reproduction: reach 0.55 m, and two plan samples miss
@@ -67,9 +72,10 @@ samples = 2
 
 
 def reference_run(trajectory, config):
-    """The step-by-step simulation that `run` must reproduce exactly: each
-    step moves the powered cells, then resolves the unpowered cells layer
-    by layer from the positions just reached. Returns the trace arrays."""
+    """The step-by-step simulation that `run` must reproduce (see
+    `assert_same_as_reference`): each step moves the powered cells, then
+    resolves the unpowered cells layer by layer from the positions just
+    reached. Returns the trace arrays."""
     graph, spec = trajectory.graph, trajectory.spec
     reach = graph.reach
     n_steps = int(round((spec.tf - spec.t0) / config.dt))
@@ -144,8 +150,10 @@ def _error_of(simulate, trajectory, config):
 
 
 def assert_same_as_reference(trajectory, config):
-    """`run` gives the reference trace bit for bit, or the same error with
-    the same fields."""
+    """`run` gives the reference trace, or the same error with the same
+    fields. The times and everything desired are bit for bit the same; what
+    follows the tracking loop, which `run` sums in another order, agrees
+    within 1e-12. Every NaN is where the reference has one."""
     try:
         expected = reference_run(trajectory, config)
     except AtugvError:
@@ -153,7 +161,12 @@ def assert_same_as_reference(trajectory, config):
         return
     trace = run(trajectory, config)
     for name in TRACE_ARRAYS:
-        assert np.array_equal(getattr(trace, name), expected[name], equal_nan=True), name
+        got, want = getattr(trace, name), expected[name]
+        assert np.array_equal(np.isnan(got), np.isnan(want)), name
+        if name in EXACT_ARRAYS:
+            assert np.array_equal(got, want, equal_nan=True), name
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
 
 
 def scenario_trajectory(text):
@@ -429,3 +442,62 @@ class TestAllPoweredIsBarycentric:
         text = _bundled_text("seven_cell_sim").replace("[graph]\n", "[graph]\npowered = 1,2,3,4,5,6,7\n")
         assert "\ndt = 0.01\n" in text and "\ntf = 10.0\n" in text  # 1001 steps
         self.assert_barycentric(text)
+
+
+@st.composite
+def sim_settings(draw, model):
+    """(dt, alpha, k_v) that `SimConfig` accepts, with alpha at most
+    200 /s and the loop's spectral radius at most 0.99 (k_v * dt in
+    [0.05, 3] covers the double integrator's part of that). dt is a
+    multiple of 2^-20, so that n * dt is exact: a horizon of n steps."""
+    dt = draw(st.integers(2**10, 2**20)) / 2**20
+    alpha = draw(st.floats(0.01 / dt, min(200.0, (1.99 if model == "single" else 0.99) / dt)))
+    k_v = draw(st.floats(0.05 / dt, 3.0 / dt))
+    try:
+        config = SimConfig(dt=dt, model=model, alpha=alpha, k_v=k_v)
+    except InvalidArgumentError:
+        assume(False)
+    if model == "double":  # the single integrator's radius is |1 - alpha * dt|
+        assume(max(abs(np.linalg.eigvals(config.euler_matrix()))) <= 0.99)
+    return dt, alpha, k_v
+
+
+class TestTrackingScan:
+    """`run` tracks the powered cells in one prefix scan over the whole
+    horizon; on an all-powered vehicle, started with a random offset per
+    cell, it stays within 1e-12 of the step-by-step reference on horizons
+    that are not powers of two, up to the edges alpha * dt = 1.99 and a
+    double-integrator spectral radius of 0.99.
+
+    Beyond those bounds the reference's own rounding is amplified by
+    1 / (1 - spectral radius), and a velocity command is alpha times a
+    position difference: over random settings up to radius 0.999998 and
+    alpha = 2 / dt, the positions agreed within 3e-14, the commands only
+    within 2.1e-12.
+    """
+
+    graph = dataclasses.replace(make_seven_cell(), powered=frozenset(range(1, 8)))
+    reference = solve_reference_positions(graph)
+    final = GeneralizedCoordinates(0.95, 0.9, 0.2, 0.1, 0.1, 0.05)
+    offsets = st.lists(st.tuples(*[st.floats(-0.01, 0.01)] * 2), min_size=7, max_size=7)
+
+    @pytest.mark.parametrize("model", MODELS)
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data(), n_steps=st.sampled_from([10, 1000, 2000]), offsets=offsets)
+    def test_matches_step_by_step(self, model, data, n_steps, offsets):
+        dt, alpha, k_v = data.draw(sim_settings(model))
+        self.assert_matches(model, dt, alpha, k_v, n_steps, offsets)
+
+    @pytest.mark.parametrize(
+        "model, alpha, k_v",
+        [("single", 199.0, 20.0), ("double", 1.0, 190.0)],  # alpha * dt = 1.99; spectral radius 0.98996
+    )
+    def test_stability_edges(self, model, alpha, k_v):
+        self.assert_matches(model, 0.01, alpha, k_v, 2000, [(0.01, -0.01)] * 7)
+
+    def assert_matches(self, model, dt, alpha, k_v, n_steps, offsets):
+        spec = PlanSpec(t0=0.0, tf=n_steps * dt, initial=IDENTITY, final=self.final)
+        trajectory = plan(spec, self.graph, self.reference, sample_count=20)
+        initial = {i: np.array(offset) for i, offset in enumerate(offsets, start=1)}
+        config = SimConfig(dt=dt, model=model, alpha=alpha, k_v=k_v, initial_offsets=initial)
+        assert_same_as_reference(trajectory, config)
