@@ -5,7 +5,6 @@ table are bundled: four_cell_experiment and seven_cell_sim.
 """
 from __future__ import annotations
 
-import configparser
 import math
 import re
 from dataclasses import dataclass
@@ -38,51 +37,47 @@ class Scenario:
     terminal_error_threshold: float
 
 
-def _line_of(text: str, section: str, key: Optional[str] = None) -> Optional[int]:
-    """Line number of `key = ...` in [section], or of its header if key is None.
-    Like configparser, a `#` at the start or after whitespace begins a comment."""
-    current = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = re.split(r"(?<!\S)#", line, maxsplit=1)[0].strip()
-        header = configparser.ConfigParser.SECTCRE.match(stripped)
-        if header:
-            current = header.group("header")
-            if key is None and current == section:
-                return lineno
-        elif current == section:
-            name, delimiter, _ = stripped.partition("=")
-            if delimiter and name.rstrip().lower() == key.lower():
-                return lineno
-    return None
+# `#` at the start of a line or after whitespace begins a comment.
+_COMMENT = re.compile(r"(?<!\S)#.*")
+_HEADER = re.compile(r"\[(.+)\]")
 
 
 class _Parsed:
-    """The key/value text of each section, and the keys of each section the
-    loader has read: the grammar is exactly the keys the loader reads."""
+    """The key/value text of each section, the line of each header and key,
+    and the keys of each section the loader has read: the grammar is exactly
+    the keys the loader reads."""
 
     def __init__(self, text: str, name: str):
-        self.text = text
         self.name = name
-        # No header names "", so [DEFAULT] is one more (unknown) section.
-        parser = configparser.ConfigParser(
-            delimiters=("=",), inline_comment_prefixes=("#",), interpolation=None, default_section=""
-        )
-        try:
-            parser.read_string(text, source=name)
-        except configparser.DuplicateOptionError as exc:
-            raise ScenarioError(f"{name}:{exc.lineno}: [{exc.section}] {exc.option}: duplicate key") from None
-        except configparser.DuplicateSectionError as exc:
-            raise ScenarioError(f"{name}:{exc.lineno}: duplicate section [{exc.section}]") from None
-        except configparser.MissingSectionHeaderError as exc:
-            raise ScenarioError(f"{name}:{exc.lineno}: expected a [section] header") from None
-        except configparser.ParsingError as exc:  # the first line without a `=`
-            raise ScenarioError(f"{name}:{exc.errors[0][0]}: expected key = value") from None
-        # raw: values are used as written; there is no interpolation.
-        self.sections = {s: dict(parser.items(s, raw=True)) for s in parser.sections()}
+        self.sections = {}
+        self.lines = {}  # (section, key) -> line number; key None for the header
+        section = None
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            line = _COMMENT.sub("", line).strip()
+            if not line or line.startswith(";"):
+                continue
+            header = _HEADER.fullmatch(line)
+            if header:
+                section = header.group(1)
+                if section in self.sections:
+                    raise ScenarioError(f"{name}:{lineno}: duplicate section [{section}]")
+                self.sections[section] = {}
+                self.lines[section, None] = lineno
+                continue
+            if section is None:
+                raise ScenarioError(f"{name}:{lineno}: expected a [section] header")
+            key, delimiter, value = line.partition("=")
+            key = key.strip().lower()
+            if not (delimiter and key):
+                raise ScenarioError(f"{name}:{lineno}: expected key = value")
+            if key in self.sections[section]:
+                raise ScenarioError(f"{name}:{lineno}: [{section}] {key}: duplicate key")
+            self.sections[section][key] = value.strip()
+            self.lines[section, key] = lineno
         self.read = {section: set() for section in self.sections}
 
     def fail(self, section: str, key: str, message: str, cause: Optional[Exception] = None):
-        lineno = _line_of(self.text, section, key)
+        lineno = self.lines.get((section, key))
         where = f"{self.name}:{lineno}" if lineno else self.name
         raise ScenarioError(f"{where}: [{section}] {key}: {message}") from cause
 
@@ -157,9 +152,7 @@ class _Parsed:
         for section, items in self.sections.items():
             read = self.read[section]
             if not read:
-                lineno = _line_of(self.text, section)
-                where = f"{self.name}:{lineno}" if lineno else self.name
-                raise ScenarioError(f"{where}: unknown section [{section}]")
+                raise ScenarioError(f"{self.name}:{self.lines[section, None]}: unknown section [{section}]")
             unread = [key for key in items if key not in read]
             if unread:
                 self.fail(section, unread[0], "unknown key")

@@ -78,11 +78,12 @@ def step_count(spec: PlanSpec, dt: float) -> int:
     """The number of steps of `dt` over the plan's horizon, which `dt` must
     divide evenly in at least ten steps."""
     horizon = spec.tf - spec.t0
-    if dt > horizon / 10.0:
+    n_steps = int(round(horizon / dt))
+    # On the rounded count, with the evenness test's tolerance: 0.7 / 10.0 < 0.07.
+    if n_steps < 10 or 10 * dt - horizon > 1e-9:
         raise InvalidArgumentError(
             f"dt = {dt} must not exceed a tenth of the horizon {horizon:.6g} s", field="dt"
         )
-    n_steps = int(round(horizon / dt))
     if abs(n_steps * dt - horizon) > 1e-9:
         raise InvalidArgumentError(f"dt = {dt} must evenly divide the horizon {horizon:.6g} s", field="dt")
     return n_steps
@@ -214,6 +215,9 @@ def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
     layer by layer, and clearance is one batched scan of the whole trace.
     """
     graph = trajectory.graph
+    for i in config.initial_offsets or ():
+        if i not in graph.cells:  # row i - 1 would shift another cell or fail
+            raise InvalidArgumentError(f"cell {i} is in no layer", field="initial_offsets", cell=i)
     t0, tf = trajectory.spec.t0, trajectory.spec.tf
     n_steps = step_count(trajectory.spec, config.dt)
 

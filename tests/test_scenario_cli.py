@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atugv import ScenarioError, load_scenario, load_scenario_text
 from atugv.cli import main
@@ -390,16 +392,21 @@ class TestRejectedInput:
     def test_error_line_matches_the_key_exactly(self, tmp_path):
         # Reported line 33, where `offset.3` starts with `offset`.
         from atugv import bundled_scenario_path
-        from atugv.scenario import _line_of
 
-        text = bundled_scenario_path("seven_cell_sim").read_text().replace(
+        text = bundled_scenario_path("seven_cell_sim").read_text()
+        offsets = text.replace(
             "terminal_error_threshold = 1e-3",
             "offset.3 = 0.01, 0.02\noffset = 0.01, nan\nterminal_error_threshold = 1e-3",
         )
         with pytest.raises(ScenarioError) as info:
-            load_scenario_text(text, name="x.cfg")
+            load_scenario_text(offsets, name="x.cfg")
         assert str(info.value) == "x.cfg:34: [sim] offset: expected two finite numbers"
-        assert _line_of("[graph]\nneighbors.40 = 1,2,3\nneighbors.4 = 1,x", "graph", "neighbors.4") == 3
+        # A key that is a prefix of the one above it still gets its own line.
+        neighbors = _with_key(_with_key(text, "graph", "neighbors.4", "1,x"), "graph", "neighbors.40", "1,2,3")
+        assert neighbors.splitlines()[4:6] == ["neighbors.40 = 1,2,3", "neighbors.4 = 1,x"]
+        with pytest.raises(ScenarioError) as info:
+            load_scenario_text(neighbors, name="x.cfg")
+        assert str(info.value) == "x.cfg:6: [graph] neighbors.4: expected a comma-separated cell list"
 
     def test_config_type_error_is_the_cause(self):
         from atugv import InvalidArgumentError
@@ -577,6 +584,50 @@ class TestRejectedInput:
         cfg.write_text(text.replace(*edit))
         assert main(["validate", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {cfg}:{line}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "edits, line, message",
+        [
+            # Read `x.cfg:32: [sim] dt: duplicate key`: a line without `=`
+            # was held back until the end of the file.
+            ((("[plan]\n", "[plan]\ngarbage\n"), ("dt = 0.01\n", "dt = 0.01\ndt = 0.02\n")), 17, "expected key = value"),
+            # Read `x.cfg:31: [sim] alpha: expected a finite number, got
+            # '10.0\n\nwarp = 1'`: the indented line, and the blank line
+            # above it, were glued onto the value above them.
+            ((("alpha = 10.0\n", "alpha = 10.0\n\n  warp = 1\n"),), 33, "[sim] warp: unknown key"),
+            # Loaded as layers 1,2,3 | 4 | 5,6,7.
+            ((("layers = 1,2,3 | 4 | 5,6,7\n", "layers = 1,2,3 |\n  4 | 5,6,7\n"),), 6, "expected key = value"),
+            # Loaded as [sim], the trailing text dropped.
+            ((("[sim]\n", "[sim] extra\n"),), 28, "expected key = value"),
+        ],
+        ids=["first_bad_line_wins", "indented_key_stands_alone", "no_continuation_line", "header_is_the_whole_line"],
+    )
+    def test_each_line_stands_alone(self, edits, line, message, tmp_path, capsys):
+        from atugv import bundled_scenario_path
+
+        text = bundled_scenario_path("seven_cell_sim").read_text()
+        for old, new in edits:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(text)
+        assert main(["validate", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: {message}\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_an_inserted_key_is_located_at_its_line(self, data):
+        from atugv import bundled_scenario_path
+        from atugv.scenario import BUNDLED
+
+        lines = bundled_scenario_path(data.draw(st.sampled_from(BUNDLED))).read_text().splitlines()
+        headers = [n for n, line in enumerate(lines, start=1) if line.startswith("[")]
+        after = data.draw(st.integers(headers[0], len(lines)))
+        section = lines[max(n for n in headers if n <= after) - 1][1:-1]
+        text = "\n".join(lines[:after] + ["warp = 1"] + lines[after:]) + "\n"
+        with pytest.raises(ScenarioError) as info:
+            load_scenario_text(text, name="x.cfg")
+        assert str(info.value) == f"x.cfg:{after + 1}: [{section}] warp: unknown key"
 
     def test_a_cell_key_has_one_spelling(self, tmp_path, capsys):
         # Loaded as {4: [5., 5.]}: the later spelling of cell 4 won.

@@ -329,8 +329,30 @@ class TestRun:
 
     def test_coarse_dt_rejected(self, seven_cell, seven_cell_reference):
         traj = self.sim_trajectory(seven_cell, seven_cell_reference, tf=1.0)
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match=r"^dt = 0\.15 must not exceed a tenth of the horizon 1 s$"):
             run(traj, SimConfig(dt=0.15, alpha=10.0))
+
+    @pytest.mark.parametrize("tf, dt", [("0.7", "0.07"), ("1.4", "0.14")])
+    def test_dt_of_exactly_a_tenth_loads(self, tf, dt):
+        from atugv.simulator import step_count
+
+        # Failed with `dt = 0.07 must not exceed a tenth of the horizon 0.7 s`:
+        # 0.7 / 10.0 rounds below 0.07.
+        text = _bundled_text("seven_cell_sim").replace("tf = 10.0\n", f"tf = {tf}\n")
+        text = text.replace("dt = 0.01\n", f"dt = {dt}\n")
+        scenario = load_scenario_text(text, name="x.cfg")
+        assert step_count(scenario.plan_spec, scenario.sim.dt) == 10
+
+    @pytest.mark.parametrize("cell", [0, 9])
+    def test_offset_of_a_cell_in_no_layer(self, cell):
+        # Cell 0 shifted cell 4 (row -1 is the last row); cell 9 raised a
+        # bare IndexError.
+        scenario = load_scenario_text(_bundled_text("four_cell_experiment"))
+        traj = plan(scenario.plan_spec, scenario.graph, solve_reference_positions(scenario.graph), 20)
+        config = SimConfig(initial_offsets={cell: np.array([0.3, 0])})
+        with pytest.raises(InvalidArgumentError, match=rf"^cell {cell} is in no layer$") as info:
+            run(traj, config)
+        assert (info.value.field, info.value.cell) == ("initial_offsets", cell)
 
     def test_uneven_dt_rejected(self, seven_cell, seven_cell_reference):
         traj = self.sim_trajectory(seven_cell, seven_cell_reference)
