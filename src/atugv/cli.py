@@ -151,13 +151,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    scenario, reference = _load(args)
-
+    scenario = load_scenario(args.scenario)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Outputs of an earlier run would otherwise outlive a run that fails.
+    # An earlier run's outputs would otherwise outlive a run that fails
+    # from here on, at the reference too.
     for name in ("report.txt", "trajectory.csv", "elbows.csv"):
         (out_dir / name).unlink(missing_ok=True)
+    reference = solve_reference_positions(scenario.graph)
 
     trajectory, verdicts = _validate_verdicts(scenario, reference)
     ok = trajectory is not None

@@ -43,9 +43,9 @@ class ReferenceOverlapError(AtugvError):
 
 class UnreachableSeparationError(AtugvError):
     """A commanded cell separation exceeds the full extension of the
-    two-arm connection mechanism. `joint` is 1 or 2 for a cell's
-    actuated joints; the planner names the `time` and the interior `cell`
-    of the first unreachable joint."""
+    two-arm connection mechanism. `planner.joint_elbow_angles` names the
+    `joint` as (interior cell, neighbor) and its interior `cell`, the planner
+    the `time`; `kinematics.desired_elbow_angles` names joint 1 or 2."""
 
     joint = None
 

@@ -9,6 +9,7 @@ one place that maps times to desired cell positions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,10 @@ class PlanSpec:
     blend_kind: str = "smoothstep"
 
     def __post_init__(self):
+        for name in ("t0", "tf"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidArgumentError(f"{name} must be finite, got {value}", field=name)
         if not self.tf > self.t0:
             raise InvalidArgumentError(f"tf must exceed t0, got [{self.t0}, {self.tf}]", field="tf")
         if self.blend_kind not in BLEND_KINDS:
@@ -101,11 +106,12 @@ def joint_separations(graph: CellGraph, positions: np.ndarray) -> np.ndarray:
 
 def joint_elbow_angles(graph: CellGraph, positions: np.ndarray) -> np.ndarray:
     """`elbow_angle` of every joint, (..., J) like `joint_separations`; an
-    out-of-reach joint is named in front of the message and by its interior `cell`."""
+    out-of-reach joint is named in front of the message, as `joint` and by
+    its interior `cell`."""
     try:
         return kinematics.elbow_angle(joint_separations(graph, positions), graph.reach)
     except UnreachableSeparationError as exc:
-        joint = graph.joints[exc.index[-1]]
+        exc.joint = joint = graph.joints[exc.index[-1]]
         exc.cell, exc.args = joint[0], (f"joint {joint}: {exc}",)
         raise
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import kinematics
 from .errors import (
-    AtugvError,
     InconsistentAnglesError,
     InvalidArgumentError,
     UnreachableSeparationError,
@@ -49,6 +48,14 @@ class SimConfig:
                 raise InvalidArgumentError(f"{name} must be positive and finite, got {value}", field=name)
         if self.model not in MODELS:
             raise InvalidArgumentError(f"model must be one of {MODELS}, got {self.model!r}", field="model")
+        for i, offset in (self.initial_offsets or {}).items():
+            try:
+                value = np.asarray(offset, dtype=float)
+            except (TypeError, ValueError):
+                value = None
+            if value is None or value.shape != (2,) or not np.isfinite(value).all():
+                message = f"offset of cell {i} must be two finite numbers, got {offset!r}"
+                raise InvalidArgumentError(message, field="initial_offsets", cell=i)
         if not self.alpha * self.dt < 2.0:
             raise InvalidArgumentError(
                 f"alpha * dt = {self.alpha * self.dt:.3g} >= 2 is unstable "
@@ -157,53 +164,46 @@ def track(start: np.ndarray, targets: np.ndarray, config: SimConfig) -> np.ndarr
     return positions
 
 
-def resolve_unpowered(graph: CellGraph, actual: np.ndarray, desired: np.ndarray) -> None:
-    """Fill in the unpowered rows of actual[1:], given actual[0] and the
-    powered rows at every time ((T, N, 2) arrays, like `desired`).
+def resolve_unpowered(graph: CellGraph, actual: np.ndarray, commanded: np.ndarray) -> None:
+    """Fill in the unpowered rows of actual[1:], given actual[0], the
+    powered rows at every time ((T, N, 2) arrays, like `desired`) and the
+    angle commanded to every joint ((T, J), like `SimulationTrace.elbow_desired`).
 
     At every time each unpowered cell lies where the circles about the
     actual positions of its two actuated neighbors meet, with radii set by
-    the elbow angles commanded for the desired positions, on the branch
-    closest to where the cell was a step before. Powered motion never
-    depends on unpowered cells, so each layer, in order, is one batched
-    call over all steps. The error raised is the one a step-by-step
-    simulation meets first: earliest step, then layer, then the commanded
-    angles before the resolve, then cell. It names the failing `cell` and
-    the `step` k of the move from actual[k] to actual[k + 1].
+    the angles commanded to those joints, on the branch closest to where
+    the cell was a step before. Powered motion never depends on unpowered
+    cells, so each layer, in order, is one batched call over all steps. The
+    error raised names as its `step` the first row k that cannot be placed,
+    and as its `cell` the first failing there by layer, then in the order
+    `resolve_unpowered_position` reports them; its `index` is (k, cell - 1).
     """
-    unpowered = graph.unpowered
-    error, end = None, len(actual) - 1  # steps before `end` have not failed
+    unpowered, column = graph.unpowered, {}
+    error, end = None, len(actual) - 1  # rows up to `end` have not failed
     for layer in graph.layers:
         cells = sorted(layer & unpowered)
         if not cells:
             continue
+        column = column or {joint: m for m, joint in enumerate(graph.joints)}
         rows = _rows(cells)
-        j1, j2 = (np.array([graph.actuated[i] for i in cells]) - 1).T
+        pairs = [graph.actuated[i] for i in cells]
+        j1, j2 = (np.array(pairs) - 1).T
+        m1, m2 = np.array([[column[i, j] for j in pair] for i, pair in zip(cells, pairs)]).T
         while end > 0:
             now = slice(1, end + 1)
             try:
-                theta1, theta2 = kinematics.desired_elbow_angles(
-                    desired[now, rows], desired[now, j1], desired[now, j2], graph.reach
-                )
                 actual[now, rows] = kinematics.resolve_unpowered_position(
-                    actual[now, j1], actual[now, j2], theta1, theta2, graph.reach, previous=actual[0, rows]
+                    actual[now, j1], actual[now, j2], commanded[now, m1], commanded[now, m2],
+                    graph.reach, previous=actual[0, rows],
                 )
                 break
-            except (UnreachableSeparationError, InconsistentAnglesError) as exc:
-                # Redo the steps before the failure: the commanded angles
-                # pass there, but the resolve may fail still earlier.
+            except InconsistentAnglesError as exc:
+                # Place the rows before the failure, which later layers need.
                 k, c = exc.index
-                exc.step, exc.cell, exc.index = k, cells[c], (c,)
+                exc.step, exc.cell, exc.index = k + 1, cells[c], (k + 1, cells[c] - 1)
                 error, end = exc, k
     if error is not None:
         raise error
-
-
-def _name_step(exc: AtugvError, times: np.ndarray) -> None:
-    """Add the time of `exc.step` and put both in front of the message."""
-    t = float(times[exc.step])
-    exc.time = t
-    exc.args = (f"step {exc.step} (t = {t:.6g} s): {exc}",)
 
 
 def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
@@ -213,6 +213,8 @@ def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
     Three passes: `track` moves the powered cells over the whole horizon
     in one prefix scan, `resolve_unpowered` then places the unpowered cells
     layer by layer, and clearance is one batched scan of the whole trace.
+    An error names as its `step` and `time` the first row the model cannot
+    define; there a commanded joint beyond the mechanism reach comes first.
     """
     graph = trajectory.graph
     for i in config.initial_offsets or ():
@@ -234,17 +236,19 @@ def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
     path = track(actual[0, powered], targets, config)
     actual[:, powered] = path
 
-    try:
-        resolve_unpowered(graph, actual, desired)
-    except (UnreachableSeparationError, InconsistentAnglesError) as exc:
-        _name_step(exc, times)
-        raise
-    try:
-        elbow_des = joint_elbow_angles(graph, desired)
-    except UnreachableSeparationError as exc:  # a joint no unpowered cell uses
-        exc.step = exc.index[0]
-        _name_step(exc, times)
-        raise
+    end, error = len(times), None  # rows before `end` are not known to fail
+    while True:
+        try:
+            elbow_des = joint_elbow_angles(graph, desired[:end])
+            resolve_unpowered(graph, actual[:end], elbow_des)
+            break
+        except (UnreachableSeparationError, InconsistentAnglesError) as exc:
+            # The rows before the failing one may hold an earlier failure.
+            error, end = exc, exc.index[0]
+    if error is not None:
+        error.step, error.time = end, float(times[end])
+        error.args = (f"step {end} (t = {error.time:.6g} s): {error}",)
+        raise error
     v_cmd = np.full_like(desired, np.nan)
     v_cmd[:, powered] = velocity_command(targets, path, config.alpha)
     d_act = joint_separations(graph, actual)

@@ -190,3 +190,11 @@ class TestPlan:
     def test_degenerate_horizon_rejected(self):
         with pytest.raises(InvalidArgumentError):
             PlanSpec(t0=5.0, tf=5.0, initial=IDENTITY, final=SIM_FINAL)
+
+    @pytest.mark.parametrize("t0, tf, field", [(0.0, math.inf, "tf"), (-math.inf, 10.0, "t0")])
+    def test_infinite_horizon_rejected(self, t0, tf, field):
+        # Was accepted; `plan` then failed inside np.linspace with a
+        # RuntimeWarning, or with a DomainError listing NaN times.
+        with pytest.raises(InvalidArgumentError, match=rf"^{field} must be finite, got -?inf$") as excinfo:
+            PlanSpec(t0=t0, tf=tf, initial=IDENTITY, final=IDENTITY)
+        assert excinfo.value.field == field

@@ -682,7 +682,23 @@ class TestStaleOutputs:
         capsys.readouterr()
         assert main(["run", str(sampled), "--output-dir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: step 42 (t = 0.42 s): joint 1: separation 0.550201 m")
+        assert err.startswith("error: step 43 (t = 0.43 s): joint (4, 1): separation 0.550201 m")
+        assert list(out.iterdir()) == []
+
+    def test_overlapping_reference_leaves_no_earlier_outputs(self, tmp_path, capsys):
+        # Exited 2 and left the bundled run's three files: `run` solved the
+        # reference before it removed them.
+        from atugv import bundled_scenario_path
+
+        overlapping = tmp_path / "overlapping.cfg"
+        text = bundled_scenario_path("four_cell_experiment").read_text()
+        overlapping.write_text(_with_key(text, "geometry", "cell_radius", "0.3"))
+        out = tmp_path / "out"
+        assert main(["run", "four_cell_experiment", "--output-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(overlapping), "--output-dir", str(out)]) == 2
+        message = "error: reference separation 0.57735 m does not exceed the cell diameter 0.6 m\n"
+        assert capsys.readouterr().err == message
         assert list(out.iterdir()) == []
 
     def test_unreachable_plan_names_its_time_and_joint(self, tmp_path, capsys):
@@ -695,7 +711,7 @@ class TestStaleOutputs:
         with pytest.raises(UnreachableSeparationError) as excinfo:
             plan(scenario.plan_spec, scenario.graph, reference, scenario.sample_count)
         error = excinfo.value
-        assert (scenario.sample_count, error.index, error.time, error.cell) == (200, 0, 0.0, 4)
+        assert (scenario.sample_count, error.index, error.time, error.cell, error.joint) == (200, 0, 0.0, 4, (4, 1))
         message = "plan is out of reach at t = 0 s, joint (4, 1): separation 0.57735 m exceeds mechanism reach 0.55 m"
         assert str(error) == message
         cfg = tmp_path / "unreachable.cfg"

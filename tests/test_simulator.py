@@ -19,7 +19,6 @@ from atugv import (
     UnreachableSeparationError,
     barycentric_weights,
     bundled_scenario_path,
-    desired_elbow_angles,
     desired_positions,
     elbow_angle,
     load_scenario_text,
@@ -33,7 +32,7 @@ from atugv import (
     velocity_command,
 )
 from atugv.cli import main
-from atugv.planner import joint_separations
+from atugv.planner import joint_elbow_angles, joint_separations
 from atugv.simulator import MODELS
 
 IDENTITY = GeneralizedCoordinates.identity()
@@ -70,12 +69,22 @@ blend = linear
 samples = 2
 """
 
+# The same sweep on a seven-cell vehicle: cells 5, 6 and 7 hang off cell 4.
+LAYERED_REACH_SCENARIO = REACH_SCENARIO.replace(
+    "layers = 1,2,3 | 4\nneighbors.4 = 1,2,3",
+    "layers = 1,2,3 | 4 | 5,6,7\nneighbors.4 = 1,2,3\nneighbors.5 = 1,2,4\n"
+    "neighbors.6 = 2,3,4\nneighbors.7 = 1,3,4",
+)
+
 
 def reference_run(trajectory, config):
     """The step-by-step simulation that `run` must reproduce (see
-    `assert_same_as_reference`): each step moves the powered cells, then
-    resolves the unpowered cells layer by layer from the positions just
-    reached. Returns the trace arrays."""
+    `assert_same_as_reference`). It takes every joint's commanded
+    separation from the plan first. Then each step moves the powered cells
+    to row k + 1, checks the angle commanded to every joint at row k + 1,
+    and only then resolves the unpowered cells layer by layer from the
+    positions just reached and the angles of their actuated joints. An
+    error names row k + 1. Returns the trace arrays."""
     graph, spec = trajectory.graph, trajectory.spec
     reach = graph.reach
     n_steps = int(round((spec.tf - spec.t0) / config.dt))
@@ -88,36 +97,44 @@ def reference_run(trajectory, config):
         actual[0, i - 1] += np.asarray(offset, dtype=float)
     powered = np.array(sorted(graph.powered)) - 1
     velocities = np.zeros((len(powered), 2))
-    for k in range(n_steps):
-        actual[k + 1] = actual[k]
-        v_cmd = velocity_command(desired[k, powered], actual[k, powered], config.alpha)
-        if config.model == "single":
-            actual[k + 1, powered] = actual[k, powered] + config.dt * v_cmd
-        else:
-            actual[k + 1, powered] = actual[k, powered] + config.dt * velocities
-            velocities = velocities + config.dt * (config.k_v * (v_cmd - velocities))
+    separations = joint_separations(graph, desired)
+    elbow_desired = np.empty_like(separations)
+    for row in range(n_steps + 1):
+        k = row - 1
+        if row > 0:
+            actual[row] = actual[k]
+            v_cmd = velocity_command(desired[k, powered], actual[k, powered], config.alpha)
+            if config.model == "single":
+                actual[row, powered] = actual[k, powered] + config.dt * v_cmd
+            else:
+                actual[row, powered] = actual[k, powered] + config.dt * velocities
+                velocities = velocities + config.dt * (config.k_v * (v_cmd - velocities))
+        try:
+            elbow_desired[row] = elbow_angle(separations[row], reach)
+        except UnreachableSeparationError as exc:
+            m = exc.index[0]
+            joint = graph.joints[m]
+            exc.cell, exc.joint, exc.index = joint[0], joint, (row, m)
+            exc.args = (f"joint {joint}: {exc}",)
+            raise _at_step(exc, row, times)
+        if row == 0:
+            continue
         for layer in graph.layers:
             cells = sorted(layer & graph.unpowered)
             if not cells:
                 continue
             rows = np.array(cells) - 1
             j1, j2 = (np.array([graph.actuated[i] for i in cells]) - 1).T
+            m1, m2 = np.array([[graph.joints.index((i, j)) for j in graph.actuated[i]] for i in cells]).T
             try:
-                theta1, theta2 = desired_elbow_angles(
-                    desired[k + 1, rows], desired[k + 1, j1], desired[k + 1, j2], reach
+                actual[row, rows] = resolve_unpowered_position(
+                    actual[row, j1], actual[row, j2], elbow_desired[row, m1], elbow_desired[row, m2],
+                    reach, actual[k, rows],
                 )
-                actual[k + 1, rows] = resolve_unpowered_position(
-                    actual[k + 1, j1], actual[k + 1, j2], theta1, theta2, reach, actual[k, rows]
-                )
-            except AtugvError as exc:
+            except InconsistentAnglesError as exc:
                 exc.cell = cells[exc.index[0]]
-                raise _at_step(exc, k, times)
-    try:
-        elbow_desired = elbow_angle(joint_separations(graph, desired), reach)
-    except UnreachableSeparationError as exc:
-        joint = graph.joints[exc.index[1]]
-        exc.cell, exc.args = joint[0], (f"joint {joint}: {exc}",)
-        raise _at_step(exc, exc.index[0], times)
+                exc.index = (row, exc.cell - 1)
+                raise _at_step(exc, row, times)
     d_act = joint_separations(graph, actual)
     v_cmd = np.full_like(desired, np.nan)
     v_cmd[:, powered] = config.alpha * (desired[:, powered] - actual[:, powered])
@@ -211,13 +228,15 @@ class TestStep:
 
     def test_error_names_the_failing_cell(self, seven_cell, seven_cell_reference):
         reference = seven_cell_reference.positions
-        desired_next = reference.copy()
-        desired_next[5] += [0.0, 1.0]  # cell 6 beyond the reach of its joint to cell 2
         actual = np.stack([reference, reference])
-        with pytest.raises(UnreachableSeparationError) as excinfo:
-            resolve_unpowered(seven_cell, actual, np.stack([reference, desired_next]))
-        assert (excinfo.value.cell, excinfo.value.joint) == (6, 1)
-        assert excinfo.value.step == 0
+        commanded = joint_elbow_angles(seven_cell, actual)
+        # fold both actuated joints of cell 6, to cells 2 and 3: its circles
+        # about them shrink to points that do not meet
+        commanded[1, [seven_cell.joints.index((6, 2)), seven_cell.joints.index((6, 3))]] = 0.0
+        with pytest.raises(InconsistentAnglesError) as excinfo:
+            resolve_unpowered(seven_cell, actual, commanded)
+        assert (excinfo.value.cell, excinfo.value.index) == (6, (1, 5))
+        assert excinfo.value.step == 1
 
 
 class TestRun:
@@ -306,9 +325,9 @@ class TestRun:
         with pytest.raises(UnreachableSeparationError) as excinfo:
             run(traj, config)
         exc = excinfo.value
-        assert (exc.step, exc.joint, exc.cell) == (42, 1, 4)
-        assert abs(exc.time - 0.42) < 1e-12
-        assert str(exc).startswith("step 42 (t = 0.42 s): joint 1: ")
+        assert (exc.step, exc.joint, exc.cell) == (43, (4, 1), 4)
+        assert abs(exc.time - 0.43) < 1e-12
+        assert str(exc).startswith("step 43 (t = 0.43 s): joint (4, 1): ")
 
     def test_unused_joint_error_names_its_step(self, tmp_path, capsys):
         # every cell powered: the over-extended joint drags no unpowered cell,
@@ -317,7 +336,7 @@ class TestRun:
         with pytest.raises(UnreachableSeparationError) as excinfo:
             run(traj, config)
         exc = excinfo.value
-        assert (exc.step, exc.index, exc.cell) == (43, (43, 0), 4)
+        assert (exc.step, exc.index, exc.cell, exc.joint) == (43, (43, 0), 4, (4, 1))
         assert abs(exc.time - 0.43) < 1e-12
         # Read `step 43 (t = 0.43 s): separation ...`, with no joint and no cell.
         message = "step 43 (t = 0.43 s): joint (4, 1): separation 0.550201 m exceeds mechanism reach 0.55 m"
@@ -326,6 +345,20 @@ class TestRun:
         cfg.write_text(REACH_SCENARIO.format(powered="powered = 1,2,3,4"))
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_reach_error_ignores_the_powered_set(self):
+        # Cell 4 unpowered read `step 42 (t = 0.42 s): joint 1: ...` with
+        # `joint = 1`, powered `step 43 (t = 0.43 s): joint (4, 1): ...`.
+        errors = [
+            _error_of(run, *scenario_trajectory(REACH_SCENARIO.format(powered=powered)))
+            for powered in ("", "powered = 1,2,3,4")
+        ]
+        assert errors[0] == errors[1]
+        kind, message, fields = errors[0]
+        assert kind is UnreachableSeparationError
+        assert message == "step 43 (t = 0.43 s): joint (4, 1): separation 0.550201 m exceeds mechanism reach 0.55 m"
+        assert (fields["step"], fields["cell"], fields["joint"], fields["index"]) == (43, 4, (4, 1), (43, 0))
+        assert abs(fields["time"] - 0.43) < 1e-12
 
     def test_coarse_dt_rejected(self, seven_cell, seven_cell_reference):
         traj = self.sim_trajectory(seven_cell, seven_cell_reference, tf=1.0)
@@ -353,6 +386,19 @@ class TestRun:
         with pytest.raises(InvalidArgumentError, match=rf"^cell {cell} is in no layer$") as info:
             run(traj, config)
         assert (info.value.field, info.value.cell) == ("initial_offsets", cell)
+
+    @pytest.mark.parametrize(
+        "offset",
+        [[0.01], [0.01, 0.02, 0.03], [math.nan, 0.0], [math.inf, 0.0]],
+        ids=["one_number", "three_numbers", "nan", "inf"],
+    )
+    def test_offset_of_other_than_two_finite_numbers(self, offset):
+        # On four_cell_experiment, [0.01] shifted cell 4 by (0.01, 0.01),
+        # three numbers failed in `run` with a bare numpy ValueError, NaN
+        # failed as a separation, and inf ran and wrote inf at row 0.
+        with pytest.raises(InvalidArgumentError, match=r"^offset of cell 4 must be two finite numbers") as info:
+            SimConfig(initial_offsets={4: offset})
+        assert (info.value.field, info.value.cell) == ("initial_offsets", 4)
 
     def test_uneven_dt_rejected(self, seven_cell, seven_cell_reference):
         traj = self.sim_trajectory(seven_cell, seven_cell_reference)
@@ -410,31 +456,58 @@ class TestMatchesStepByStep:
         graph, reference = stellar_layered_graph(n_cells, np.random.default_rng(0))
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL, blend_kind="smootherstep")
         traj = plan(spec, graph, reference, sample_count=200)
-        kind, _, fields = _error_of(reference_run, traj, SimConfig(dt=0.01))
-        assert kind is InconsistentAnglesError and fields["step"] > 0
+        kind, message, fields = _error_of(reference_run, traj, SimConfig(dt=0.01))
+        # read row 28 (t = 0.28 s) and row 6: the row before the one that fails
+        step, cell = {19: (29, 13), 67: (7, 54)}[n_cells]
+        assert (kind, fields["step"], fields["cell"]) == (InconsistentAnglesError, step, cell)
+        assert message.startswith(f"step {step} (t = {step / 100:.6g} s): elbow angles are inconsistent")
         assert_same_as_reference(traj, SimConfig(dt=0.01))
 
     def test_later_layer_failing_first_wins(self):
-        # cell 4 (layer 1) is asked past its reach at step 42; the offset of
-        # powered cell 3 pulls the neighbors of cell 6 (layer 2) apart at step 0
-        text = REACH_SCENARIO.replace(
-            "layers = 1,2,3 | 4\nneighbors.4 = 1,2,3",
-            "layers = 1,2,3 | 4 | 5,6,7\nneighbors.4 = 1,2,3\nneighbors.5 = 1,2,4\n"
-            "neighbors.6 = 2,3,4\nneighbors.7 = 1,3,4",
-        )
+        # cell 4 (layer 1) is asked past its reach at row 43; the offset of
+        # powered cell 3 pulls the neighbors of cell 6 (layer 2) apart at row 1
         traj, config = scenario_trajectory(
-            text.format(powered="powered = 1,2,3,5,7")
+            LAYERED_REACH_SCENARIO.format(powered="powered = 1,2,3,5,7")
             + "[sim]\noffset.3 = 0.3, 0.3\n"
         )
         kind, _, fields = _error_of(run, traj, config)
-        assert (kind, fields["step"], fields["cell"]) == (InconsistentAnglesError, 0, 6)
+        assert (kind, fields["step"], fields["cell"]) == (InconsistentAnglesError, 1, 6)
         unperturbed = SimConfig(dt=config.dt)
-        assert _error_of(run, traj, unperturbed)[2]["cell"] == 4  # layer 1 alone fails later
+        later = _error_of(run, traj, unperturbed)[2]  # layer 1 alone fails later
+        assert (later["step"], later["cell"], later["joint"]) == (43, 4, (4, 1))
+        assert_same_as_reference(traj, config)
+
+    def test_undragged_joint_beats_a_later_failed_resolve(self):
+        # Joint (4, 1) drags no cell, since cell 4 is powered; lagging at
+        # alpha = 5, the neighbors of cell 5 move apart later. This read
+        # `step 77 (t = 0.77 s): elbow angles are inconsistent: ...`: the
+        # joint was checked only after the whole resolve.
+        traj, config = scenario_trajectory(
+            LAYERED_REACH_SCENARIO.format(powered="powered = 1,2,3,4,6,7") + "[sim]\nalpha = 5\n"
+        )
+        kind, message, fields = _error_of(run, traj, config)
+        assert kind is UnreachableSeparationError
+        assert message.startswith("step 43 (t = 0.43 s): joint (4, 1): ")
+        assert (fields["step"], fields["cell"], fields["joint"]) == (43, 4, (4, 1))
         assert_same_as_reference(traj, config)
 
     def test_reach_errors(self):
         for powered in ("", "powered = 1,2,3,4"):
             assert_same_as_reference(*scenario_trajectory(REACH_SCENARIO.format(powered=powered)))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_default_powered_synthetic_graphs(self, seed, monkeypatch):
+        # 250 cells, every last-layer cell unpowered: read `step 0 (t = 0 s)`,
+        # the row before the first that cannot be placed
+        monkeypatch.syspath_prepend(str(BENCH))  # workloads imports oracle by name
+        text = _bench_module("workloads").synthetic_scenario(np.random.default_rng([seed, 0]))
+        text = "\n".join(line for line in text.splitlines() if not line.startswith("powered ="))
+        trajectory, config = scenario_trajectory(text)
+        assert trajectory.graph.unpowered
+        kind, message, fields = _error_of(run, trajectory, config)
+        assert kind is InconsistentAnglesError and message.startswith("step 1 (t = 0.05 s): ")
+        assert fields["step"] == 1
+        assert_same_as_reference(trajectory, config)
 
 
 class TestAllPoweredIsBarycentric:
