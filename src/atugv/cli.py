@@ -57,20 +57,18 @@ def _write_csv(path: Path, header, times, labels, values):
     width = WIDTH + label_width + n_values * (1 + WIDTH) + 2
     block = max(1, _CSV_BLOCK_BYTES // width)
     rows = values.reshape(-1, n_values)
+    time_text = g9_bytes(times)
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, len(rows), block):
             stop = min(start + block, len(rows))
             step, label = np.divmod(np.arange(start, stop), n_labels)
-            first = start // n_labels
-            text = g9_bytes(np.concatenate([rows[start:stop].ravel(), times[first : step[-1] + 1]]))
-            n_fields = (stop - start) * n_values
             buf = np.empty((stop - start, width), dtype=np.uint8)
-            buf[:, :WIDTH] = text[n_fields:].take(step - first, axis=0)
+            buf[:, :WIDTH] = time_text.take(step, axis=0)
             buf[:, WIDTH : WIDTH + label_width] = label_bytes.take(label, axis=0)
             fields = buf[:, WIDTH + label_width : -2].reshape(-1, n_values, 1 + WIDTH)
             fields[..., 0] = ord(",")
-            fields[..., 1:] = text[:n_fields].reshape(-1, n_values, WIDTH)
+            fields[..., 1:] = g9_bytes(rows[start:stop]).reshape(-1, n_values, WIDTH)
             buf[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
             fh.write(buf[buf != 0])
 

@@ -27,6 +27,11 @@ _REACH_RTOL = 1e-12
 _TANGENT_ATOL = 1e-9
 
 
+def beyond_reach(d, reach: float):
+    """Whether no elbow angle spans each separation d, past full extension's slack."""
+    return d > reach * (1.0 + _REACH_RTOL)
+
+
 def elbow_angle(d, reach: float):
     """Angle between the two arms spanning a cell separation d; in [0, pi],
     0 when folded, pi at full extension `reach`."""
@@ -36,7 +41,7 @@ def elbow_angle(d, reach: float):
         raise InvalidArgumentError(
             f"separation must be a finite non-negative length, got {float(d[invalid][0])!r}"
         )
-    over = d > reach * (1.0 + _REACH_RTOL)
+    over = beyond_reach(d, reach)
     if over.any():
         k = tuple(np.argwhere(over)[0].tolist())
         raise UnreachableSeparationError(
@@ -107,7 +112,7 @@ def resolve_unpowered_position(
     disjoint = h_sq < -_TANGENT_ATOL
     failed = coincide | disjoint
     if steps:
-        failing = np.flatnonzero(failed.reshape(len(failed), -1).any(axis=1))
+        failing = np.flatnonzero(failed.any(axis=tuple(range(1, failed.ndim))))
         at = (int(failing[0]),) if failing.size else None
     else:
         at = () if failed.any() else None

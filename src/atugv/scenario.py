@@ -266,9 +266,9 @@ def bundled_scenario_path(name: str) -> Path:
 
 
 def load_scenario(path) -> Scenario:
-    """Load a scenario from a file path or a bundled scenario name."""
+    """Load a scenario from a file path, or a bundled name that names no regular file."""
     p = Path(path)
-    if not p.exists() and str(path) in BUNDLED:
+    if not p.is_file() and str(path) in BUNDLED:
         p = bundled_scenario_path(str(path))
     if not p.exists():
         raise ScenarioError(f"scenario file not found: {path}")

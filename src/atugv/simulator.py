@@ -174,36 +174,31 @@ def resolve_unpowered(graph: CellGraph, actual: np.ndarray, commanded: np.ndarra
     the angles commanded to those joints, on the branch closest to where
     the cell was a step before. Powered motion never depends on unpowered
     cells, so each layer, in order, is one batched call over all steps. The
-    error raised names as its `step` the first row k that cannot be placed,
-    and as its `cell` the first failing there by layer, then in the order
-    `resolve_unpowered_position` reports them; its `index` is (k, cell - 1).
+    first layer that fails raises: its error names as `step` that layer's
+    first row k that cannot be placed, and as `cell` the first failing there
+    in the order `resolve_unpowered_position` reports them; its `index` is
+    (k, cell - 1). `run` owns the rule that names the earliest failing row.
     """
-    unpowered, column = graph.unpowered, {}
-    error, end = None, len(actual) - 1  # rows up to `end` have not failed
+    if not graph.unpowered or len(actual) < 2:
+        return
+    column = {joint: m for m, joint in enumerate(graph.joints)}
     for layer in graph.layers:
-        cells = sorted(layer & unpowered)
+        cells = sorted(layer & graph.unpowered)
         if not cells:
             continue
-        column = column or {joint: m for m, joint in enumerate(graph.joints)}
         rows = _rows(cells)
         pairs = [graph.actuated[i] for i in cells]
         j1, j2 = (np.array(pairs) - 1).T
         m1, m2 = np.array([[column[i, j] for j in pair] for i, pair in zip(cells, pairs)]).T
-        while end > 0:
-            now = slice(1, end + 1)
-            try:
-                actual[now, rows] = kinematics.resolve_unpowered_position(
-                    actual[now, j1], actual[now, j2], commanded[now, m1], commanded[now, m2],
-                    graph.reach, previous=actual[0, rows],
-                )
-                break
-            except InconsistentAnglesError as exc:
-                # Place the rows before the failure, which later layers need.
-                k, c = exc.index
-                exc.step, exc.cell, exc.index = k + 1, cells[c], (k + 1, cells[c] - 1)
-                error, end = exc, k
-    if error is not None:
-        raise error
+        try:
+            actual[1:, rows] = kinematics.resolve_unpowered_position(
+                actual[1:, j1], actual[1:, j2], commanded[1:, m1], commanded[1:, m2],
+                graph.reach, previous=actual[0, rows],
+            )
+        except InconsistentAnglesError as exc:
+            k, c = exc.index
+            exc.step, exc.cell, exc.index = k + 1, cells[c], (k + 1, cells[c] - 1)
+            raise
 
 
 def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
@@ -214,7 +209,8 @@ def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
     in one prefix scan, `resolve_unpowered` then places the unpowered cells
     layer by layer, and clearance is one batched scan of the whole trace.
     An error names as its `step` and `time` the first row the model cannot
-    define; there a commanded joint beyond the mechanism reach comes first.
+    define; there a commanded joint beyond the mechanism reach comes first,
+    then the layers in order, and its loop is the one search for that row.
     """
     graph = trajectory.graph
     for i in config.initial_offsets or ():
@@ -253,7 +249,7 @@ def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
     v_cmd[:, powered] = velocity_command(targets, path, config.alpha)
     d_act = joint_separations(graph, actual)
     elbow_act = np.where(
-        d_act > graph.reach,
+        kinematics.beyond_reach(d_act, graph.reach),
         np.nan,
         kinematics.elbow_angle(np.minimum(d_act, graph.reach), graph.reach),
     )

@@ -222,3 +222,11 @@ class TestBatches:
         with pytest.raises(InconsistentAnglesError, match="coincide") as excinfo:
             resolve_unpowered_position(c1, c2, theta, theta, REACH, start)
         assert excinfo.value.index == (2, 1)
+
+    def test_zero_steps(self):
+        # Raised a bare `ValueError: cannot reshape array of size 0`.
+        got = resolve_unpowered_position(
+            np.zeros((0, 1, 2)), np.ones((0, 1, 2)), np.zeros((0, 1)), np.zeros((0, 1)), 0.55,
+            previous=np.zeros((1, 2)),
+        )
+        assert got.shape == (0, 1, 2)

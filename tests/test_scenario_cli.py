@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atugv import ScenarioError, load_scenario, load_scenario_text
+from atugv import ScenarioError, bundled_scenario_path, load_scenario, load_scenario_text
 from atugv.cli import main
 
 SEVEN = """
@@ -378,6 +378,15 @@ class TestRejectedInput:
         # Reading it raised IsADirectoryError: a traceback and exit 1.
         assert main(["validate", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: cannot read scenario file {tmp_path}: Is a directory\n"
+
+    def test_directory_does_not_shadow_a_bundled_name(self, tmp_path, monkeypatch, capsys):
+        # A run into `--output-dir seven_cell_sim` made the next one read
+        # `error: cannot read scenario file seven_cell_sim: Is a directory`.
+        monkeypatch.chdir(tmp_path)
+        for _ in range(2):
+            assert main(["run", "seven_cell_sim", "--output-dir", "seven_cell_sim"]) == 0
+        assert capsys.readouterr().err == ""
+        assert load_scenario("seven_cell_sim").name == str(bundled_scenario_path("seven_cell_sim"))
 
     def test_scenario_file_that_is_not_utf8(self, tmp_path, capsys):
         # Decoding it raised UnicodeDecodeError: a traceback and exit 1.

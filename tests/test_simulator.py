@@ -32,7 +32,8 @@ from atugv import (
     velocity_command,
 )
 from atugv.cli import main
-from atugv.planner import joint_elbow_angles, joint_separations
+from atugv.kinematics import _REACH_RTOL
+from atugv.planner import PlannedTrajectory, joint_elbow_angles, joint_separations
 from atugv.simulator import MODELS
 
 IDENTITY = GeneralizedCoordinates.identity()
@@ -75,6 +76,23 @@ LAYERED_REACH_SCENARIO = REACH_SCENARIO.replace(
     "layers = 1,2,3 | 4 | 5,6,7\nneighbors.4 = 1,2,3\nneighbors.5 = 1,2,4\n"
     "neighbors.6 = 2,3,4\nneighbors.7 = 1,3,4",
 )
+
+
+# A four-cell vehicle held at full extension: every joint is 5.0e-13
+# (relative) beyond the reach 2(L + r).
+FULL_EXTENSION_SCENARIO = """
+[graph]
+layers = 1,2,3 | 4
+neighbors.4 = 1,2,3
+powered = 1,2,3,4
+[geometry]
+cell_radius = 0.05
+arm_length = 0.23867513459466855
+[plan]
+tf = 1.0
+[sim]
+dt = 0.1
+"""
 
 
 def reference_run(trajectory, config):
@@ -144,8 +162,8 @@ def reference_run(trajectory, config):
         "desired": desired,
         "velocity_commands": v_cmd,
         "elbow_desired": elbow_desired,
-        "elbow_actual": np.where(
-            d_act > graph.reach, np.nan, elbow_angle(np.minimum(d_act, graph.reach), reach)
+        "elbow_actual": np.where(  # NaN where `elbow_angle` rejects the separation
+            d_act > reach * (1 + _REACH_RTOL), np.nan, elbow_angle(np.minimum(d_act, reach), reach)
         ),
         "errors": np.linalg.norm(desired - actual, axis=-1),
         "min_clearance": np.array([min_separation(p)[1] for p in actual]),
@@ -170,12 +188,14 @@ def assert_same_as_reference(trajectory, config):
     """`run` gives the reference trace, or the same error with the same
     fields. The times and everything desired are bit for bit the same; what
     follows the tracking loop, which `run` sums in another order, agrees
-    within 1e-12. Every NaN is where the reference has one."""
+    within 1e-12. Every NaN is where the reference has one. Returns the
+    error's type, message and fields, or None."""
     try:
         expected = reference_run(trajectory, config)
     except AtugvError:
-        assert _error_of(run, trajectory, config) == _error_of(reference_run, trajectory, config)
-        return
+        error = _error_of(run, trajectory, config)
+        assert error == _error_of(reference_run, trajectory, config)
+        return error
     trace = run(trajectory, config)
     for name in TRACE_ARRAYS:
         got, want = getattr(trace, name), expected[name]
@@ -360,6 +380,18 @@ class TestRun:
         assert (fields["step"], fields["cell"], fields["joint"], fields["index"]) == (43, 4, (4, 1), (43, 0))
         assert abs(fields["time"] - 0.43) < 1e-12
 
+    def test_realized_angles_at_full_extension(self, tmp_path):
+        # Every joint is 5e-13 (relative) beyond reach, within the slack
+        # `elbow_angle` gives the commanded angles: `theta_act` was empty.
+        cfg = tmp_path / "full_extension.cfg"
+        cfg.write_text(FULL_EXTENSION_SCENARIO)
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "elbows.csv").read_text().splitlines()
+        assert lines[1] == "0,4,1,3.14159265,3.14159265"
+        assert all(not line.endswith(",") for line in lines)
+        trajectory, config = scenario_trajectory(FULL_EXTENSION_SCENARIO)
+        assert_same_as_reference(trajectory, config)
+
     def test_coarse_dt_rejected(self, seven_cell, seven_cell_reference):
         traj = self.sim_trajectory(seven_cell, seven_cell_reference, tf=1.0)
         with pytest.raises(InvalidArgumentError, match=r"^dt = 0\.15 must not exceed a tenth of the horizon 1 s$"):
@@ -508,6 +540,61 @@ class TestMatchesStepByStep:
         assert kind is InconsistentAnglesError and message.startswith("step 1 (t = 0.05 s): ")
         assert fields["step"] == 1
         assert_same_as_reference(trajectory, config)
+
+
+class TestOneSearch:
+    """`run`'s loop is the one search for the first row the model cannot
+    define. Over random stellar vehicles, powered sets, arm lengths, plans,
+    gains, models and offsets, it gives the reference's trace or error.
+    Each plan is built directly, so no plan gate filters the cases, and the
+    sweep reaches every outcome."""
+
+    OUTCOMES = {"success", "reach at row 0", "reach later", "resolve at row 1", "resolve later"}
+
+    @staticmethod
+    def random_case(rng):
+        graph, _ = stellar_layered_graph(int(rng.integers(5, 41)), rng)
+        interior = np.array(sorted(set(graph.cells) - graph.layers[0]))
+        powered = graph.layers[0] | set(interior[rng.random(len(interior)) < rng.random()].tolist())
+        graph = dataclasses.replace(
+            graph, powered=frozenset(powered), arm_length=graph.arm_length * rng.uniform(0.6, 1.5)
+        )
+        reference = solve_reference_positions(graph)
+
+        def coordinates():
+            lambdas = rng.uniform(0.5, 1.0, 2)
+            return GeneralizedCoordinates(*lambdas, *rng.uniform(-1.0, 1.0, 2), *rng.uniform(-0.5, 0.5, 2))
+
+        n_steps, dt = int(rng.integers(10, 80)), 0.01
+        blend_kind = str(rng.choice(["linear", "smoothstep", "smootherstep"]))
+        spec = PlanSpec(t0=0.0, tf=n_steps * dt, initial=coordinates(), final=coordinates(), blend_kind=blend_kind)
+        n_offsets = int(rng.integers(0, 4))
+        offsets = {
+            int(i): rng.normal(0.0, 0.3 * reference.d_min, 2)
+            for i in rng.choice(graph.cells, n_offsets, replace=False)
+        }
+        while True:
+            try:
+                config = SimConfig(
+                    dt=dt, model=str(rng.choice(MODELS)), alpha=rng.uniform(1.0, 150.0),
+                    k_v=rng.uniform(5.0, 250.0), initial_offsets=offsets or None,
+                )
+            except InvalidArgumentError:  # an unstable loop: draw the gains again
+                continue
+            return PlannedTrajectory(spec, graph, reference), config
+
+    def test_random_inputs_match_the_reference(self):
+        rng = np.random.default_rng(15)
+        seen = set()
+        for _ in range(100):
+            error = assert_same_as_reference(*self.random_case(rng))
+            if error is None:
+                seen.add("success")
+                continue
+            kind, _, fields = error
+            name, first = {UnreachableSeparationError: ("reach", 0), InconsistentAnglesError: ("resolve", 1)}[kind]
+            seen.add(f"{name} at row {first}" if fields["step"] == first else f"{name} later")
+        assert seen == self.OUTCOMES
 
 
 class TestAllPoweredIsBarycentric:
