@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import planner, simulator
+from . import kinematics, planner, simulator
 from .errors import AtugvError, UnsafePlanError, UnreachableSeparationError
 from .network import solve_reference_positions
 from .scenario import BUNDLED, load_scenario
@@ -140,6 +140,20 @@ def _validate_verdicts(scenario, reference):
     return trajectory, verdicts
 
 
+def _trace_reach_verdict(trace, reach):
+    """Whether every realized joint separation is within the mechanism reach
+    (`kinematics.beyond_reach`), and the verdict line naming the largest."""
+    if not trace.joints:
+        return True, "trace reach verdict: OK (no joints)"
+    k, m = np.unravel_index(np.argmax(trace.separations), trace.separations.shape)
+    widest = float(trace.separations[k, m])
+    ok = not kinematics.beyond_reach(widest, reach)
+    return ok, (
+        f"trace reach verdict: {'OK' if ok else 'UNREACHABLE'} (max separation {_fmt(widest)} m "
+        f"at joint {trace.joints[m]}, t = {_fmt(trace.times[k])} s vs reach {_fmt(reach)} m)"
+    )
+
+
 def cmd_validate(args) -> int:
     scenario, reference = _load(args)
     trajectory, verdicts = _validate_verdicts(scenario, reference)
@@ -165,12 +179,17 @@ def cmd_run(args) -> int:
         trace = simulator.run(trajectory, scenario.sim)
         write_trajectory_csv(out_dir / "trajectory.csv", trace)
         write_elbow_csv(out_dir / "elbows.csv", trace)
-        min_clear, required = float(np.min(trace.min_clearance)), 2 * scenario.graph.cell_radius
+        k = int(np.argmin(trace.min_clearance))
+        min_clear, required = float(trace.min_clearance[k]), 2 * scenario.graph.cell_radius
         clear_ok = min_clear >= required
+        i, j = trace.closest_pairs[k].tolist()
         verdicts.append(
             f"trace clearance verdict: {'SAFE' if clear_ok else 'UNSAFE'} "
-            f"(min clearance {_fmt(min_clear)} m vs required {_fmt(required)} m)"
+            f"(min clearance {_fmt(min_clear)} m between cells {i} and {j} at t = {_fmt(trace.times[k])} s "
+            f"vs required {_fmt(required)} m)"
         )
+        reach_ok, reach_line = _trace_reach_verdict(trace, scenario.graph.reach)
+        verdicts.append(reach_line)
         threshold = scenario.terminal_error_threshold
         terminal = trace.errors[-1]
         worst = float(np.max(terminal))
@@ -182,7 +201,7 @@ def cmd_run(args) -> int:
         extras.append("terminal tracking errors [m]:")
         for i, err in zip(trace.cells, terminal.tolist()):
             extras.append(f"  cell {i}: {_fmt(err)}")
-        ok = ok and clear_ok and err_ok
+        ok = ok and clear_ok and reach_ok and err_ok
 
     lines = _report_lines(scenario, reference, verdicts, extras)
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n")

@@ -192,10 +192,7 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
         neighbors[i], graph_keys[key] = frozenset(parsed.cells("graph", key, raw)), ("graph", key)
     actuated = {}
     for key, i, raw in parsed.indexed("graph", "actuated"):
-        bad_pair = "expected two comma-separated cell ids"
-        pair = parsed.cells("graph", key, raw, bad_pair)
-        if len(pair) != 2:
-            parsed.fail("graph", key, bad_pair)
+        pair = parsed.cells("graph", key, raw, "expected two comma-separated cell ids")
         actuated[i], graph_keys[key] = tuple(pair), ("graph", key)
     powered = parsed.get("graph", "powered")
     if powered is not None:

@@ -56,28 +56,21 @@ class SimConfig:
             if value is None or value.shape != (2,) or not np.isfinite(value).all():
                 message = f"offset of cell {i} must be two finite numbers, got {offset!r}"
                 raise InvalidArgumentError(message, field="initial_offsets", cell=i)
-        if not self.alpha * self.dt < 2.0:
-            raise InvalidArgumentError(
-                f"alpha * dt = {self.alpha * self.dt:.3g} >= 2 is unstable "
-                "under explicit Euler",
-                field="alpha",
-            )
-        if self.model == "double":
-            rho = max(abs(np.linalg.eigvals(self.euler_matrix())))
-            if rho >= 1.0:
-                raise InvalidArgumentError(
-                    f"double-integrator loop with alpha = {self.alpha:.6g}, k_v = {self.k_v:.6g}, "
-                    f"dt = {self.dt:.6g} has spectral radius {rho:.3g} >= 1 under explicit Euler",
-                    field="k_v",
-                )
+        matrix = self.euler_matrix()  # an overflowed gain product is unstable too
+        rho = max(abs(np.linalg.eigvals(matrix))) if np.isfinite(matrix).all() else math.inf
+        if not rho < 1.0:
+            field, gains = ("alpha", "") if self.model == "single" else ("k_v", f", k_v = {self.k_v:.6g}")
+            loop = f"{self.model}-integrator loop with alpha = {self.alpha:.6g}{gains}, dt = {self.dt:.6g}"
+            message = f"{loop} has spectral radius {rho:.3g} >= 1 under explicit Euler"
+            raise InvalidArgumentError(message, field=field)
 
     def euler_matrix(self) -> np.ndarray:
         """The matrix A of one Euler step x -> A x of a powered cell's state
         x = (position - target, velocity) on one axis, about a fixed target:
-        `step` as one linear map. The single integrator's velocity stays 0."""
+        `step` as one linear map. The single integrator's velocity is always 0."""
         dt, alpha, k_v = self.dt, self.alpha, self.k_v
         if self.model == "single":
-            return np.array([[1.0 - alpha * dt, 0.0], [0.0, 1.0]])
+            return np.array([[1.0 - alpha * dt, 0.0], [0.0, 0.0]])
         return np.array([[1.0, dt], [-dt * k_v * alpha, 1.0 - dt * k_v]])
 
 
@@ -102,8 +95,9 @@ class SimulationTrace:
     column i - 1 for cell i and per-joint column m for joints[m]:
     actual/desired positions and velocity commands (T, N, 2; NaN for
     unpowered cells, which get none), elbow angles commanded and realized
-    (T, J; realized NaN beyond the mechanism reach), error norms (T, N), and
-    the minimum clearance (T,), the exact closest-pair distance per step."""
+    (T, J; realized NaN beyond the mechanism reach) with the realized joint
+    separations (T, J), error norms (T, N), and the minimum clearance (T,),
+    the exact closest-pair distance per step, with that pair (T, 2)."""
 
     times: np.ndarray
     cells: Tuple[int, ...]
@@ -113,8 +107,10 @@ class SimulationTrace:
     velocity_commands: np.ndarray
     elbow_desired: np.ndarray
     elbow_actual: np.ndarray
+    separations: np.ndarray
     errors: np.ndarray
     min_clearance: np.ndarray
+    closest_pairs: np.ndarray
 
 
 def _rows(cells) -> np.ndarray:
@@ -123,14 +119,12 @@ def _rows(cells) -> np.ndarray:
 
 def step(positions: np.ndarray, velocities: np.ndarray, desired: np.ndarray, config: SimConfig):
     """The powered cells' next (P, 2) positions and velocities, in ascending
-    cell order: one explicit Euler step from t to t + dt on the commanded
-    velocity, given their positions, velocities (integrated by the double
-    integrator) and desired positions at t."""
-    dt = config.dt
-    v_cmd = velocity_command(desired, positions, config.alpha)
-    if config.model == "single":
-        return positions + dt * v_cmd, velocities
-    return positions + dt * velocities, velocities + dt * (config.k_v * (v_cmd - velocities))
+    cell order: one explicit Euler step from t to t + dt, `config.euler_matrix()`
+    applied to (position - desired, velocity), given their positions,
+    velocities (0 under the single integrator) and desired positions at t."""
+    (a00, a01), (a10, a11) = config.euler_matrix().tolist()
+    error = positions - desired
+    return desired + (a00 * error + a01 * velocities), a10 * error + a11 * velocities
 
 
 def track(start: np.ndarray, targets: np.ndarray, config: SimConfig) -> np.ndarray:
@@ -253,6 +247,7 @@ def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
         np.nan,
         kinematics.elbow_angle(np.minimum(d_act, graph.reach), graph.reach),
     )
+    closest_pairs, min_clearance = min_separation(actual)
     return SimulationTrace(
         times=times,
         cells=graph.cells,
@@ -262,6 +257,8 @@ def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
         velocity_commands=v_cmd,
         elbow_desired=elbow_des,
         elbow_actual=elbow_act,
+        separations=d_act,
         errors=np.linalg.norm(desired - actual, axis=-1),
-        min_clearance=min_separation(actual)[1],
+        min_clearance=min_clearance,
+        closest_pairs=closest_pairs,
     )

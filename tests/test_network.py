@@ -301,5 +301,7 @@ class TestSweepMatchesExhaustiveScan:
         assert reference.d_min == exhaustive_min_separation(reference.positions)[1]
         trace = run(plan(scenario.plan_spec, scenario.graph, reference, scenario.sample_count), scenario.sim)
         assert trace.actual.shape == (11, 250, 2)
-        assert np.array_equal(trace.min_clearance, exhaustive_min_separation(trace.actual)[1])
+        pairs, clearance = exhaustive_min_separation(trace.actual)
+        assert np.array_equal(trace.min_clearance, clearance)
+        assert np.array_equal(trace.closest_pairs, pairs)
         assert_matches_oracle(trace.actual)

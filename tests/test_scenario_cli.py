@@ -196,6 +196,44 @@ class TestCli:
         assert main(["run", "four_cell_experiment"]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["elbows.csv", "report.txt", "trajectory.csv"]
 
+    @pytest.mark.parametrize(
+        "name, clearance, reach",
+        [
+            (
+                "four_cell_experiment",
+                "0.46324987 m between cells 3 and 4 at t = 20 s",
+                "0.577351248 m at joint (4, 3), t = 0.32 s",
+            ),
+            (
+                "seven_cell_sim",
+                "0.155756216 m between cells 4 and 5 at t = 10 s",
+                "0.577350269 m at joint (4, 1), t = 0 s",
+            ),
+        ],
+    )
+    def test_trace_verdicts_name_where_the_margin_is_smallest(self, name, clearance, reach, tmp_path):
+        # The clearance verdict named no pair or time, and no verdict judged
+        # the realized joint separations.
+        assert main(["run", name, "--output-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "report.txt").read_text().splitlines()
+        assert f"trace clearance verdict: SAFE (min clearance {clearance} vs required 0.1 m)" in lines
+        assert f"trace reach verdict: OK (max separation {reach} vs reach 0.6 m)" in lines
+
+    def test_realized_joint_beyond_reach_fails_its_verdict(self, tmp_path, capsys):
+        # Exited 0 with every verdict SAFE/OK, though joint (4, 1) started at
+        # 0.6458 m against a 0.6 m reach and stayed beyond it for rows 0-9:
+        # only `theta_act` went blank.
+        cfg = tmp_path / "offset.cfg"
+        cfg.write_text(bundled_scenario_path("seven_cell_sim").read_text() + "offset.4 = 0.0, 0.12\n")
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+        verdicts = [line for line in capsys.readouterr().out.splitlines() if "verdict" in line]
+        failed = [line for line in verdicts if not line.split("verdict: ")[1].startswith(("SAFE ", "OK "))]
+        assert failed == [
+            "trace reach verdict: UNREACHABLE (max separation 0.645767269 m at joint (4, 1), t = 0 s vs reach 0.6 m)"
+        ]
+        assert len(verdicts) == 5
+        assert (tmp_path / "out" / "elbows.csv").exists()
+
     def test_exit_zero_implies_all_safe_verdicts(self, tmp_path):
         assert main(["run", "seven_cell_sim", "--output-dir", str(tmp_path)]) == 0
         report = (tmp_path / "report.txt").read_text()
@@ -215,7 +253,7 @@ class TestCli:
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
         report = (tmp_path / "out" / "report.txt").read_text()
         verdicts = [line for line in report.splitlines() if "verdict" in line]
-        assert len(verdicts) == 4
+        assert len(verdicts) == 5
         assert all("SAFE" in line or "OK" in line for line in verdicts)
 
     def test_boundary_only_vehicle(self, tmp_path, capsys):
@@ -235,8 +273,9 @@ class TestCli:
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
         report = (tmp_path / "out" / "report.txt").read_text()
         verdicts = [line for line in report.splitlines() if "verdict" in line]
-        assert len(verdicts) == 4
+        assert len(verdicts) == 5
         assert all(line.split("verdict: ")[1].startswith(("SAFE ", "OK ")) for line in verdicts)
+        assert "trace reach verdict: OK (no joints)" in verdicts
         assert (tmp_path / "out" / "elbows.csv").read_bytes() == b"t,cell_i,cell_j,theta_des,theta_act\r\n"
         assert main(["reference", str(cfg)]) == 0
 
@@ -458,8 +497,16 @@ class TestRejectedInput:
     @pytest.mark.parametrize(
         "scenario, section, key, value, line, message",
         [
-            # Exited 0: the loader kept (1, 2) and dropped the 4.
-            ("seven_cell_sim", "graph", "actuated.5", "1,2,4", 5, "expected two comma-separated cell ids"),
+            # Exited 0: the loader kept (1, 2) and dropped the 4. `CellGraph`
+            # owns the rule; the loader read its own copy of it.
+            (
+                "seven_cell_sim",
+                "graph",
+                "actuated.5",
+                "1,2,4",
+                5,
+                "actuated joints of cell 5 must be two distinct neighbors",
+            ),
             # Exited 2 with `error: sample_count must be at least 2, got 1`:
             # no file, line or key.
             ("seven_cell_sim", "plan", "samples", "1", 17, "samples = 1 must be at least 2"),
@@ -468,7 +515,14 @@ class TestRejectedInput:
             # The rest exited 2 with no file, line or key, or with the
             # loader's own wording for `model`, `blend`, `tf` and `offset.9`.
             ("seven_cell_sim", "sim", "dt", "-1", 29, "dt must be positive and finite, got -1.0"),
-            ("seven_cell_sim", "sim", "alpha", "300", 29, "alpha * dt = 3 >= 2 is unstable under explicit Euler"),
+            (
+                "seven_cell_sim",
+                "sim",
+                "alpha",
+                "300",
+                29,
+                "single-integrator loop with alpha = 300, dt = 0.01 has spectral radius 2 >= 1 under explicit Euler",
+            ),
             ("seven_cell_sim", "plan", "lambda1_final", "1.5", 17, "lambda1 must lie in (0, 1], got 1.5"),
             ("seven_cell_sim", "geometry", "cell_radius", "-1", 12, "cell_radius must be positive and finite, got -1.0"),
             ("seven_cell_sim", "sim", "model", "triple", 29, "model must be one of ('single', 'double'), got 'triple'"),

@@ -34,7 +34,7 @@ from atugv import (
 from atugv.cli import main
 from atugv.kinematics import _REACH_RTOL
 from atugv.planner import PlannedTrajectory, joint_elbow_angles, joint_separations
-from atugv.simulator import MODELS
+from atugv.simulator import MODELS, track
 
 IDENTITY = GeneralizedCoordinates.identity()
 SIM_FINAL = GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)
@@ -45,6 +45,7 @@ TRACE_ARRAYS = (
     "velocity_commands",
     "elbow_desired",
     "elbow_actual",
+    "separations",
     "errors",
     "min_clearance",
 )
@@ -165,6 +166,7 @@ def reference_run(trajectory, config):
         "elbow_actual": np.where(  # NaN where `elbow_angle` rejects the separation
             d_act > reach * (1 + _REACH_RTOL), np.nan, elbow_angle(np.minimum(d_act, reach), reach)
         ),
+        "separations": d_act,
         "errors": np.linalg.norm(desired - actual, axis=-1),
         "min_clearance": np.array([min_separation(p)[1] for p in actual]),
     }
@@ -309,6 +311,12 @@ class TestRun:
         with pytest.raises(InvalidArgumentError):
             SimConfig(dt=0.25, model="single", alpha=10.0)
 
+    def test_single_integrator_stability_boundary(self):
+        SimConfig(dt=0.01, alpha=199.999)  # spectral radius 0.99999
+        with pytest.raises(InvalidArgumentError, match="spectral radius 1 >= 1") as excinfo:
+            SimConfig(dt=0.01, alpha=200.0)
+        assert excinfo.value.field == "alpha"
+
     @pytest.mark.parametrize("alpha", [0.0, -1.0])
     def test_nonpositive_alpha_rejected(self, alpha):
         # the one check of the gain that velocity_command is given
@@ -321,8 +329,26 @@ class TestRun:
         [(10.0, 250.0), (150.0, 20.0)],  # spectral radius 1.396 and 1.049
     )
     def test_unstable_double_integrator_gains_rejected(self, alpha, k_v):
-        with pytest.raises(InvalidArgumentError, match="spectral radius"):
+        with pytest.raises(InvalidArgumentError, match="spectral radius") as excinfo:
             SimConfig(dt=0.01, model="double", alpha=alpha, k_v=k_v)
+        assert excinfo.value.field == "k_v"
+
+    def test_double_integrator_with_alpha_dt_of_two_rejected_at_k_v(self):
+        # The one stability rule; a separate `alpha * dt < 2` rule named alpha.
+        with pytest.raises(InvalidArgumentError, match="spectral radius 1.14 >= 1") as excinfo:
+            SimConfig(dt=0.01, model="double", alpha=250.0)
+        assert excinfo.value.field == "k_v"
+
+    @pytest.mark.parametrize(
+        "model, alpha, k_v, dt, field",
+        [("single", 1e308, 20.0, 10.0, "alpha"), ("double", 1.9, 1e308, 1.0, "k_v")],
+    )
+    def test_overflowed_gains_rejected(self, model, alpha, k_v, dt, field):
+        # The double integrator's gain product overflowed to -inf, and the
+        # eigenvalue solver raised numpy's LinAlgError instead.
+        with pytest.raises(InvalidArgumentError, match="spectral radius inf >= 1") as excinfo:
+            SimConfig(dt=dt, model=model, alpha=alpha, k_v=k_v)
+        assert excinfo.value.field == field
 
     def test_default_double_integrator_gains_accepted(self):
         SimConfig(model="double")  # spectral radius 0.906
@@ -386,6 +412,10 @@ class TestRun:
         cfg = tmp_path / "full_extension.cfg"
         cfg.write_text(FULL_EXTENSION_SCENARIO)
         assert main(["run", str(cfg), "--output-dir", str(tmp_path)]) == 0
+        report = (tmp_path / "report.txt").read_text()
+        verdict = "trace reach verdict: OK (max separation 0.577350269 m at joint (4, 1), t = 0 s"
+        verdict += " vs reach 0.577350269 m)"
+        assert f"\n{verdict}\n" in report
         lines = (tmp_path / "elbows.csv").read_text().splitlines()
         assert lines[1] == "0,4,1,3.14159265,3.14159265"
         assert all(not line.endswith(",") for line in lines)
@@ -683,3 +713,32 @@ class TestTrackingScan:
         initial = {i: np.array(offset) for i, offset in enumerate(offsets, start=1)}
         config = SimConfig(dt=dt, model=model, alpha=alpha, k_v=k_v, initial_offsets=initial)
         assert_same_as_reference(trajectory, config)
+
+
+class TestOneTrackingLaw:
+    """`step` and `track` read the one matrix `SimConfig.euler_matrix`, and
+    the one stability rule is its spectral radius."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), cells=st.integers(1, 8))
+    def test_step_from_rest_is_the_first_row_of_track(self, model, data, cells):
+        dt, alpha, k_v = data.draw(sim_settings(model))
+        config = SimConfig(dt=dt, model=model, alpha=alpha, k_v=k_v)
+        coordinates = st.floats(-10.0, 10.0)
+        start, targets = (
+            np.array(data.draw(st.lists(coordinates, min_size=size, max_size=size))).reshape(shape)
+            for size, shape in ((2 * cells, (cells, 2)), (4 * cells, (2, cells, 2)))
+        )
+        positions, velocities = step(start, np.zeros_like(start), targets[0], config)
+        np.testing.assert_allclose(positions, track(start, targets, config)[1], rtol=0, atol=1e-12)
+        if model == "single":
+            assert not velocities.any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_single_integrator_spectral_radius(self, data):
+        dt, alpha, k_v = data.draw(sim_settings("single"))
+        matrix = SimConfig(dt=dt, alpha=alpha, k_v=k_v).euler_matrix()
+        assert matrix.tolist() == [[1.0 - alpha * dt, 0.0], [0.0, 0.0]]
+        assert max(abs(np.linalg.eigvals(matrix))) == abs(1.0 - alpha * dt)
