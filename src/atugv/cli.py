@@ -24,11 +24,8 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_ERROR = 2
 
-_FMT = ".9g"
-
-
 def _fmt(value: float) -> str:
-    return format(value, _FMT)
+    return format(value, ".9g")
 
 
 # Bytes of one block of rows in `_write_csv`; formatting a block takes
@@ -93,7 +90,9 @@ def _load(args):
     return scenario, solve_reference_positions(scenario.graph)
 
 
-def _report_lines(scenario, reference, verdicts, extras=()):
+def _report(scenario, reference, verdicts, extras=()):
+    """The report text around the (passed, line) `verdicts`, and its exit
+    code: EXIT_OK exactly when every verdict passed."""
     lines = [
         f"scenario: {scenario.name}",
         f"cells: {len(scenario.graph.cells)} "
@@ -102,10 +101,11 @@ def _report_lines(scenario, reference, verdicts, extras=()):
         f"d_min: {_fmt(reference.d_min)} m",
         f"lambda_min: {_fmt(reference.lambda_min)}",
     ]
-    lines.extend(verdicts)
+    lines.extend(line for _, line in verdicts)
     lines.extend(extras)
     lines.append("arm/link collision: NOT VERIFIED (only cell-disk clearance is checked)")
-    return lines
+    passed = all(ok for ok, _ in verdicts)
+    return "\n".join(lines) + "\n", EXIT_OK if passed else EXIT_VERDICT
 
 
 def cmd_reference(args) -> int:
@@ -120,46 +120,58 @@ def cmd_reference(args) -> int:
 
 
 def _validate_verdicts(scenario, reference):
-    """Plan-time verdicts (principal-strain bound and mechanism reach) and
-    the plan, or None if a verdict failed."""
-    verdicts = []
-    trajectory = None
+    """The plan, or None if it fails a plan-time verdict, and the (passed,
+    line) pairs of the principal-strain bound and the mechanism reach."""
     try:
-        trajectory = planner.plan(
-            scenario.plan_spec, scenario.graph, reference, scenario.sample_count
-        )
-        verdicts.append("strain-bound verdict: SAFE (all samples)")
-        verdicts.append("mechanism-reach verdict: OK (all joints, all samples)")
+        trajectory = planner.plan(scenario.plan_spec, scenario.graph, reference, scenario.sample_count)
     except UnsafePlanError as exc:
-        verdicts.append(
-            "strain-bound verdict: UNSAFE — principal-strain bound violated "
-            f"(collision-safety guarantee): {exc}"
-        )
+        violated = "principal-strain bound violated (collision-safety guarantee)"
+        return None, [(False, f"strain-bound verdict: UNSAFE — {violated}: {exc}")]
     except UnreachableSeparationError as exc:
-        verdicts.append(f"mechanism-reach verdict: UNREACHABLE — {exc}")
-    return trajectory, verdicts
+        return None, [(False, f"mechanism-reach verdict: UNREACHABLE — {exc}")]
+    return trajectory, [
+        (True, "strain-bound verdict: SAFE (all samples)"),
+        (True, "mechanism-reach verdict: OK (all joints, all samples)"),
+    ]
 
 
-def _trace_reach_verdict(trace, reach):
-    """Whether every realized joint separation is within the mechanism reach
-    (`kinematics.beyond_reach`), and the verdict line naming the largest."""
-    if not trace.joints:
-        return True, "trace reach verdict: OK (no joints)"
-    k, m = np.unravel_index(np.argmax(trace.separations), trace.separations.shape)
-    widest = float(trace.separations[k, m])
-    ok = not kinematics.beyond_reach(widest, reach)
-    return ok, (
-        f"trace reach verdict: {'OK' if ok else 'UNREACHABLE'} (max separation {_fmt(widest)} m "
-        f"at joint {trace.joints[m]}, t = {_fmt(trace.times[k])} s vs reach {_fmt(reach)} m)"
+def _trace_verdicts(trace, graph, threshold):
+    """The (passed, line) pairs of the simulated trace, in report order:
+    cell clearance, realized joint reach (`kinematics.beyond_reach`) and
+    terminal error, each naming where its margin is smallest."""
+    k = int(np.argmin(trace.min_clearance))
+    clearance, required = float(trace.min_clearance[k]), 2 * graph.cell_radius
+    i, j = trace.closest_pairs[k].tolist()
+    passed = clearance >= required
+    yield passed, (
+        f"trace clearance verdict: {'SAFE' if passed else 'UNSAFE'} "
+        f"(min clearance {_fmt(clearance)} m between cells {i} and {j} at t = {_fmt(trace.times[k])} s "
+        f"vs required {_fmt(required)} m)"
+    )
+    if trace.joints:
+        k, m = np.unravel_index(np.argmax(trace.separations), trace.separations.shape)
+        widest = float(trace.separations[k, m])
+        passed = not kinematics.beyond_reach(widest, graph.reach)
+        yield passed, (
+            f"trace reach verdict: {'OK' if passed else 'UNREACHABLE'} (max separation {_fmt(widest)} m "
+            f"at joint {trace.joints[m]}, t = {_fmt(trace.times[k])} s vs reach {_fmt(graph.reach)} m)"
+        )
+    else:
+        yield True, "trace reach verdict: OK (no joints)"
+    worst = float(np.max(trace.errors[-1]))
+    passed = worst < threshold
+    yield passed, (
+        f"terminal-error verdict: {'OK' if passed else 'EXCEEDED'} "
+        f"(worst {_fmt(worst)} m vs threshold {_fmt(threshold)} m)"
     )
 
 
 def cmd_validate(args) -> int:
     scenario, reference = _load(args)
-    trajectory, verdicts = _validate_verdicts(scenario, reference)
-    for line in _report_lines(scenario, reference, verdicts):
-        print(line)
-    return EXIT_OK if trajectory is not None else EXIT_VERDICT
+    _, verdicts = _validate_verdicts(scenario, reference)
+    text, code = _report(scenario, reference, verdicts)
+    print(text, end="")
+    return code
 
 
 def cmd_run(args) -> int:
@@ -173,41 +185,19 @@ def cmd_run(args) -> int:
     reference = solve_reference_positions(scenario.graph)
 
     trajectory, verdicts = _validate_verdicts(scenario, reference)
-    ok = trajectory is not None
     extras = []
-    if ok:
+    if trajectory is not None:
         trace = simulator.run(trajectory, scenario.sim)
         write_trajectory_csv(out_dir / "trajectory.csv", trace)
         write_elbow_csv(out_dir / "elbows.csv", trace)
-        k = int(np.argmin(trace.min_clearance))
-        min_clear, required = float(trace.min_clearance[k]), 2 * scenario.graph.cell_radius
-        clear_ok = min_clear >= required
-        i, j = trace.closest_pairs[k].tolist()
-        verdicts.append(
-            f"trace clearance verdict: {'SAFE' if clear_ok else 'UNSAFE'} "
-            f"(min clearance {_fmt(min_clear)} m between cells {i} and {j} at t = {_fmt(trace.times[k])} s "
-            f"vs required {_fmt(required)} m)"
-        )
-        reach_ok, reach_line = _trace_reach_verdict(trace, scenario.graph.reach)
-        verdicts.append(reach_line)
-        threshold = scenario.terminal_error_threshold
-        terminal = trace.errors[-1]
-        worst = float(np.max(terminal))
-        err_ok = worst < threshold
-        verdicts.append(
-            f"terminal-error verdict: {'OK' if err_ok else 'EXCEEDED'} "
-            f"(worst {_fmt(worst)} m vs threshold {_fmt(threshold)} m)"
-        )
+        verdicts += _trace_verdicts(trace, scenario.graph, scenario.terminal_error_threshold)
         extras.append("terminal tracking errors [m]:")
-        for i, err in zip(trace.cells, terminal.tolist()):
-            extras.append(f"  cell {i}: {_fmt(err)}")
-        ok = ok and clear_ok and reach_ok and err_ok
+        extras += (f"  cell {i}: {_fmt(err)}" for i, err in zip(trace.cells, trace.errors[-1].tolist()))
 
-    lines = _report_lines(scenario, reference, verdicts, extras)
-    (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
-    return EXIT_OK if ok else EXIT_VERDICT
+    text, code = _report(scenario, reference, verdicts, extras)
+    (out_dir / "report.txt").write_text(text)
+    print(text, end="")
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,7 +227,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (AtugvError, OSError) as exc:  # bad input, or an output path that cannot be written
+    except (AtugvError, OSError, MemoryError) as exc:
+        # bad input, an unwritable output path, or a scenario too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

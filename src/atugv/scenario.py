@@ -18,7 +18,7 @@ from .affine import COORD_FIELDS, GeneralizedCoordinates
 from .errors import AtugvError, ScenarioError
 from .network import CellGraph
 from .planner import PlanSpec
-from .simulator import SimConfig, step_count
+from .simulator import MAX_COUNT, SimConfig, step_count
 
 BUNDLED = ("four_cell_experiment", "seven_cell_sim")
 
@@ -77,7 +77,8 @@ class _Parsed:
         self.read = {section: set() for section in self.sections}
 
     def fail(self, section: str, key: str, message: str, cause: Optional[Exception] = None):
-        lineno = self.lines.get((section, key))
+        # A key the file leaves out is located at its section's header.
+        lineno = self.lines.get((section, key)) or self.lines.get((section, None))
         where = f"{self.name}:{lineno}" if lineno else self.name
         raise ScenarioError(f"{where}: [{section}] {key}: {message}") from cause
 
@@ -209,8 +210,8 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
     tf = parsed.number("plan", "tf")
     blend_kind = parsed.get("plan", "blend", PlanSpec.blend_kind)
     samples = parsed.number("plan", "samples", 200, int)
-    if samples < 2:
-        parsed.fail("plan", "samples", f"samples = {samples} must be at least 2")
+    if not 2 <= samples <= MAX_COUNT:
+        parsed.fail("plan", "samples", f"samples = {samples} must be from 2 to {MAX_COUNT}")
 
     def coords(suffix: str, defaults: GeneralizedCoordinates) -> GeneralizedCoordinates:
         keys = {field: ("plan", f"{field}_{suffix}") for field in COORD_FIELDS}
@@ -270,7 +271,7 @@ def load_scenario(path) -> Scenario:
     if not p.exists():
         raise ScenarioError(f"scenario file not found: {path}")
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")  # a byte-order mark is not part of line 1
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
         raise ScenarioError(f"cannot read scenario file {p}: {reason}") from exc

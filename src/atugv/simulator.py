@@ -74,10 +74,19 @@ class SimConfig:
         return np.array([[1.0, dt], [-dt * k_v * alpha, 1.0 - dt * k_v]])
 
 
+# The most steps or plan samples: numpy can size every array of such a count
+# (count + 1 float64 rows at most), so one too large for memory is a MemoryError.
+MAX_COUNT = np.iinfo(np.intp).max // 16
+
+
 def step_count(spec: PlanSpec, dt: float) -> int:
     """The number of steps of `dt` over the plan's horizon, which `dt` must
-    divide evenly in at least ten steps."""
+    divide evenly in at least ten and at most MAX_COUNT steps."""
     horizon = spec.tf - spec.t0
+    if not horizon / dt <= MAX_COUNT:  # an overflowed quotient too
+        raise InvalidArgumentError(
+            f"dt = {dt} divides the horizon {horizon:.6g} s into more than {MAX_COUNT} steps", field="dt"
+        )
     n_steps = int(round(horizon / dt))
     # On the rounded count, with the evenness test's tolerance: 0.7 / 10.0 < 0.07.
     if n_steps < 10 or 10 * dt - horizon > 1e-9:

@@ -400,8 +400,9 @@ class TestRejectedInput:
 
     def test_missing_neighbors_key_is_named(self):
         # Exited 2 as `error: interior cell 7 must have exactly 3 neighbors, got None`.
+        # The absent key is located at its section's header, line 2.
         with pytest.raises(
-            ScenarioError, match=r"^<scenario>: \[graph\] neighbors\.7: interior cell 7 must have exactly 3 neighbors"
+            ScenarioError, match=r"^<scenario>:2: \[graph\] neighbors\.7: interior cell 7 must have exactly 3 neighbors"
         ):
             load_scenario_text(SEVEN.replace("neighbors.7 = 1,3,4\n", ""))
 
@@ -436,6 +437,70 @@ class TestRejectedInput:
             f"error: cannot read scenario file {cfg}: "
             "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
         )
+
+    def test_utf8_byte_order_mark_is_accepted(self, tmp_path, capsys):
+        # The mark hid line 1's `#`: `bom.cfg:1: expected a [section] header`, exit 2.
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbf" + bundled_scenario_path("four_cell_experiment").read_bytes())
+        assert main(["validate", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_absent_key_is_located_at_its_section_header(self, tmp_path, capsys):
+        # `error: x.cfg: [sim] k_v: ...`, with no line: the file has no k_v.
+        text = bundled_scenario_path("seven_cell_sim").read_text()
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(_with_key(_with_key(text, "sim", "model", "double"), "sim", "alpha", "150"))
+        assert "k_v" not in cfg.read_text()
+        assert main(["validate", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:28: [sim] k_v: double-integrator loop with alpha = 150, k_v = 20, dt = 0.01 "
+            "has spectral radius 1.05 >= 1 under explicit Euler\n"
+        )
+
+    @pytest.mark.parametrize(
+        "edits, where, message",
+        [
+            # `Unable to allocate 7.11 PiB` from numpy: a traceback and exit 1.
+            ([("plan", "samples", "1000000000000000")], "", "Unable to allocate 7.11 PiB for an array with shape"),
+            # `ValueError: Maximum allowed size exceeded` from numpy: a traceback and exit 1.
+            (
+                [("plan", "tf", "9.3e18"), ("sim", "dt", "1.0"), ("sim", "alpha", "0.5")],
+                ":30: [sim] dt",
+                "dt = 1.0 divides the horizon 9.3e+18 s into more than 576460752303423487 steps",
+            ),
+            # `OverflowError: cannot convert float infinity to integer`: a traceback and exit 1.
+            (
+                [("plan", "tf", "1e300"), ("sim", "dt", "1e-10")],
+                ":29: [sim] dt",
+                "dt = 1e-10 divides the horizon 1e+300 s into more than 576460752303423487 steps",
+            ),
+        ],
+        ids=["samples_beyond_memory", "steps_beyond_numpy", "steps_overflow"],
+    )
+    def test_oversized_scenario_is_one_error_line(self, edits, where, message, tmp_path, capsys):
+        # Every size here is beyond a 128 TiB address space, so nothing is allocated.
+        text = bundled_scenario_path("seven_cell_sim").read_text()
+        for section, key, value in edits:
+            text = _with_key(text, section, key, value)
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(text)
+        prefix = f"error: {cfg}{where}: " if where else "error: "
+        for command in (["validate", str(cfg)], ["run", str(cfg), "--output-dir", str(tmp_path / "out")]):
+            assert main(command) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(prefix + message) and err.count("\n") == 1
+        assert not (tmp_path / "out" / "report.txt").exists()
+
+    def test_horizon_beyond_memory_fails_run_with_one_error_line(self, tmp_path, capsys):
+        # `validate` exited 0; `run` died in a numpy traceback with exit 1.
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(_with_key(bundled_scenario_path("seven_cell_sim").read_text(), "plan", "tf", "1e13"))
+        assert main(["validate", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: Unable to allocate 7.11 PiB") and err.count("\n") == 1
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_error_line_matches_the_key_exactly(self, tmp_path):
         # Reported line 33, where `offset.3` starts with `offset`.
@@ -509,7 +574,16 @@ class TestRejectedInput:
             ),
             # Exited 2 with `error: sample_count must be at least 2, got 1`:
             # no file, line or key.
-            ("seven_cell_sim", "plan", "samples", "1", 17, "samples = 1 must be at least 2"),
+            ("seven_cell_sim", "plan", "samples", "1", 17, "samples = 1 must be from 2 to 576460752303423487"),
+            # `ValueError: Maximum allowed size exceeded` from numpy: a traceback and exit 1.
+            (
+                "seven_cell_sim",
+                "plan",
+                "samples",
+                "1000000000000000000000000000000",
+                17,
+                "samples = 1000000000000000000000000000000 must be from 2 to 576460752303423487",
+            ),
             # Exited 0; then `run` exited 2 with no line and no report.
             ("seven_cell_sim", "sim", "dt", "0.03", 29, "dt = 0.03 must evenly divide the horizon 10 s"),
             # The rest exited 2 with no file, line or key, or with the
@@ -577,6 +651,7 @@ class TestRejectedInput:
         ids=[
             "actuated",
             "samples",
+            "samples_beyond_numpy",
             "dt_horizon",
             "dt",
             "alpha",
