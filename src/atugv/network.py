@@ -24,6 +24,13 @@ from .errors import (
 )
 
 
+# Reference cells lie in a triangle of side `side_length`, and a planned
+# affine map stretches no distance (both strains are at most 1), so dx and dy
+# of two cells are at most side_length and dx * dx + dy * dy at most twice its
+# square. Half the square root of float64's largest value keeps that finite.
+MAX_SIDE_LENGTH = math.sqrt(np.finfo(float).max) / 2
+
+
 @dataclass(frozen=True)
 class CellGraph:
     """Layered cell graph plus the geometry shared by every cell.
@@ -94,6 +101,9 @@ class CellGraph:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:  # NaN fails too
                 raise InvalidArgumentError(f"{name} must be positive and finite, got {value}", field=name)
+        if self.side_length > MAX_SIDE_LENGTH:
+            bound = f"at most {MAX_SIDE_LENGTH:.6g} so that squared distances stay finite"
+            raise InvalidArgumentError(f"side_length must be {bound}, got {self.side_length}", field="side_length")
 
         powered = self.powered
         if powered is None:

@@ -21,6 +21,10 @@ from .network import CellGraph, ReferenceConfiguration
 
 BLEND_KINDS = ("linear", "smoothstep", "smootherstep")
 
+# The most samples or steps: numpy can size every array of such a count
+# (count + 1 float64 rows at most), so one too large for memory is a MemoryError.
+MAX_COUNT = np.iinfo(np.intp).max // 16
+
 
 def blend(t, t0: float, tf: float, kind: str = "smoothstep"):
     """Time-scaling beta(t) in [0, 1], strictly increasing on (t0, tf).
@@ -116,6 +120,12 @@ def joint_elbow_angles(graph: CellGraph, positions: np.ndarray) -> np.ndarray:
         raise
 
 
+def check_sample_count(samples: int) -> None:
+    """Reject a sample count outside 2..MAX_COUNT, naming the `samples` field."""
+    if not 2 <= samples <= MAX_COUNT:
+        raise InvalidArgumentError(f"samples = {samples} must be from 2 to {MAX_COUNT}", field="samples")
+
+
 @dataclass(frozen=True)
 class PlannedTrajectory:
     """A plan that passed the gate of `plan`, with the graph and reference
@@ -136,8 +146,7 @@ def plan(
     bound and the mechanism reach of every interior-cell joint. The first
     failing sample decides the error, which names its `time`; the strain
     check goes first."""
-    if sample_count < 2:
-        raise InvalidArgumentError(f"sample_count must be at least 2, got {sample_count}")
+    check_sample_count(sample_count)
     times = np.linspace(spec.t0, spec.tf, sample_count)
     coords = coordinates_at(spec, times)
     unsafe = None

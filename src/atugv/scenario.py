@@ -17,8 +17,8 @@ import numpy as np
 from .affine import COORD_FIELDS, GeneralizedCoordinates
 from .errors import AtugvError, ScenarioError
 from .network import CellGraph
-from .planner import PlanSpec
-from .simulator import MAX_COUNT, SimConfig, step_count
+from .planner import PlanSpec, check_sample_count
+from .simulator import SimConfig, step_count
 
 BUNDLED = ("four_cell_experiment", "seven_cell_sim")
 
@@ -82,16 +82,19 @@ class _Parsed:
         where = f"{self.name}:{lineno}" if lineno else self.name
         raise ScenarioError(f"{where}: [{section}] {key}: {message}") from cause
 
-    def build(self, keys, make, *args, **kwargs):
-        """make(*args, **kwargs). The config types decide what is valid: an
-        error naming a `field` that `keys` maps to its (section, key) fails
-        at that key, with the error's own message."""
+    def build(self, sections: tuple, make, *args, suffix: str = "", **kwargs):
+        """make(*args, **kwargs), a config type read from `sections` that
+        decides what is valid: an error naming a `field` fails at its key, the
+        field plus `suffix` (`blend` for `blend_kind`), in the section that read
+        that key (the first section if none did), with the error's message."""
         try:
             return make(*args, **kwargs)
         except AtugvError as exc:
-            if exc.field not in keys:
+            if exc.field is None:
                 raise
-            self.fail(*keys[exc.field], str(exc), cause=exc)
+            key = "blend" if exc.field == "blend_kind" else exc.field + suffix
+            section = next((s for s in sections if key in self.read.get(s, ())), sections[0])
+            self.fail(section, key, str(exc), cause=exc)
 
     def get(self, section: str, key: str, default: Optional[str] = None) -> Optional[str]:
         if section not in self.sections:
@@ -181,20 +184,18 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
         if section not in parsed.sections:
             raise ScenarioError(f"{name}: missing required section [{section}]")
 
-    graph_keys = {"layers": ("graph", "layers"), "powered": ("graph", "powered")}
     layers = parsed.get("graph", "layers")
     if layers is None:
         parsed.fail("graph", "layers", "required key missing")
     bad_layers = "expected cell lists separated by '|'"
     layers = [frozenset(parsed.cells("graph", "layers", part, bad_layers)) for part in layers.split("|")]
-    graph_keys.update({f"neighbors.{i}": ("graph", f"neighbors.{i}") for layer in layers for i in layer})
     neighbors = {}
     for key, i, raw in parsed.indexed("graph", "neighbors"):
-        neighbors[i], graph_keys[key] = frozenset(parsed.cells("graph", key, raw)), ("graph", key)
+        neighbors[i] = frozenset(parsed.cells("graph", key, raw))
     actuated = {}
     for key, i, raw in parsed.indexed("graph", "actuated"):
         pair = parsed.cells("graph", key, raw, "expected two comma-separated cell ids")
-        actuated[i], graph_keys[key] = tuple(pair), ("graph", key)
+        actuated[i] = tuple(pair)
     powered = parsed.get("graph", "powered")
     if powered is not None:
         powered = frozenset(parsed.cells("graph", "powered", powered))
@@ -202,26 +203,22 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
     cell_radius = parsed.number("geometry", "cell_radius")
     arm_length = parsed.number("geometry", "arm_length")
     side_length = parsed.number("geometry", "side_length", CellGraph.side_length)
-    graph_keys.update({name: ("geometry", name) for name in ("cell_radius", "arm_length", "side_length")})
     args = (tuple(layers), neighbors, cell_radius, arm_length, powered, actuated or None, side_length)
-    graph = parsed.build(graph_keys, CellGraph, *args)
+    graph = parsed.build(("graph", "geometry"), CellGraph, *args)
 
     t0 = parsed.number("plan", "t0", 0.0)
     tf = parsed.number("plan", "tf")
     blend_kind = parsed.get("plan", "blend", PlanSpec.blend_kind)
     samples = parsed.number("plan", "samples", 200, int)
-    if not 2 <= samples <= MAX_COUNT:
-        parsed.fail("plan", "samples", f"samples = {samples} must be from 2 to {MAX_COUNT}")
+    parsed.build(("plan",), check_sample_count, samples)
 
     def coords(suffix: str, defaults: GeneralizedCoordinates) -> GeneralizedCoordinates:
-        keys = {field: ("plan", f"{field}_{suffix}") for field in COORD_FIELDS}
-        values = {field: parsed.number(*key, getattr(defaults, field)) for field, key in keys.items()}
-        return parsed.build(keys, GeneralizedCoordinates, **values)
+        values = {f: parsed.number("plan", f + suffix, getattr(defaults, f)) for f in COORD_FIELDS}
+        return parsed.build(("plan",), GeneralizedCoordinates, suffix=suffix, **values)
 
-    initial = coords("initial", _IDENTITY)
-    final = coords("final", initial)
-    spec_keys = {"tf": ("plan", "tf"), "blend_kind": ("plan", "blend")}
-    plan_spec = parsed.build(spec_keys, PlanSpec, t0, tf, initial, final, blend_kind)
+    initial = coords("_initial", _IDENTITY)
+    final = coords("_final", initial)
+    plan_spec = parsed.build(("plan",), PlanSpec, t0, tf, initial, final, blend_kind)
 
     model = parsed.get("sim", "model", SimConfig.model)
     dt = parsed.number("sim", "dt", SimConfig.dt)
@@ -241,11 +238,10 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
             parsed.fail("sim", key, f"cell {cell} is in no layer")
         offsets[cell] = np.array(offset)
 
-    sim_keys = {field: ("sim", field) for field in ("dt", "model", "alpha", "k_v")}
     sim = parsed.build(
-        sim_keys, SimConfig, dt=dt, model=model, alpha=alpha, k_v=k_v, initial_offsets=offsets or None
+        ("sim",), SimConfig, dt=dt, model=model, alpha=alpha, k_v=k_v, initial_offsets=offsets or None
     )
-    parsed.build(sim_keys, step_count, plan_spec, sim.dt)
+    parsed.build(("sim",), step_count, plan_spec, sim.dt)
     parsed.reject_unread()
     return Scenario(
         name=name,

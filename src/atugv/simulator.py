@@ -21,7 +21,7 @@ from .errors import (
     UnreachableSeparationError,
 )
 from .network import CellGraph, min_separation
-from .planner import PlannedTrajectory, PlanSpec, desired_positions, joint_elbow_angles, joint_separations
+from .planner import MAX_COUNT, PlannedTrajectory, PlanSpec, desired_positions, joint_elbow_angles, joint_separations
 from .planner import coordinates_at  # noqa: F401  (bench/tracing.py wraps this name here)
 
 MODELS = ("single", "double")
@@ -72,11 +72,6 @@ class SimConfig:
         if self.model == "single":
             return np.array([[1.0 - alpha * dt, 0.0], [0.0, 0.0]])
         return np.array([[1.0, dt], [-dt * k_v * alpha, 1.0 - dt * k_v]])
-
-
-# The most steps or plan samples: numpy can size every array of such a count
-# (count + 1 float64 rows at most), so one too large for memory is a MemoryError.
-MAX_COUNT = np.iinfo(np.intp).max // 16
 
 
 def step_count(spec: PlanSpec, dt: float) -> int:

@@ -187,6 +187,16 @@ class TestPlan:
         with pytest.raises(InvalidArgumentError):
             plan(spec, seven_cell, seven_cell_reference, sample_count=1)
 
+    @pytest.mark.parametrize("count", [2**62, 10**30])
+    def test_sample_count_beyond_numpy_rejected(self, count, seven_cell, seven_cell_reference):
+        # numpy's `ValueError: array is too big; ...` (2**62) and `Maximum
+        # allowed size exceeded` (10**30) escaped from `np.linspace`.
+        spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL)
+        message = rf"^samples = {count} must be from 2 to 576460752303423487$"
+        with pytest.raises(InvalidArgumentError, match=message) as error:
+            plan(spec, seven_cell, seven_cell_reference, count)
+        assert error.value.field == "samples"
+
     def test_degenerate_horizon_rejected(self):
         with pytest.raises(InvalidArgumentError):
             PlanSpec(t0=5.0, tf=5.0, initial=IDENTITY, final=SIM_FINAL)

@@ -406,6 +406,40 @@ class TestRejectedInput:
         ):
             load_scenario_text(SEVEN.replace("neighbors.7 = 1,3,4\n", ""))
 
+    def test_side_length_whose_squares_overflow(self, tmp_path, capsys):
+        # Under `-W error`, `validate` and `run` exited 1 with `RuntimeWarning:
+        # overflow encountered in square` from `min_separation`; without it, exit
+        # 2 after four warnings with `error: separation must be a finite
+        # non-negative length, got inf`, no line or key.
+        from atugv import CellGraph, InvalidArgumentError
+
+        cfg = tmp_path / "x.cfg"
+        text = bundled_scenario_path("seven_cell_sim").read_text()
+        cfg.write_text(text.replace("side_length = 1.0", "side_length = 1e155"))
+        expected = (
+            f"error: {cfg}:14: [geometry] side_length: side_length must be at most 6.7039e+153 "
+            "so that squared distances stay finite, got 1e+155\n"
+        )
+        for command in (["validate", str(cfg)], ["run", str(cfg), "--output-dir", str(tmp_path / "out")]):
+            assert main(command) == 2
+            assert capsys.readouterr() == ("", expected)
+        with pytest.raises(InvalidArgumentError) as error:
+            CellGraph((frozenset({1, 2, 3}),), {}, 0.05, 0.25, side_length=1e155)
+        assert error.value.field == "side_length"
+
+    def test_largest_side_length_plans_without_overflow(self):
+        # The bound's reason: every squared distance of the reference and of a
+        # plan stays finite, here under warnings as errors.
+        from atugv import CellGraph, plan, solve_reference_positions
+        from atugv.network import MAX_SIDE_LENGTH
+
+        seven = load_scenario("seven_cell_sim")
+        s = MAX_SIDE_LENGTH
+        graph = CellGraph(seven.graph.layers, seven.graph.neighbors, 0.05, s, side_length=s)
+        reference = solve_reference_positions(graph)
+        assert math.isfinite(reference.d_min) and reference.d_min > 0.1 * s
+        plan(seven.plan_spec, graph, reference, 200)
+
     def test_output_dir_that_is_a_file(self, tmp_path, capsys):
         # `mkdir` raised FileExistsError: a traceback and exit 1.
         existing = tmp_path / "README.md"
@@ -647,6 +681,18 @@ class TestRejectedInput:
             # An offset is two numbers separated by a comma. Both exited 0.
             ("seven_cell_sim", "sim", "offset", "0.01,,-0.02", 29, "expected two finite numbers"),
             ("seven_cell_sim", "sim", "offset.5", "0.01 -0.02", 29, "expected two finite numbers"),
+            # A coordinate error is located at its key: the field plus `_initial`.
+            ("seven_cell_sim", "plan", "lambda1_initial", "1.5", 17, "lambda1 must lie in (0, 1], got 1.5"),
+            # A stray `dt` under [plan] does not take the [sim] dt's error. The
+            # row's key is written first, then the (old, new) replacement.
+            (
+                ("seven_cell_sim", "[plan]\n", "[plan]\ndt = 0.02\n"),
+                "sim",
+                "dt",
+                "0.03",
+                30,
+                "dt = 0.03 must evenly divide the horizon 10 s",
+            ),
         ],
         ids=[
             "actuated",
@@ -680,14 +726,17 @@ class TestRejectedInput:
             "actuated_cell_twice",
             "offset_empty_field",
             "offset_no_comma",
+            "lambda1_initial",
+            "dt_stray_in_plan",
         ],
     )
     def test_bad_value_is_located(self, scenario, section, key, value, line, message, tmp_path, capsys):
         from atugv import bundled_scenario_path
 
-        text = bundled_scenario_path(scenario).read_text()
+        scenario, *replacement = (scenario,) if isinstance(scenario, str) else scenario
+        text = _with_key(bundled_scenario_path(scenario).read_text(), section, key, value)
         cfg = tmp_path / "x.cfg"
-        cfg.write_text(_with_key(text, section, key, value))
+        cfg.write_text(text.replace(*replacement) if replacement else text)
         assert main(["validate", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {cfg}:{line}: [{section}] {key}: {message}\n"
 
