@@ -3,16 +3,13 @@ ground vehicles."""
 
 from .affine import (
     GeneralizedCoordinates,
-    RotationStrain,
     apply,
-    decompose,
     jacobian,
     rotation_matrix,
     strain_matrix,
 )
 from .errors import (
     AtugvError,
-    DecompositionError,
     DegreeViolationError,
     DomainError,
     InconsistentAnglesError,

@@ -9,13 +9,11 @@ or arrays over a batch of times; matrices then stack as (..., 2, 2).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DecompositionError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
 COORD_FIELDS = ("lambda1", "lambda2", "sigma_r", "sigma_d", "d1", "d2")
 
@@ -54,15 +52,6 @@ class GeneralizedCoordinates:
         return cls(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 
 
-class RotationStrain(NamedTuple):
-    """Rotation/strain part recovered from a Jacobian (no translation)."""
-
-    sigma_r: float
-    sigma_d: float
-    lambda1: float
-    lambda2: float
-
-
 def rotation_matrix(sigma_r) -> np.ndarray:
     """Counterclockwise rotation by sigma_r radians (`GeneralizedCoordinates` checks it is finite)."""
     c, s = np.cos(sigma_r), np.sin(sigma_r)
@@ -72,7 +61,7 @@ def rotation_matrix(sigma_r) -> np.ndarray:
 def strain_matrix(lambda1, lambda2, sigma_d) -> np.ndarray:
     """Symmetric positive-definite strain with principal values lambda1 and
     lambda2, the lambda1 axis rotated by sigma_d from +x. Its callers own the
-    finite values and positive strains: `GeneralizedCoordinates`, `decompose`."""
+    finite values and positive strains: `GeneralizedCoordinates`."""
     c, s = np.cos(sigma_d), np.sin(sigma_d)
     u11 = lambda1 * c * c + lambda2 * s * s
     u22 = lambda1 * s * s + lambda2 * c * c
@@ -101,42 +90,3 @@ def apply(coords: GeneralizedCoordinates, reference_points) -> np.ndarray:
     x = q[..., 0, 0] * a[..., 0] + q[..., 0, 1] * a[..., 1] + d1
     y = q[..., 1, 0] * a[..., 0] + q[..., 1, 1] * a[..., 1] + d2
     return np.stack([x, y], axis=-1)
-
-
-def decompose(q: np.ndarray) -> RotationStrain:
-    """Recover (sigma_r, sigma_d, lambda1, lambda2) from a Jacobian.
-
-    Conventions: lambda1 >= lambda2, sigma_d in [0, pi) (the strain matrix
-    is invariant under sigma_d -> sigma_d + pi), sigma_d = 0 when the
-    strains are equal and the axis is indeterminate.
-    """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (2, 2) or not np.all(np.isfinite(q)):
-        raise InvalidArgumentError(f"expected a finite 2x2 matrix, got {q!r}")
-    det = q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
-    if det <= 0.0:
-        raise DecompositionError(
-            f"matrix is singular or contains a reflection (det = {det})"
-        )
-    # C = Q^T Q encodes the strains squared and the principal-axis angle.
-    c11 = q[0, 0] ** 2 + q[1, 0] ** 2
-    c22 = q[0, 1] ** 2 + q[1, 1] ** 2
-    c12 = q[0, 0] * q[0, 1] + q[1, 0] * q[1, 1]
-    mean = 0.5 * (c11 + c22)
-    radius = math.hypot(0.5 * (c11 - c22), c12)
-    mu1, mu2 = mean + radius, mean - radius
-    if not (mu2 > 0.0 and mu1 < math.inf):  # an overflow of C (inf or NaN) fails too
-        raise DecompositionError("matrix is numerically singular or too large")
-    lambda1, lambda2 = math.sqrt(mu1), math.sqrt(mu2)
-    if radius == 0.0:
-        sigma_d = 0.0
-    else:
-        sigma_d = 0.5 * math.atan2(2.0 * c12, c11 - c22)
-        sigma_d %= math.pi
-    u = strain_matrix(lambda1, lambda2, sigma_d)
-    # R = Q U^{-1}, with the 2x2 inverse written out.
-    u_det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    r00 = (q[0, 0] * u[1, 1] - q[0, 1] * u[1, 0]) / u_det
-    r10 = (q[1, 0] * u[1, 1] - q[1, 1] * u[1, 0]) / u_det
-    sigma_r = math.atan2(r10, r00)
-    return RotationStrain(sigma_r=sigma_r, sigma_d=sigma_d, lambda1=lambda1, lambda2=lambda2)

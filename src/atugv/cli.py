@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kinematics, planner, simulator
 from .errors import AtugvError, UnsafePlanError, UnreachableSeparationError
-from .network import solve_reference_positions
+from .network import solve_reference_positions  # noqa: F401  (bench/tracing.py wraps this name here)
 from .scenario import BUNDLED, load_scenario
 
 EXIT_OK = 0
@@ -84,15 +84,10 @@ def write_elbow_csv(path: Path, trace: simulator.SimulationTrace):
     _write_csv(path, header, trace.times, trace.joints, values)
 
 
-def _load(args):
-    """The scenario and its reference configuration."""
-    scenario = load_scenario(args.scenario)
-    return scenario, solve_reference_positions(scenario.graph)
-
-
-def _report(scenario, reference, verdicts, extras=()):
+def _report(scenario, verdicts, extras=()):
     """The report text around the (passed, line) `verdicts`, and its exit
     code: EXIT_OK exactly when every verdict passed."""
+    reference = scenario.graph.reference
     lines = [
         f"scenario: {scenario.name}",
         f"cells: {len(scenario.graph.cells)} "
@@ -109,7 +104,8 @@ def _report(scenario, reference, verdicts, extras=()):
 
 
 def cmd_reference(args) -> int:
-    scenario, reference = _load(args)
+    scenario = load_scenario(args.scenario)
+    reference = scenario.graph.reference
     print(f"scenario: {scenario.name}")
     for i, (x, y) in enumerate(reference.positions, start=1):
         tag = "powered" if i in scenario.graph.powered else "unpowered"
@@ -119,11 +115,11 @@ def cmd_reference(args) -> int:
     return EXIT_OK
 
 
-def _validate_verdicts(scenario, reference):
+def _validate_verdicts(scenario):
     """The plan, or None if it fails a plan-time verdict, and the (passed,
     line) pairs of the principal-strain bound and the mechanism reach."""
     try:
-        trajectory = planner.plan(scenario.plan_spec, scenario.graph, reference, scenario.sample_count)
+        trajectory = planner.plan(scenario.plan_spec, scenario.graph, sample_count=scenario.sample_count)
     except UnsafePlanError as exc:
         violated = "principal-strain bound violated (collision-safety guarantee)"
         return None, [(False, f"strain-bound verdict: UNSAFE — {violated}: {exc}")]
@@ -167,24 +163,23 @@ def _trace_verdicts(trace, graph, threshold):
 
 
 def cmd_validate(args) -> int:
-    scenario, reference = _load(args)
-    _, verdicts = _validate_verdicts(scenario, reference)
-    text, code = _report(scenario, reference, verdicts)
+    scenario = load_scenario(args.scenario)
+    _, verdicts = _validate_verdicts(scenario)
+    text, code = _report(scenario, verdicts)
     print(text, end="")
     return code
 
 
 def cmd_run(args) -> int:
-    scenario = load_scenario(args.scenario)
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # An earlier run's outputs would otherwise outlive a run that fails
-    # from here on, at the reference too.
+    # An earlier run's outputs would otherwise outlive a run that fails,
+    # at load too. Removing a file creates no directory.
     for name in ("report.txt", "trajectory.csv", "elbows.csv"):
         (out_dir / name).unlink(missing_ok=True)
-    reference = solve_reference_positions(scenario.graph)
+    scenario = load_scenario(args.scenario)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-    trajectory, verdicts = _validate_verdicts(scenario, reference)
+    trajectory, verdicts = _validate_verdicts(scenario)
     extras = []
     if trajectory is not None:
         trace = simulator.run(trajectory, scenario.sim)
@@ -194,7 +189,7 @@ def cmd_run(args) -> int:
         extras.append("terminal tracking errors [m]:")
         extras += (f"  cell {i}: {_fmt(err)}" for i, err in zip(trace.cells, trace.errors[-1].tolist()))
 
-    text, code = _report(scenario, reference, verdicts, extras)
+    text, code = _report(scenario, verdicts, extras)
     (out_dir / "report.txt").write_text(text)
     print(text, end="")
     return code

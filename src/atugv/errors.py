@@ -23,11 +23,6 @@ class DomainError(InvalidArgumentError):
     """A time query lies outside the planning horizon."""
 
 
-class DecompositionError(AtugvError):
-    """The matrix is singular or contains a reflection; no valid
-    rotation/strain factorization exists."""
-
-
 class DegreeViolationError(AtugvError):
     """An interior cell does not have exactly three neighbors."""
 
@@ -37,8 +32,9 @@ class LayeringViolationError(AtugvError):
 
 
 class ReferenceOverlapError(AtugvError):
-    """Cells overlap already in the reference configuration
-    (minimum separation does not exceed the cell diameter)."""
+    """Cells overlap already in the reference configuration (minimum
+    separation does not exceed the cell diameter); the `field` is
+    `cell_radius`."""
 
 
 class UnreachableSeparationError(AtugvError):

@@ -43,7 +43,8 @@ class CellGraph:
     carry motors. `side_length` is the side of the boundary triangle.
 
     An error names the `field` it rejects: `layers`, `neighbors.<i>` or
-    `actuated.<i>` for cell i, `powered`, or a geometry field.
+    `actuated.<i>` for cell i, `powered`, or a geometry field;
+    `cell_radius` for a reference that overlaps, which is solved here.
     """
 
     layers: Tuple[FrozenSet[int], ...]
@@ -133,6 +134,12 @@ class CellGraph:
                 message = f"cell {i} is not interior, cannot have joints"
                 raise InvalidArgumentError(message, field=f"actuated.{i}")
         object.__setattr__(self, "actuated", actuated)
+        self.reference  # a graph whose reference overlaps is rejected here
+
+    @cached_property
+    def reference(self) -> ReferenceConfiguration:
+        """The reference configuration, a function of the graph alone."""
+        return solve_reference_positions(self)
 
     @cached_property
     def cells(self) -> Tuple[int, ...]:
@@ -225,7 +232,9 @@ def solve_reference_positions(graph: CellGraph) -> ReferenceConfiguration:
     """Place boundary cells on an equilateral triangle of side
     `graph.side_length` and each interior cell at the average of its three
     neighbors: positions = W @ B0. The reference must keep every pair of
-    cells apart by more than a cell diameter, which makes lambda_min < 1.
+    cells apart by more than a cell diameter, which makes lambda_min < 1;
+    an overlap names `cell_radius`. Each graph solves its own once, as
+    `CellGraph.reference`.
 
     The lowest-numbered boundary cell sits at the origin and the next on
     the +x axis; any other pose is reachable through the affine transform
@@ -238,6 +247,7 @@ def solve_reference_positions(graph: CellGraph) -> ReferenceConfiguration:
     if d_min <= 2.0 * graph.cell_radius:
         raise ReferenceOverlapError(
             f"reference separation {d_min:.6g} m does not exceed the cell "
-            f"diameter {2.0 * graph.cell_radius:.6g} m"
+            f"diameter {2.0 * graph.cell_radius:.6g} m",
+            field="cell_radius",
         )
     return ReferenceConfiguration(positions, d_min, 2.0 * graph.cell_radius / d_min)

@@ -17,7 +17,7 @@ import numpy as np
 from . import affine, kinematics
 from .affine import COORD_FIELDS, GeneralizedCoordinates
 from .errors import DomainError, InvalidArgumentError, UnreachableSeparationError, UnsafePlanError
-from .network import CellGraph, ReferenceConfiguration
+from .network import CellGraph
 
 BLEND_KINDS = ("linear", "smoothstep", "smootherstep")
 
@@ -78,10 +78,10 @@ def coordinates_at(spec: PlanSpec, t) -> GeneralizedCoordinates:
     return GeneralizedCoordinates(**values)
 
 
-def desired_positions(spec: PlanSpec, reference: ReferenceConfiguration, times) -> np.ndarray:
+def desired_positions(spec: PlanSpec, graph: CellGraph, times) -> np.ndarray:
     """Desired cell positions at `times`: the planned affine image of the
-    reference positions, (T, N, 2) for T times (row i - 1 is cell i)."""
-    return affine.apply(coordinates_at(spec, np.asarray(times, dtype=float)), reference.positions)
+    graph's reference positions, (T, N, 2) for T times (row i - 1 is cell i)."""
+    return affine.apply(coordinates_at(spec, np.asarray(times, dtype=float)), graph.reference.positions)
 
 
 def validate_coordinates(coords: GeneralizedCoordinates, bound: float) -> None:
@@ -128,20 +128,13 @@ def check_sample_count(samples: int) -> None:
 
 @dataclass(frozen=True)
 class PlannedTrajectory:
-    """A plan that passed the gate of `plan`, with the graph and reference
-    it was checked on."""
+    """A plan that passed the gate of `plan`, with the graph it was checked on."""
 
     spec: PlanSpec
     graph: CellGraph
-    reference: ReferenceConfiguration
 
 
-def plan(
-    spec: PlanSpec,
-    graph: CellGraph,
-    reference: ReferenceConfiguration,
-    sample_count: int = 200,
-) -> PlannedTrajectory:
+def plan(spec: PlanSpec, graph: CellGraph, sample_count: int = 200) -> PlannedTrajectory:
     """Sample the plan uniformly, gating every sample on the strain safety
     bound and the mechanism reach of every interior-cell joint. The first
     failing sample decides the error, which names its `time`; the strain
@@ -151,10 +144,10 @@ def plan(
     coords = coordinates_at(spec, times)
     unsafe = None
     try:
-        validate_coordinates(coords, reference.lambda_min)
+        validate_coordinates(coords, graph.reference.lambda_min)
     except UnsafePlanError as exc:
         unsafe = exc
-    positions = affine.apply(coords, reference.positions)
+    positions = affine.apply(coords, graph.reference.positions)
     safe_samples = sample_count if unsafe is None else unsafe.index
     try:
         joint_elbow_angles(graph, positions[:safe_samples])
@@ -167,4 +160,4 @@ def plan(
         unsafe.time = t = float(times[unsafe.index])
         unsafe.args = (f"plan violates the principal-strain bound at t = {t:.6g} s: {unsafe}",)
         raise unsafe
-    return PlannedTrajectory(spec=spec, graph=graph, reference=reference)
+    return PlannedTrajectory(spec=spec, graph=graph)

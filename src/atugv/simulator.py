@@ -219,7 +219,7 @@ def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
 
     times = t0 + config.dt * np.arange(n_steps + 1)
     times[-1] = tf
-    desired = desired_positions(trajectory.spec, trajectory.reference, times)
+    desired = desired_positions(trajectory.spec, graph, times)
     actual = np.empty_like(desired)
     actual[0] = desired[0]
     for i, offset in (config.initial_offsets or {}).items():

@@ -82,26 +82,25 @@ def random_layered_graph(rng, cell_radius_fraction=0.3, max_extra_layers=3):
             prev_cells = prev_cells + layer
         if len(layers) < 2:
             continue
-        probe = CellGraph(
-            layers=tuple(layers),
-            neighbors=neighbors,
-            cell_radius=1e-12,
-            arm_length=10.0,
-        )
         try:
-            reference = solve_reference_positions(probe)
+            probe = CellGraph(
+                layers=tuple(layers),
+                neighbors=neighbors,
+                cell_radius=1e-12,
+                arm_length=10.0,
+            )
         except ReferenceOverlapError:
             continue
-        if reference.d_min < 1e-6:
+        if probe.reference.d_min < 1e-6:
             continue
-        r = cell_radius_fraction * reference.d_min / 2.0
+        r = cell_radius_fraction * probe.reference.d_min / 2.0
         graph = CellGraph(
             layers=tuple(layers),
             neighbors=neighbors,
             cell_radius=r,
             arm_length=10.0,
         )
-        return graph, solve_reference_positions(graph)
+        return graph, graph.reference
 
 
 def stellar_layered_graph(n_cells, rng):
@@ -124,9 +123,9 @@ def stellar_layered_graph(n_cells, rng):
         for depth in range(max(layer_of.values()) + 1)
     )
     probe = CellGraph(layers=layers, neighbors=neighbors, cell_radius=1e-12, arm_length=10.0)
-    reference = solve_reference_positions(probe)
+    reference = probe.reference
     p = reference.positions
     longest = max(np.linalg.norm(p[i - 1] - p[j - 1]) for i, js in neighbors.items() for j in js)
     r = 0.25 * reference.d_min
     graph = CellGraph(layers=layers, neighbors=neighbors, cell_radius=r, arm_length=0.6 * longest - r)
-    return graph, solve_reference_positions(graph)
+    return graph, graph.reference

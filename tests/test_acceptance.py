@@ -13,7 +13,6 @@ from atugv import (
     GeneralizedCoordinates,
     apply,
     coordinates_at,
-    decompose,
     desired_elbow_angles,
     desired_positions,
     jacobian,
@@ -22,7 +21,6 @@ from atugv import (
     resolve_unpowered_position,
     rotation_matrix,
     run,
-    solve_reference_positions,
     min_separation,
     strain_matrix,
 )
@@ -59,10 +57,8 @@ def oracle_position(coords, a):
 def test_criterion_1_table_scenario_reproduction():
     scenario = load_scenario("seven_cell_sim")
     assert scenario.sim.model == "single" and scenario.sim.alpha == 10.0
-    reference = solve_reference_positions(scenario.graph)
-    trajectory = plan(
-        scenario.plan_spec, scenario.graph, reference, scenario.sample_count
-    )
+    reference = scenario.graph.reference
+    trajectory = plan(scenario.plan_spec, scenario.graph, scenario.sample_count)
     start = time.perf_counter()
     trace = run(trajectory, scenario.sim)
     elapsed = time.perf_counter() - start
@@ -139,11 +135,18 @@ def test_criterion_3_polar_decomposition_round_trip():
             d2=0.0,
         )
         q = jacobian(coords)
-        rs = decompose(q)
-        rebuilt = rotation_matrix(rs.sigma_r) @ strain_matrix(
-            rs.lambda1, rs.lambda2, rs.sigma_d
+        # singular values (lambda1, lambda2), determinant lambda1 * lambda2 > 0,
+        # and q @ inv(strain) is the rotation by sigma_r
+        sv = np.linalg.svd(q, compute_uv=False)
+        det = np.linalg.det(q)
+        rotation = q @ np.linalg.inv(strain_matrix(coords.lambda1, coords.lambda2, coords.sigma_d))
+        assert det > 0.0
+        worst = max(
+            worst,
+            float(np.max(np.abs(sv - [coords.lambda1, coords.lambda2]))),
+            abs(det - coords.lambda1 * coords.lambda2),
+            float(np.max(np.abs(rotation - rotation_matrix(coords.sigma_r)))),
         )
-        worst = max(worst, float(np.max(np.abs(rebuilt - q))))
     report(
         "3 polar-decomposition round trip",
         worst <= 1e-9,
@@ -156,11 +159,11 @@ def test_criterion_4_kinematic_round_trip():
     for name in ("four_cell_experiment", "seven_cell_sim"):
         scenario = load_scenario(name)
         graph = scenario.graph
-        reference = solve_reference_positions(graph)
+        reference = graph.reference
         spec = scenario.plan_spec
-        plan(spec, graph, reference, scenario.sample_count)
+        plan(spec, graph, scenario.sample_count)
         times = np.linspace(spec.t0, spec.tf, scenario.sample_count)
-        positions = desired_positions(spec, reference, times)
+        positions = desired_positions(spec, graph, times)
         for i in sorted(graph.unpowered):
             j1, j2 = graph.actuated[i]
             previous = reference.positions[i - 1]
@@ -183,9 +186,8 @@ def test_criterion_5_error_contraction(four_cell):
     from atugv import PlanSpec, SimConfig
 
     identity = GeneralizedCoordinates.identity()
-    reference = solve_reference_positions(four_cell)
     spec = PlanSpec(t0=0.0, tf=5.0, initial=identity, final=identity)
-    trajectory = plan(spec, four_cell, reference, sample_count=10)
+    trajectory = plan(spec, four_cell, sample_count=10)
     alpha, dt = 5.0, 0.05  # 100 steps over the horizon
     config = SimConfig(
         dt=dt,
@@ -222,9 +224,8 @@ def test_criterion_6_derived_constants(seven_cell_reference):
 def test_criterion_7_four_cell_experiment_scenario(tmp_path):
     code = main(["run", "four_cell_experiment", "--output-dir", str(tmp_path)])
     scenario = load_scenario("four_cell_experiment")
-    reference = solve_reference_positions(scenario.graph)
     spec = scenario.plan_spec
-    plan(spec, scenario.graph, reference, scenario.sample_count)
+    plan(spec, scenario.graph, scenario.sample_count)
     coords = coordinates_at(spec, np.linspace(spec.t0, spec.tf, scenario.sample_count))
     from atugv.affine import COORD_FIELDS
 

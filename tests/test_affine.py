@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atugv import (
-    DecompositionError,
     GeneralizedCoordinates,
     InvalidArgumentError,
     apply,
-    decompose,
     jacobian,
     rotation_matrix,
     strain_matrix,
@@ -164,55 +162,49 @@ class TestApply:
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
+def assert_polar_factors(coords, atol):
+    """jacobian(coords) is rotation(sigma_r) @ strain(lambda1, lambda2,
+    sigma_d): its singular values are (max, min) of the strains, its
+    determinant lambda1 * lambda2 > 0, and removing the strain factor leaves
+    the rotation."""
+    q = jacobian(coords)
+    l1, l2 = coords.lambda1, coords.lambda2
+    np.testing.assert_allclose(np.linalg.svd(q, compute_uv=False), [max(l1, l2), min(l1, l2)], atol=atol)
+    det = np.linalg.det(q)
+    assert det > 0.0
+    assert abs(det - l1 * l2) <= atol
+    rotation = q @ np.linalg.inv(strain_matrix(l1, l2, coords.sigma_d))
+    np.testing.assert_allclose(rotation, rotation_matrix(coords.sigma_r), atol=atol)
+
+
 class TestDecompose:
+    """The Jacobian's polar factors, read back without an inverse map."""
+
     def test_identity(self):
-        rs = decompose(np.eye(2))
-        assert rs == (0.0, 0.0, 1.0, 1.0)
+        q = jacobian(GeneralizedCoordinates.identity())
+        assert np.array_equal(q, np.eye(2))
+        assert_polar_factors(GeneralizedCoordinates.identity(), atol=0.0)
 
     def test_diagonal(self):
-        rs = decompose(np.diag([0.9, 0.8]))
-        assert abs(rs.sigma_r) < 1e-15
-        assert abs(rs.sigma_d) < 1e-15
-        assert abs(rs.lambda1 - 0.9) < 1e-15
-        assert abs(rs.lambda2 - 0.8) < 1e-15
+        c = GeneralizedCoordinates(0.9, 0.8, 0.0, 0.0, 0.0, 0.0)
+        np.testing.assert_allclose(jacobian(c), np.diag([0.9, 0.8]), atol=1e-15)
+        assert_polar_factors(c, atol=1e-15)
 
     def test_round_trip_of_known_coordinates(self):
-        c = GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 0.0, 0.0)
-        rs = decompose(jacobian(c))
-        assert abs(rs.sigma_r - 0.707) < 1e-9
-        assert abs(rs.sigma_d % math.pi - 0.3) < 1e-9
-        assert abs(rs.lambda1 - 0.9) < 1e-9
-        assert abs(rs.lambda2 - 0.8) < 1e-9
+        assert_polar_factors(GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 0.0, 0.0), atol=1e-9)
 
     def test_lambda_ordering_and_sigma_d_range(self):
-        rs = decompose(jacobian(GeneralizedCoordinates(0.5, 0.95, 1.2, -0.4, 0, 0)))
-        assert rs.lambda1 >= rs.lambda2
-        assert 0.0 <= rs.sigma_d < math.pi
-
-    def test_singular_rejected(self):
-        with pytest.raises(DecompositionError):
-            decompose(np.array([[1.0, 0.0], [2.0, 0.0]]))
-
-    def test_reflection_rejected(self):
-        with pytest.raises(DecompositionError):
-            decompose(np.diag([1.0, -1.0]))
-
-    @pytest.mark.parametrize("scale", [1e200, 1.3e154])
-    def test_overflow_rejected(self, scale):
-        # C = Q^T Q overflows to NaN (1e200) or inf (1.3e154); both raised
-        # InvalidArgumentError from strain_matrix, which no longer checks.
-        with np.errstate(all="ignore"), pytest.raises(DecompositionError):
-            decompose(np.diag([scale, scale]))
+        c = GeneralizedCoordinates(0.5, 0.95, 1.2, -0.4, 0, 0)
+        sv = np.linalg.svd(jacobian(c), compute_uv=False)
+        assert sv[0] >= sv[1]
+        np.testing.assert_allclose(sv, [0.95, 0.5], atol=1e-12)
+        # sigma_d matters modulo pi: the strain axis has no direction
+        np.testing.assert_allclose(strain_matrix(0.5, 0.95, -0.4), strain_matrix(0.5, 0.95, -0.4 + math.pi), atol=1e-12)
 
     @given(coords_strategy)
     @settings(max_examples=200)
     def test_round_trip_rebuilds_jacobian(self, coords):
-        q = jacobian(coords)
-        rs = decompose(q)
-        rebuilt = rotation_matrix(rs.sigma_r) @ strain_matrix(
-            rs.lambda1, rs.lambda2, rs.sigma_d
-        )
-        np.testing.assert_allclose(rebuilt, q, atol=1e-9)
+        assert_polar_factors(coords, atol=1e-9)
 
 
 class TestGeneralizedCoordinates:

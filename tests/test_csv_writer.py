@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atugv import cli, csvtext, load_scenario_text, plan, run, solve_reference_positions
+from atugv import cli, csvtext, load_scenario_text, plan, run
 from atugv.scenario import bundled_scenario_path
 from test_bench_contract import BENCH, _bench_module
 
@@ -112,8 +112,7 @@ class TestFormatKernel:
 
 def _trace(text, name="<scenario>"):
     scenario = load_scenario_text(text, name=name)
-    reference = solve_reference_positions(scenario.graph)
-    return run(plan(scenario.plan_spec, scenario.graph, reference, scenario.sample_count), scenario.sim)
+    return run(plan(scenario.plan_spec, scenario.graph, scenario.sample_count), scenario.sim)
 
 
 def _bundled(name):

@@ -136,8 +136,13 @@ class TestReferenceConfiguration:
         assert abs(ref.d_min - 1.0 / SQRT3) < 1e-12
 
     def test_overlapping_reference_rejected(self, seven_cell):
-        with pytest.raises(ReferenceOverlapError):
+        with pytest.raises(ReferenceOverlapError) as info:
             solve_reference_positions(dataclasses.replace(seven_cell, side_length=0.1))
+        assert info.value.field == "cell_radius"  # the graph raises it at construction
+
+    def test_graph_owns_its_reference(self, four_cell):
+        assert four_cell.reference is four_cell.reference  # solved once per graph
+        np.testing.assert_array_equal(four_cell.reference.positions, solve_reference_positions(four_cell).positions)
 
     def test_custom_anchor(self, four_cell):
         # another pose of the boundary is an affine image of the default one
@@ -297,9 +302,9 @@ class TestSweepMatchesExhaustiveScan:
         monkeypatch.syspath_prepend(str(BENCH))  # workloads imports oracle by name
         workloads = _bench_module("workloads")
         scenario = load_scenario_text(workloads.synthetic_scenario(np.random.default_rng([seed, 0])))
-        reference = solve_reference_positions(scenario.graph)
+        reference = scenario.graph.reference
         assert reference.d_min == exhaustive_min_separation(reference.positions)[1]
-        trace = run(plan(scenario.plan_spec, scenario.graph, reference, scenario.sample_count), scenario.sim)
+        trace = run(plan(scenario.plan_spec, scenario.graph, scenario.sample_count), scenario.sim)
         assert trace.actual.shape == (11, 250, 2)
         pairs, clearance = exhaustive_min_separation(trace.actual)
         assert np.array_equal(trace.min_clearance, clearance)

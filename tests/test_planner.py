@@ -81,17 +81,17 @@ class TestCoordinatesAt:
 class TestPlan:
     def test_identity_plan_keeps_reference(self, seven_cell, seven_cell_reference):
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=IDENTITY)
-        traj = plan(spec, seven_cell, seven_cell_reference, sample_count=20)
-        positions = desired_positions(traj.spec, traj.reference, np.linspace(0.0, 10.0, 20))
+        traj = plan(spec, seven_cell, sample_count=20)
+        positions = desired_positions(traj.spec, traj.graph, np.linspace(0.0, 10.0, 20))
         np.testing.assert_allclose(
             positions, np.tile(seven_cell_reference.positions, (20, 1, 1)), atol=1e-14
         )
 
     def test_positions_match_affine_oracle(self, seven_cell, seven_cell_reference):
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL)
-        traj = plan(spec, seven_cell, seven_cell_reference, sample_count=30)
+        traj = plan(spec, seven_cell, sample_count=30)
         times = np.linspace(0.0, 10.0, 30)
-        positions = desired_positions(traj.spec, traj.reference, times)
+        positions = desired_positions(traj.spec, traj.graph, times)
         for k, t in enumerate(times):
             c = coordinates_at(spec, float(t))
             q = jacobian(c)
@@ -106,9 +106,9 @@ class TestPlan:
         self, seven_cell, seven_cell_reference
     ):
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL)
-        traj = plan(spec, seven_cell, seven_cell_reference, sample_count=25)
+        traj = plan(spec, seven_cell, sample_count=25)
         times = np.linspace(0.0, 10.0, 25)
-        positions = desired_positions(traj.spec, traj.reference, times)
+        positions = desired_positions(traj.spec, traj.graph, times)
         cells = range(len(seven_cell_reference.positions))
         for k, t in enumerate(times):
             q = jacobian(coordinates_at(spec, float(t)))
@@ -123,32 +123,32 @@ class TestPlan:
                     )
                     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
-    def test_unsafe_final_strain_rejected(self, seven_cell, seven_cell_reference):
+    def test_unsafe_final_strain_rejected(self, seven_cell):
         unsafe = GeneralizedCoordinates(0.9, 0.4, 0.0, 0.0, 0.0, 0.0)
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=unsafe)
         with pytest.raises(UnsafePlanError) as excinfo:
-            plan(spec, seven_cell, seven_cell_reference, sample_count=50)
+            plan(spec, seven_cell, sample_count=50)
         assert excinfo.value.field == "lambda2"
         assert excinfo.value.time is not None
 
-    def test_reach_limit_rejected(self, seven_cell_reference):
+    def test_reach_limit_rejected(self):
         from conftest import make_seven_cell
 
         short_arms = make_seven_cell(cell_radius=0.05, arm_length=0.2)  # reach 0.5
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=IDENTITY)
         with pytest.raises(UnreachableSeparationError):
-            plan(spec, short_arms, seven_cell_reference, sample_count=10)
+            plan(spec, short_arms, sample_count=10)
 
-    def test_accepted_plan_clears_everywhere(self, seven_cell, seven_cell_reference):
+    def test_accepted_plan_clears_everywhere(self, seven_cell):
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL)
-        traj = plan(spec, seven_cell, seven_cell_reference, sample_count=100)
-        for sample in desired_positions(traj.spec, traj.reference, np.linspace(0.0, 10.0, 100)):
+        traj = plan(spec, seven_cell, sample_count=100)
+        for sample in desired_positions(traj.spec, traj.graph, np.linspace(0.0, 10.0, 100)):
             _, d = min_separation(sample)
             assert d >= 2 * seven_cell.cell_radius
 
-    def test_monotone_coordinates(self, seven_cell, seven_cell_reference):
+    def test_monotone_coordinates(self, seven_cell):
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL)
-        traj = plan(spec, seven_cell, seven_cell_reference, sample_count=80)
+        traj = plan(spec, seven_cell, sample_count=80)
         coords = coordinates_at(traj.spec, np.linspace(0.0, 10.0, 80))
         from atugv.affine import COORD_FIELDS
 
@@ -158,7 +158,7 @@ class TestPlan:
             sign = np.sign(getattr(SIM_FINAL, name) - getattr(IDENTITY, name))
             assert np.all(sign * diffs >= -1e-15)
 
-    def test_first_failing_sample_decides_the_error(self, seven_cell_reference):
+    def test_first_failing_sample_decides_the_error(self):
         # joints out of reach from t0, strain unsafe only late: reach reported
         from conftest import make_seven_cell
 
@@ -166,35 +166,35 @@ class TestPlan:
         late_unsafe = GeneralizedCoordinates(1.0, 0.4, 0.0, 0.0, 0.0, 0.0)
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=late_unsafe)
         with pytest.raises(UnreachableSeparationError):
-            plan(spec, short_arms, seven_cell_reference, sample_count=10)
+            plan(spec, short_arms, sample_count=10)
         # strain unsafe from t0: strain reported even though reach fails too
         spec = PlanSpec(t0=0.0, tf=10.0, initial=late_unsafe, final=late_unsafe)
         with pytest.raises(UnsafePlanError) as excinfo:
-            plan(spec, short_arms, seven_cell_reference, sample_count=10)
+            plan(spec, short_arms, sample_count=10)
         assert excinfo.value.time == 0.0
 
-    def test_desired_positions_match_per_time_map(self, seven_cell_reference):
+    def test_desired_positions_match_per_time_map(self, seven_cell):
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL)
         times = np.array([0.0, 2.5, 7.0, 10.0])
-        batch = desired_positions(spec, seven_cell_reference, times)
+        batch = desired_positions(spec, seven_cell, times)
         assert batch.shape == (4, 7, 2)
         for k, t in enumerate(times):
-            single = desired_positions(spec, seven_cell_reference, float(t))
+            single = desired_positions(spec, seven_cell, float(t))
             np.testing.assert_allclose(batch[k], single, rtol=0, atol=1e-15)
 
-    def test_too_few_samples_rejected(self, seven_cell, seven_cell_reference):
+    def test_too_few_samples_rejected(self, seven_cell):
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL)
         with pytest.raises(InvalidArgumentError):
-            plan(spec, seven_cell, seven_cell_reference, sample_count=1)
+            plan(spec, seven_cell, sample_count=1)
 
     @pytest.mark.parametrize("count", [2**62, 10**30])
-    def test_sample_count_beyond_numpy_rejected(self, count, seven_cell, seven_cell_reference):
+    def test_sample_count_beyond_numpy_rejected(self, count, seven_cell):
         # numpy's `ValueError: array is too big; ...` (2**62) and `Maximum
         # allowed size exceeded` (10**30) escaped from `np.linspace`.
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL)
         message = rf"^samples = {count} must be from 2 to 576460752303423487$"
         with pytest.raises(InvalidArgumentError, match=message) as error:
-            plan(spec, seven_cell, seven_cell_reference, count)
+            plan(spec, seven_cell, count)
         assert error.value.field == "samples"
 
     def test_degenerate_horizon_rejected(self):

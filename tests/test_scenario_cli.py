@@ -98,13 +98,12 @@ class TestLoadScenario:
 
     def test_offset_alone_perturbs_the_start(self):
         # An offset needed `initial_mode = perturbed` and was rejected without it.
-        from atugv import desired_positions, plan, run, solve_reference_positions
+        from atugv import desired_positions, plan, run
 
         scenario = load_scenario_text(_with_key(SEVEN, "sim", "offset", "0.01, -0.02") + "offset.6 = 0.3, 0.3\n")
-        reference = solve_reference_positions(scenario.graph)
-        trace = run(plan(scenario.plan_spec, scenario.graph, reference), scenario.sim)
+        trace = run(plan(scenario.plan_spec, scenario.graph), scenario.sim)
         offsets = np.array([[0.01, -0.02]] * 5 + [[0.3, 0.3], [0.01, -0.02]])
-        desired = desired_positions(scenario.plan_spec, reference, scenario.plan_spec.t0)
+        desired = desired_positions(scenario.plan_spec, scenario.graph, scenario.plan_spec.t0)
         np.testing.assert_array_equal(trace.actual[0], desired + offsets)
         assert load_scenario_text(SEVEN).sim.initial_offsets is None
 
@@ -120,14 +119,11 @@ class TestCli:
         assert (tmp_path / "report.txt").exists()
 
     def test_trajectory_csv_round_trip(self, tmp_path):
-        from atugv import SimConfig, plan, run, solve_reference_positions
+        from atugv import SimConfig, plan, run
 
         scenario = load_scenario("seven_cell_sim")
         assert main(["run", "seven_cell_sim", "--output-dir", str(tmp_path)]) == 0
-        reference = solve_reference_positions(scenario.graph)
-        traj = plan(
-            scenario.plan_spec, scenario.graph, reference, scenario.sample_count
-        )
+        traj = plan(scenario.plan_spec, scenario.graph, scenario.sample_count)
         trace = run(traj, scenario.sim)
         with (tmp_path / "trajectory.csv").open() as fh:
             rows = list(csv.DictReader(fh))
@@ -438,14 +434,15 @@ class TestRejectedInput:
         graph = CellGraph(seven.graph.layers, seven.graph.neighbors, 0.05, s, side_length=s)
         reference = solve_reference_positions(graph)
         assert math.isfinite(reference.d_min) and reference.d_min > 0.1 * s
-        plan(seven.plan_spec, graph, reference, 200)
+        plan(seven.plan_spec, graph, 200)
 
     def test_output_dir_that_is_a_file(self, tmp_path, capsys):
-        # `mkdir` raised FileExistsError: a traceback and exit 1.
+        # `mkdir` raised FileExistsError: a traceback and exit 1. The removal
+        # of an earlier run's outputs now meets the file first.
         existing = tmp_path / "README.md"
         existing.write_text("notes\n")
         assert main(["run", "seven_cell_sim", "--output-dir", str(existing)]) == 2
-        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{existing}'\n"
+        assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{existing / 'report.txt'}'\n"
         assert existing.read_text() == "notes\n"
 
     def test_scenario_path_that_is_a_directory(self, tmp_path, capsys):
@@ -693,6 +690,15 @@ class TestRejectedInput:
                 30,
                 "dt = 0.03 must evenly divide the horizon 10 s",
             ),
+            # Exited 2 with no location: the reference was solved after the load.
+            (
+                "four_cell_experiment",
+                "geometry",
+                "cell_radius",
+                "1.5",
+                9,
+                "reference separation 0.57735 m does not exceed the cell diameter 3 m",
+            ),
         ],
         ids=[
             "actuated",
@@ -728,6 +734,7 @@ class TestRejectedInput:
             "offset_no_comma",
             "lambda1_initial",
             "dt_stray_in_plan",
+            "cell_radius_overlap",
         ],
     )
     def test_bad_value_is_located(self, scenario, section, key, value, line, message, tmp_path, capsys):
@@ -874,7 +881,8 @@ class TestStaleOutputs:
 
     def test_overlapping_reference_leaves_no_earlier_outputs(self, tmp_path, capsys):
         # Exited 2 and left the bundled run's three files: `run` solved the
-        # reference before it removed them.
+        # reference before it removed them. The overlap now fails at load, at
+        # its key.
         from atugv import bundled_scenario_path
 
         overlapping = tmp_path / "overlapping.cfg"
@@ -884,19 +892,32 @@ class TestStaleOutputs:
         assert main(["run", "four_cell_experiment", "--output-dir", str(out)]) == 0
         capsys.readouterr()
         assert main(["run", str(overlapping), "--output-dir", str(out)]) == 2
-        message = "error: reference separation 0.57735 m does not exceed the cell diameter 0.6 m\n"
-        assert capsys.readouterr().err == message
+        message = "[geometry] cell_radius: reference separation 0.57735 m does not exceed the cell diameter 0.6 m\n"
+        assert capsys.readouterr().err == f"error: {overlapping}:9: {message}"
+        assert list(out.iterdir()) == []
+
+    def test_load_error_leaves_no_earlier_outputs(self, tmp_path, capsys):
+        # Exited 2 and left the bundled run's three files: `run` loaded the
+        # scenario before it removed them.
+        from atugv import bundled_scenario_path
+
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(_with_key(bundled_scenario_path("four_cell_experiment").read_text(), "plan", "tf", "-1"))
+        out = tmp_path / "out"
+        assert main(["run", "four_cell_experiment", "--output-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(bad), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}:")
         assert list(out.iterdir()) == []
 
     def test_unreachable_plan_names_its_time_and_joint(self, tmp_path, capsys):
         # The verdict read `UNREACHABLE — separation 0.57735 m exceeds
         # mechanism reach 0.55 m`: no time and no joint.
-        from atugv import UnreachableSeparationError, plan, solve_reference_positions
+        from atugv import UnreachableSeparationError, plan
 
         scenario = load_scenario_text(_unreachable_text())
-        reference = solve_reference_positions(scenario.graph)
         with pytest.raises(UnreachableSeparationError) as excinfo:
-            plan(scenario.plan_spec, scenario.graph, reference, scenario.sample_count)
+            plan(scenario.plan_spec, scenario.graph, scenario.sample_count)
         error = excinfo.value
         assert (scenario.sample_count, error.index, error.time, error.cell, error.joint) == (200, 0, 0.0, 4, (4, 1))
         message = "plan is out of reach at t = 0 s, joint (4, 1): separation 0.57735 m exceeds mechanism reach 0.55 m"

@@ -27,7 +27,6 @@ from atugv import (
     resolve_unpowered,
     resolve_unpowered_position,
     run,
-    solve_reference_positions,
     step,
     velocity_command,
 )
@@ -109,7 +108,7 @@ def reference_run(trajectory, config):
     n_steps = int(round((spec.tf - spec.t0) / config.dt))
     times = spec.t0 + config.dt * np.arange(n_steps + 1)
     times[-1] = spec.tf
-    desired = desired_positions(spec, trajectory.reference, times)
+    desired = desired_positions(spec, graph, times)
     actual = np.empty_like(desired)
     actual[0] = desired[0]
     for i, offset in (config.initial_offsets or {}).items():
@@ -210,8 +209,7 @@ def assert_same_as_reference(trajectory, config):
 
 def scenario_trajectory(text):
     scenario = load_scenario_text(text)
-    reference = solve_reference_positions(scenario.graph)
-    return plan(scenario.plan_spec, scenario.graph, reference, scenario.sample_count), scenario.sim
+    return plan(scenario.plan_spec, scenario.graph, scenario.sample_count), scenario.sim
 
 
 class TestVelocityCommand:
@@ -228,15 +226,15 @@ class TestVelocityCommand:
 
 
 class TestStep:
-    def identity_step(self, graph, reference, positions):
+    def identity_step(self, graph, positions):
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=IDENTITY)
-        desired = desired_positions(spec, reference, [0.0, 0.1])
+        desired = desired_positions(spec, graph, [0.0, 0.1])
         config = SimConfig(dt=0.1, model="single", alpha=1.0)
         return step(positions, np.zeros_like(positions), desired[0], config)
 
     def test_fixed_point_identity_plan(self, four_cell, four_cell_reference):
         reference = four_cell_reference.positions
-        positions, _ = self.identity_step(four_cell, four_cell_reference, reference.copy())
+        positions, _ = self.identity_step(four_cell, reference.copy())
         np.testing.assert_allclose(positions, reference, atol=1e-12)
 
     def test_single_euler_arithmetic(self, four_cell, four_cell_reference):
@@ -244,7 +242,7 @@ class TestStep:
         reference = four_cell_reference.positions
         start = reference.copy()
         start[2] -= np.array([1.0, 0.0])
-        positions, _ = self.identity_step(four_cell, four_cell_reference, start)
+        positions, _ = self.identity_step(four_cell, start)
         moved = positions[2] - start[2]
         np.testing.assert_allclose(moved, [0.1, 0.0], atol=1e-15)
 
@@ -262,27 +260,27 @@ class TestStep:
 
 
 class TestRun:
-    def sim_trajectory(self, graph, reference, tf=10.0):
+    def sim_trajectory(self, graph, tf=10.0):
         spec = PlanSpec(t0=0.0, tf=tf, initial=IDENTITY, final=SIM_FINAL)
-        return plan(spec, graph, reference, sample_count=100)
+        return plan(spec, graph, sample_count=100)
 
-    def test_determinism(self, seven_cell, seven_cell_reference):
-        traj = self.sim_trajectory(seven_cell, seven_cell_reference)
+    def test_determinism(self, seven_cell):
+        traj = self.sim_trajectory(seven_cell)
         config = SimConfig(dt=0.05, model="single", alpha=10.0)
         a = run(traj, config)
         b = run(traj, config)
         assert np.array_equal(a.actual, b.actual)
         assert np.array_equal(a.min_clearance, b.min_clearance)
 
-    def test_fixed_point_trace(self, seven_cell, seven_cell_reference):
+    def test_fixed_point_trace(self, seven_cell):
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=IDENTITY)
-        traj = plan(spec, seven_cell, seven_cell_reference, sample_count=50)
+        traj = plan(spec, seven_cell, sample_count=50)
         trace = run(traj, SimConfig(dt=0.1))
         assert np.max(trace.errors) < 1e-12
 
-    def test_error_contraction_static_target(self, four_cell, four_cell_reference):
+    def test_error_contraction_static_target(self, four_cell):
         spec = PlanSpec(t0=0.0, tf=5.0, initial=IDENTITY, final=IDENTITY)
-        traj = plan(spec, four_cell, four_cell_reference, sample_count=10)
+        traj = plan(spec, four_cell, sample_count=10)
         config = SimConfig(
             dt=0.05,
             model="single",
@@ -295,13 +293,13 @@ class TestRun:
         for k in range(50):
             assert abs(errs[k + 1] - ratio * errs[k]) < 1e-12 * max(errs[k], 1.0)
 
-    def test_clearance_monitored_and_safe(self, seven_cell, seven_cell_reference):
-        traj = self.sim_trajectory(seven_cell, seven_cell_reference)
+    def test_clearance_monitored_and_safe(self, seven_cell):
+        traj = self.sim_trajectory(seven_cell)
         trace = run(traj, SimConfig(dt=0.01, alpha=10.0))
         assert np.min(trace.min_clearance) >= 2 * seven_cell.cell_radius
 
-    def test_double_integrator_tracks(self, seven_cell, seven_cell_reference):
-        traj = self.sim_trajectory(seven_cell, seven_cell_reference)
+    def test_double_integrator_tracks(self, seven_cell):
+        traj = self.sim_trajectory(seven_cell)
         config = SimConfig(dt=0.01, model="double", alpha=10.0, k_v=20.0)
         trace = run(traj, config)
         assert np.max(trace.errors[-1]) < 1e-2
@@ -353,14 +351,14 @@ class TestRun:
     def test_default_double_integrator_gains_accepted(self):
         SimConfig(model="double")  # spectral radius 0.906
 
-    def test_starts_from_planned_initial_pose(self, seven_cell, seven_cell_reference):
+    def test_starts_from_planned_initial_pose(self, seven_cell):
         start = GeneralizedCoordinates(0.7, 0.9, 0.5, 1.0, 0.0, 0.0)
         spec = PlanSpec(t0=0.0, tf=10.0, initial=start, final=SIM_FINAL)
-        traj = plan(spec, seven_cell, seven_cell_reference, sample_count=50)
+        traj = plan(spec, seven_cell, sample_count=50)
         offsets = {4: np.array([0.01, -0.02])}  # no unpowered cell is actuated by cell 4
         config = SimConfig(dt=0.01, initial_offsets=offsets)
         trace = run(traj, config)
-        expected = desired_positions(spec, seven_cell_reference, 0.0)
+        expected = desired_positions(spec, seven_cell, 0.0)
         expected[3] += offsets[4]
         np.testing.assert_array_equal(trace.actual[0], expected)
         assert np.min(trace.min_clearance) >= 2 * seven_cell.cell_radius
@@ -422,8 +420,8 @@ class TestRun:
         trajectory, config = scenario_trajectory(FULL_EXTENSION_SCENARIO)
         assert_same_as_reference(trajectory, config)
 
-    def test_coarse_dt_rejected(self, seven_cell, seven_cell_reference):
-        traj = self.sim_trajectory(seven_cell, seven_cell_reference, tf=1.0)
+    def test_coarse_dt_rejected(self, seven_cell):
+        traj = self.sim_trajectory(seven_cell, tf=1.0)
         with pytest.raises(InvalidArgumentError, match=r"^dt = 0\.15 must not exceed a tenth of the horizon 1 s$"):
             run(traj, SimConfig(dt=0.15, alpha=10.0))
 
@@ -443,7 +441,7 @@ class TestRun:
         # Cell 0 shifted cell 4 (row -1 is the last row); cell 9 raised a
         # bare IndexError.
         scenario = load_scenario_text(_bundled_text("four_cell_experiment"))
-        traj = plan(scenario.plan_spec, scenario.graph, solve_reference_positions(scenario.graph), 20)
+        traj = plan(scenario.plan_spec, scenario.graph, 20)
         config = SimConfig(initial_offsets={cell: np.array([0.3, 0])})
         with pytest.raises(InvalidArgumentError, match=rf"^cell {cell} is in no layer$") as info:
             run(traj, config)
@@ -462,13 +460,13 @@ class TestRun:
             SimConfig(initial_offsets={4: offset})
         assert (info.value.field, info.value.cell) == ("initial_offsets", 4)
 
-    def test_uneven_dt_rejected(self, seven_cell, seven_cell_reference):
-        traj = self.sim_trajectory(seven_cell, seven_cell_reference)
+    def test_uneven_dt_rejected(self, seven_cell):
+        traj = self.sim_trajectory(seven_cell)
         with pytest.raises(InvalidArgumentError):
             run(traj, SimConfig(dt=0.3, alpha=1.0))
 
-    def test_trace_covers_horizon_uniformly(self, seven_cell, seven_cell_reference):
-        traj = self.sim_trajectory(seven_cell, seven_cell_reference)
+    def test_trace_covers_horizon_uniformly(self, seven_cell):
+        traj = self.sim_trajectory(seven_cell)
         trace = run(traj, SimConfig(dt=0.05, alpha=10.0))
         assert trace.times[0] == 0.0
         assert trace.times[-1] == 10.0
@@ -506,18 +504,18 @@ class TestMatchesStepByStep:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_layered_graphs(self, seed):
-        graph, reference = random_layered_graph(np.random.default_rng(seed))
+        graph, _ = random_layered_graph(np.random.default_rng(seed))
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL)
-        traj = plan(spec, graph, reference, sample_count=100)
+        traj = plan(spec, graph, sample_count=100)
         assert_same_as_reference(traj, SimConfig(dt=0.01))
 
     @pytest.mark.parametrize("n_cells", [19, 67])
     def test_near_collinear_crash(self, n_cells):
         # default powered set: an unpowered cell nearly collinear with its
         # actuated neighbors loses its circle intersection to tracking lag
-        graph, reference = stellar_layered_graph(n_cells, np.random.default_rng(0))
+        graph, _ = stellar_layered_graph(n_cells, np.random.default_rng(0))
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL, blend_kind="smootherstep")
-        traj = plan(spec, graph, reference, sample_count=200)
+        traj = plan(spec, graph, sample_count=200)
         kind, message, fields = _error_of(reference_run, traj, SimConfig(dt=0.01))
         # read row 28 (t = 0.28 s) and row 6: the row before the one that fails
         step, cell = {19: (29, 13), 67: (7, 54)}[n_cells]
@@ -589,7 +587,6 @@ class TestOneSearch:
         graph = dataclasses.replace(
             graph, powered=frozenset(powered), arm_length=graph.arm_length * rng.uniform(0.6, 1.5)
         )
-        reference = solve_reference_positions(graph)
 
         def coordinates():
             lambdas = rng.uniform(0.5, 1.0, 2)
@@ -600,7 +597,7 @@ class TestOneSearch:
         spec = PlanSpec(t0=0.0, tf=n_steps * dt, initial=coordinates(), final=coordinates(), blend_kind=blend_kind)
         n_offsets = int(rng.integers(0, 4))
         offsets = {
-            int(i): rng.normal(0.0, 0.3 * reference.d_min, 2)
+            int(i): rng.normal(0.0, 0.3 * graph.reference.d_min, 2)
             for i in rng.choice(graph.cells, n_offsets, replace=False)
         }
         while True:
@@ -611,7 +608,7 @@ class TestOneSearch:
                 )
             except InvalidArgumentError:  # an unstable loop: draw the gains again
                 continue
-            return PlannedTrajectory(spec, graph, reference), config
+            return PlannedTrajectory(spec, graph), config
 
     def test_random_inputs_match_the_reference(self):
         rng = np.random.default_rng(15)
@@ -689,7 +686,6 @@ class TestTrackingScan:
     """
 
     graph = dataclasses.replace(make_seven_cell(), powered=frozenset(range(1, 8)))
-    reference = solve_reference_positions(graph)
     final = GeneralizedCoordinates(0.95, 0.9, 0.2, 0.1, 0.1, 0.05)
     offsets = st.lists(st.tuples(*[st.floats(-0.01, 0.01)] * 2), min_size=7, max_size=7)
 
@@ -709,7 +705,7 @@ class TestTrackingScan:
 
     def assert_matches(self, model, dt, alpha, k_v, n_steps, offsets):
         spec = PlanSpec(t0=0.0, tf=n_steps * dt, initial=IDENTITY, final=self.final)
-        trajectory = plan(spec, self.graph, self.reference, sample_count=20)
+        trajectory = plan(spec, self.graph, sample_count=20)
         initial = {i: np.array(offset) for i, offset in enumerate(offsets, start=1)}
         config = SimConfig(dt=dt, model=model, alpha=alpha, k_v=k_v, initial_offsets=initial)
         assert_same_as_reference(trajectory, config)
