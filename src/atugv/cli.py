@@ -1,6 +1,6 @@
 """Command-line pipeline: build the cell network, plan the affine motion,
-validate safety and mechanism reach, simulate, and emit CSV traces plus a
-plain-text report.
+validate safety and mechanism reach, simulate, and write a plain-text report
+and the CSV traces (their columns; `csvtext` owns the CSV byte format).
 
 Subcommands:
   run        full pipeline; writes trajectory.csv, elbows.csv, report.txt
@@ -28,60 +28,24 @@ def _fmt(value: float) -> str:
     return format(value, ".9g")
 
 
-# Bytes of one block of rows in `_write_csv`; formatting a block takes
-# about seven times this in temporaries.
-_CSV_BLOCK_BYTES = 1 << 17
-
-
-def _write_csv(path: Path, header, times, labels, values):
-    """CSV with CRLF line ends, one row per time and label: t, the label's
-    integers, then values[k, m, :] for time k and label m. Values print as
-    format(v, ".9g"); NaN marks a missing value and prints as an empty
-    field.
-
-    Rows are laid out as NUL-padded bytes, a block of rows at a time, and
-    written without the NUL bytes."""
-    # Imported here: only `run` writes CSV files, and the module's tables
-    # and bytecode stay out of the start-up of every other command.
-    from .csvtext import WIDTH, g9_bytes
-
-    n_labels, n_values = values.shape[1:]
-    label_text = [("," + ",".join(map(str, label))).encode() for label in labels]
-    label_width = max(map(len, label_text), default=0)
-    label_bytes = np.zeros((n_labels, label_width), dtype=np.uint8)
-    for row, text in zip(label_bytes, label_text):
-        row[: len(text)] = np.frombuffer(text, dtype=np.uint8)
-    width = WIDTH + label_width + n_values * (1 + WIDTH) + 2
-    block = max(1, _CSV_BLOCK_BYTES // width)
-    rows = values.reshape(-1, n_values)
-    time_text = g9_bytes(times)
-    with path.open("wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode())
-        for start in range(0, len(rows), block):
-            stop = min(start + block, len(rows))
-            step, label = np.divmod(np.arange(start, stop), n_labels)
-            buf = np.empty((stop - start, width), dtype=np.uint8)
-            buf[:, :WIDTH] = time_text.take(step, axis=0)
-            buf[:, WIDTH : WIDTH + label_width] = label_bytes.take(label, axis=0)
-            fields = buf[:, WIDTH + label_width : -2].reshape(-1, n_values, 1 + WIDTH)
-            fields[..., 0] = ord(",")
-            fields[..., 1:] = g9_bytes(rows[start:stop]).reshape(-1, n_values, WIDTH)
-            buf[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
-            fh.write(buf[buf != 0])
-
-
+# The writers import `csvtext` when called, which keeps its tables out of
+# the start-up of every command but `run`.
 def write_trajectory_csv(path: Path, trace: simulator.SimulationTrace):
     """One row per step per cell; velocity-command columns are empty for
     unpowered cells (no command exists)."""
+    from .csvtext import write_csv
+
     header = ["t", "cell_id", "x_des", "y_des", "x_act", "y_act", "vx_cmd", "vy_cmd", "err_norm"]
     values = (trace.desired, trace.actual, trace.velocity_commands, trace.errors[..., None])
-    _write_csv(path, header, trace.times, [(i,) for i in trace.cells], np.concatenate(values, -1))
+    write_csv(path, header, trace.times, [(i,) for i in trace.cells], np.concatenate(values, -1))
 
 
 def write_elbow_csv(path: Path, trace: simulator.SimulationTrace):
+    from .csvtext import write_csv
+
     header = ["t", "cell_i", "cell_j", "theta_des", "theta_act"]
     values = np.stack([trace.elbow_desired, trace.elbow_actual], -1)
-    _write_csv(path, header, trace.times, trace.joints, values)
+    write_csv(path, header, trace.times, trace.joints, values)
 
 
 def _report(scenario, verdicts, extras=()):

@@ -1,9 +1,11 @@
-"""Text of Python's format(v, ".9g") for whole float64 arrays at once, as
-fixed-width rows of NUL-padded bytes; what `cli` writes to its CSV files.
+"""The byte format of the CSV files that `atugv run` writes: the text of
+Python's format(v, ".9g") for whole float64 arrays at once, and the rows
+around it (`write_csv`).
 
 A value's text is built in two little-endian uint64 words (16 bytes, NUL
-where no character goes), and the writer drops the NUL bytes. The rare
-values the vectorized path cannot decide exactly go through format().
+where no character goes). Rows are laid out as NUL-padded bytes, whole
+steps at a time, and written without the NUL bytes. The rare values the
+vectorized path cannot decide exactly go through format().
 """
 from __future__ import annotations
 
@@ -150,3 +152,34 @@ def g9_bytes(values) -> np.ndarray:
         out[j] = 0
         out[j, : len(text)] = np.frombuffer(text, dtype=np.uint8)
     return out
+
+
+# Bytes of one block of rows in `write_csv`; formatting a block takes
+# about seven times this in temporaries. A step wider than this is a block
+# of its own.
+_CSV_BLOCK_BYTES = 1 << 17
+
+
+def write_csv(path, header, times, labels, values):
+    """CSV at the pathlib.Path `path`, with CRLF line ends, one row per
+    time and label: t, the label's integers, then values[k, m, :] for time
+    k and label m. Values print as format(v, ".9g"); NaN marks a missing
+    value and prints as an empty field."""
+    n_steps, n_labels, n_values = values.shape
+    label_text = np.array([("," + ",".join(map(str, label))).encode() for label in labels], dtype=bytes)
+    label_width = label_text.itemsize
+    width = WIDTH + label_width + n_values * (1 + WIDTH) + 2
+    steps = max(1, _CSV_BLOCK_BYTES // max(1, n_labels * width))
+    time_text = g9_bytes(times)
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for start in range(0, n_steps, steps):
+            block = values[start : start + steps]
+            buf = np.empty((len(block), n_labels, width), dtype=np.uint8)
+            buf[..., :WIDTH] = time_text[start : start + steps, None]
+            buf[..., WIDTH : WIDTH + label_width] = label_text.view(np.uint8).reshape(n_labels, label_width)
+            fields = buf[..., WIDTH + label_width : -2].reshape(*block.shape, 1 + WIDTH)
+            fields[..., 0] = ord(",")
+            fields[..., 1:] = g9_bytes(block).reshape(*block.shape, WIDTH)
+            buf[..., -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+            fh.write(buf[buf != 0])

@@ -52,7 +52,7 @@ class PlanSpec:
     tf: float
     initial: GeneralizedCoordinates
     final: GeneralizedCoordinates
-    blend_kind: str = "smoothstep"
+    blend: str = "smoothstep"
 
     def __post_init__(self):
         for name in ("t0", "tf"):
@@ -61,16 +61,16 @@ class PlanSpec:
                 raise InvalidArgumentError(f"{name} must be finite, got {value}", field=name)
         if not self.tf > self.t0:
             raise InvalidArgumentError(f"tf must exceed t0, got [{self.t0}, {self.tf}]", field="tf")
-        if self.blend_kind not in BLEND_KINDS:
+        if self.blend not in BLEND_KINDS:
             raise InvalidArgumentError(
-                f"unknown blend kind {self.blend_kind!r}; choose from {BLEND_KINDS}", field="blend_kind"
+                f"unknown blend kind {self.blend!r}; choose from {BLEND_KINDS}", field="blend"
             )
 
 
 def coordinates_at(spec: PlanSpec, t) -> GeneralizedCoordinates:
     """Convex combination of the endpoint coordinates at blend fraction
     beta(t); exactly the endpoint at beta = 0 and beta = 1."""
-    b = blend(t, spec.t0, spec.tf, spec.blend_kind)
+    b = blend(t, spec.t0, spec.tf, spec.blend)
     values = {
         name: (1.0 - b) * getattr(spec.initial, name) + b * getattr(spec.final, name)
         for name in COORD_FIELDS

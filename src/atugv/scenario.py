@@ -85,14 +85,14 @@ class _Parsed:
     def build(self, sections: tuple, make, *args, suffix: str = "", **kwargs):
         """make(*args, **kwargs), a config type read from `sections` that
         decides what is valid: an error naming a `field` fails at its key, the
-        field plus `suffix` (`blend` for `blend_kind`), in the section that read
-        that key (the first section if none did), with the error's message."""
+        field plus `suffix`, in the section that read that key (the first
+        section if none did), with the error's message."""
         try:
             return make(*args, **kwargs)
         except AtugvError as exc:
             if exc.field is None:
                 raise
-            key = "blend" if exc.field == "blend_kind" else exc.field + suffix
+            key = exc.field + suffix
             section = next((s for s in sections if key in self.read.get(s, ())), sections[0])
             self.fail(section, key, str(exc), cause=exc)
 
@@ -208,7 +208,7 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
 
     t0 = parsed.number("plan", "t0", 0.0)
     tf = parsed.number("plan", "tf")
-    blend_kind = parsed.get("plan", "blend", PlanSpec.blend_kind)
+    blend = parsed.get("plan", "blend", PlanSpec.blend)
     samples = parsed.number("plan", "samples", 200, int)
     parsed.build(("plan",), check_sample_count, samples)
 
@@ -218,7 +218,7 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
 
     initial = coords("_initial", _IDENTITY)
     final = coords("_final", initial)
-    plan_spec = parsed.build(("plan",), PlanSpec, t0, tf, initial, final, blend_kind)
+    plan_spec = parsed.build(("plan",), PlanSpec, t0, tf, initial, final, blend)
 
     model = parsed.get("sim", "model", SimConfig.model)
     dt = parsed.number("sim", "dt", SimConfig.dt)

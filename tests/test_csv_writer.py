@@ -134,7 +134,7 @@ def assert_same_files(trace, tmp_path, monkeypatch):
     for write in (cli.write_trajectory_csv, cli.write_elbow_csv):
         write(tmp_path / "new.csv", trace)
         with monkeypatch.context() as m:
-            m.setattr(cli, "_write_csv", reference_write_csv)
+            m.setattr(csvtext, "write_csv", reference_write_csv)
             write(tmp_path / "reference.csv", trace)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
@@ -171,15 +171,28 @@ class TestFilesMatchReference:
 
     @pytest.mark.parametrize("rows_per_block", [1, 3, 10, 41])
     def test_blocks_split_anywhere(self, rows_per_block, tmp_path, monkeypatch):
-        # Blocks of fewer rows than a step has labels, and sizes that divide
-        # neither the 7 cells, the 12 joints nor the row count.
+        # Budgets below one step's bytes give one-step blocks; the others
+        # give blocks of 2, 5 and 8 steps, which do not divide the 23 steps.
         trace = _head(_trace(SEVEN_PERTURBED), 23)
-        monkeypatch.setattr(cli, "_CSV_BLOCK_BYTES", rows_per_block * 140)
+        monkeypatch.setattr(csvtext, "_CSV_BLOCK_BYTES", rows_per_block * 140)
         assert_same_files(trace, tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("labels", [[], [(4, 1)]], ids=["no_labels", "one_label"])
+    def test_header_only_and_one_label(self, labels, tmp_path):
+        # A vehicle with no joints writes a header-only elbows.csv.
+        times = np.array([0.0, 0.01, 0.02])
+        values = np.array([[[3.14159265358979, np.nan]] * len(labels)] * 3).reshape(3, len(labels), 2)
+        header = ["t", "cell_i", "cell_j", "theta_des", "theta_act"]
+        csvtext.write_csv(tmp_path / "new.csv", header, times, labels, values)
+        reference_write_csv(tmp_path / "reference.csv", header, times, labels, values)
+        expected = b"t,cell_i,cell_j,theta_des,theta_act\r\n"
+        if labels:
+            expected += b"0,4,1,3.14159265,\r\n0.01,4,1,3.14159265,\r\n0.02,4,1,3.14159265,\r\n"
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes() == expected
 
     def test_run_writes_the_reference_bytes(self, tmp_path, monkeypatch):
         assert cli.main(["run", "four_cell_experiment", "--output-dir", str(tmp_path / "new")]) == 0
-        monkeypatch.setattr(cli, "_write_csv", reference_write_csv)
+        monkeypatch.setattr(csvtext, "write_csv", reference_write_csv)
         assert cli.main(["run", "four_cell_experiment", "--output-dir", str(tmp_path / "ref")]) == 0
         for name in ("trajectory.csv", "elbows.csv", "report.txt"):
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()

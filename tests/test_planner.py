@@ -60,7 +60,7 @@ class TestCoordinatesAt:
 
     def test_linear_midpoint_experiment_row(self):
         spec = PlanSpec(
-            t0=0.0, tf=20.0, initial=IDENTITY, final=EXP_FINAL, blend_kind="linear"
+            t0=0.0, tf=20.0, initial=IDENTITY, final=EXP_FINAL, blend="linear"
         )
         mid = coordinates_at(spec, 10.0)
         assert abs(mid.lambda1 - 0.95) < 1e-15
@@ -72,7 +72,7 @@ class TestCoordinatesAt:
 
     def test_endpoint_exactness_linear(self):
         spec = PlanSpec(
-            t0=2.0, tf=7.0, initial=IDENTITY, final=SIM_FINAL, blend_kind="linear"
+            t0=2.0, tf=7.0, initial=IDENTITY, final=SIM_FINAL, blend="linear"
         )
         assert coordinates_at(spec, 2.0) == IDENTITY
         assert coordinates_at(spec, 7.0) == SIM_FINAL

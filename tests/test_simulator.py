@@ -514,7 +514,7 @@ class TestMatchesStepByStep:
         # default powered set: an unpowered cell nearly collinear with its
         # actuated neighbors loses its circle intersection to tracking lag
         graph, _ = stellar_layered_graph(n_cells, np.random.default_rng(0))
-        spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL, blend_kind="smootherstep")
+        spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL, blend="smootherstep")
         traj = plan(spec, graph, sample_count=200)
         kind, message, fields = _error_of(reference_run, traj, SimConfig(dt=0.01))
         # read row 28 (t = 0.28 s) and row 6: the row before the one that fails
@@ -593,8 +593,8 @@ class TestOneSearch:
             return GeneralizedCoordinates(*lambdas, *rng.uniform(-1.0, 1.0, 2), *rng.uniform(-0.5, 0.5, 2))
 
         n_steps, dt = int(rng.integers(10, 80)), 0.01
-        blend_kind = str(rng.choice(["linear", "smoothstep", "smootherstep"]))
-        spec = PlanSpec(t0=0.0, tf=n_steps * dt, initial=coordinates(), final=coordinates(), blend_kind=blend_kind)
+        blend = str(rng.choice(["linear", "smoothstep", "smootherstep"]))
+        spec = PlanSpec(t0=0.0, tf=n_steps * dt, initial=coordinates(), final=coordinates(), blend=blend)
         n_offsets = int(rng.integers(0, 4))
         offsets = {
             int(i): rng.normal(0.0, 0.3 * graph.reference.d_min, 2)
