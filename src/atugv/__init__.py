@@ -10,11 +10,8 @@ from .affine import (
 )
 from .errors import (
     AtugvError,
-    DegreeViolationError,
-    DomainError,
     InconsistentAnglesError,
     InvalidArgumentError,
-    LayeringViolationError,
     ReferenceOverlapError,
     ScenarioError,
     UnreachableSeparationError,
@@ -34,7 +31,6 @@ from .network import (
     solve_reference_positions,
 )
 from .planner import (
-    PlannedTrajectory,
     PlanSpec,
     blend,
     coordinates_at,

@@ -80,16 +80,16 @@ def cmd_reference(args) -> int:
 
 
 def _validate_verdicts(scenario):
-    """The plan, or None if it fails a plan-time verdict, and the (passed,
-    line) pairs of the principal-strain bound and the mechanism reach."""
+    """The (passed, line) pairs of the plan gate: the principal-strain bound
+    and the mechanism reach, or the one that failed."""
     try:
-        trajectory = planner.plan(scenario.plan_spec, scenario.graph, sample_count=scenario.sample_count)
+        planner.plan(scenario.plan_spec, scenario.graph, sample_count=scenario.sample_count)
     except UnsafePlanError as exc:
         violated = "principal-strain bound violated (collision-safety guarantee)"
-        return None, [(False, f"strain-bound verdict: UNSAFE — {violated}: {exc}")]
+        return [(False, f"strain-bound verdict: UNSAFE — {violated}: {exc}")]
     except UnreachableSeparationError as exc:
-        return None, [(False, f"mechanism-reach verdict: UNREACHABLE — {exc}")]
-    return trajectory, [
+        return [(False, f"mechanism-reach verdict: UNREACHABLE — {exc}")]
+    return [
         (True, "strain-bound verdict: SAFE (all samples)"),
         (True, "mechanism-reach verdict: OK (all joints, all samples)"),
     ]
@@ -128,8 +128,7 @@ def _trace_verdicts(trace, graph, threshold):
 
 def cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
-    _, verdicts = _validate_verdicts(scenario)
-    text, code = _report(scenario, verdicts)
+    text, code = _report(scenario, _validate_verdicts(scenario))
     print(text, end="")
     return code
 
@@ -143,10 +142,10 @@ def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    trajectory, verdicts = _validate_verdicts(scenario)
+    verdicts = _validate_verdicts(scenario)
     extras = []
-    if trajectory is not None:
-        trace = simulator.run(trajectory, scenario.sim)
+    if all(passed for passed, _ in verdicts):
+        trace = simulator.run(scenario.plan_spec, scenario.graph, scenario.sim)
         write_trajectory_csv(out_dir / "trajectory.csv", trace)
         write_elbow_csv(out_dir / "elbows.csv", trace)
         verdicts += _trace_verdicts(trace, scenario.graph, scenario.terminal_error_threshold)

@@ -16,19 +16,10 @@ class AtugvError(Exception):
 
 
 class InvalidArgumentError(AtugvError, ValueError):
-    """A scalar or vector argument violates a precondition."""
-
-
-class DomainError(InvalidArgumentError):
-    """A time query lies outside the planning horizon."""
-
-
-class DegreeViolationError(AtugvError):
-    """An interior cell does not have exactly three neighbors."""
-
-
-class LayeringViolationError(AtugvError):
-    """A cell lists a neighbor from its own or a later layer."""
+    """An argument violates a precondition: a value out of its range, a time
+    outside the planning horizon, or a cell graph that is not layered (an
+    interior cell without exactly three neighbors from earlier layers). A
+    config type names the `field` it rejects."""
 
 
 class ReferenceOverlapError(AtugvError):

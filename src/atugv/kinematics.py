@@ -21,10 +21,11 @@ from .errors import (
     UnreachableSeparationError,
 )
 
-# Relative slack for "at full extension" and squared-discriminant slack for
-# tangent circles; keeps the boundary cases numerically robust.
+# Relative slacks for "at full extension" and, on the squared discriminant
+# per reach^2, for tangent circles (1e-9 m^2 at the bundled reach of 0.6 m),
+# so that a verdict does not depend on the unit of length.
 _REACH_RTOL = 1e-12
-_TANGENT_ATOL = 1e-9
+_TANGENT_RTOL = 1e-9 / 0.36
 
 
 def beyond_reach(d, reach: float):
@@ -109,7 +110,7 @@ def resolve_unpowered_position(
         along = (d1 * d1 - d2 * d2 + dist * dist) / (2.0 * dist)
         h_sq = d1 * d1 - along * along
     coincide = dist == 0.0
-    disjoint = h_sq < -_TANGENT_ATOL
+    disjoint = h_sq < -_TANGENT_RTOL * reach * reach
     failed = coincide | disjoint
     if steps:
         failing = np.flatnonzero(failed.any(axis=tuple(range(1, failed.ndim))))

@@ -16,12 +16,7 @@ from typing import Dict, FrozenSet, Tuple
 
 import numpy as np
 
-from .errors import (
-    DegreeViolationError,
-    InvalidArgumentError,
-    LayeringViolationError,
-    ReferenceOverlapError,
-)
+from .errors import InvalidArgumentError, ReferenceOverlapError
 
 
 # Reference cells lie in a triangle of side `side_length`, and a planned
@@ -29,6 +24,17 @@ from .errors import (
 # of two cells are at most side_length and dx * dx + dy * dy at most twice its
 # square. Half the square root of float64's largest value keeps that finite.
 MAX_SIDE_LENGTH = math.sqrt(np.finfo(float).max) / 2
+
+# A translation (d1, d2 of a pose) or a start offset changes no distance of
+# the plan: what it adds is tracking error. Under a stable single integrator
+# a cell's error is its offset, decaying, plus the translation's lag, which
+# never exceeds |d_final - d_initial| and is the same for every powered cell.
+# With each component at most MAX_TRANSLATION, an error is then at most
+# 3 * MAX_TRANSLATION per axis, and two cells at one time differ by at most
+# side_length + 2 * MAX_TRANSLATION = 0.625 * sqrt(max) per axis, whose
+# squares sum to below float64's largest value. The lag of a fast strain or
+# rotation under a slow gain is bounded by no length.
+MAX_TRANSLATION = MAX_SIDE_LENGTH / 8
 
 
 @dataclass(frozen=True)
@@ -78,7 +84,7 @@ class CellGraph:
         for i in sorted(interior):
             ns, key = neighbors.get(i), f"neighbors.{i}"
             if ns is None or len(ns) != 3:
-                raise DegreeViolationError(
+                raise InvalidArgumentError(
                     f"interior cell {i} must have exactly 3 neighbors, got "
                     f"{None if ns is None else sorted(ns)}", field=key
                 )
@@ -86,7 +92,7 @@ class CellGraph:
                 if j not in cells:
                     raise InvalidArgumentError(f"cell {i} lists unknown neighbor {j}", field=key)
                 if layer_of[j] >= layer_of[i]:
-                    raise LayeringViolationError(
+                    raise InvalidArgumentError(
                         f"cell {i} (layer {layer_of[i]}) lists neighbor {j} "
                         f"(layer {layer_of[j]}): neighbors must come from earlier layers",
                         field=key,

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import affine, kinematics
 from .affine import COORD_FIELDS, GeneralizedCoordinates
-from .errors import DomainError, InvalidArgumentError, UnreachableSeparationError, UnsafePlanError
-from .network import CellGraph
+from .errors import InvalidArgumentError, UnreachableSeparationError, UnsafePlanError
+from .network import MAX_TRANSLATION, CellGraph
 
 BLEND_KINDS = ("linear", "smoothstep", "smootherstep")
 
@@ -33,7 +33,7 @@ def blend(t, t0: float, tf: float, kind: str = "smoothstep"):
     smootherstep: 10u^3 - 15u^4 + 6u^5 (zero end velocity and acceleration).
     """
     if not np.all((t0 <= t) & (t <= tf)):
-        raise DomainError(f"t = {t} outside planning horizon [{t0}, {tf}]")
+        raise InvalidArgumentError(f"t = {t} outside planning horizon [{t0}, {tf}]")
     u = (t - t0) / (tf - t0)
     if kind == "linear":
         return u
@@ -65,6 +65,12 @@ class PlanSpec:
             raise InvalidArgumentError(
                 f"unknown blend kind {self.blend!r}; choose from {BLEND_KINDS}", field="blend"
             )
+        for pose in ("initial", "final"):
+            for name in ("d1", "d2"):
+                key, value = f"{name}_{pose}", getattr(getattr(self, pose), name)
+                if not abs(value) <= MAX_TRANSLATION:
+                    bound = f"at most {MAX_TRANSLATION:.6g} in magnitude so that squared distances stay finite"
+                    raise InvalidArgumentError(f"{key} must be {bound}, got {value}", field=key)
 
 
 def coordinates_at(spec: PlanSpec, t) -> GeneralizedCoordinates:
@@ -126,19 +132,12 @@ def check_sample_count(samples: int) -> None:
         raise InvalidArgumentError(f"samples = {samples} must be from 2 to {MAX_COUNT}", field="samples")
 
 
-@dataclass(frozen=True)
-class PlannedTrajectory:
-    """A plan that passed the gate of `plan`, with the graph it was checked on."""
-
-    spec: PlanSpec
-    graph: CellGraph
-
-
-def plan(spec: PlanSpec, graph: CellGraph, sample_count: int = 200) -> PlannedTrajectory:
-    """Sample the plan uniformly, gating every sample on the strain safety
-    bound and the mechanism reach of every interior-cell joint. The first
-    failing sample decides the error, which names its `time`; the strain
-    check goes first."""
+def plan(spec: PlanSpec, graph: CellGraph, sample_count: int = 200) -> None:
+    """Gate the plan on `sample_count` uniform samples: return if every one
+    keeps the strain safety bound and the mechanism reach of every
+    interior-cell joint, else raise the verdict's error. The first failing
+    sample decides the error, which names its `time`; the strain check goes
+    first."""
     check_sample_count(sample_count)
     times = np.linspace(spec.t0, spec.tf, sample_count)
     coords = coordinates_at(spec, times)
@@ -160,4 +159,3 @@ def plan(spec: PlanSpec, graph: CellGraph, sample_count: int = 200) -> PlannedTr
         unsafe.time = t = float(times[unsafe.index])
         unsafe.args = (f"plan violates the principal-strain bound at t = {t:.6g} s: {unsafe}",)
         raise unsafe
-    return PlannedTrajectory(spec=spec, graph=graph)

@@ -82,17 +82,18 @@ class _Parsed:
         where = f"{self.name}:{lineno}" if lineno else self.name
         raise ScenarioError(f"{where}: [{section}] {key}: {message}") from cause
 
-    def build(self, sections: tuple, make, *args, suffix: str = "", **kwargs):
+    def build(self, sections: tuple, make, *args, suffix: str = "", cell_keys=None, **kwargs):
         """make(*args, **kwargs), a config type read from `sections` that
         decides what is valid: an error naming a `field` fails at its key, the
-        field plus `suffix`, in the section that read that key (the first
-        section if none did), with the error's message."""
+        field plus `suffix`, or the key that `cell_keys` gives the error's
+        `cell`, in the section that read that key (the first section if none
+        did), with the error's message."""
         try:
             return make(*args, **kwargs)
         except AtugvError as exc:
             if exc.field is None:
                 raise
-            key = exc.field + suffix
+            key = (cell_keys or {}).get(exc.cell, exc.field + suffix)
             section = next((s for s in sections if key in self.read.get(s, ())), sections[0])
             self.fail(section, key, str(exc), cause=exc)
 
@@ -227,19 +228,21 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
     threshold = parsed.number("sim", "terminal_error_threshold", 1e-3)
     if not threshold > 0:
         parsed.fail("sim", "terminal_error_threshold", f"threshold = {threshold} must be positive")
-    offsets = {}
+    offsets, offset_keys = {}, {}  # a cell's offset and the key that set it
     uniform = parsed.get("sim", "offset")
     if uniform is not None:
         offset = parsed.pair("sim", "offset", uniform)
-        offsets.update({i: np.array(offset) for i in graph.cells})
+        offsets = {i: np.array(offset) for i in graph.cells}
+        offset_keys = dict.fromkeys(graph.cells, "offset")
     for key, cell, raw in parsed.indexed("sim", "offset"):
         offset = parsed.pair("sim", key, raw)
         if cell not in graph.cells:
             parsed.fail("sim", key, f"cell {cell} is in no layer")
-        offsets[cell] = np.array(offset)
+        offsets[cell], offset_keys[cell] = np.array(offset), key
 
     sim = parsed.build(
-        ("sim",), SimConfig, dt=dt, model=model, alpha=alpha, k_v=k_v, initial_offsets=offsets or None
+        ("sim",), SimConfig, dt=dt, model=model, alpha=alpha, k_v=k_v, initial_offsets=offsets or None,
+        cell_keys=offset_keys,
     )
     parsed.build(("sim",), step_count, plan_spec, sim.dt)
     parsed.reject_unread()

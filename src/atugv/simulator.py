@@ -20,8 +20,8 @@ from .errors import (
     InvalidArgumentError,
     UnreachableSeparationError,
 )
-from .network import CellGraph, min_separation
-from .planner import MAX_COUNT, PlannedTrajectory, PlanSpec, desired_positions, joint_elbow_angles, joint_separations
+from .network import MAX_TRANSLATION, CellGraph, min_separation
+from .planner import MAX_COUNT, PlanSpec, desired_positions, joint_elbow_angles, joint_separations
 from .planner import coordinates_at  # noqa: F401  (bench/tracing.py wraps this name here)
 
 MODELS = ("single", "double")
@@ -55,6 +55,10 @@ class SimConfig:
                 value = None
             if value is None or value.shape != (2,) or not np.isfinite(value).all():
                 message = f"offset of cell {i} must be two finite numbers, got {offset!r}"
+                raise InvalidArgumentError(message, field="initial_offsets", cell=i)
+            if not (abs(value) <= MAX_TRANSLATION).all():
+                bound = f"at most {MAX_TRANSLATION:.6g} in magnitude so that squared distances stay finite"
+                message = f"offset of cell {i} must be {bound}, got {value.tolist()}"
                 raise InvalidArgumentError(message, field="initial_offsets", cell=i)
         matrix = self.euler_matrix()  # an overflowed gain product is unstable too
         rho = max(abs(np.linalg.eigvals(matrix))) if np.isfinite(matrix).all() else math.inf
@@ -199,9 +203,9 @@ def resolve_unpowered(graph: CellGraph, actual: np.ndarray, commanded: np.ndarra
             raise
 
 
-def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
-    """Simulate the full horizon from the planned pose at t0 (plus any
-    initial offsets) and record a deterministic trace.
+def run(spec: PlanSpec, graph: CellGraph, config: SimConfig) -> SimulationTrace:
+    """Simulate the full horizon of the plan on the graph from the planned
+    pose at t0 (plus any initial offsets) and record a deterministic trace.
 
     Three passes: `track` moves the powered cells over the whole horizon
     in one prefix scan, `resolve_unpowered` then places the unpowered cells
@@ -210,16 +214,14 @@ def run(trajectory: PlannedTrajectory, config: SimConfig) -> SimulationTrace:
     define; there a commanded joint beyond the mechanism reach comes first,
     then the layers in order, and its loop is the one search for that row.
     """
-    graph = trajectory.graph
     for i in config.initial_offsets or ():
         if i not in graph.cells:  # row i - 1 would shift another cell or fail
             raise InvalidArgumentError(f"cell {i} is in no layer", field="initial_offsets", cell=i)
-    t0, tf = trajectory.spec.t0, trajectory.spec.tf
-    n_steps = step_count(trajectory.spec, config.dt)
+    n_steps = step_count(spec, config.dt)
 
-    times = t0 + config.dt * np.arange(n_steps + 1)
-    times[-1] = tf
-    desired = desired_positions(trajectory.spec, graph, times)
+    times = spec.t0 + config.dt * np.arange(n_steps + 1)
+    times[-1] = spec.tf
+    desired = desired_positions(spec, graph, times)
     actual = np.empty_like(desired)
     actual[0] = desired[0]
     for i, offset in (config.initial_offsets or {}).items():

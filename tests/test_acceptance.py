@@ -58,9 +58,9 @@ def test_criterion_1_table_scenario_reproduction():
     scenario = load_scenario("seven_cell_sim")
     assert scenario.sim.model == "single" and scenario.sim.alpha == 10.0
     reference = scenario.graph.reference
-    trajectory = plan(scenario.plan_spec, scenario.graph, scenario.sample_count)
+    plan(scenario.plan_spec, scenario.graph, scenario.sample_count)
     start = time.perf_counter()
-    trace = run(trajectory, scenario.sim)
+    trace = run(scenario.plan_spec, scenario.graph, scenario.sim)
     elapsed = time.perf_counter() - start
     final = scenario.plan_spec.final
     worst = 0.0
@@ -187,7 +187,7 @@ def test_criterion_5_error_contraction(four_cell):
 
     identity = GeneralizedCoordinates.identity()
     spec = PlanSpec(t0=0.0, tf=5.0, initial=identity, final=identity)
-    trajectory = plan(spec, four_cell, sample_count=10)
+    plan(spec, four_cell, sample_count=10)
     alpha, dt = 5.0, 0.05  # 100 steps over the horizon
     config = SimConfig(
         dt=dt,
@@ -195,7 +195,7 @@ def test_criterion_5_error_contraction(four_cell):
         alpha=alpha,
         initial_offsets={1: np.array([0.01, 0.0]), 2: np.array([0.0, -0.02])},
     )
-    trace = run(trajectory, config)
+    trace = run(spec, four_cell, config)
     ratio = abs(1.0 - alpha * dt)
     worst = 0.0
     for i in (1, 2):

@@ -112,7 +112,8 @@ class TestFormatKernel:
 
 def _trace(text, name="<scenario>"):
     scenario = load_scenario_text(text, name=name)
-    return run(plan(scenario.plan_spec, scenario.graph, scenario.sample_count), scenario.sim)
+    plan(scenario.plan_spec, scenario.graph, scenario.sample_count)
+    return run(scenario.plan_spec, scenario.graph, scenario.sim)
 
 
 def _bundled(name):

@@ -9,10 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 from atugv import (
     CellGraph,
-    DegreeViolationError,
     GeneralizedCoordinates,
     InvalidArgumentError,
-    LayeringViolationError,
     ReferenceOverlapError,
     barycentric_weights,
     load_scenario_text,
@@ -43,7 +41,8 @@ class TestGraphValidation:
         assert seven_cell.actuated[7] == (1, 3)
 
     def test_same_layer_neighbor_rejected(self):
-        with pytest.raises(LayeringViolationError):
+        message = r"^cell 5 \(layer 2\) lists neighbor 6 \(layer 2\): neighbors must come from earlier layers$"
+        with pytest.raises(InvalidArgumentError, match=message) as excinfo:
             CellGraph(
                 layers=(frozenset({1, 2, 3}), frozenset({4}), frozenset({5, 6})),
                 neighbors={
@@ -54,21 +53,25 @@ class TestGraphValidation:
                 cell_radius=0.05,
                 arm_length=0.25,
             )
+        assert excinfo.value.field == "neighbors.5"
 
     def test_wrong_degree_rejected(self):
-        with pytest.raises(DegreeViolationError):
+        message = r"^interior cell 4 must have exactly 3 neighbors, got \[1, 2\]$"
+        with pytest.raises(InvalidArgumentError, match=message) as excinfo:
             CellGraph(
                 layers=(frozenset({1, 2, 3}), frozenset({4})),
                 neighbors={4: frozenset({1, 2})},
                 cell_radius=0.05,
                 arm_length=0.25,
             )
+        assert excinfo.value.field == "neighbors.4"
 
     def test_degree_error_prints_an_empty_neighbor_list(self):
         # Read `got frozenset()`.
-        with pytest.raises(DegreeViolationError) as excinfo:
+        with pytest.raises(InvalidArgumentError) as excinfo:
             CellGraph(layers=[{1, 2, 3}, {4}], neighbors={4: []}, cell_radius=0.05, arm_length=0.25)
         assert str(excinfo.value) == "interior cell 4 must have exactly 3 neighbors, got []"
+        assert excinfo.value.field == "neighbors.4"
 
     def test_boundary_must_be_three_cells(self):
         with pytest.raises(InvalidArgumentError):
@@ -304,7 +307,8 @@ class TestSweepMatchesExhaustiveScan:
         scenario = load_scenario_text(workloads.synthetic_scenario(np.random.default_rng([seed, 0])))
         reference = scenario.graph.reference
         assert reference.d_min == exhaustive_min_separation(reference.positions)[1]
-        trace = run(plan(scenario.plan_spec, scenario.graph, scenario.sample_count), scenario.sim)
+        plan(scenario.plan_spec, scenario.graph, scenario.sample_count)
+        trace = run(scenario.plan_spec, scenario.graph, scenario.sim)
         assert trace.actual.shape == (11, 250, 2)
         pairs, clearance = exhaustive_min_separation(trace.actual)
         assert np.array_equal(trace.min_clearance, clearance)

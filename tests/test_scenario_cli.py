@@ -62,12 +62,14 @@ class TestLoadScenario:
             load_scenario_text(text)
 
     def test_four_neighbor_cell_rejected(self):
-        from atugv import DegreeViolationError
+        from atugv import InvalidArgumentError
 
         text = SEVEN.replace("neighbors.5 = 1,2,4", "neighbors.5 = 1,2,3,4")
-        with pytest.raises(ScenarioError, match=r"^<scenario>:\d+: \[graph\] neighbors\.5: ") as excinfo:
+        message = r"interior cell 5 must have exactly 3 neighbors, got \[1, 2, 3, 4\]$"
+        with pytest.raises(ScenarioError, match=r"^<scenario>:\d+: \[graph\] neighbors\.5: " + message) as excinfo:
             load_scenario_text(text)
-        assert isinstance(excinfo.value.__cause__, DegreeViolationError)
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, InvalidArgumentError) and cause.field == "neighbors.5"
 
     def test_reversed_horizon_rejected(self):
         text = SEVEN.replace("tf = 10.0", "tf = -1.0")
@@ -101,7 +103,8 @@ class TestLoadScenario:
         from atugv import desired_positions, plan, run
 
         scenario = load_scenario_text(_with_key(SEVEN, "sim", "offset", "0.01, -0.02") + "offset.6 = 0.3, 0.3\n")
-        trace = run(plan(scenario.plan_spec, scenario.graph), scenario.sim)
+        plan(scenario.plan_spec, scenario.graph)
+        trace = run(scenario.plan_spec, scenario.graph, scenario.sim)
         offsets = np.array([[0.01, -0.02]] * 5 + [[0.3, 0.3], [0.01, -0.02]])
         desired = desired_positions(scenario.plan_spec, scenario.graph, scenario.plan_spec.t0)
         np.testing.assert_array_equal(trace.actual[0], desired + offsets)
@@ -123,8 +126,8 @@ class TestCli:
 
         scenario = load_scenario("seven_cell_sim")
         assert main(["run", "seven_cell_sim", "--output-dir", str(tmp_path)]) == 0
-        traj = plan(scenario.plan_spec, scenario.graph, scenario.sample_count)
-        trace = run(traj, scenario.sim)
+        plan(scenario.plan_spec, scenario.graph, scenario.sample_count)
+        trace = run(scenario.plan_spec, scenario.graph, scenario.sim)
         with (tmp_path / "trajectory.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         n = len(trace.times)
@@ -435,6 +438,48 @@ class TestRejectedInput:
         reference = solve_reference_positions(graph)
         assert math.isfinite(reference.d_min) and reference.d_min > 0.1 * s
         plan(seven.plan_spec, graph, 200)
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("plan", "d1_final", "1e200", "d1_final must be at most 8.37988e+152 {}, got 1e+200"),
+            ("plan", "d2_initial", "-1e200", "d2_initial must be at most 8.37988e+152 {}, got -1e+200"),
+            ("sim", "offset", "1e200, 0", "offset of cell 1 must be at most 8.37988e+152 {}, got [1e+200, 0.0]"),
+            ("sim", "offset.3", "0, -1e200", "offset of cell 3 must be at most 8.37988e+152 {}, got [0.0, -1e+200]"),
+        ],
+    )
+    def test_translation_or_offset_whose_squares_overflow(self, tmp_path, capsys, section, key, value, message):
+        # Under `-W error`, `run` exited 1 with `RuntimeWarning: overflow
+        # encountered in multiply` from its tracking errors: an exit code
+        # that came from no verdict.
+        text = _with_key(bundled_scenario_path("four_cell_experiment").read_text(), "graph", "powered", "1,2,3,4")
+        text = _with_key(text, section, key, value)
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(text)
+        line = text.splitlines().index(f"{key} = {value}") + 1
+        located = message.format("in magnitude so that squared distances stay finite")
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"error: {cfg}:{line}: [{section}] {key}: {located}\n")
+
+    @pytest.mark.parametrize("model", ["single", "double"])
+    def test_largest_translations_and_offsets_run_without_overflow(self, model, tmp_path):
+        # The bound's reason, here under warnings as errors: every tracking
+        # error and clearance `run` squares stays finite.
+        from atugv.network import MAX_TRANSLATION
+
+        m = repr(MAX_TRANSLATION)
+        text = _with_key(bundled_scenario_path("four_cell_experiment").read_text(), "graph", "powered", "1,2,3,4")
+        for section, key, value in [
+            ("plan", "tf", "0.1"), ("plan", "d1_initial", f"-{m}"), ("plan", "d1_final", m),
+            ("plan", "d2_initial", m), ("plan", "d2_final", f"-{m}"), ("sim", "model", model),
+            ("sim", "offset.1", f"{m}, -{m}"), ("sim", "offset.2", f"-{m}, {m}"),
+        ]:
+            text = _with_key(text, section, key, value)
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path)]) == 1  # the offsets overlap cells
+        report = (tmp_path / "report.txt").read_text()
+        assert report.count(" verdict: ") == 5 and "inf" not in report and "nan" not in report
 
     def test_output_dir_that_is_a_file(self, tmp_path, capsys):
         # `mkdir` raised FileExistsError: a traceback and exit 1. The removal

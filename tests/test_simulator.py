@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from atugv import (
 )
 from atugv.cli import main
 from atugv.kinematics import _REACH_RTOL
-from atugv.planner import PlannedTrajectory, joint_elbow_angles, joint_separations
+from atugv.planner import joint_elbow_angles, joint_separations
 from atugv.simulator import MODELS, track
 
 IDENTITY = GeneralizedCoordinates.identity()
@@ -95,7 +96,7 @@ dt = 0.1
 """
 
 
-def reference_run(trajectory, config):
+def reference_run(spec, graph, config):
     """The step-by-step simulation that `run` must reproduce (see
     `assert_same_as_reference`). It takes every joint's commanded
     separation from the plan first. Then each step moves the powered cells
@@ -103,7 +104,6 @@ def reference_run(trajectory, config):
     and only then resolves the unpowered cells layer by layer from the
     positions just reached and the angles of their actuated joints. An
     error names row k + 1. Returns the trace arrays."""
-    graph, spec = trajectory.graph, trajectory.spec
     reach = graph.reach
     n_steps = int(round((spec.tf - spec.t0) / config.dt))
     times = spec.t0 + config.dt * np.arange(n_steps + 1)
@@ -178,26 +178,26 @@ def _at_step(exc, k, times):
     return exc
 
 
-def _error_of(simulate, trajectory, config):
+def _error_of(simulate, spec, graph, config):
     with pytest.raises(AtugvError) as excinfo:
-        simulate(trajectory, config)
+        simulate(spec, graph, config)
     exc = excinfo.value
     return type(exc), str(exc), {name: getattr(exc, name, None) for name in ERROR_FIELDS}
 
 
-def assert_same_as_reference(trajectory, config):
+def assert_same_as_reference(spec, graph, config):
     """`run` gives the reference trace, or the same error with the same
     fields. The times and everything desired are bit for bit the same; what
     follows the tracking loop, which `run` sums in another order, agrees
     within 1e-12. Every NaN is where the reference has one. Returns the
     error's type, message and fields, or None."""
     try:
-        expected = reference_run(trajectory, config)
+        expected = reference_run(spec, graph, config)
     except AtugvError:
-        error = _error_of(run, trajectory, config)
-        assert error == _error_of(reference_run, trajectory, config)
+        error = _error_of(run, spec, graph, config)
+        assert error == _error_of(reference_run, spec, graph, config)
         return error
-    trace = run(trajectory, config)
+    trace = run(spec, graph, config)
     for name in TRACE_ARRAYS:
         got, want = getattr(trace, name), expected[name]
         assert np.array_equal(np.isnan(got), np.isnan(want)), name
@@ -207,9 +207,11 @@ def assert_same_as_reference(trajectory, config):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
 
 
-def scenario_trajectory(text):
+def scenario_inputs(text):
+    """The spec, graph and config of a scenario whose plan passes the gate."""
     scenario = load_scenario_text(text)
-    return plan(scenario.plan_spec, scenario.graph, scenario.sample_count), scenario.sim
+    plan(scenario.plan_spec, scenario.graph, scenario.sample_count)
+    return scenario.plan_spec, scenario.graph, scenario.sim
 
 
 class TestVelocityCommand:
@@ -260,48 +262,49 @@ class TestStep:
 
 
 class TestRun:
-    def sim_trajectory(self, graph, tf=10.0):
+    def sim_spec(self, graph, tf=10.0):
         spec = PlanSpec(t0=0.0, tf=tf, initial=IDENTITY, final=SIM_FINAL)
-        return plan(spec, graph, sample_count=100)
+        plan(spec, graph, sample_count=100)
+        return spec
 
     def test_determinism(self, seven_cell):
-        traj = self.sim_trajectory(seven_cell)
+        spec = self.sim_spec(seven_cell)
         config = SimConfig(dt=0.05, model="single", alpha=10.0)
-        a = run(traj, config)
-        b = run(traj, config)
+        a = run(spec, seven_cell, config)
+        b = run(spec, seven_cell, config)
         assert np.array_equal(a.actual, b.actual)
         assert np.array_equal(a.min_clearance, b.min_clearance)
 
     def test_fixed_point_trace(self, seven_cell):
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=IDENTITY)
-        traj = plan(spec, seven_cell, sample_count=50)
-        trace = run(traj, SimConfig(dt=0.1))
+        plan(spec, seven_cell, sample_count=50)
+        trace = run(spec, seven_cell, SimConfig(dt=0.1))
         assert np.max(trace.errors) < 1e-12
 
     def test_error_contraction_static_target(self, four_cell):
         spec = PlanSpec(t0=0.0, tf=5.0, initial=IDENTITY, final=IDENTITY)
-        traj = plan(spec, four_cell, sample_count=10)
+        plan(spec, four_cell, sample_count=10)
         config = SimConfig(
             dt=0.05,
             model="single",
             alpha=5.0,
             initial_offsets={1: np.array([0.01, 0.0])},
         )
-        trace = run(traj, config)
+        trace = run(spec, four_cell, config)
         ratio = abs(1.0 - 5.0 * 0.05)
         errs = trace.errors[:, 0]
         for k in range(50):
             assert abs(errs[k + 1] - ratio * errs[k]) < 1e-12 * max(errs[k], 1.0)
 
     def test_clearance_monitored_and_safe(self, seven_cell):
-        traj = self.sim_trajectory(seven_cell)
-        trace = run(traj, SimConfig(dt=0.01, alpha=10.0))
+        spec = self.sim_spec(seven_cell)
+        trace = run(spec, seven_cell, SimConfig(dt=0.01, alpha=10.0))
         assert np.min(trace.min_clearance) >= 2 * seven_cell.cell_radius
 
     def test_double_integrator_tracks(self, seven_cell):
-        traj = self.sim_trajectory(seven_cell)
+        spec = self.sim_spec(seven_cell)
         config = SimConfig(dt=0.01, model="double", alpha=10.0, k_v=20.0)
-        trace = run(traj, config)
+        trace = run(spec, seven_cell, config)
         assert np.max(trace.errors[-1]) < 1e-2
         assert np.min(trace.min_clearance) >= 2 * seven_cell.cell_radius
 
@@ -354,10 +357,10 @@ class TestRun:
     def test_starts_from_planned_initial_pose(self, seven_cell):
         start = GeneralizedCoordinates(0.7, 0.9, 0.5, 1.0, 0.0, 0.0)
         spec = PlanSpec(t0=0.0, tf=10.0, initial=start, final=SIM_FINAL)
-        traj = plan(spec, seven_cell, sample_count=50)
+        plan(spec, seven_cell, sample_count=50)
         offsets = {4: np.array([0.01, -0.02])}  # no unpowered cell is actuated by cell 4
         config = SimConfig(dt=0.01, initial_offsets=offsets)
-        trace = run(traj, config)
+        trace = run(spec, seven_cell, config)
         expected = desired_positions(spec, seven_cell, 0.0)
         expected[3] += offsets[4]
         np.testing.assert_array_equal(trace.actual[0], expected)
@@ -365,9 +368,9 @@ class TestRun:
         assert np.max(trace.errors[-1]) < 1e-3
 
     def test_error_keeps_structured_fields(self):
-        traj, config = scenario_trajectory(REACH_SCENARIO.format(powered=""))
+        inputs = scenario_inputs(REACH_SCENARIO.format(powered=""))
         with pytest.raises(UnreachableSeparationError) as excinfo:
-            run(traj, config)
+            run(*inputs)
         exc = excinfo.value
         assert (exc.step, exc.joint, exc.cell) == (43, (4, 1), 4)
         assert abs(exc.time - 0.43) < 1e-12
@@ -376,9 +379,9 @@ class TestRun:
     def test_unused_joint_error_names_its_step(self, tmp_path, capsys):
         # every cell powered: the over-extended joint drags no unpowered cell,
         # and the commanded angles at time index 43 are out of reach
-        traj, config = scenario_trajectory(REACH_SCENARIO.format(powered="powered = 1,2,3,4"))
+        inputs = scenario_inputs(REACH_SCENARIO.format(powered="powered = 1,2,3,4"))
         with pytest.raises(UnreachableSeparationError) as excinfo:
-            run(traj, config)
+            run(*inputs)
         exc = excinfo.value
         assert (exc.step, exc.index, exc.cell, exc.joint) == (43, (43, 0), 4, (4, 1))
         assert abs(exc.time - 0.43) < 1e-12
@@ -394,7 +397,7 @@ class TestRun:
         # Cell 4 unpowered read `step 42 (t = 0.42 s): joint 1: ...` with
         # `joint = 1`, powered `step 43 (t = 0.43 s): joint (4, 1): ...`.
         errors = [
-            _error_of(run, *scenario_trajectory(REACH_SCENARIO.format(powered=powered)))
+            _error_of(run, *scenario_inputs(REACH_SCENARIO.format(powered=powered)))
             for powered in ("", "powered = 1,2,3,4")
         ]
         assert errors[0] == errors[1]
@@ -417,13 +420,12 @@ class TestRun:
         lines = (tmp_path / "elbows.csv").read_text().splitlines()
         assert lines[1] == "0,4,1,3.14159265,3.14159265"
         assert all(not line.endswith(",") for line in lines)
-        trajectory, config = scenario_trajectory(FULL_EXTENSION_SCENARIO)
-        assert_same_as_reference(trajectory, config)
+        assert_same_as_reference(*scenario_inputs(FULL_EXTENSION_SCENARIO))
 
     def test_coarse_dt_rejected(self, seven_cell):
-        traj = self.sim_trajectory(seven_cell, tf=1.0)
+        spec = self.sim_spec(seven_cell, tf=1.0)
         with pytest.raises(InvalidArgumentError, match=r"^dt = 0\.15 must not exceed a tenth of the horizon 1 s$"):
-            run(traj, SimConfig(dt=0.15, alpha=10.0))
+            run(spec, seven_cell, SimConfig(dt=0.15, alpha=10.0))
 
     @pytest.mark.parametrize("tf, dt", [("0.7", "0.07"), ("1.4", "0.14")])
     def test_dt_of_exactly_a_tenth_loads(self, tf, dt):
@@ -441,10 +443,10 @@ class TestRun:
         # Cell 0 shifted cell 4 (row -1 is the last row); cell 9 raised a
         # bare IndexError.
         scenario = load_scenario_text(_bundled_text("four_cell_experiment"))
-        traj = plan(scenario.plan_spec, scenario.graph, 20)
+        plan(scenario.plan_spec, scenario.graph, 20)
         config = SimConfig(initial_offsets={cell: np.array([0.3, 0])})
         with pytest.raises(InvalidArgumentError, match=rf"^cell {cell} is in no layer$") as info:
-            run(traj, config)
+            run(scenario.plan_spec, scenario.graph, config)
         assert (info.value.field, info.value.cell) == ("initial_offsets", cell)
 
     @pytest.mark.parametrize(
@@ -461,13 +463,13 @@ class TestRun:
         assert (info.value.field, info.value.cell) == ("initial_offsets", 4)
 
     def test_uneven_dt_rejected(self, seven_cell):
-        traj = self.sim_trajectory(seven_cell)
+        spec = self.sim_spec(seven_cell)
         with pytest.raises(InvalidArgumentError):
-            run(traj, SimConfig(dt=0.3, alpha=1.0))
+            run(spec, seven_cell, SimConfig(dt=0.3, alpha=1.0))
 
     def test_trace_covers_horizon_uniformly(self, seven_cell):
-        traj = self.sim_trajectory(seven_cell)
-        trace = run(traj, SimConfig(dt=0.05, alpha=10.0))
+        spec = self.sim_spec(seven_cell)
+        trace = run(spec, seven_cell, SimConfig(dt=0.05, alpha=10.0))
         assert trace.times[0] == 0.0
         assert trace.times[-1] == 10.0
         diffs = np.diff(trace.times)
@@ -500,14 +502,14 @@ class TestMatchesStepByStep:
         if edit is not None:
             assert edit[0] in text
             text = text.replace(*edit)
-        assert_same_as_reference(*scenario_trajectory(text))
+        assert_same_as_reference(*scenario_inputs(text))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_layered_graphs(self, seed):
         graph, _ = random_layered_graph(np.random.default_rng(seed))
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL)
-        traj = plan(spec, graph, sample_count=100)
-        assert_same_as_reference(traj, SimConfig(dt=0.01))
+        plan(spec, graph, sample_count=100)
+        assert_same_as_reference(spec, graph, SimConfig(dt=0.01))
 
     @pytest.mark.parametrize("n_cells", [19, 67])
     def test_near_collinear_crash(self, n_cells):
@@ -515,45 +517,45 @@ class TestMatchesStepByStep:
         # actuated neighbors loses its circle intersection to tracking lag
         graph, _ = stellar_layered_graph(n_cells, np.random.default_rng(0))
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL, blend="smootherstep")
-        traj = plan(spec, graph, sample_count=200)
-        kind, message, fields = _error_of(reference_run, traj, SimConfig(dt=0.01))
+        plan(spec, graph, sample_count=200)
+        kind, message, fields = _error_of(reference_run, spec, graph, SimConfig(dt=0.01))
         # read row 28 (t = 0.28 s) and row 6: the row before the one that fails
         step, cell = {19: (29, 13), 67: (7, 54)}[n_cells]
         assert (kind, fields["step"], fields["cell"]) == (InconsistentAnglesError, step, cell)
         assert message.startswith(f"step {step} (t = {step / 100:.6g} s): elbow angles are inconsistent")
-        assert_same_as_reference(traj, SimConfig(dt=0.01))
+        assert_same_as_reference(spec, graph, SimConfig(dt=0.01))
 
     def test_later_layer_failing_first_wins(self):
         # cell 4 (layer 1) is asked past its reach at row 43; the offset of
         # powered cell 3 pulls the neighbors of cell 6 (layer 2) apart at row 1
-        traj, config = scenario_trajectory(
+        spec, graph, config = scenario_inputs(
             LAYERED_REACH_SCENARIO.format(powered="powered = 1,2,3,5,7")
             + "[sim]\noffset.3 = 0.3, 0.3\n"
         )
-        kind, _, fields = _error_of(run, traj, config)
+        kind, _, fields = _error_of(run, spec, graph, config)
         assert (kind, fields["step"], fields["cell"]) == (InconsistentAnglesError, 1, 6)
         unperturbed = SimConfig(dt=config.dt)
-        later = _error_of(run, traj, unperturbed)[2]  # layer 1 alone fails later
+        later = _error_of(run, spec, graph, unperturbed)[2]  # layer 1 alone fails later
         assert (later["step"], later["cell"], later["joint"]) == (43, 4, (4, 1))
-        assert_same_as_reference(traj, config)
+        assert_same_as_reference(spec, graph, config)
 
     def test_undragged_joint_beats_a_later_failed_resolve(self):
         # Joint (4, 1) drags no cell, since cell 4 is powered; lagging at
         # alpha = 5, the neighbors of cell 5 move apart later. This read
         # `step 77 (t = 0.77 s): elbow angles are inconsistent: ...`: the
         # joint was checked only after the whole resolve.
-        traj, config = scenario_trajectory(
+        spec, graph, config = scenario_inputs(
             LAYERED_REACH_SCENARIO.format(powered="powered = 1,2,3,4,6,7") + "[sim]\nalpha = 5\n"
         )
-        kind, message, fields = _error_of(run, traj, config)
+        kind, message, fields = _error_of(run, spec, graph, config)
         assert kind is UnreachableSeparationError
         assert message.startswith("step 43 (t = 0.43 s): joint (4, 1): ")
         assert (fields["step"], fields["cell"], fields["joint"]) == (43, 4, (4, 1))
-        assert_same_as_reference(traj, config)
+        assert_same_as_reference(spec, graph, config)
 
     def test_reach_errors(self):
         for powered in ("", "powered = 1,2,3,4"):
-            assert_same_as_reference(*scenario_trajectory(REACH_SCENARIO.format(powered=powered)))
+            assert_same_as_reference(*scenario_inputs(REACH_SCENARIO.format(powered=powered)))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_default_powered_synthetic_graphs(self, seed, monkeypatch):
@@ -562,12 +564,12 @@ class TestMatchesStepByStep:
         monkeypatch.syspath_prepend(str(BENCH))  # workloads imports oracle by name
         text = _bench_module("workloads").synthetic_scenario(np.random.default_rng([seed, 0]))
         text = "\n".join(line for line in text.splitlines() if not line.startswith("powered ="))
-        trajectory, config = scenario_trajectory(text)
-        assert trajectory.graph.unpowered
-        kind, message, fields = _error_of(run, trajectory, config)
+        spec, graph, config = scenario_inputs(text)
+        assert graph.unpowered
+        kind, message, fields = _error_of(run, spec, graph, config)
         assert kind is InconsistentAnglesError and message.startswith("step 1 (t = 0.05 s): ")
         assert fields["step"] == 1
-        assert_same_as_reference(trajectory, config)
+        assert_same_as_reference(spec, graph, config)
 
 
 class TestOneSearch:
@@ -608,7 +610,7 @@ class TestOneSearch:
                 )
             except InvalidArgumentError:  # an unstable loop: draw the gains again
                 continue
-            return PlannedTrajectory(spec, graph), config
+            return spec, graph, config
 
     def test_random_inputs_match_the_reference(self):
         rng = np.random.default_rng(15)
@@ -624,6 +626,54 @@ class TestOneSearch:
         assert seen == self.OUTCOMES
 
 
+def _scaled(text, factor):
+    """The scenario with every length of the vehicle and of its plan
+    multiplied by `factor`."""
+    for key in ("cell_radius", "arm_length", "side_length", "d1_final", "d2_final"):
+        text, count = re.subn(rf"^{key} = (.*)$", lambda m: f"{key} = {float(m[1]) * factor!r}", text, flags=re.M)
+        assert count == 1, key
+    return text
+
+
+class TestUnitsOfLength:
+    """The paper's safety claim is one of shape, so no verdict may depend on
+    the unit of length. Scaled by a power of two, which rounds nothing, a
+    vehicle's trace scales every length exactly and keeps every time, angle
+    and closest pair bit for bit."""
+
+    LENGTHS = ("actual", "desired", "velocity_commands", "errors", "separations", "min_clearance")
+    SHAPES = ("times", "elbow_desired", "elbow_actual", "closest_pairs")
+
+    @pytest.mark.parametrize("k", [-20, -10, 10, 20])
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("name", ["four_cell_experiment", "seven_cell_sim"])
+    def test_traces_scale_exactly(self, name, model, k):
+        text = _bundled_text(name).replace("model = single", f"model = {model}")
+        unit, scaled = (run(*scenario_inputs(t)) for t in (text, _scaled(text, 2.0**k)))
+        for array in self.LENGTHS:
+            assert np.array_equal(getattr(scaled, array), 2.0**k * getattr(unit, array), equal_nan=True), array
+        for array in self.SHAPES:
+            assert np.array_equal(getattr(scaled, array), getattr(unit, array), equal_nan=True), array
+
+    @pytest.mark.parametrize("k", [-20, -10, 10, 20])
+    def test_unplaceable_cell_fails_at_the_same_step(self, k):
+        # An absolute slack of 1e-9 m^2 on the circles' squared discriminant
+        # let this vehicle at 2^-10 fail at step 77, and at 2^-14 or 2^-20 run
+        # to the end with every trace verdict but the terminal error passing.
+        text = _bundled_text("seven_cell_sim").replace("tf = 10.0\n", "tf = 1.5\n")
+        unit, scaled = (_error_of(run, *scenario_inputs(t)) for t in (text, _scaled(text, 2.0**k)))
+        assert unit[1] == (
+            "step 65 (t = 0.65 s): elbow angles are inconsistent: circles of radii 0.477046 and 0.471772 "
+            "about neighbors 0.948888 m apart do not intersect"
+        )
+        assert scaled[0] is unit[0] is InconsistentAnglesError
+        assert scaled[2] == unit[2]  # step, time, cell and index
+        lengths = re.compile(r"step 65 \(t = 0\.65 s\): elbow angles are inconsistent: circles of radii (\S+) and "
+                             r"(\S+) about neighbors (\S+) m apart do not intersect")
+        unit_lengths, scaled_lengths = (np.array(lengths.fullmatch(e[1]).groups(), float) for e in (unit, scaled))
+        np.testing.assert_allclose(scaled_lengths, 2.0**k * unit_lengths, rtol=1e-5)
+
+
 class TestAllPoweredIsBarycentric:
     """Every desired position is the image of fixed convex weights on the
     boundary cells, and the tracking loop is linear: an all-powered vehicle
@@ -631,10 +681,9 @@ class TestAllPoweredIsBarycentric:
 
     @staticmethod
     def assert_barycentric(text):
-        trajectory, config = scenario_trajectory(text)
-        graph = trajectory.graph
+        spec, graph, config = scenario_inputs(text)
         assert graph.unpowered == frozenset()
-        actual = run(trajectory, config).actual
+        actual = run(spec, graph, config).actual
         boundary = actual[:, np.array(sorted(graph.layers[0])) - 1]
         assert np.max(np.abs(actual - barycentric_weights(graph) @ boundary)) <= 1e-12
 
@@ -705,10 +754,10 @@ class TestTrackingScan:
 
     def assert_matches(self, model, dt, alpha, k_v, n_steps, offsets):
         spec = PlanSpec(t0=0.0, tf=n_steps * dt, initial=IDENTITY, final=self.final)
-        trajectory = plan(spec, self.graph, sample_count=20)
+        plan(spec, self.graph, sample_count=20)
         initial = {i: np.array(offset) for i, offset in enumerate(offsets, start=1)}
         config = SimConfig(dt=dt, model=model, alpha=alpha, k_v=k_v, initial_offsets=initial)
-        assert_same_as_reference(trajectory, config)
+        assert_same_as_reference(spec, self.graph, config)
 
 
 class TestOneTrackingLaw:
