@@ -12,8 +12,6 @@ from .errors import (
     AtugvError,
     InconsistentAnglesError,
     InvalidArgumentError,
-    ReferenceOverlapError,
-    ScenarioError,
     UnreachableSeparationError,
     UnsafePlanError,
 )

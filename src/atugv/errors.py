@@ -4,10 +4,12 @@
 class AtugvError(Exception):
     """Base class for every error raised by this package. Structured fields
     are keyword arguments kept as attributes: array routines set `index`
-    (first failing element); the simulator adds `step`, `time` and `cell`;
-    a config type names the `field` whose value it rejects."""
+    (first failing element); the simulator adds `step`, `time` and `cell`,
+    and a joint error its `joint`; a config type, or the scenario loader at
+    the key it reads, names the `field` it rejects; the strain verdict adds
+    the `value` and the `bound` it fails."""
 
-    index = step = time = cell = field = None
+    index = step = time = cell = field = joint = value = bound = None
 
     def __init__(self, message, **fields):
         super().__init__(message)
@@ -17,15 +19,11 @@ class AtugvError(Exception):
 
 class InvalidArgumentError(AtugvError, ValueError):
     """An argument violates a precondition: a value out of its range, a time
-    outside the planning horizon, or a cell graph that is not layered (an
-    interior cell without exactly three neighbors from earlier layers). A
-    config type names the `field` it rejects."""
-
-
-class ReferenceOverlapError(AtugvError):
-    """Cells overlap already in the reference configuration (minimum
-    separation does not exceed the cell diameter); the `field` is
-    `cell_radius`."""
+    outside the planning horizon, a cell graph that is not layered (an
+    interior cell without exactly three neighbors from earlier layers) or
+    whose reference overlaps (`field` `cell_radius`), or a scenario file that
+    does not parse. A config type names the `field` it rejects; the loader
+    names the key, keeping the config type's error as `__cause__`."""
 
 
 class UnreachableSeparationError(AtugvError):
@@ -33,8 +31,6 @@ class UnreachableSeparationError(AtugvError):
     two-arm connection mechanism. `planner.joint_elbow_angles` names the
     `joint` as (interior cell, neighbor) and its interior `cell`, the planner
     the `time`; `kinematics.desired_elbow_angles` names joint 1 or 2."""
-
-    joint = None
 
 
 class InconsistentAnglesError(AtugvError):
@@ -46,9 +42,3 @@ class UnsafePlanError(AtugvError):
     """A planned sample violates the principal-strain safety bound: the
     strain `field` has `value` below `bound` at sample `index`, which the
     planner gives a `time`."""
-
-    value = bound = None
-
-
-class ScenarioError(AtugvError):
-    """A scenario file failed to parse or validate."""

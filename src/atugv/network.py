@@ -16,25 +16,22 @@ from typing import Dict, FrozenSet, Tuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ReferenceOverlapError
+from .errors import InvalidArgumentError
 
 
-# Reference cells lie in a triangle of side `side_length`, and a planned
-# affine map stretches no distance (both strains are at most 1), so dx and dy
-# of two cells are at most side_length and dx * dx + dy * dy at most twice its
-# square. Half the square root of float64's largest value keeps that finite.
-MAX_SIDE_LENGTH = math.sqrt(np.finfo(float).max) / 2
-
-# A translation (d1, d2 of a pose) or a start offset changes no distance of
-# the plan: what it adds is tracking error. Under a stable single integrator
-# a cell's error is its offset, decaying, plus the translation's lag, which
-# never exceeds |d_final - d_initial| and is the same for every powered cell.
-# With each component at most MAX_TRANSLATION, an error is then at most
-# 3 * MAX_TRANSLATION per axis, and two cells at one time differ by at most
-# side_length + 2 * MAX_TRANSLATION = 0.625 * sqrt(max) per axis, whose
-# squares sum to below float64's largest value. The lag of a fast strain or
-# rotation under a slow gain is bounded by no length.
-MAX_TRANSLATION = MAX_SIDE_LENGTH / 8
+# The one bound on every length of the input: each geometry length, each
+# component of a translation (d1, d2 of a pose) and of a start offset. A plan
+# stretches no distance (both strains are at most 1), so a desired coordinate
+# is within 2 * MAX_LENGTH of the origin, and a start position, offset added,
+# within 3 * MAX_LENGTH. Under a single integrator with alpha * dt <= 1 each
+# step moves a cell to a convex combination of where it is and where it is
+# desired, so it stays in the convex hull of its start and its desired path:
+# every coordinate stays within 3 * MAX_LENGTH, every difference of two, the
+# tracking lag included, within 6 * MAX_LENGTH, and its squares sum to at most
+# 72 / 256 of float64's largest value. Not covered: a gain with alpha * dt
+# above 1, the double integrator, and the velocity command alpha * error
+# (ROADMAP item 3).
+MAX_LENGTH = math.sqrt(np.finfo(float).max) / 16
 
 
 @dataclass(frozen=True)
@@ -108,9 +105,9 @@ class CellGraph:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:  # NaN fails too
                 raise InvalidArgumentError(f"{name} must be positive and finite, got {value}", field=name)
-        if self.side_length > MAX_SIDE_LENGTH:
-            bound = f"at most {MAX_SIDE_LENGTH:.6g} so that squared distances stay finite"
-            raise InvalidArgumentError(f"side_length must be {bound}, got {self.side_length}", field="side_length")
+            if value > MAX_LENGTH:
+                bound = f"at most {MAX_LENGTH:.6g} so that squared distances stay finite"
+                raise InvalidArgumentError(f"{name} must be {bound}, got {value}", field=name)
 
         powered = self.powered
         if powered is None:
@@ -251,7 +248,7 @@ def solve_reference_positions(graph: CellGraph) -> ReferenceConfiguration:
     positions = barycentric_weights(graph) @ b0
     _, d_min = min_separation(positions)
     if d_min <= 2.0 * graph.cell_radius:
-        raise ReferenceOverlapError(
+        raise InvalidArgumentError(
             f"reference separation {d_min:.6g} m does not exceed the cell "
             f"diameter {2.0 * graph.cell_radius:.6g} m",
             field="cell_radius",

@@ -17,7 +17,7 @@ import numpy as np
 from . import affine, kinematics
 from .affine import COORD_FIELDS, GeneralizedCoordinates
 from .errors import InvalidArgumentError, UnreachableSeparationError, UnsafePlanError
-from .network import MAX_TRANSLATION, CellGraph
+from .network import MAX_LENGTH, CellGraph
 
 BLEND_KINDS = ("linear", "smoothstep", "smootherstep")
 
@@ -68,8 +68,8 @@ class PlanSpec:
         for pose in ("initial", "final"):
             for name in ("d1", "d2"):
                 key, value = f"{name}_{pose}", getattr(getattr(self, pose), name)
-                if not abs(value) <= MAX_TRANSLATION:
-                    bound = f"at most {MAX_TRANSLATION:.6g} in magnitude so that squared distances stay finite"
+                if not abs(value) <= MAX_LENGTH:
+                    bound = f"at most {MAX_LENGTH:.6g} in magnitude so that squared distances stay finite"
                     raise InvalidArgumentError(f"{key} must be {bound}, got {value}", field=key)
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .affine import COORD_FIELDS, GeneralizedCoordinates
-from .errors import AtugvError, ScenarioError
+from .errors import AtugvError, InvalidArgumentError
 from .network import CellGraph
 from .planner import PlanSpec, check_sample_count
 from .simulator import SimConfig, step_count
@@ -60,18 +60,18 @@ class _Parsed:
             if header:
                 section = header.group(1)
                 if section in self.sections:
-                    raise ScenarioError(f"{name}:{lineno}: duplicate section [{section}]")
+                    raise InvalidArgumentError(f"{name}:{lineno}: duplicate section [{section}]")
                 self.sections[section] = {}
                 self.lines[section, None] = lineno
                 continue
             if section is None:
-                raise ScenarioError(f"{name}:{lineno}: expected a [section] header")
+                raise InvalidArgumentError(f"{name}:{lineno}: expected a [section] header")
             key, delimiter, value = line.partition("=")
             key = key.strip().lower()
             if not (delimiter and key):
-                raise ScenarioError(f"{name}:{lineno}: expected key = value")
+                raise InvalidArgumentError(f"{name}:{lineno}: expected key = value")
             if key in self.sections[section]:
-                raise ScenarioError(f"{name}:{lineno}: [{section}] {key}: duplicate key")
+                raise InvalidArgumentError(f"{name}:{lineno}: [{section}] {key}: duplicate key", field=key)
             self.sections[section][key] = value.strip()
             self.lines[section, key] = lineno
         self.read = {section: set() for section in self.sections}
@@ -80,7 +80,7 @@ class _Parsed:
         # A key the file leaves out is located at its section's header.
         lineno = self.lines.get((section, key)) or self.lines.get((section, None))
         where = f"{self.name}:{lineno}" if lineno else self.name
-        raise ScenarioError(f"{where}: [{section}] {key}: {message}") from cause
+        raise InvalidArgumentError(f"{where}: [{section}] {key}: {message}", field=key) from cause
 
     def build(self, sections: tuple, make, *args, suffix: str = "", cell_keys=None, **kwargs):
         """make(*args, **kwargs), a config type read from `sections` that
@@ -157,7 +157,7 @@ class _Parsed:
         for section, items in self.sections.items():
             read = self.read[section]
             if not read:
-                raise ScenarioError(f"{self.name}:{self.lines[section, None]}: unknown section [{section}]")
+                raise InvalidArgumentError(f"{self.name}:{self.lines[section, None]}: unknown section [{section}]")
             unread = [key for key in items if key not in read]
             if unread:
                 self.fail(section, unread[0], "unknown key")
@@ -183,7 +183,7 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
     parsed = _Parsed(text, name)
     for section in ("graph", "geometry", "plan"):
         if section not in parsed.sections:
-            raise ScenarioError(f"{name}: missing required section [{section}]")
+            raise InvalidArgumentError(f"{name}: missing required section [{section}]")
 
     layers = parsed.get("graph", "layers")
     if layers is None:
@@ -258,7 +258,7 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
 
 def bundled_scenario_path(name: str) -> Path:
     if name not in BUNDLED:
-        raise ScenarioError(f"no bundled scenario named {name!r}; available: {BUNDLED}")
+        raise InvalidArgumentError(f"no bundled scenario named {name!r}; available: {BUNDLED}")
     return Path(resources.files("atugv") / "scenarios" / f"{name}.cfg")
 
 
@@ -268,10 +268,10 @@ def load_scenario(path) -> Scenario:
     if not p.is_file() and str(path) in BUNDLED:
         p = bundled_scenario_path(str(path))
     if not p.exists():
-        raise ScenarioError(f"scenario file not found: {path}")
+        raise InvalidArgumentError(f"scenario file not found: {path}")
     try:
         text = p.read_text(encoding="utf-8-sig")  # a byte-order mark is not part of line 1
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
-        raise ScenarioError(f"cannot read scenario file {p}: {reason}") from exc
+        raise InvalidArgumentError(f"cannot read scenario file {p}: {reason}") from exc
     return load_scenario_text(text, name=str(p))

@@ -20,7 +20,7 @@ from .errors import (
     InvalidArgumentError,
     UnreachableSeparationError,
 )
-from .network import MAX_TRANSLATION, CellGraph, min_separation
+from .network import MAX_LENGTH, CellGraph, min_separation
 from .planner import MAX_COUNT, PlanSpec, desired_positions, joint_elbow_angles, joint_separations
 from .planner import coordinates_at  # noqa: F401  (bench/tracing.py wraps this name here)
 
@@ -56,8 +56,8 @@ class SimConfig:
             if value is None or value.shape != (2,) or not np.isfinite(value).all():
                 message = f"offset of cell {i} must be two finite numbers, got {offset!r}"
                 raise InvalidArgumentError(message, field="initial_offsets", cell=i)
-            if not (abs(value) <= MAX_TRANSLATION).all():
-                bound = f"at most {MAX_TRANSLATION:.6g} in magnitude so that squared distances stay finite"
+            if not (abs(value) <= MAX_LENGTH).all():
+                bound = f"at most {MAX_LENGTH:.6g} in magnitude so that squared distances stay finite"
                 message = f"offset of cell {i} must be {bound}, got {value.tolist()}"
                 raise InvalidArgumentError(message, field="initial_offsets", cell=i)
         matrix = self.euler_matrix()  # an overflowed gain product is unstable too

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from atugv import CellGraph, ReferenceOverlapError, solve_reference_positions
+from atugv import CellGraph, InvalidArgumentError, solve_reference_positions
 
 
 def make_four_cell(cell_radius=0.05, arm_length=0.25):
@@ -89,7 +89,9 @@ def random_layered_graph(rng, cell_radius_fraction=0.3, max_extra_layers=3):
                 cell_radius=1e-12,
                 arm_length=10.0,
             )
-        except ReferenceOverlapError:
+        except InvalidArgumentError as error:
+            if error.field != "cell_radius":  # an overlapping reference is redrawn, nothing else
+                raise
             continue
         if probe.reference.d_min < 1e-6:
             continue

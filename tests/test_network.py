@@ -11,7 +11,6 @@ from atugv import (
     CellGraph,
     GeneralizedCoordinates,
     InvalidArgumentError,
-    ReferenceOverlapError,
     barycentric_weights,
     load_scenario_text,
     min_separation,
@@ -139,7 +138,7 @@ class TestReferenceConfiguration:
         assert abs(ref.d_min - 1.0 / SQRT3) < 1e-12
 
     def test_overlapping_reference_rejected(self, seven_cell):
-        with pytest.raises(ReferenceOverlapError) as info:
+        with pytest.raises(InvalidArgumentError, match="does not exceed the cell diameter") as info:
             solve_reference_positions(dataclasses.replace(seven_cell, side_length=0.1))
         assert info.value.field == "cell_radius"  # the graph raises it at construction
 

@@ -7,7 +7,7 @@ import pytest
 from atugv import (
     CellGraph,
     GeneralizedCoordinates,
-    ReferenceOverlapError,
+    InvalidArgumentError,
     UnsafePlanError,
     apply,
     jacobian,
@@ -36,8 +36,9 @@ class TestLambdaMin:
         assert abs(seven_cell_reference.lambda_min - 0.9 / SQRT3) < 1e-12
 
     def test_overlapping_reference_rejected(self):
-        with pytest.raises(ReferenceOverlapError):
+        with pytest.raises(InvalidArgumentError, match="does not exceed the cell diameter") as info:
             solve_reference_positions(boundary_only(0.3, side_length=0.5))
+        assert info.value.field == "cell_radius"
 
     def test_scale_invariance(self, seven_cell):
         base = solve_reference_positions(seven_cell).lambda_min

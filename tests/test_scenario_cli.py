@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atugv import ScenarioError, bundled_scenario_path, load_scenario, load_scenario_text
+from atugv import InvalidArgumentError, bundled_scenario_path, load_scenario, load_scenario_text
 from atugv.cli import main
 
 SEVEN = """
@@ -58,31 +58,30 @@ class TestLoadScenario:
 
     def test_unknown_key_rejected_in_strict_mode(self):
         text = SEVEN + "\nwarp_speed = 9\n"
-        with pytest.raises(ScenarioError, match="unknown key"):
+        with pytest.raises(InvalidArgumentError, match="unknown key"):
             load_scenario_text(text)
 
     def test_four_neighbor_cell_rejected(self):
-        from atugv import InvalidArgumentError
-
         text = SEVEN.replace("neighbors.5 = 1,2,4", "neighbors.5 = 1,2,3,4")
         message = r"interior cell 5 must have exactly 3 neighbors, got \[1, 2, 3, 4\]$"
-        with pytest.raises(ScenarioError, match=r"^<scenario>:\d+: \[graph\] neighbors\.5: " + message) as excinfo:
+        with pytest.raises(InvalidArgumentError, match=r"^<scenario>:\d+: \[graph\] neighbors\.5: " + message) as excinfo:
             load_scenario_text(text)
         cause = excinfo.value.__cause__
         assert isinstance(cause, InvalidArgumentError) and cause.field == "neighbors.5"
+        assert excinfo.value.field == "neighbors.5"
 
     def test_reversed_horizon_rejected(self):
         text = SEVEN.replace("tf = 10.0", "tf = -1.0")
-        with pytest.raises(ScenarioError, match="tf"):
+        with pytest.raises(InvalidArgumentError, match="tf"):
             load_scenario_text(text)
 
     def test_bad_number_reports_line(self):
         text = SEVEN.replace("alpha = 10.0", "alpha = fast")
-        with pytest.raises(ScenarioError, match=r":\d+.*alpha"):
+        with pytest.raises(InvalidArgumentError, match=r":\d+.*alpha"):
             load_scenario_text(text)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ScenarioError, match="not found"):
+        with pytest.raises(InvalidArgumentError, match="not found"):
             load_scenario(tmp_path / "nope.cfg")
 
     def test_readme_grammar_block_is_a_complete_scenario(self):
@@ -332,9 +331,9 @@ class TestRejectedInput:
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "-nan"])
     def test_non_finite_numbers_rejected(self, value):
-        with pytest.raises(ScenarioError, match=r":\d+: \[plan\] tf: expected a finite number"):
+        with pytest.raises(InvalidArgumentError, match=r":\d+: \[plan\] tf: expected a finite number"):
             load_scenario_text(_with_key(SEVEN, "plan", "tf", value))
-        with pytest.raises(ScenarioError, match=r"\[sim\] offset: expected two finite numbers"):
+        with pytest.raises(InvalidArgumentError, match=r"\[sim\] offset: expected two finite numbers"):
             load_scenario_text(_with_key(SEVEN, "sim", "offset", f"0.01, {value}"))
 
     def test_range_checks_reject_nan(self):
@@ -401,39 +400,49 @@ class TestRejectedInput:
         # Exited 2 as `error: interior cell 7 must have exactly 3 neighbors, got None`.
         # The absent key is located at its section's header, line 2.
         with pytest.raises(
-            ScenarioError, match=r"^<scenario>:2: \[graph\] neighbors\.7: interior cell 7 must have exactly 3 neighbors"
+            InvalidArgumentError, match=r"^<scenario>:2: \[graph\] neighbors\.7: interior cell 7 must have exactly 3 neighbors"
         ):
             load_scenario_text(SEVEN.replace("neighbors.7 = 1,3,4\n", ""))
 
-    def test_side_length_whose_squares_overflow(self, tmp_path, capsys):
-        # Under `-W error`, `validate` and `run` exited 1 with `RuntimeWarning:
-        # overflow encountered in square` from `min_separation`; without it, exit
-        # 2 after four warnings with `error: separation must be a finite
-        # non-negative length, got inf`, no line or key.
-        from atugv import CellGraph, InvalidArgumentError
+    @pytest.mark.parametrize(
+        "key, value, line", [("side_length", "1e155", 14), ("arm_length", "1e308", 13)], ids=["side_length", "arm_length"]
+    )
+    def test_side_length_whose_squares_overflow(self, tmp_path, capsys, key, value, line):
+        # side_length: under `-W error`, `validate` and `run` exited 1 with
+        # `RuntimeWarning: overflow encountered in square` from
+        # `min_separation`; without it, exit 2 after four warnings with `error:
+        # separation must be a finite non-negative length, got inf`, no line or
+        # key. arm_length: `validate` exited 0, and `run` exited 1 under `-W
+        # error` with `RuntimeWarning: invalid value encountered in multiply`
+        # from `kinematics.separation_from_angle`, the reach being inf; without
+        # it, exit 2 with the unlocated `error: separation must be a finite
+        # non-negative length, got nan`.
+        from atugv import CellGraph
 
         cfg = tmp_path / "x.cfg"
         text = bundled_scenario_path("seven_cell_sim").read_text()
-        cfg.write_text(text.replace("side_length = 1.0", "side_length = 1e155"))
+        lines = [f"{key} = {value}" if old.startswith(f"{key} =") else old for old in text.splitlines()]
+        cfg.write_text("\n".join(lines) + "\n")
         expected = (
-            f"error: {cfg}:14: [geometry] side_length: side_length must be at most 6.7039e+153 "
-            "so that squared distances stay finite, got 1e+155\n"
+            f"error: {cfg}:{line}: [geometry] {key}: {key} must be at most 8.37988e+152 "
+            f"so that squared distances stay finite, got {float(value)}\n"
         )
         for command in (["validate", str(cfg)], ["run", str(cfg), "--output-dir", str(tmp_path / "out")]):
             assert main(command) == 2
             assert capsys.readouterr() == ("", expected)
         with pytest.raises(InvalidArgumentError) as error:
-            CellGraph((frozenset({1, 2, 3}),), {}, 0.05, 0.25, side_length=1e155)
-        assert error.value.field == "side_length"
+            geometry = {"cell_radius": 0.05, "arm_length": 0.25, key: float(value)}
+            CellGraph((frozenset({1, 2, 3}),), {}, **geometry)
+        assert error.value.field == key
 
     def test_largest_side_length_plans_without_overflow(self):
         # The bound's reason: every squared distance of the reference and of a
         # plan stays finite, here under warnings as errors.
         from atugv import CellGraph, plan, solve_reference_positions
-        from atugv.network import MAX_SIDE_LENGTH
+        from atugv.network import MAX_LENGTH
 
         seven = load_scenario("seven_cell_sim")
-        s = MAX_SIDE_LENGTH
+        s = MAX_LENGTH
         graph = CellGraph(seven.graph.layers, seven.graph.neighbors, 0.05, s, side_length=s)
         reference = solve_reference_positions(graph)
         assert math.isfinite(reference.d_min) and reference.d_min > 0.1 * s
@@ -460,18 +469,26 @@ class TestRejectedInput:
         located = message.format("in magnitude so that squared distances stay finite")
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr() == ("", f"error: {cfg}:{line}: [{section}] {key}: {located}\n")
+        with pytest.raises(InvalidArgumentError) as error:
+            load_scenario_text(text, name="x.cfg")
+        assert error.value.field == key and str(error.value) == f"x.cfg:{line}: [{section}] {key}: {located}"
 
     @pytest.mark.parametrize("model", ["single", "double"])
     def test_largest_translations_and_offsets_run_without_overflow(self, model, tmp_path):
         # The bound's reason, here under warnings as errors: every tracking
-        # error and clearance `run` squares stays finite.
-        from atugv.network import MAX_TRANSLATION
+        # error and clearance `run` squares stays finite, also for the lag of
+        # a fast half turn of the largest vehicle under a slow gain (with side
+        # and arm at sqrt(float64 max) / 2 this overflowed in a multiply).
+        from atugv.network import MAX_LENGTH
 
-        m = repr(MAX_TRANSLATION)
+        m = repr(MAX_LENGTH)
         text = _with_key(bundled_scenario_path("four_cell_experiment").read_text(), "graph", "powered", "1,2,3,4")
         for section, key, value in [
+            ("geometry", "side_length", m), ("geometry", "arm_length", m),
             ("plan", "tf", "0.1"), ("plan", "d1_initial", f"-{m}"), ("plan", "d1_final", m),
-            ("plan", "d2_initial", m), ("plan", "d2_final", f"-{m}"), ("sim", "model", model),
+            ("plan", "d2_initial", m), ("plan", "d2_final", f"-{m}"), ("plan", "sigma_r_final", "3.14159"),
+            ("plan", "lambda1_final", "1.0"), ("plan", "lambda2_final", "1.0"),
+            ("sim", "model", model), ("sim", "alpha", "0.01"),
             ("sim", "offset.1", f"{m}, -{m}"), ("sim", "offset.2", f"-{m}, {m}"),
         ]:
             text = _with_key(text, section, key, value)
@@ -587,23 +604,22 @@ class TestRejectedInput:
             "terminal_error_threshold = 1e-3",
             "offset.3 = 0.01, 0.02\noffset = 0.01, nan\nterminal_error_threshold = 1e-3",
         )
-        with pytest.raises(ScenarioError) as info:
+        with pytest.raises(InvalidArgumentError) as info:
             load_scenario_text(offsets, name="x.cfg")
         assert str(info.value) == "x.cfg:34: [sim] offset: expected two finite numbers"
         # A key that is a prefix of the one above it still gets its own line.
         neighbors = _with_key(_with_key(text, "graph", "neighbors.4", "1,x"), "graph", "neighbors.40", "1,2,3")
         assert neighbors.splitlines()[4:6] == ["neighbors.40 = 1,2,3", "neighbors.4 = 1,x"]
-        with pytest.raises(ScenarioError) as info:
+        with pytest.raises(InvalidArgumentError) as info:
             load_scenario_text(neighbors, name="x.cfg")
         assert str(info.value) == "x.cfg:6: [graph] neighbors.4: expected a comma-separated cell list"
 
     def test_config_type_error_is_the_cause(self):
-        from atugv import InvalidArgumentError
-
-        with pytest.raises(ScenarioError) as info:
+        with pytest.raises(InvalidArgumentError) as info:
             load_scenario_text(_with_key(SEVEN, "sim", "model", "triple"), name="x.cfg")
         cause = info.value.__cause__
         assert isinstance(cause, InvalidArgumentError) and cause.field == "model"
+        assert info.value.field == "model"  # the key, which for a config field is the field
         assert str(info.value) == f"x.cfg:24: [sim] model: {cause}"
 
     def test_default_section_is_an_unknown_section(self, tmp_path, capsys):
@@ -616,7 +632,7 @@ class TestRejectedInput:
         cfg.write_text(text + "\n[DEFAULT]\ndt = 0.02\n")
         assert main(["validate", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {cfg}:35: unknown section [DEFAULT]\n"
-        with pytest.raises(ScenarioError, match=r"^x\.cfg:1: unknown section \[DEFAULT\]$"):
+        with pytest.raises(InvalidArgumentError, match=r"^x\.cfg:1: unknown section \[DEFAULT\]$"):
             load_scenario_text("[DEFAULT]\n" + SEVEN, name="x.cfg")
 
     def test_section_header_with_an_inline_comment_keeps_error_lines(self, tmp_path, capsys):
@@ -791,6 +807,9 @@ class TestRejectedInput:
         cfg.write_text(text.replace(*replacement) if replacement else text)
         assert main(["validate", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {cfg}:{line}: [{section}] {key}: {message}\n"
+        with pytest.raises(InvalidArgumentError) as error:
+            load_scenario_text(cfg.read_text())
+        assert error.value.field == key
 
 
     def test_spaces_around_commas_are_allowed(self):
@@ -864,7 +883,7 @@ class TestRejectedInput:
         after = data.draw(st.integers(headers[0], len(lines)))
         section = lines[max(n for n in headers if n <= after) - 1][1:-1]
         text = "\n".join(lines[:after] + ["warp = 1"] + lines[after:]) + "\n"
-        with pytest.raises(ScenarioError) as info:
+        with pytest.raises(InvalidArgumentError) as info:
             load_scenario_text(text, name="x.cfg")
         assert str(info.value) == f"x.cfg:{after + 1}: [{section}] warp: unknown key"
 
