@@ -3,9 +3,9 @@ Python's format(v, ".9g") for whole float64 arrays at once, and the rows
 around it (`write_csv`).
 
 A value's text is built in two little-endian uint64 words (16 bytes, NUL
-where no character goes). Rows are laid out as NUL-padded bytes, whole
-steps at a time, and written without the NUL bytes. The rare values the
-vectorized path cannot decide exactly go through format().
+where no character goes). Rows are laid out as NUL-padded bytes a whole
+step at a time, each text copied as one `void` item, then the NUL bytes are
+dropped. Values the vectorized path cannot decide exactly use format().
 """
 from __future__ import annotations
 
@@ -170,16 +170,16 @@ def write_csv(path, header, times, labels, values):
     label_width = label_text.itemsize
     width = WIDTH + label_width + n_values * (1 + WIDTH) + 2
     steps = max(1, _CSV_BLOCK_BYTES // max(1, n_labels * width))
-    time_text = g9_bytes(times)
+    time_text, label_text = g9_bytes(times).view(f"V{WIDTH}"), label_text.view(f"V{label_width}")
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, n_steps, steps):
             block = values[start : start + steps]
             buf = np.empty((len(block), n_labels, width), dtype=np.uint8)
-            buf[..., :WIDTH] = time_text[start : start + steps, None]
-            buf[..., WIDTH : WIDTH + label_width] = label_text.view(np.uint8).reshape(n_labels, label_width)
+            buf[..., :WIDTH].view(f"V{WIDTH}")[..., 0] = time_text[start : start + steps]
+            buf[..., WIDTH : WIDTH + label_width].view(f"V{label_width}")[..., 0] = label_text
             fields = buf[..., WIDTH + label_width : -2].reshape(*block.shape, 1 + WIDTH)
             fields[..., 0] = ord(",")
-            fields[..., 1:] = g9_bytes(block).reshape(*block.shape, WIDTH)
-            buf[..., -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
-            fh.write(buf[buf != 0])
+            fields[..., 1:].view(f"V{WIDTH}")[..., 0] = g9_bytes(block).view(f"V{WIDTH}").reshape(block.shape)
+            buf[..., -2:].view("V2")[..., 0] = np.void(b"\r\n")
+            fh.write(buf.tobytes().translate(None, b"\0"))

@@ -6,8 +6,8 @@ class AtugvError(Exception):
     are keyword arguments kept as attributes: array routines set `index`
     (first failing element); the simulator adds `step`, `time` and `cell`,
     and a joint error its `joint`; a config type, or the scenario loader at
-    the key it reads, names the `field` it rejects; the strain verdict adds
-    the `value` and the `bound` it fails."""
+    the key it reads, names the `field` it rejects; the strain verdict and
+    a length bound add the `value` and the `bound` it fails."""
 
     index = step = time = cell = field = joint = value = bound = None
 
@@ -28,9 +28,9 @@ class InvalidArgumentError(AtugvError, ValueError):
 
 class UnreachableSeparationError(AtugvError):
     """A commanded cell separation exceeds the full extension of the
-    two-arm connection mechanism. `planner.joint_elbow_angles` names the
-    `joint` as (interior cell, neighbor) and its interior `cell`, the planner
-    the `time`; `kinematics.desired_elbow_angles` names joint 1 or 2."""
+    two-arm connection mechanism. `planner.reach_error` names the `joint` as
+    (interior cell, neighbor) and its interior `cell`, `plan` and `run` the
+    `time`; `kinematics.desired_elbow_angles` names joint 1 or 2."""
 
 
 class InconsistentAnglesError(AtugvError):

@@ -11,7 +11,7 @@ an error on an array names the first failing element in `index`.
 """
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -45,10 +45,14 @@ def elbow_angle(d, reach: float):
     over = beyond_reach(d, reach)
     if over.any():
         k = tuple(np.argwhere(over)[0].tolist())
-        raise UnreachableSeparationError(
-            f"separation {d[k]:.6g} m exceeds mechanism reach {reach:.6g} m", index=k
-        )
+        raise unreachable(d[k], reach, index=k)
     return 2.0 * np.arcsin(np.minimum(d / reach, 1.0))
+
+
+def unreachable(d: float, reach: float, prefix: str = "", **fields) -> UnreachableSeparationError:
+    """The error of a separation d beyond `reach`, its message led by `prefix`."""
+    message = f"{prefix}separation {d:.6g} m exceeds mechanism reach {reach:.6g} m"
+    return UnreachableSeparationError(message, **fields)
 
 
 def separation_from_angle(theta, reach: float):
@@ -83,19 +87,21 @@ def resolve_unpowered_position(
     theta2,
     reach: float,
     previous,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, Optional[InconsistentAnglesError]]:
     """Forward kinematics of an unpowered cell: intersect the circle of
     radius d_k = reach * sin(theta_k/2) about each actuated neighbor and pick
     the intersection closest to the position before (the mechanism cannot
-    jump between branches).
+    jump between branches). Returns the positions and the
+    `InconsistentAnglesError` of the first that cannot be placed, or None.
 
     With `previous` of the points' shape (..., 2), each result is the
     intersection closest to it. With `previous` one axis shorter, the first
     axis of the points is a sequence of steps: the first step picks the
     intersection closest to `previous`, every later one the intersection
-    closest to the step before, and an error names the earliest failing
+    closest to the step before, and the error names the earliest failing
     step. Within a step (or a single call), coincident neighbors are
-    reported before disjoint circles.
+    reported before disjoint circles. From a failing step on, positions are
+    undefined; a NaN center or angle fails nothing.
     """
     c1 = np.asarray(p_j1, dtype=float)
     c2 = np.asarray(p_j2, dtype=float)
@@ -106,42 +112,36 @@ def resolve_unpowered_position(
     delta = c2 - c1
     dist = np.linalg.norm(delta, axis=-1)
     # Standard two-circle intersection in the frame of the center line.
-    with np.errstate(divide="ignore", invalid="ignore"):  # coincident neighbors raise below
+    with np.errstate(divide="ignore", invalid="ignore"):  # coincident neighbors fail below
         along = (d1 * d1 - d2 * d2 + dist * dist) / (2.0 * dist)
         h_sq = d1 * d1 - along * along
+        u = delta / dist[..., None]
+        mid = c1 + along[..., None] * u
     coincide = dist == 0.0
     disjoint = h_sq < -_TANGENT_RTOL * reach * reach
     failed = coincide | disjoint
-    if steps:
-        failing = np.flatnonzero(failed.any(axis=tuple(range(1, failed.ndim))))
-        at = (int(failing[0]),) if failing.size else None
-    else:
-        at = () if failed.any() else None
-    if at is not None:
-        if coincide[at].any():
-            raise InconsistentAnglesError(
-                "actuated neighbors coincide; cell position is not determined",
-                index=at + tuple(np.argwhere(coincide[at])[0].tolist()),
-            )
-        k = at + tuple(np.argwhere(disjoint[at])[0].tolist())
-        raise InconsistentAnglesError(
+    error = None
+    if failed.any():
+        at = (int(np.argmax(failed.any(axis=tuple(range(1, failed.ndim))))),) if steps else ()
+        kind = coincide if coincide[at].any() else disjoint
+        k = at + tuple(np.argwhere(kind[at])[0].tolist())
+        message = (
+            "actuated neighbors coincide; cell position is not determined" if kind is coincide else
             f"elbow angles are inconsistent: circles of radii {d1[k]:.6g} and "
-            f"{d2[k]:.6g} about neighbors {dist[k]:.6g} m apart do not intersect",
-            index=k,
+            f"{d2[k]:.6g} about neighbors {dist[k]:.6g} m apart do not intersect"
         )
+        error = InconsistentAnglesError(message, index=k)
     h = np.sqrt(np.maximum(h_sq, 0.0))[..., None]
-    u = delta / dist[..., None]
     perp = np.stack([-u[..., 1], u[..., 0]], axis=-1)
-    mid = c1 + along[..., None] * u
     cand_a = mid + h * perp
     cand_b = mid - h * perp
     if not steps:
-        return np.where(_closer_to_a(cand_a, cand_b, previous)[..., None], cand_a, cand_b)
+        return np.where(_closer_to_a(cand_a, cand_b, previous)[..., None], cand_a, cand_b), error
     on_a = _follow_branches(
         _closer_to_a(cand_a, cand_b, np.concatenate([previous[None], cand_a[:-1]])),
         _closer_to_a(cand_a, cand_b, np.concatenate([previous[None], cand_b[:-1]])),
     )
-    return np.where(on_a[..., None], cand_a, cand_b)
+    return np.where(on_a[..., None], cand_a, cand_b), error
 
 
 def _closer_to_a(cand_a, cand_b, previous) -> np.ndarray:

@@ -34,6 +34,15 @@ from .errors import InvalidArgumentError
 MAX_LENGTH = math.sqrt(np.finfo(float).max) / 16
 
 
+def check_length(name: str, value, field: str, signed: bool = True, **fields) -> None:
+    """Reject a length `value` (or any of its components) that is NaN or
+    beyond MAX_LENGTH in magnitude, naming `field`, `value`, `bound` and `fields`."""
+    if not (np.abs(value) <= MAX_LENGTH).all():
+        bound = f"at most {MAX_LENGTH:.6g}{' in magnitude' if signed else ''}"
+        message = f"{name} must be {bound} so that squared distances stay finite, got {value}"
+        raise InvalidArgumentError(message, field=field, value=value, bound=MAX_LENGTH, **fields)
+
+
 @dataclass(frozen=True)
 class CellGraph:
     """Layered cell graph plus the geometry shared by every cell.
@@ -105,9 +114,7 @@ class CellGraph:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:  # NaN fails too
                 raise InvalidArgumentError(f"{name} must be positive and finite, got {value}", field=name)
-            if value > MAX_LENGTH:
-                bound = f"at most {MAX_LENGTH:.6g} so that squared distances stay finite"
-                raise InvalidArgumentError(f"{name} must be {bound}, got {value}", field=name)
+            check_length(name, value, name, signed=False)
 
         powered = self.powered
         if powered is None:

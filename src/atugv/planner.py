@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import affine, kinematics
 from .affine import COORD_FIELDS, GeneralizedCoordinates
 from .errors import InvalidArgumentError, UnreachableSeparationError, UnsafePlanError
-from .network import MAX_LENGTH, CellGraph
+from .network import CellGraph, check_length
 
 BLEND_KINDS = ("linear", "smoothstep", "smootherstep")
 
@@ -68,9 +69,7 @@ class PlanSpec:
         for pose in ("initial", "final"):
             for name in ("d1", "d2"):
                 key, value = f"{name}_{pose}", getattr(getattr(self, pose), name)
-                if not abs(value) <= MAX_LENGTH:
-                    bound = f"at most {MAX_LENGTH:.6g} in magnitude so that squared distances stay finite"
-                    raise InvalidArgumentError(f"{key} must be {bound}, got {value}", field=key)
+                check_length(key, value, key)
 
 
 def coordinates_at(spec: PlanSpec, t) -> GeneralizedCoordinates:
@@ -114,16 +113,18 @@ def joint_separations(graph: CellGraph, positions: np.ndarray) -> np.ndarray:
     return np.linalg.norm(positions[..., i, :] - positions[..., j, :], axis=-1)
 
 
-def joint_elbow_angles(graph: CellGraph, positions: np.ndarray) -> np.ndarray:
-    """`elbow_angle` of every joint, (..., J) like `joint_separations`; an
-    out-of-reach joint is named in front of the message, as `joint` and by
-    its interior `cell`."""
-    try:
-        return kinematics.elbow_angle(joint_separations(graph, positions), graph.reach)
-    except UnreachableSeparationError as exc:
-        exc.joint = joint = graph.joints[exc.index[-1]]
-        exc.cell, exc.args = joint[0], (f"joint {joint}: {exc}",)
-        raise
+def reach_error(graph: CellGraph, separations: np.ndarray) -> Optional[UnreachableSeparationError]:
+    """The error of the first joint beyond reach in the (T, J) `separations`
+    (row-major, columns in `graph.joints` order), or None. It names the joint
+    in front of its message, as `joint` and by its interior `cell`; `index` is (row, column)."""
+    over = kinematics.beyond_reach(separations, graph.reach)
+    if not over.any():
+        return None
+    k, m = divmod(int(np.argmax(over)), over.shape[1])
+    joint = graph.joints[m]
+    return kinematics.unreachable(
+        separations[k, m], graph.reach, f"joint {joint}: ", joint=joint, cell=joint[0], index=(k, m)
+    )
 
 
 def check_sample_count(samples: int) -> None:
@@ -148,13 +149,12 @@ def plan(spec: PlanSpec, graph: CellGraph, sample_count: int = 200) -> None:
         unsafe = exc
     positions = affine.apply(coords, graph.reference.positions)
     safe_samples = sample_count if unsafe is None else unsafe.index
-    try:
-        joint_elbow_angles(graph, positions[:safe_samples])
-    except UnreachableSeparationError as exc:
-        k = exc.index[0]  # the first unreachable sample
-        exc.index, exc.time = k, float(times[k])
-        exc.args = (f"plan is out of reach at t = {exc.time:.6g} s, {exc}",)
-        raise
+    unreachable = reach_error(graph, joint_separations(graph, positions[:safe_samples]))
+    if unreachable is not None:
+        k = unreachable.index[0]  # the first unreachable sample
+        unreachable.index, unreachable.time = k, float(times[k])
+        unreachable.args = (f"plan is out of reach at t = {unreachable.time:.6g} s, {unreachable}",)
+        raise unreachable
     if unsafe is not None:
         unsafe.time = t = float(times[unsafe.index])
         unsafe.args = (f"plan violates the principal-strain bound at t = {t:.6g} s: {unsafe}",)

@@ -15,13 +15,9 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import kinematics
-from .errors import (
-    InconsistentAnglesError,
-    InvalidArgumentError,
-    UnreachableSeparationError,
-)
-from .network import MAX_LENGTH, CellGraph, min_separation
-from .planner import MAX_COUNT, PlanSpec, desired_positions, joint_elbow_angles, joint_separations
+from .errors import InconsistentAnglesError, InvalidArgumentError
+from .network import CellGraph, check_length, min_separation
+from .planner import MAX_COUNT, PlanSpec, desired_positions, joint_separations, reach_error
 from .planner import coordinates_at  # noqa: F401  (bench/tracing.py wraps this name here)
 
 MODELS = ("single", "double")
@@ -56,10 +52,7 @@ class SimConfig:
             if value is None or value.shape != (2,) or not np.isfinite(value).all():
                 message = f"offset of cell {i} must be two finite numbers, got {offset!r}"
                 raise InvalidArgumentError(message, field="initial_offsets", cell=i)
-            if not (abs(value) <= MAX_LENGTH).all():
-                bound = f"at most {MAX_LENGTH:.6g} in magnitude so that squared distances stay finite"
-                message = f"offset of cell {i} must be {bound}, got {value.tolist()}"
-                raise InvalidArgumentError(message, field="initial_offsets", cell=i)
+            check_length(f"offset of cell {i}", value.tolist(), "initial_offsets", cell=i)
         matrix = self.euler_matrix()  # an overflowed gain product is unstable too
         rho = max(abs(np.linalg.eigvals(matrix))) if np.isfinite(matrix).all() else math.inf
         if not rho < 1.0:
@@ -166,7 +159,9 @@ def track(start: np.ndarray, targets: np.ndarray, config: SimConfig) -> np.ndarr
     return positions
 
 
-def resolve_unpowered(graph: CellGraph, actual: np.ndarray, commanded: np.ndarray) -> None:
+def resolve_unpowered(
+    graph: CellGraph, actual: np.ndarray, commanded: np.ndarray
+) -> Optional[InconsistentAnglesError]:
     """Fill in the unpowered rows of actual[1:], given actual[0], the
     powered rows at every time ((T, N, 2) arrays, like `desired`) and the
     angle commanded to every joint ((T, J), like `SimulationTrace.elbow_desired`).
@@ -175,14 +170,13 @@ def resolve_unpowered(graph: CellGraph, actual: np.ndarray, commanded: np.ndarra
     actual positions of its two actuated neighbors meet, with radii set by
     the angles commanded to those joints, on the branch closest to where
     the cell was a step before. Powered motion never depends on unpowered
-    cells, so each layer, in order, is one batched call over all steps. The
-    first layer that fails raises: its error names as `step` that layer's
-    first row k that cannot be placed, and as `cell` the first failing there
-    in the order `resolve_unpowered_position` reports them; its `index` is
-    (k, cell - 1). `run` owns the rule that names the earliest failing row.
+    cells, so each layer, in order, is one call over all steps. Returns the
+    error of the earliest row k that a layer cannot place (the earlier layer
+    at a tie, then the order of `resolve_unpowered_position`), or None. It
+    names k as `step`, the `cell` and (k, cell - 1) as `index`; from row k
+    on, the unpowered rows are undefined.
     """
-    if not graph.unpowered or len(actual) < 2:
-        return
+    error = None
     column = {joint: m for m, joint in enumerate(graph.joints)}
     for layer in graph.layers:
         cells = sorted(layer & graph.unpowered)
@@ -192,15 +186,21 @@ def resolve_unpowered(graph: CellGraph, actual: np.ndarray, commanded: np.ndarra
         pairs = [graph.actuated[i] for i in cells]
         j1, j2 = (np.array(pairs) - 1).T
         m1, m2 = np.array([[column[i, j] for j in pair] for i, pair in zip(cells, pairs)]).T
-        try:
-            actual[1:, rows] = kinematics.resolve_unpowered_position(
-                actual[1:, j1], actual[1:, j2], commanded[1:, m1], commanded[1:, m2],
-                graph.reach, previous=actual[0, rows],
-            )
-        except InconsistentAnglesError as exc:
-            k, c = exc.index
-            exc.step, exc.cell, exc.index = k + 1, cells[c], (k + 1, cells[c] - 1)
-            raise
+        actual[1:, rows], failure = kinematics.resolve_unpowered_position(
+            actual[1:, j1], actual[1:, j2], commanded[1:, m1], commanded[1:, m2],
+            graph.reach, previous=actual[0, rows],
+        )
+        if failure is not None and (error is None or failure.index[0] + 1 < error.step):
+            k, c = failure.index
+            failure.step, failure.cell, failure.index = k + 1, cells[c], (k + 1, cells[c] - 1)
+            error = failure
+    return error
+
+
+def _angles(separations: np.ndarray, reach: float) -> np.ndarray:
+    """`kinematics.elbow_angle` of every separation, NaN beyond the reach."""
+    spanned = kinematics.elbow_angle(np.minimum(separations, reach), reach)
+    return np.where(kinematics.beyond_reach(separations, reach), np.nan, spanned)
 
 
 def run(spec: PlanSpec, graph: CellGraph, config: SimConfig) -> SimulationTrace:
@@ -210,9 +210,10 @@ def run(spec: PlanSpec, graph: CellGraph, config: SimConfig) -> SimulationTrace:
     Three passes: `track` moves the powered cells over the whole horizon
     in one prefix scan, `resolve_unpowered` then places the unpowered cells
     layer by layer, and clearance is one batched scan of the whole trace.
-    An error names as its `step` and `time` the first row the model cannot
-    define; there a commanded joint beyond the mechanism reach comes first,
-    then the layers in order, and its loop is the one search for that row.
+    A commanded angle beyond the mechanism reach is NaN, which no layer
+    counts as its failure. The error of the first row k the model cannot
+    define is raised with k as `step` and times[k] as `time`: at a tie,
+    `planner.reach_error` for a commanded joint, then `resolve_unpowered`'s.
     """
     for i in config.initial_offsets or ():
         if i not in graph.cells:  # row i - 1 would shift another cell or fail
@@ -232,27 +233,19 @@ def run(spec: PlanSpec, graph: CellGraph, config: SimConfig) -> SimulationTrace:
     path = track(actual[0, powered], targets, config)
     actual[:, powered] = path
 
-    end, error = len(times), None  # rows before `end` are not known to fail
-    while True:
-        try:
-            elbow_des = joint_elbow_angles(graph, desired[:end])
-            resolve_unpowered(graph, actual[:end], elbow_des)
-            break
-        except (UnreachableSeparationError, InconsistentAnglesError) as exc:
-            # The rows before the failing one may hold an earlier failure.
-            error, end = exc, exc.index[0]
+    d_des = joint_separations(graph, desired)
+    elbow_des = _angles(d_des, graph.reach)
+    errors = (reach_error(graph, d_des), resolve_unpowered(graph, actual, elbow_des))
+    error = min((e for e in errors if e is not None), key=lambda e: e.index[0], default=None)
     if error is not None:
-        error.step, error.time = end, float(times[end])
-        error.args = (f"step {end} (t = {error.time:.6g} s): {error}",)
+        k = error.index[0]
+        error.step, error.time = k, float(times[k])
+        error.args = (f"step {k} (t = {error.time:.6g} s): {error}",)
         raise error
     v_cmd = np.full_like(desired, np.nan)
     v_cmd[:, powered] = velocity_command(targets, path, config.alpha)
     d_act = joint_separations(graph, actual)
-    elbow_act = np.where(
-        kinematics.beyond_reach(d_act, graph.reach),
-        np.nan,
-        kinematics.elbow_angle(np.minimum(d_act, graph.reach), graph.reach),
-    )
+    elbow_act = _angles(d_act, graph.reach)
     closest_pairs, min_clearance = min_separation(actual)
     return SimulationTrace(
         times=times,

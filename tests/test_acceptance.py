@@ -172,7 +172,8 @@ def test_criterion_4_kinematic_round_trip():
                 p_j1 = positions[k, j1 - 1]
                 p_j2 = positions[k, j2 - 1]
                 t1, t2 = desired_elbow_angles(p_i, p_j1, p_j2, graph.reach)
-                got = resolve_unpowered_position(p_j1, p_j2, t1, t2, graph.reach, previous)
+                got, error = resolve_unpowered_position(p_j1, p_j2, t1, t2, graph.reach, previous)
+                assert error is None
                 worst = max(worst, float(np.linalg.norm(got - p_i)))
                 previous = p_i
     report(

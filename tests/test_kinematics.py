@@ -19,6 +19,12 @@ L, R = 0.25, 0.05
 REACH = 2 * (L + R)
 
 
+def assert_inconsistent(error, circles, index):
+    """`error` is the disjoint circles' InconsistentAnglesError at `index`."""
+    assert type(error) is InconsistentAnglesError
+    assert (str(error), error.index) == (f"elbow angles are inconsistent: {circles}", index)
+
+
 class TestElbowAngle:
     def test_folded(self):
         assert elbow_angle(0.0, REACH) == 0.0
@@ -80,28 +86,32 @@ class TestResolveUnpoweredPosition:
     def test_symmetric_two_circle_intersection(self):
         arm, radius = 0.65, 0.06  # reach 1.42 covers sqrt(2)
         theta = 2 * math.asin(math.sqrt(2.0) / (2 * (arm + radius)))
-        got = resolve_unpowered_position(
+        got, error = resolve_unpowered_position(
             [0, 0], [2, 0], theta, theta, 2 * (arm + radius), previous=[1.0, 0.5]
         )
         np.testing.assert_allclose(got, [1.0, 1.0], atol=1e-12)
+        assert error is None
 
     def test_continuity_picks_other_branch(self):
         arm, radius = 0.65, 0.06
         theta = 2 * math.asin(math.sqrt(2.0) / (2 * (arm + radius)))
-        got = resolve_unpowered_position(
+        got, error = resolve_unpowered_position(
             [0, 0], [2, 0], theta, theta, 2 * (arm + radius), previous=[1.0, -0.5]
         )
         np.testing.assert_allclose(got, [1.0, -1.0], atol=1e-12)
+        assert error is None
 
     def test_zero_angles_distinct_centers_inconsistent(self):
-        with pytest.raises(InconsistentAnglesError):
-            resolve_unpowered_position([0, 0], [1, 0], 0.0, 0.0, REACH, previous=[0, 0])
+        _, error = resolve_unpowered_position([0, 0], [1, 0], 0.0, 0.0, REACH, previous=[0, 0])
+        assert_inconsistent(error, "circles of radii 0 and 0 about neighbors 1 m apart do not intersect", ())
 
     def test_disjoint_circles_inconsistent(self):
-        with pytest.raises(InconsistentAnglesError):
-            resolve_unpowered_position(
-                [0, 0], [5, 0], math.pi / 6, math.pi / 6, REACH, previous=[2.5, 0]
-            )
+        _, error = resolve_unpowered_position(
+            [0, 0], [5, 0], math.pi / 6, math.pi / 6, REACH, previous=[2.5, 0]
+        )
+        assert_inconsistent(
+            error, "circles of radii 0.155291 and 0.155291 about neighbors 5 m apart do not intersect", ()
+        )
 
     def test_round_trip_with_desired_angles(self):
         rng = np.random.default_rng(3)
@@ -122,9 +132,10 @@ class TestResolveUnpoweredPosition:
             if off_line < 0.02:
                 continue
             t1, t2 = desired_elbow_angles(p_i, p_j1, p_j2, REACH)
-            got = resolve_unpowered_position(
+            got, error = resolve_unpowered_position(
                 p_j1, p_j2, t1, t2, REACH, previous=p_i + rng.uniform(-0.01, 0.01, 2)
             )
+            assert error is None
             np.testing.assert_allclose(got, p_i, atol=1e-9)
             assert abs(np.linalg.norm(got - p_j1) - separation_from_angle(t1, REACH)) < 1e-9
             assert abs(np.linalg.norm(got - p_j2) - separation_from_angle(t2, REACH)) < 1e-9
@@ -133,10 +144,11 @@ class TestResolveUnpoweredPosition:
         # centers 2 apart, radii 1 and 1: single intersection at the midpoint
         arm = 0.8
         theta = 2 * math.asin(1.0 / (2 * (arm + 0.2)))
-        got = resolve_unpowered_position(
+        got, error = resolve_unpowered_position(
             [0, 0], [2, 0], theta, theta, 2 * (arm + 0.2), previous=[1.0, 0.3]
         )
         np.testing.assert_allclose(got, [1.0, 0.0], atol=1e-9)
+        assert error is None
 
 
 class TestBatches:
@@ -162,12 +174,14 @@ class TestBatches:
         p_i = p_j1 + np.array([0.15, 0.2]) + rng.uniform(-0.02, 0.02, size=(5, 2))
         previous = p_i + 0.01
         t1, t2 = desired_elbow_angles(p_i, p_j1, p_j2, REACH)
-        got = resolve_unpowered_position(p_j1, p_j2, t1, t2, REACH, previous)
+        got, error = resolve_unpowered_position(p_j1, p_j2, t1, t2, REACH, previous)
+        assert error is None
         for m in range(5):
             s1, s2 = desired_elbow_angles(p_i[m], p_j1[m], p_j2[m], REACH)
             assert (t1[m], t2[m]) == (s1, s2)
-            one = resolve_unpowered_position(p_j1[m], p_j2[m], s1, s2, REACH, previous[m])
+            one, error = resolve_unpowered_position(p_j1[m], p_j2[m], s1, s2, REACH, previous[m])
             np.testing.assert_array_equal(got[m], one)
+            assert error is None
 
     def test_desired_angles_error_names_row_and_joint(self):
         p_i = np.zeros((3, 2))
@@ -182,9 +196,10 @@ class TestBatches:
         c1 = np.zeros((2, 2))
         c2 = np.array([[0.3, 0.0], [5.0, 0.0]])
         theta = np.full(2, math.pi / 2)
-        with pytest.raises(InconsistentAnglesError) as excinfo:
-            resolve_unpowered_position(c1, c2, theta, theta, REACH, previous=c1)
-        assert excinfo.value.index == (1,)
+        _, error = resolve_unpowered_position(c1, c2, theta, theta, REACH, previous=c1)
+        assert_inconsistent(
+            error, "circles of radii 0.424264 and 0.424264 about neighbors 5 m apart do not intersect", (1,)
+        )
 
     def test_step_sequence_matches_single_steps(self):
         # neighbors jitter and randomly trade places, which swaps the two
@@ -202,11 +217,13 @@ class TestBatches:
         p_i = 0.5 * (p_j1 + p_j2) + side * np.array([0.0, 0.15])
         t1, t2 = desired_elbow_angles(p_i, p_j1, p_j2, REACH)
         start = rng.uniform(-0.2, 0.2, size=(3, 2))
-        got = resolve_unpowered_position(p_j1, p_j2, t1, t2, REACH, start)
+        got, error = resolve_unpowered_position(p_j1, p_j2, t1, t2, REACH, start)
+        assert error is None
         previous = start
         for k in range(steps):
-            previous = resolve_unpowered_position(p_j1[k], p_j2[k], t1[k], t2[k], REACH, previous)
+            previous, error = resolve_unpowered_position(p_j1[k], p_j2[k], t1[k], t2[k], REACH, previous)
             np.testing.assert_array_equal(got[k], previous)
+            assert error is None
 
     def test_step_sequence_error_names_earliest_step(self):
         c1 = np.zeros((4, 2, 2))
@@ -215,18 +232,20 @@ class TestBatches:
         start = np.array([[0.15, 0.2], [0.15, 0.2]])
         c2[3, 0] = 0.0  # neighbors coincide at step 3
         c2[2, 0] = [5.0, 0.0]  # disjoint circles at step 2
-        with pytest.raises(InconsistentAnglesError) as excinfo:
-            resolve_unpowered_position(c1, c2, theta, theta, REACH, start)
-        assert excinfo.value.index == (2, 0)
+        got, error = resolve_unpowered_position(c1, c2, theta, theta, REACH, start)
+        assert_inconsistent(
+            error, "circles of radii 0.424264 and 0.424264 about neighbors 5 m apart do not intersect", (2, 0)
+        )
+        assert np.isfinite(got[:2]).all()  # the steps before the failing one are placed
         c2[2, 1] = 0.0  # within a step, coincident neighbors come first
-        with pytest.raises(InconsistentAnglesError, match="coincide") as excinfo:
-            resolve_unpowered_position(c1, c2, theta, theta, REACH, start)
-        assert excinfo.value.index == (2, 1)
+        _, error = resolve_unpowered_position(c1, c2, theta, theta, REACH, start)
+        assert type(error) is InconsistentAnglesError
+        assert (str(error), error.index) == ("actuated neighbors coincide; cell position is not determined", (2, 1))
 
     def test_zero_steps(self):
         # Raised a bare `ValueError: cannot reshape array of size 0`.
-        got = resolve_unpowered_position(
+        got, error = resolve_unpowered_position(
             np.zeros((0, 1, 2)), np.ones((0, 1, 2)), np.zeros((0, 1)), np.zeros((0, 1)), 0.55,
             previous=np.zeros((1, 2)),
         )
-        assert got.shape == (0, 1, 2)
+        assert got.shape == (0, 1, 2) and error is None

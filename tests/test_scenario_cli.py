@@ -418,6 +418,7 @@ class TestRejectedInput:
         # it, exit 2 with the unlocated `error: separation must be a finite
         # non-negative length, got nan`.
         from atugv import CellGraph
+        from atugv.network import MAX_LENGTH
 
         cfg = tmp_path / "x.cfg"
         text = bundled_scenario_path("seven_cell_sim").read_text()
@@ -433,7 +434,7 @@ class TestRejectedInput:
         with pytest.raises(InvalidArgumentError) as error:
             geometry = {"cell_radius": 0.05, "arm_length": 0.25, key: float(value)}
             CellGraph((frozenset({1, 2, 3}),), {}, **geometry)
-        assert error.value.field == key
+        assert (error.value.field, error.value.value, error.value.bound) == (key, float(value), MAX_LENGTH)
 
     def test_largest_side_length_plans_without_overflow(self):
         # The bound's reason: every squared distance of the reference and of a
@@ -460,7 +461,10 @@ class TestRejectedInput:
     def test_translation_or_offset_whose_squares_overflow(self, tmp_path, capsys, section, key, value, message):
         # Under `-W error`, `run` exited 1 with `RuntimeWarning: overflow
         # encountered in multiply` from its tracking errors: an exit code
-        # that came from no verdict.
+        # that came from no verdict. The config type's error kept the
+        # rejected number only in its message: `value` and `bound` were None.
+        from atugv.network import MAX_LENGTH
+
         text = _with_key(bundled_scenario_path("four_cell_experiment").read_text(), "graph", "powered", "1,2,3,4")
         text = _with_key(text, section, key, value)
         cfg = tmp_path / "x.cfg"
@@ -472,6 +476,11 @@ class TestRejectedInput:
         with pytest.raises(InvalidArgumentError) as error:
             load_scenario_text(text, name="x.cfg")
         assert error.value.field == key and str(error.value) == f"x.cfg:{line}: [{section}] {key}: {located}"
+        rejected, cell = {
+            "d1_final": (1e200, None), "d2_initial": (-1e200, None), "offset": ([1e200, 0.0], 1), "offset.3": ([0.0, -1e200], 3)
+        }[key]
+        cause = error.value.__cause__
+        assert (cause.value, cause.bound, cause.cell) == (rejected, MAX_LENGTH, cell)
 
     @pytest.mark.parametrize("model", ["single", "double"])
     def test_largest_translations_and_offsets_run_without_overflow(self, model, tmp_path):

@@ -31,9 +31,10 @@ from atugv import (
     step,
     velocity_command,
 )
+from atugv import kinematics
 from atugv.cli import main
 from atugv.kinematics import _REACH_RTOL
-from atugv.planner import joint_elbow_angles, joint_separations
+from atugv.planner import joint_separations
 from atugv.simulator import MODELS, track
 
 IDENTITY = GeneralizedCoordinates.identity()
@@ -144,12 +145,11 @@ def reference_run(spec, graph, config):
             rows = np.array(cells) - 1
             j1, j2 = (np.array([graph.actuated[i] for i in cells]) - 1).T
             m1, m2 = np.array([[graph.joints.index((i, j)) for j in graph.actuated[i]] for i in cells]).T
-            try:
-                actual[row, rows] = resolve_unpowered_position(
-                    actual[row, j1], actual[row, j2], elbow_desired[row, m1], elbow_desired[row, m2],
-                    reach, actual[k, rows],
-                )
-            except InconsistentAnglesError as exc:
+            actual[row, rows], exc = resolve_unpowered_position(
+                actual[row, j1], actual[row, j2], elbow_desired[row, m1], elbow_desired[row, m2],
+                reach, actual[k, rows],
+            )
+            if exc is not None:
                 exc.cell = cells[exc.index[0]]
                 exc.index = (row, exc.cell - 1)
                 raise _at_step(exc, row, times)
@@ -251,14 +251,14 @@ class TestStep:
     def test_error_names_the_failing_cell(self, seven_cell, seven_cell_reference):
         reference = seven_cell_reference.positions
         actual = np.stack([reference, reference])
-        commanded = joint_elbow_angles(seven_cell, actual)
+        commanded = elbow_angle(joint_separations(seven_cell, actual), seven_cell.reach)
         # fold both actuated joints of cell 6, to cells 2 and 3: its circles
         # about them shrink to points that do not meet
         commanded[1, [seven_cell.joints.index((6, 2)), seven_cell.joints.index((6, 3))]] = 0.0
-        with pytest.raises(InconsistentAnglesError) as excinfo:
-            resolve_unpowered(seven_cell, actual, commanded)
-        assert (excinfo.value.cell, excinfo.value.index) == (6, (1, 5))
-        assert excinfo.value.step == 1
+        error = resolve_unpowered(seven_cell, actual, commanded)
+        assert type(error) is InconsistentAnglesError
+        assert str(error).startswith("elbow angles are inconsistent: circles of radii 0 and 0 about neighbors ")
+        assert (error.cell, error.index, error.step) == (6, (1, 5), 1)
 
 
 class TestRun:
@@ -573,11 +573,11 @@ class TestMatchesStepByStep:
 
 
 class TestOneSearch:
-    """`run`'s loop is the one search for the first row the model cannot
-    define. Over random stellar vehicles, powered sets, arm lengths, plans,
-    gains, models and offsets, it gives the reference's trace or error.
-    Each plan is built directly, so no plan gate filters the cases, and the
-    sweep reaches every outcome."""
+    """`run` finds the first row the model cannot define in one pass. Over
+    random stellar vehicles, powered sets, arm lengths, plans, gains,
+    models and offsets, it gives the reference's trace or error. Each plan
+    is built directly, so no plan gate filters the cases, and the sweep
+    reaches every outcome."""
 
     OUTCOMES = {"success", "reach at row 0", "reach later", "resolve at row 1", "resolve later"}
 
@@ -624,6 +624,26 @@ class TestOneSearch:
             name, first = {UnreachableSeparationError: ("reach", 0), InconsistentAnglesError: ("resolve", 1)}[kind]
             seen.add(f"{name} at row {first}" if fields["step"] == first else f"{name} later")
         assert seen == self.OUTCOMES
+
+
+    def test_a_failing_run_resolves_each_layer_once(self, monkeypatch):
+        # The search by exceptions resolved the layer over every row, then
+        # again over the rows before the failing one: two calls here.
+        resolve, calls = kinematics.resolve_unpowered_position, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return resolve(*args, **kwargs)
+
+        monkeypatch.setattr(kinematics, "resolve_unpowered_position", counted)
+        spec, graph, config = scenario_inputs(_bundled_text("seven_cell_sim").replace("tf = 10.0\n", "tf = 1.5\n"))
+        kind, message, fields = _error_of(run, spec, graph, config)
+        assert kind is InconsistentAnglesError and message == (
+            "step 65 (t = 0.65 s): elbow angles are inconsistent: circles of radii 0.477046 and 0.471772 "
+            "about neighbors 0.948888 m apart do not intersect"
+        )
+        assert (fields["step"], fields["cell"], fields["index"]) == (65, 6, (65, 5))
+        assert len(calls) == sum(1 for layer in graph.layers if layer & graph.unpowered) == 1
 
 
 def _scaled(text, factor):
