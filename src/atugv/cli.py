@@ -10,13 +10,14 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import kinematics, planner, simulator
-from .errors import AtugvError, UnsafePlanError, UnreachableSeparationError
+from .errors import AtugvError, UnsafePlanError
 from .network import solve_reference_positions  # noqa: F401  (bench/tracing.py wraps this name here)
 from .scenario import BUNDLED, load_scenario
 
@@ -82,13 +83,12 @@ def cmd_reference(args) -> int:
 def _validate_verdicts(scenario):
     """The (passed, line) pairs of the plan gate: the principal-strain bound
     and the mechanism reach, or the one that failed."""
-    try:
-        planner.plan(scenario.plan_spec, scenario.graph, sample_count=scenario.sample_count)
-    except UnsafePlanError as exc:
+    error = planner.plan(scenario.plan_spec, scenario.graph, sample_count=scenario.sample_count)
+    if isinstance(error, UnsafePlanError):
         violated = "principal-strain bound violated (collision-safety guarantee)"
-        return [(False, f"strain-bound verdict: UNSAFE — {violated}: {exc}")]
-    except UnreachableSeparationError as exc:
-        return [(False, f"mechanism-reach verdict: UNREACHABLE — {exc}")]
+        return [(False, f"strain-bound verdict: UNSAFE — {violated}: {error}")]
+    if error is not None:
+        return [(False, f"mechanism-reach verdict: UNREACHABLE — {error}")]
     return [
         (True, "strain-bound verdict: SAFE (all samples)"),
         (True, "mechanism-reach verdict: OK (all joints, all samples)"),
@@ -158,6 +158,7 @@ def cmd_run(args) -> int:
     return code
 
 
+@functools.cache  # built on the first `main` call, not at import, and then reused
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="atugv",

@@ -2,12 +2,13 @@
 
 
 class AtugvError(Exception):
-    """Base class for every error raised by this package. Structured fields
-    are keyword arguments kept as attributes: array routines set `index`
-    (first failing element); the simulator adds `step`, `time` and `cell`,
-    and a joint error its `joint`; a config type, or the scenario loader at
-    the key it reads, names the `field` it rejects; the strain verdict and
-    a length bound add the `value` and the `bound` it fails."""
+    """Base class for every error this package raises, or returns as a plan
+    verdict. Structured fields are keyword arguments kept as attributes:
+    array routines set `index` (first failing element); the simulator adds
+    `step`, `time` and `cell`, and a joint error its `joint`; a config type,
+    or the scenario loader at the key it reads, names the `field` it
+    rejects; the strain verdict and a bound on an input add the `value` and
+    the `bound` it fails."""
 
     index = step = time = cell = field = joint = value = bound = None
 
@@ -28,9 +29,9 @@ class InvalidArgumentError(AtugvError, ValueError):
 
 class UnreachableSeparationError(AtugvError):
     """A commanded cell separation exceeds the full extension of the
-    two-arm connection mechanism. `planner.reach_error` names the `joint` as
-    (interior cell, neighbor) and its interior `cell`, `plan` and `run` the
-    `time`; `kinematics.desired_elbow_angles` names joint 1 or 2."""
+    two-arm connection mechanism. `planner.reach_error` alone builds it,
+    naming the `joint` as (interior cell, neighbor) and its interior `cell`;
+    `plan` (which returns it) and `run` (which raises it) add the `time`."""
 
 
 class InconsistentAnglesError(AtugvError):
@@ -41,4 +42,4 @@ class InconsistentAnglesError(AtugvError):
 class UnsafePlanError(AtugvError):
     """A planned sample violates the principal-strain safety bound: the
     strain `field` has `value` below `bound` at sample `index`, which the
-    planner gives a `time`."""
+    planner gives a `time`. Returned as the plan's verdict, never raised."""

@@ -2,7 +2,8 @@
 
 Both arms of a joint have length L and attach at the cell rims, so a
 cell separation d corresponds to the elbow angle 2*asin(d / reach), with
-the mechanism reach 2(L+r) that `CellGraph.reach` computes.
+the mechanism reach 2(L+r) that `CellGraph.reach` computes; a separation
+beyond the reach spans no angle, which `elbow_angle` gives as NaN.
 Unpowered cells are positioned by intersecting the two distance circles
 implied by their actuated elbow angles.
 
@@ -15,11 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    InconsistentAnglesError,
-    InvalidArgumentError,
-    UnreachableSeparationError,
-)
+from .errors import InconsistentAnglesError, InvalidArgumentError
 
 # Relative slacks for "at full extension" and, on the squared discriminant
 # per reach^2, for tangent circles (1e-9 m^2 at the bundled reach of 0.6 m),
@@ -35,28 +32,19 @@ def beyond_reach(d, reach: float):
 
 def elbow_angle(d, reach: float):
     """Angle between the two arms spanning a cell separation d; in [0, pi],
-    0 when folded, pi at full extension `reach`."""
+    0 when folded, pi at full extension `reach` and within its slack, NaN
+    where `beyond_reach` holds (no angle spans it)."""
     d = np.asarray(d, dtype=float)
     invalid = ~(np.isfinite(d) & (d >= 0.0))
     if invalid.any():
         raise InvalidArgumentError(
             f"separation must be a finite non-negative length, got {float(d[invalid][0])!r}"
         )
-    over = beyond_reach(d, reach)
-    if over.any():
-        k = tuple(np.argwhere(over)[0].tolist())
-        raise unreachable(d[k], reach, index=k)
-    return 2.0 * np.arcsin(np.minimum(d / reach, 1.0))
-
-
-def unreachable(d: float, reach: float, prefix: str = "", **fields) -> UnreachableSeparationError:
-    """The error of a separation d beyond `reach`, its message led by `prefix`."""
-    message = f"{prefix}separation {d:.6g} m exceeds mechanism reach {reach:.6g} m"
-    return UnreachableSeparationError(message, **fields)
+    return 2.0 * np.arcsin(np.where(beyond_reach(d, reach), np.nan, np.minimum(d, reach) / reach))
 
 
 def separation_from_angle(theta, reach: float):
-    """Inverse of elbow_angle on [0, pi], where `elbow_angle` puts every angle."""
+    """Inverse of elbow_angle on [0, pi], where `elbow_angle` puts every angle it defines."""
     return reach * np.sin(0.5 * theta)
 
 
@@ -67,16 +55,10 @@ def desired_elbow_angles(
     reach: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Elbow angles commanded to the two actuated joints of cell i given the
-    desired positions of i and its actuated neighbors j1, j2."""
+    desired positions of i and its actuated neighbors j1, j2; NaN for a
+    joint beyond reach, as `elbow_angle` gives it."""
     to_neighbors = np.asarray(p_i, dtype=float)[..., None, :] - np.stack([p_j1, p_j2], axis=-2)
-    d = np.linalg.norm(to_neighbors, axis=-1)  # (..., 2): joint 1, joint 2
-    try:
-        theta = elbow_angle(d, reach)
-    except UnreachableSeparationError as exc:
-        *row, k = exc.index
-        raise UnreachableSeparationError(
-            f"joint {k + 1}: {exc}", joint=k + 1, index=tuple(row)
-        ) from None
+    theta = elbow_angle(np.linalg.norm(to_neighbors, axis=-1), reach)  # (..., 2): joint 1, joint 2
     return theta[..., 0], theta[..., 1]
 
 

@@ -28,9 +28,9 @@ from .errors import InvalidArgumentError
 # desired, so it stays in the convex hull of its start and its desired path:
 # every coordinate stays within 3 * MAX_LENGTH, every difference of two, the
 # tracking lag included, within 6 * MAX_LENGTH, and its squares sum to at most
-# 72 / 256 of float64's largest value. Not covered: a gain with alpha * dt
-# above 1, the double integrator, and the velocity command alpha * error
-# (ROADMAP item 3).
+# 72 / 256 of float64's largest value; `simulator.MAX_ALPHA` keeps the
+# velocity command alpha * error finite on such a lag. Not covered: a gain
+# with alpha * dt above 1 and the double integrator (ROADMAP item 17).
 MAX_LENGTH = math.sqrt(np.finfo(float).max) / 16
 
 

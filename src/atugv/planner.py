@@ -4,8 +4,9 @@ Each coordinate is interpolated between its endpoints by an increasing
 blend function with beta(t0) = 0 and beta(tf) = 1. A plan is rejected
 outright if any sample violates the principal-strain safety bound or asks
 a joint for a separation beyond the mechanism reach (fail-closed: no
-silent clamping). Times may be floats or arrays; `desired_positions` is the
-one place that maps times to desired cell positions.
+silent clamping); the gate returns that verdict's error. Times may be
+floats or arrays; `desired_positions` is the one place that maps times to
+desired cell positions.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import affine, kinematics
 from .affine import COORD_FIELDS, GeneralizedCoordinates
-from .errors import InvalidArgumentError, UnreachableSeparationError, UnsafePlanError
+from .errors import AtugvError, InvalidArgumentError, UnreachableSeparationError, UnsafePlanError
 from .network import CellGraph, check_length
 
 BLEND_KINDS = ("linear", "smoothstep", "smootherstep")
@@ -89,21 +90,21 @@ def desired_positions(spec: PlanSpec, graph: CellGraph, times) -> np.ndarray:
     return affine.apply(coordinates_at(spec, np.asarray(times, dtype=float)), graph.reference.positions)
 
 
-def validate_coordinates(coords: GeneralizedCoordinates, bound: float) -> None:
-    """Raise UnsafePlanError, naming the strain `field`, its `value` and the
-    first violating `index` of a batch (0 for a single instant), unless both
-    principal strains stay at or above the bound, the reference's lambda_min.
-    It applies to min(lambda1, lambda2): the factor by which the closest pair
-    can shrink."""
+def validate_coordinates(coords: GeneralizedCoordinates, bound: float) -> Optional[UnsafePlanError]:
+    """None if both principal strains stay at or above the bound, the
+    reference's lambda_min, else the UnsafePlanError naming the strain
+    `field`, its `value` and the first violating `index` of a batch (0 for a
+    single instant). It applies to min(lambda1, lambda2): the factor by which
+    the closest pair can shrink."""
     lambda1, lambda2 = np.atleast_1d(coords.lambda1, coords.lambda2)
     unsafe = (lambda2 < bound) | (lambda1 < bound)
     if not unsafe.any():
-        return
+        return None
     k = int(np.argmax(unsafe))
     name, values = ("lambda2", lambda2) if lambda2[k] < bound else ("lambda1", lambda1)
     value = float(values[k])
     message = f"{name} = {value:.6g} < lambda_min = {bound:.6g}"
-    raise UnsafePlanError(message, field=name, value=value, bound=bound, index=k)
+    return UnsafePlanError(message, field=name, value=value, bound=bound, index=k)
 
 
 def joint_separations(graph: CellGraph, positions: np.ndarray) -> np.ndarray:
@@ -115,16 +116,16 @@ def joint_separations(graph: CellGraph, positions: np.ndarray) -> np.ndarray:
 
 def reach_error(graph: CellGraph, separations: np.ndarray) -> Optional[UnreachableSeparationError]:
     """The error of the first joint beyond reach in the (T, J) `separations`
-    (row-major, columns in `graph.joints` order), or None. It names the joint
-    in front of its message, as `joint` and by its interior `cell`; `index` is (row, column)."""
+    (row-major, columns in `graph.joints` order), or None: the one place that
+    names a joint beyond reach. It names the joint in front of its message,
+    as `joint` and by its interior `cell`; `index` is (row, column)."""
     over = kinematics.beyond_reach(separations, graph.reach)
     if not over.any():
         return None
     k, m = divmod(int(np.argmax(over)), over.shape[1])
     joint = graph.joints[m]
-    return kinematics.unreachable(
-        separations[k, m], graph.reach, f"joint {joint}: ", joint=joint, cell=joint[0], index=(k, m)
-    )
+    message = f"joint {joint}: separation {separations[k, m]:.6g} m exceeds mechanism reach {graph.reach:.6g} m"
+    return UnreachableSeparationError(message, joint=joint, cell=joint[0], index=(k, m))
 
 
 def check_sample_count(samples: int) -> None:
@@ -133,20 +134,16 @@ def check_sample_count(samples: int) -> None:
         raise InvalidArgumentError(f"samples = {samples} must be from 2 to {MAX_COUNT}", field="samples")
 
 
-def plan(spec: PlanSpec, graph: CellGraph, sample_count: int = 200) -> None:
-    """Gate the plan on `sample_count` uniform samples: return if every one
+def plan(spec: PlanSpec, graph: CellGraph, sample_count: int = 200) -> Optional[AtugvError]:
+    """Gate the plan on `sample_count` uniform samples: None if every one
     keeps the strain safety bound and the mechanism reach of every
-    interior-cell joint, else raise the verdict's error. The first failing
-    sample decides the error, which names its `time`; the strain check goes
-    first."""
+    interior-cell joint, else the failing verdict's error. The first failing
+    sample decides the error, which names its `time` and `index`; at a tie
+    the strain verdict goes first."""
     check_sample_count(sample_count)
     times = np.linspace(spec.t0, spec.tf, sample_count)
     coords = coordinates_at(spec, times)
-    unsafe = None
-    try:
-        validate_coordinates(coords, graph.reference.lambda_min)
-    except UnsafePlanError as exc:
-        unsafe = exc
+    unsafe = validate_coordinates(coords, graph.reference.lambda_min)
     positions = affine.apply(coords, graph.reference.positions)
     safe_samples = sample_count if unsafe is None else unsafe.index
     unreachable = reach_error(graph, joint_separations(graph, positions[:safe_samples]))
@@ -154,8 +151,8 @@ def plan(spec: PlanSpec, graph: CellGraph, sample_count: int = 200) -> None:
         k = unreachable.index[0]  # the first unreachable sample
         unreachable.index, unreachable.time = k, float(times[k])
         unreachable.args = (f"plan is out of reach at t = {unreachable.time:.6g} s, {unreachable}",)
-        raise unreachable
+        return unreachable
     if unsafe is not None:
         unsafe.time = t = float(times[unsafe.index])
         unsafe.args = (f"plan violates the principal-strain bound at t = {t:.6g} s: {unsafe}",)
-        raise unsafe
+    return unsafe

@@ -76,18 +76,20 @@ class _Parsed:
             self.lines[section, key] = lineno
         self.read = {section: set() for section in self.sections}
 
-    def fail(self, section: str, key: str, message: str, cause: Optional[Exception] = None):
-        # A key the file leaves out is located at its section's header.
+    def fail(self, section: str, key: str, message: str, cause: Optional[AtugvError] = None):
+        # A key the file leaves out is located at its section's header. The
+        # error keeps the numbers of the config type's error it locates.
         lineno = self.lines.get((section, key)) or self.lines.get((section, None))
         where = f"{self.name}:{lineno}" if lineno else self.name
-        raise InvalidArgumentError(f"{where}: [{section}] {key}: {message}", field=key) from cause
+        fields = {name: getattr(cause, name) for name in ("value", "bound", "cell")} if cause else {}
+        raise InvalidArgumentError(f"{where}: [{section}] {key}: {message}", field=key, **fields) from cause
 
     def build(self, sections: tuple, make, *args, suffix: str = "", cell_keys=None, **kwargs):
         """make(*args, **kwargs), a config type read from `sections` that
         decides what is valid: an error naming a `field` fails at its key, the
         field plus `suffix`, or the key that `cell_keys` gives the error's
         `cell`, in the section that read that key (the first section if none
-        did), with the error's message."""
+        did), with the error's message and its `value`, `bound` and `cell`."""
         try:
             return make(*args, **kwargs)
         except AtugvError as exc:

@@ -16,11 +16,15 @@ import numpy as np
 
 from . import kinematics
 from .errors import InconsistentAnglesError, InvalidArgumentError
-from .network import CellGraph, check_length, min_separation
+from .network import MAX_LENGTH, CellGraph, check_length, min_separation
 from .planner import MAX_COUNT, PlanSpec, desired_positions, joint_separations, reach_error
 from .planner import coordinates_at  # noqa: F401  (bench/tracing.py wraps this name here)
 
 MODELS = ("single", "double")
+
+# The largest position gain: alpha times a tracking error within 6 *
+# MAX_LENGTH, the largest lag that `network.MAX_LENGTH` allows, stays finite.
+MAX_ALPHA = float(np.finfo(float).max) / (6 * MAX_LENGTH)
 
 
 def velocity_command(desired, actual, gain: float) -> np.ndarray:
@@ -60,6 +64,10 @@ class SimConfig:
             loop = f"{self.model}-integrator loop with alpha = {self.alpha:.6g}{gains}, dt = {self.dt:.6g}"
             message = f"{loop} has spectral radius {rho:.3g} >= 1 under explicit Euler"
             raise InvalidArgumentError(message, field=field)
+        if not self.alpha <= MAX_ALPHA:
+            bound = f"at most {MAX_ALPHA:.6g} so that the velocity command stays finite"
+            message = f"alpha must be {bound}, got {self.alpha}"
+            raise InvalidArgumentError(message, field="alpha", value=self.alpha, bound=MAX_ALPHA)
 
     def euler_matrix(self) -> np.ndarray:
         """The matrix A of one Euler step x -> A x of a powered cell's state
@@ -197,12 +205,6 @@ def resolve_unpowered(
     return error
 
 
-def _angles(separations: np.ndarray, reach: float) -> np.ndarray:
-    """`kinematics.elbow_angle` of every separation, NaN beyond the reach."""
-    spanned = kinematics.elbow_angle(np.minimum(separations, reach), reach)
-    return np.where(kinematics.beyond_reach(separations, reach), np.nan, spanned)
-
-
 def run(spec: PlanSpec, graph: CellGraph, config: SimConfig) -> SimulationTrace:
     """Simulate the full horizon of the plan on the graph from the planned
     pose at t0 (plus any initial offsets) and record a deterministic trace.
@@ -234,7 +236,7 @@ def run(spec: PlanSpec, graph: CellGraph, config: SimConfig) -> SimulationTrace:
     actual[:, powered] = path
 
     d_des = joint_separations(graph, desired)
-    elbow_des = _angles(d_des, graph.reach)
+    elbow_des = kinematics.elbow_angle(d_des, graph.reach)
     errors = (reach_error(graph, d_des), resolve_unpowered(graph, actual, elbow_des))
     error = min((e for e in errors if e is not None), key=lambda e: e.index[0], default=None)
     if error is not None:
@@ -245,7 +247,7 @@ def run(spec: PlanSpec, graph: CellGraph, config: SimConfig) -> SimulationTrace:
     v_cmd = np.full_like(desired, np.nan)
     v_cmd[:, powered] = velocity_command(targets, path, config.alpha)
     d_act = joint_separations(graph, actual)
-    elbow_act = _angles(d_act, graph.reach)
+    elbow_act = kinematics.elbow_angle(d_act, graph.reach)
     closest_pairs, min_clearance = min_separation(actual)
     return SimulationTrace(
         times=times,

@@ -58,7 +58,7 @@ def test_criterion_1_table_scenario_reproduction():
     scenario = load_scenario("seven_cell_sim")
     assert scenario.sim.model == "single" and scenario.sim.alpha == 10.0
     reference = scenario.graph.reference
-    plan(scenario.plan_spec, scenario.graph, scenario.sample_count)
+    assert plan(scenario.plan_spec, scenario.graph, scenario.sample_count) is None
     start = time.perf_counter()
     trace = run(scenario.plan_spec, scenario.graph, scenario.sim)
     elapsed = time.perf_counter() - start
@@ -161,7 +161,7 @@ def test_criterion_4_kinematic_round_trip():
         graph = scenario.graph
         reference = graph.reference
         spec = scenario.plan_spec
-        plan(spec, graph, scenario.sample_count)
+        assert plan(spec, graph, scenario.sample_count) is None
         times = np.linspace(spec.t0, spec.tf, scenario.sample_count)
         positions = desired_positions(spec, graph, times)
         for i in sorted(graph.unpowered):
@@ -188,7 +188,7 @@ def test_criterion_5_error_contraction(four_cell):
 
     identity = GeneralizedCoordinates.identity()
     spec = PlanSpec(t0=0.0, tf=5.0, initial=identity, final=identity)
-    plan(spec, four_cell, sample_count=10)
+    assert plan(spec, four_cell, sample_count=10) is None
     alpha, dt = 5.0, 0.05  # 100 steps over the horizon
     config = SimConfig(
         dt=dt,
@@ -226,7 +226,7 @@ def test_criterion_7_four_cell_experiment_scenario(tmp_path):
     code = main(["run", "four_cell_experiment", "--output-dir", str(tmp_path)])
     scenario = load_scenario("four_cell_experiment")
     spec = scenario.plan_spec
-    plan(spec, scenario.graph, scenario.sample_count)
+    assert plan(spec, scenario.graph, scenario.sample_count) is None
     coords = coordinates_at(spec, np.linspace(spec.t0, spec.tf, scenario.sample_count))
     from atugv.affine import COORD_FIELDS
 

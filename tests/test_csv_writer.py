@@ -112,7 +112,7 @@ class TestFormatKernel:
 
 def _trace(text, name="<scenario>"):
     scenario = load_scenario_text(text, name=name)
-    plan(scenario.plan_spec, scenario.graph, scenario.sample_count)
+    assert plan(scenario.plan_spec, scenario.graph, scenario.sample_count) is None
     return run(scenario.plan_spec, scenario.graph, scenario.sim)
 
 

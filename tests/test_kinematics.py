@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import make_seven_cell
+
 from atugv import (
     InconsistentAnglesError,
     InvalidArgumentError,
@@ -14,6 +16,8 @@ from atugv import (
     resolve_unpowered_position,
     separation_from_angle,
 )
+from atugv.kinematics import _REACH_RTOL, beyond_reach
+from atugv.planner import reach_error
 
 L, R = 0.25, 0.05
 REACH = 2 * (L + R)
@@ -36,8 +40,7 @@ class TestElbowAngle:
         assert abs(elbow_angle(L + R, REACH) - math.pi / 3) < 1e-12
 
     def test_unreachable_rejected(self):
-        with pytest.raises(UnreachableSeparationError):
-            elbow_angle(REACH + 1e-6, REACH)
+        assert math.isnan(elbow_angle(REACH + 1e-6, REACH))
 
     def test_negative_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -57,6 +60,58 @@ class TestElbowAngle:
         assert abs(separation_from_angle(theta, REACH) - d) < 1e-12
 
 
+class TestReachSlack:
+    """Separations in (reach, reach * (1 + 1e-12)] are full extension, pi
+    exactly; past that band no angle spans them, and `elbow_angle` gives
+    NaN exactly where `beyond_reach` holds and `planner.reach_error` names
+    the first such joint."""
+
+    GRAPH = make_seven_cell()  # reach 0.6 m
+    JOINTS = len(GRAPH.joints)
+    EDGE = REACH * (1 + _REACH_RTOL)
+    PAST = float(np.nextafter(EDGE, np.inf))
+
+    def test_band_is_full_extension(self):
+        band = np.array([np.nextafter(REACH, np.inf), REACH * (1 + 0.5 * _REACH_RTOL), self.EDGE])
+        assert (band > REACH).all() and not beyond_reach(band, REACH).any()
+        assert (elbow_angle(band, REACH) == math.pi).all()
+
+    def test_just_past_the_band_is_beyond_reach(self):
+        assert beyond_reach(self.PAST, REACH)
+        assert math.isnan(elbow_angle(self.PAST, REACH))
+
+    def test_reach_error_names_the_nan_element(self):
+        separations = np.full((4, len(self.GRAPH.joints)), self.EDGE)
+        separations[2, 5] = separations[3, 0] = self.PAST
+        assert np.argwhere(np.isnan(elbow_angle(separations, REACH))).tolist() == [[2, 5], [3, 0]]
+        error = reach_error(self.GRAPH, separations)
+        assert type(error) is UnreachableSeparationError
+        assert (error.index, error.joint) == ((2, 5), self.GRAPH.joints[5])
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(0.0, REACH),
+                st.floats(REACH * (1 - 1e-11), REACH * (1 + 1e-11)),
+                st.sampled_from([REACH, float(np.nextafter(REACH, np.inf)), EDGE, PAST]),
+            ),
+            min_size=3 * JOINTS,
+            max_size=3 * JOINTS,
+        )
+    )
+    def test_nan_exactly_beyond_reach(self, values):
+        separations = np.array(values).reshape(3, self.JOINTS)
+        angles = elbow_angle(separations, REACH)
+        over = beyond_reach(separations, REACH)
+        assert np.array_equal(np.isnan(angles), over)
+        assert np.all(angles[~over] <= math.pi)
+        error = reach_error(self.GRAPH, separations)
+        if over.any():
+            assert error.index == tuple(np.argwhere(over)[0].tolist())
+        else:
+            assert error is None
+
+
 class TestDesiredElbowAngles:
     def test_coincident_cells_fold(self):
         t1, t2 = desired_elbow_angles([1, 1], [1, 1], [1 + REACH, 1], REACH)
@@ -64,9 +119,8 @@ class TestDesiredElbowAngles:
         assert abs(t2 - math.pi) < 1e-12
 
     def test_unreachable_names_joint(self):
-        with pytest.raises(UnreachableSeparationError) as excinfo:
-            desired_elbow_angles([0, 0], [0.1, 0], [REACH + 0.1, 0], REACH)
-        assert excinfo.value.joint == 2
+        t1, t2 = desired_elbow_angles([0, 0], [0.1, 0], [REACH + 0.1, 0], REACH)
+        assert not math.isnan(t1) and math.isnan(t2)  # joint 2
 
     def test_seven_cell_final_configuration_joint(self, seven_cell, seven_cell_reference):
         from atugv import GeneralizedCoordinates, apply
@@ -163,9 +217,8 @@ class TestBatches:
             assert got[idx] == elbow_angle(float(d[idx]), REACH)
 
     def test_elbow_angle_error_names_first_element(self):
-        with pytest.raises(UnreachableSeparationError) as excinfo:
-            elbow_angle(np.array([[0.1, 0.2], [REACH + 1, REACH + 2]]), REACH)
-        assert excinfo.value.index == (1, 0)
+        got = elbow_angle(np.array([[0.1, 0.2], [REACH + 1, REACH + 2]]), REACH)
+        assert np.argwhere(np.isnan(got)).tolist() == [[1, 0], [1, 1]]
 
     def test_desired_and_resolved_rows_match_scalars(self):
         rng = np.random.default_rng(8)
@@ -187,10 +240,10 @@ class TestBatches:
         p_i = np.zeros((3, 2))
         p_j1 = np.array([[0.1, 0.0], [0.1, 0.0], [REACH + 0.1, 0.0]])
         p_j2 = np.array([[0.1, 0.0], [REACH + 0.1, 0.0], [0.1, 0.0]])
-        with pytest.raises(UnreachableSeparationError) as excinfo:
-            desired_elbow_angles(p_i, p_j1, p_j2, REACH)
-        assert (excinfo.value.index, excinfo.value.joint) == ((1,), 2)
-        assert str(excinfo.value).startswith("joint 2: ")
+        t1, t2 = desired_elbow_angles(p_i, p_j1, p_j2, REACH)
+        # row-major, the first NaN is row 1, joint 2
+        first = np.argwhere(np.isnan(np.stack([t1, t2], axis=-1)))[0]
+        assert (first[0], first[1] + 1) == (1, 2)
 
     def test_inconsistent_row_named(self):
         c1 = np.zeros((2, 2))

@@ -306,7 +306,7 @@ class TestSweepMatchesExhaustiveScan:
         scenario = load_scenario_text(workloads.synthetic_scenario(np.random.default_rng([seed, 0])))
         reference = scenario.graph.reference
         assert reference.d_min == exhaustive_min_separation(reference.positions)[1]
-        plan(scenario.plan_spec, scenario.graph, scenario.sample_count)
+        assert plan(scenario.plan_spec, scenario.graph, scenario.sample_count) is None
         trace = run(scenario.plan_spec, scenario.graph, scenario.sim)
         assert trace.actual.shape == (11, 250, 2)
         pairs, clearance = exhaustive_min_separation(trace.actual)

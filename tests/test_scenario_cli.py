@@ -102,7 +102,7 @@ class TestLoadScenario:
         from atugv import desired_positions, plan, run
 
         scenario = load_scenario_text(_with_key(SEVEN, "sim", "offset", "0.01, -0.02") + "offset.6 = 0.3, 0.3\n")
-        plan(scenario.plan_spec, scenario.graph)
+        assert plan(scenario.plan_spec, scenario.graph) is None
         trace = run(scenario.plan_spec, scenario.graph, scenario.sim)
         offsets = np.array([[0.01, -0.02]] * 5 + [[0.3, 0.3], [0.01, -0.02]])
         desired = desired_positions(scenario.plan_spec, scenario.graph, scenario.plan_spec.t0)
@@ -125,7 +125,7 @@ class TestCli:
 
         scenario = load_scenario("seven_cell_sim")
         assert main(["run", "seven_cell_sim", "--output-dir", str(tmp_path)]) == 0
-        plan(scenario.plan_spec, scenario.graph, scenario.sample_count)
+        assert plan(scenario.plan_spec, scenario.graph, scenario.sample_count) is None
         trace = run(scenario.plan_spec, scenario.graph, scenario.sim)
         with (tmp_path / "trajectory.csv").open() as fh:
             rows = list(csv.DictReader(fh))
@@ -447,7 +447,7 @@ class TestRejectedInput:
         graph = CellGraph(seven.graph.layers, seven.graph.neighbors, 0.05, s, side_length=s)
         reference = solve_reference_positions(graph)
         assert math.isfinite(reference.d_min) and reference.d_min > 0.1 * s
-        plan(seven.plan_spec, graph, 200)
+        assert plan(seven.plan_spec, graph, 200) is None
 
     @pytest.mark.parametrize(
         "section, key, value, message",
@@ -463,6 +463,7 @@ class TestRejectedInput:
         # encountered in multiply` from its tracking errors: an exit code
         # that came from no verdict. The config type's error kept the
         # rejected number only in its message: `value` and `bound` were None.
+        # Then the located error kept them only in its `__cause__`.
         from atugv.network import MAX_LENGTH
 
         text = _with_key(bundled_scenario_path("four_cell_experiment").read_text(), "graph", "powered", "1,2,3,4")
@@ -481,6 +482,7 @@ class TestRejectedInput:
         }[key]
         cause = error.value.__cause__
         assert (cause.value, cause.bound, cause.cell) == (rejected, MAX_LENGTH, cell)
+        assert (error.value.value, error.value.bound, error.value.cell) == (rejected, MAX_LENGTH, cell)
 
     @pytest.mark.parametrize("model", ["single", "double"])
     def test_largest_translations_and_offsets_run_without_overflow(self, model, tmp_path):
@@ -506,6 +508,35 @@ class TestRejectedInput:
         assert main(["run", str(cfg), "--output-dir", str(tmp_path)]) == 1  # the offsets overlap cells
         report = (tmp_path / "report.txt").read_text()
         assert report.count(" verdict: ") == 5 and "inf" not in report and "nan" not in report
+
+    def test_gain_whose_velocity_command_overflows(self, tmp_path, capsys):
+        # Under `-W error`, `run` exited 1 with `RuntimeWarning: overflow
+        # encountered in multiply` in `velocity_command`: alpha * dt = 1 is
+        # stable, but alpha times the start offset is beyond float64.
+        from atugv import InvalidArgumentError
+        from atugv.simulator import MAX_ALPHA
+
+        text = _with_key(bundled_scenario_path("four_cell_experiment").read_text(), "graph", "powered", "1,2,3,4")
+        for section, key, value in [
+            ("plan", "tf", "1e-299"), ("sim", "dt", "1e-300"), ("sim", "alpha", "1e300"), ("sim", "offset", "1e10, 0")
+        ]:
+            text = _with_key(text, section, key, value)
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(text)
+        line = text.splitlines().index("alpha = 1e300") + 1
+        message = "alpha must be at most 3.57542e+154 so that the velocity command stays finite, got 1e+300"
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"error: {cfg}:{line}: [sim] alpha: {message}\n")
+        with pytest.raises(InvalidArgumentError) as error:
+            load_scenario_text(text, name="x.cfg")
+        assert (error.value.field, error.value.value, error.value.bound) == ("alpha", 1e300, MAX_ALPHA)
+        # The largest gain, at alpha * dt = 0.36, runs without overflow.
+        for section, key, value in [("plan", "tf", "1e-154"), ("sim", "dt", "1e-155"), ("sim", "alpha", repr(MAX_ALPHA))]:
+            text = _with_key(text, section, key, value)
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert "terminal-error verdict: EXCEEDED" in report and "inf" not in report and "nan" not in report
 
     def test_output_dir_that_is_a_file(self, tmp_path, capsys):
         # `mkdir` raised FileExistsError: a traceback and exit 1. The removal
@@ -989,9 +1020,8 @@ class TestStaleOutputs:
         from atugv import UnreachableSeparationError, plan
 
         scenario = load_scenario_text(_unreachable_text())
-        with pytest.raises(UnreachableSeparationError) as excinfo:
-            plan(scenario.plan_spec, scenario.graph, scenario.sample_count)
-        error = excinfo.value
+        error = plan(scenario.plan_spec, scenario.graph, scenario.sample_count)
+        assert type(error) is UnreachableSeparationError
         assert (scenario.sample_count, error.index, error.time, error.cell, error.joint) == (200, 0, 0.0, 4, (4, 1))
         message = "plan is out of reach at t = 0 s, joint (4, 1): separation 0.57735 m exceeds mechanism reach 0.55 m"
         assert str(error) == message
@@ -999,3 +1029,13 @@ class TestStaleOutputs:
         cfg.write_text(_unreachable_text())
         assert main(["validate", str(cfg)]) == 1
         assert f"mechanism-reach verdict: UNREACHABLE — {message}\n" in capsys.readouterr().out
+
+
+def test_main_reuses_one_parser(capsys):
+    # `main` built its parser on every call; each parse still gets its own namespace.
+    from atugv.cli import build_parser
+
+    assert build_parser() is build_parser()
+    assert main(["validate", "four_cell_experiment"]) == 0
+    assert main(["reference", "four_cell_experiment"]) == 0
+    assert capsys.readouterr().out.count("scenario: ") == 2

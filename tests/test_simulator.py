@@ -101,10 +101,10 @@ def reference_run(spec, graph, config):
     """The step-by-step simulation that `run` must reproduce (see
     `assert_same_as_reference`). It takes every joint's commanded
     separation from the plan first. Then each step moves the powered cells
-    to row k + 1, checks the angle commanded to every joint at row k + 1,
-    and only then resolves the unpowered cells layer by layer from the
-    positions just reached and the angles of their actuated joints. An
-    error names row k + 1. Returns the trace arrays."""
+    to row k + 1, checks the reach of every joint's commanded separation at
+    row k + 1, and only then resolves the unpowered cells layer by layer
+    from the positions just reached and the angles of their actuated
+    joints. An error names row k + 1. Returns the trace arrays."""
     reach = graph.reach
     n_steps = int(round((spec.tf - spec.t0) / config.dt))
     times = spec.t0 + config.dt * np.arange(n_steps + 1)
@@ -128,14 +128,14 @@ def reference_run(spec, graph, config):
             else:
                 actual[row, powered] = actual[k, powered] + config.dt * velocities
                 velocities = velocities + config.dt * (config.k_v * (v_cmd - velocities))
-        try:
-            elbow_desired[row] = elbow_angle(separations[row], reach)
-        except UnreachableSeparationError as exc:
-            m = exc.index[0]
+        over = separations[row] > reach * (1 + _REACH_RTOL)
+        if over.any():
+            m = int(np.argmax(over))
             joint = graph.joints[m]
-            exc.cell, exc.joint, exc.index = joint[0], joint, (row, m)
-            exc.args = (f"joint {joint}: {exc}",)
+            message = f"joint {joint}: separation {separations[row, m]:.6g} m exceeds mechanism reach {reach:.6g} m"
+            exc = UnreachableSeparationError(message, cell=joint[0], joint=joint, index=(row, m))
             raise _at_step(exc, row, times)
+        elbow_desired[row] = elbow_angle(separations[row], reach)
         if row == 0:
             continue
         for layer in graph.layers:
@@ -210,7 +210,7 @@ def assert_same_as_reference(spec, graph, config):
 def scenario_inputs(text):
     """The spec, graph and config of a scenario whose plan passes the gate."""
     scenario = load_scenario_text(text)
-    plan(scenario.plan_spec, scenario.graph, scenario.sample_count)
+    assert plan(scenario.plan_spec, scenario.graph, scenario.sample_count) is None
     return scenario.plan_spec, scenario.graph, scenario.sim
 
 
@@ -264,7 +264,7 @@ class TestStep:
 class TestRun:
     def sim_spec(self, graph, tf=10.0):
         spec = PlanSpec(t0=0.0, tf=tf, initial=IDENTITY, final=SIM_FINAL)
-        plan(spec, graph, sample_count=100)
+        assert plan(spec, graph, sample_count=100) is None
         return spec
 
     def test_determinism(self, seven_cell):
@@ -277,13 +277,13 @@ class TestRun:
 
     def test_fixed_point_trace(self, seven_cell):
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=IDENTITY)
-        plan(spec, seven_cell, sample_count=50)
+        assert plan(spec, seven_cell, sample_count=50) is None
         trace = run(spec, seven_cell, SimConfig(dt=0.1))
         assert np.max(trace.errors) < 1e-12
 
     def test_error_contraction_static_target(self, four_cell):
         spec = PlanSpec(t0=0.0, tf=5.0, initial=IDENTITY, final=IDENTITY)
-        plan(spec, four_cell, sample_count=10)
+        assert plan(spec, four_cell, sample_count=10) is None
         config = SimConfig(
             dt=0.05,
             model="single",
@@ -357,7 +357,7 @@ class TestRun:
     def test_starts_from_planned_initial_pose(self, seven_cell):
         start = GeneralizedCoordinates(0.7, 0.9, 0.5, 1.0, 0.0, 0.0)
         spec = PlanSpec(t0=0.0, tf=10.0, initial=start, final=SIM_FINAL)
-        plan(spec, seven_cell, sample_count=50)
+        assert plan(spec, seven_cell, sample_count=50) is None
         offsets = {4: np.array([0.01, -0.02])}  # no unpowered cell is actuated by cell 4
         config = SimConfig(dt=0.01, initial_offsets=offsets)
         trace = run(spec, seven_cell, config)
@@ -443,7 +443,7 @@ class TestRun:
         # Cell 0 shifted cell 4 (row -1 is the last row); cell 9 raised a
         # bare IndexError.
         scenario = load_scenario_text(_bundled_text("four_cell_experiment"))
-        plan(scenario.plan_spec, scenario.graph, 20)
+        assert plan(scenario.plan_spec, scenario.graph, 20) is None
         config = SimConfig(initial_offsets={cell: np.array([0.3, 0])})
         with pytest.raises(InvalidArgumentError, match=rf"^cell {cell} is in no layer$") as info:
             run(scenario.plan_spec, scenario.graph, config)
@@ -508,7 +508,7 @@ class TestMatchesStepByStep:
     def test_random_layered_graphs(self, seed):
         graph, _ = random_layered_graph(np.random.default_rng(seed))
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL)
-        plan(spec, graph, sample_count=100)
+        assert plan(spec, graph, sample_count=100) is None
         assert_same_as_reference(spec, graph, SimConfig(dt=0.01))
 
     @pytest.mark.parametrize("n_cells", [19, 67])
@@ -517,7 +517,7 @@ class TestMatchesStepByStep:
         # actuated neighbors loses its circle intersection to tracking lag
         graph, _ = stellar_layered_graph(n_cells, np.random.default_rng(0))
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL, blend="smootherstep")
-        plan(spec, graph, sample_count=200)
+        assert plan(spec, graph, sample_count=200) is None
         kind, message, fields = _error_of(reference_run, spec, graph, SimConfig(dt=0.01))
         # read row 28 (t = 0.28 s) and row 6: the row before the one that fails
         step, cell = {19: (29, 13), 67: (7, 54)}[n_cells]
@@ -774,7 +774,7 @@ class TestTrackingScan:
 
     def assert_matches(self, model, dt, alpha, k_v, n_steps, offsets):
         spec = PlanSpec(t0=0.0, tf=n_steps * dt, initial=IDENTITY, final=self.final)
-        plan(spec, self.graph, sample_count=20)
+        assert plan(spec, self.graph, sample_count=20) is None
         initial = {i: np.array(offset) for i, offset in enumerate(offsets, start=1)}
         config = SimConfig(dt=dt, model=model, alpha=alpha, k_v=k_v, initial_offsets=initial)
         assert_same_as_reference(spec, self.graph, config)
