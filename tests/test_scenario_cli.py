@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atugv import InvalidArgumentError, bundled_scenario_path, load_scenario, load_scenario_text
+from atugv import CellGraph, InvalidArgumentError, SimConfig, bundled_scenario_path, load_scenario, load_scenario_text
 from atugv.cli import main
+
+SRC = Path(__file__).parents[1] / "src"
 
 SEVEN = """
 [graph]
@@ -164,13 +169,20 @@ class TestCli:
                 assert 0.0 <= float(row["theta_act"]) <= math.pi
 
     def test_unsafe_scenario_reports_violation(self, tmp_path, capsys):
-        cfg = tmp_path / "unsafe.cfg"
-        cfg.write_text(SEVEN.replace("lambda2_final = 0.8", "lambda2_final = 0.4"))
-        code = main(["run", str(cfg), "--output-dir", str(tmp_path / "out")])
-        assert code != 0
-        out = capsys.readouterr().out
-        assert "UNSAFE" in out
-        assert "principal-strain bound" in out
+        cfg, out = tmp_path / "unsafe.cfg", tmp_path / "out"
+        bundled = bundled_scenario_path("seven_cell_sim").read_text()
+        for text in (
+            SEVEN.replace("lambda2_final = 0.8", "lambda2_final = 0.4"),
+            bundled.replace("lambda2_final = 0.8\n", "lambda2_final = 0.3\n"),
+        ):
+            cfg.write_text(text)
+            for command in (["validate", str(cfg)], ["run", str(cfg), "--output-dir", str(out)]):
+                assert main(command) == 1
+                lines = capsys.readouterr().out.splitlines()
+                strain = [line for line in lines if line.startswith("strain-bound verdict: ")]
+                assert len(strain) == 1 and strain[0].startswith("strain-bound verdict: UNSAFE")
+                assert "principal-strain bound" in strain[0]
+            assert not (out / "trajectory.csv").exists() and not (out / "elbows.csv").exists()
 
     def test_validate_writes_no_csvs(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -230,6 +242,7 @@ class TestCli:
             "trace reach verdict: UNREACHABLE (max separation 0.645767269 m at joint (4, 1), t = 0 s vs reach 0.6 m)"
         ]
         assert len(verdicts) == 5
+        assert failed[0] in (tmp_path / "out" / "report.txt").read_text().splitlines()
         assert (tmp_path / "out" / "elbows.csv").exists()
 
     def test_exit_zero_implies_all_safe_verdicts(self, tmp_path):
@@ -525,8 +538,9 @@ class TestRejectedInput:
         cfg.write_text(text)
         line = text.splitlines().index("alpha = 1e300") + 1
         message = "alpha must be at most 3.57542e+154 so that the velocity command stays finite, got 1e+300"
-        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr() == ("", f"error: {cfg}:{line}: [sim] alpha: {message}\n")
+        for command in (["validate", str(cfg)], ["run", str(cfg), "--output-dir", str(tmp_path / "out")]):
+            assert main(command) == 2
+            assert capsys.readouterr() == ("", f"error: {cfg}:{line}: [sim] alpha: {message}\n")
         with pytest.raises(InvalidArgumentError) as error:
             load_scenario_text(text, name="x.cfg")
         assert (error.value.field, error.value.value, error.value.bound) == ("alpha", 1e300, MAX_ALPHA)
@@ -543,9 +557,10 @@ class TestRejectedInput:
         # of an earlier run's outputs now meets the file first.
         existing = tmp_path / "README.md"
         existing.write_text("notes\n")
-        assert main(["run", "seven_cell_sim", "--output-dir", str(existing)]) == 2
-        assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{existing / 'report.txt'}'\n"
-        assert existing.read_text() == "notes\n"
+        for name in ("seven_cell_sim", "four_cell_experiment"):
+            assert main(["run", name, "--output-dir", str(existing)]) == 2
+            assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{existing / 'report.txt'}'\n"
+            assert existing.read_text() == "notes\n"
 
     def test_scenario_path_that_is_a_directory(self, tmp_path, capsys):
         # Reading it raised IsADirectoryError: a traceback and exit 1.
@@ -558,6 +573,7 @@ class TestRejectedInput:
         monkeypatch.chdir(tmp_path)
         for _ in range(2):
             assert main(["run", "seven_cell_sim", "--output-dir", "seven_cell_sim"]) == 0
+        assert main(["validate", "seven_cell_sim"]) == 0
         assert capsys.readouterr().err == ""
         assert load_scenario("seven_cell_sim").name == str(bundled_scenario_path("seven_cell_sim"))
 
@@ -730,6 +746,7 @@ class TestRejectedInput:
                 "single-integrator loop with alpha = 300, dt = 0.01 has spectral radius 2 >= 1 under explicit Euler",
             ),
             ("seven_cell_sim", "plan", "lambda1_final", "1.5", 17, "lambda1 must lie in (0, 1], got 1.5"),
+            ("seven_cell_sim", "plan", "lambda2_final", "1.5", 17, "lambda2 must lie in (0, 1], got 1.5"),
             ("seven_cell_sim", "geometry", "cell_radius", "-1", 12, "cell_radius must be positive and finite, got -1.0"),
             ("seven_cell_sim", "sim", "model", "triple", 29, "model must be one of ('single', 'double'), got 'triple'"),
             (
@@ -778,6 +795,7 @@ class TestRejectedInput:
             ("four_cell_experiment", "graph", "actuated.4", "1,1", 5, "cell 1 is listed twice"),
             # An offset is two numbers separated by a comma. Both exited 0.
             ("seven_cell_sim", "sim", "offset", "0.01,,-0.02", 29, "expected two finite numbers"),
+            ("four_cell_experiment", "sim", "offset", "0.01,,-0.02", 26, "expected two finite numbers"),
             ("seven_cell_sim", "sim", "offset.5", "0.01 -0.02", 29, "expected two finite numbers"),
             # A coordinate error is located at its key: the field plus `_initial`.
             ("seven_cell_sim", "plan", "lambda1_initial", "1.5", 17, "lambda1 must lie in (0, 1], got 1.5"),
@@ -809,6 +827,7 @@ class TestRejectedInput:
             "dt",
             "alpha",
             "lambda1",
+            "lambda2",
             "cell_radius",
             "model",
             "blend",
@@ -832,6 +851,7 @@ class TestRejectedInput:
             "neighbors_empty_entry",
             "actuated_cell_twice",
             "offset_empty_field",
+            "four_cell_offset_empty_field",
             "offset_no_comma",
             "lambda1_initial",
             "dt_stray_in_plan",
@@ -851,6 +871,89 @@ class TestRejectedInput:
             load_scenario_text(cfg.read_text())
         assert error.value.field == key
 
+    @pytest.mark.parametrize(
+        "old, new, field, message",
+        [
+            (
+                "layers = 1,2,3 | 4\n",
+                "layers = 1,2,3 | 3,4\n",
+                "layers",
+                "x.cfg:5: [graph] layers: layers are not disjoint: [3]",
+            ),
+            (
+                "neighbors.4 = 1,2,3\n",
+                "neighbors.4 = 1,2,9\n",
+                "neighbors.4",
+                "x.cfg:6: [graph] neighbors.4: cell 4 lists unknown neighbor 9",
+            ),
+            (
+                "neighbors.4 = 1,2,3\n",
+                "neighbors.4 = 1,2,3\nneighbors.2 = 1,3,4\n",
+                "neighbors.2",
+                "x.cfg:7: [graph] neighbors.2: boundary cell 2 cannot have neighbors",
+            ),
+            (
+                "[graph]\n",
+                "[graph]\npowered = 1,2,3,9\n",
+                "powered",
+                "x.cfg:5: [graph] powered: powered set references unknown cells",
+            ),
+            (
+                "[graph]\n",
+                "[graph]\nactuated.2 = 1,3\n",
+                "actuated.2",
+                "x.cfg:5: [graph] actuated.2: cell 2 is not interior, cannot have joints",
+            ),
+            ("tf = 20.0\n", "", "tf", "x.cfg:13: [plan] tf: required key missing"),
+            ("layers = 1,2,3 | 4\n", "", "layers", "x.cfg:4: [graph] layers: required key missing"),
+            ("[geometry]\n", "[geometry2]\n", None, "x.cfg: missing required section [geometry]"),
+        ],
+        ids=[
+            "layers_overlap",
+            "neighbors_unknown_cell",
+            "neighbors_of_a_boundary_cell",
+            "powered_unknown_cell",
+            "actuated_boundary_cell",
+            "tf_missing",
+            "layers_missing",
+            "geometry_missing",
+        ],
+    )
+    def test_edited_file_fails_with_its_rule(self, old, new, field, message):
+        text = bundled_scenario_path("four_cell_experiment").read_text()
+        assert text.count(old) == 1
+        with pytest.raises(InvalidArgumentError) as error:
+            load_scenario_text(text.replace(old, new), name="x.cfg")
+        assert (str(error.value), error.value.field) == (message, field)
+
+    @pytest.mark.parametrize(
+        "make, field, message",
+        [
+            (
+                lambda: CellGraph(layers=({1, 2, 3}, set()), neighbors={}, cell_radius=0.05, arm_length=0.25),
+                "layers",
+                "empty layer",
+            ),
+            (
+                lambda: SimConfig(initial_offsets={1: "ab"}),
+                "initial_offsets",
+                "offset of cell 1 must be two finite numbers, got 'ab'",
+            ),
+            (
+                lambda: bundled_scenario_path("nope"),
+                None,
+                "no bundled scenario named 'nope'; available: ('four_cell_experiment', 'seven_cell_sim')",
+            ),
+        ],
+        ids=["empty_layer", "offset_not_numbers", "unknown_bundled_name"],
+    )
+    def test_library_input_fails_with_its_rule(self, make, field, message):
+        # No scenario file or command reaches these rules: the loader builds
+        # no empty layer, reads an offset as two numbers before `SimConfig`
+        # sees it, and asks only for a bundled name that exists.
+        with pytest.raises(InvalidArgumentError) as error:
+            make()
+        assert (str(error.value), error.value.field) == (message, field)
 
     def test_spaces_around_commas_are_allowed(self):
         from atugv import bundled_scenario_path
@@ -861,22 +964,31 @@ class TestRejectedInput:
         assert graph.layers == (frozenset({1, 2, 3}), frozenset({4})) and graph.neighbors[4] == {1, 2, 3}
 
     @pytest.mark.parametrize(
-        "edit, line, message",
+        "scenario, edit, line, message",
         [
-            (("dt = 0.01\n", "dt = 0.01\ndt = 0.02\n"), 31, "[sim] dt: duplicate key"),
-            (("= 1e-3\n", "= 1e-3\n\n[sim]\ndt = 0.02\n"), 35, "duplicate section [sim]"),
-            (("# Seven-cell", "layers = 1,2,3\n# Seven-cell"), 1, "expected a [section] header"),
-            (("dt = 0.01\n", "dt = 0.01\ngarbage\n"), 31, "expected key = value"),
+            ("seven_cell_sim", ("dt = 0.01\n", "dt = 0.01\ndt = 0.02\n"), 31, "[sim] dt: duplicate key"),
+            ("seven_cell_sim", ("= 1e-3\n", "= 1e-3\n\n[sim]\ndt = 0.02\n"), 35, "duplicate section [sim]"),
+            ("seven_cell_sim", ("# Seven-cell", "layers = 1,2,3\n# Seven-cell"), 1, "expected a [section] header"),
+            ("seven_cell_sim", ("dt = 0.01\n", "dt = 0.01\ngarbage\n"), 31, "expected key = value"),
+            ("four_cell_experiment", ("dt = 0.01\n", "dt = 0.01\ndt = 0.02\n"), 28, "[sim] dt: duplicate key"),
+            ("four_cell_experiment", ("# Four-cell", "layers = 1,2,3\n# Four-cell"), 1, "expected a [section] header"),
         ],
-        ids=["duplicate_key", "duplicate_section", "key_above_first_header", "line_without_equals"],
+        ids=[
+            "duplicate_key",
+            "duplicate_section",
+            "key_above_first_header",
+            "line_without_equals",
+            "four_cell_duplicate_key",
+            "four_cell_key_above_first_header",
+        ],
     )
-    def test_parse_error_is_located(self, edit, line, message, tmp_path, capsys):
+    def test_parse_error_is_located(self, scenario, edit, line, message, tmp_path, capsys):
         # Each printed configparser's own text after `error: parse error: `:
         # the first two on one line without the file:line form, the last two
         # on three and two lines.
         from atugv import bundled_scenario_path
 
-        text = bundled_scenario_path("seven_cell_sim").read_text()
+        text = bundled_scenario_path(scenario).read_text()
         assert text.count(edit[0]) == 1
         cfg = tmp_path / "x.cfg"
         cfg.write_text(text.replace(*edit))
@@ -884,26 +996,50 @@ class TestRejectedInput:
         assert capsys.readouterr().err == f"error: {cfg}:{line}: {message}\n"
 
     @pytest.mark.parametrize(
-        "edits, line, message",
+        "scenario, edits, line, message",
         [
             # Read `x.cfg:32: [sim] dt: duplicate key`: a line without `=`
             # was held back until the end of the file.
-            ((("[plan]\n", "[plan]\ngarbage\n"), ("dt = 0.01\n", "dt = 0.01\ndt = 0.02\n")), 17, "expected key = value"),
+            (
+                "seven_cell_sim",
+                (("[plan]\n", "[plan]\ngarbage\n"), ("dt = 0.01\n", "dt = 0.01\ndt = 0.02\n")),
+                17,
+                "expected key = value",
+            ),
             # Read `x.cfg:31: [sim] alpha: expected a finite number, got
             # '10.0\n\nwarp = 1'`: the indented line, and the blank line
             # above it, were glued onto the value above them.
-            ((("alpha = 10.0\n", "alpha = 10.0\n\n  warp = 1\n"),), 33, "[sim] warp: unknown key"),
+            ("seven_cell_sim", (("alpha = 10.0\n", "alpha = 10.0\n\n  warp = 1\n"),), 33, "[sim] warp: unknown key"),
             # Loaded as layers 1,2,3 | 4 | 5,6,7.
-            ((("layers = 1,2,3 | 4 | 5,6,7\n", "layers = 1,2,3 |\n  4 | 5,6,7\n"),), 6, "expected key = value"),
+            (
+                "seven_cell_sim",
+                (("layers = 1,2,3 | 4 | 5,6,7\n", "layers = 1,2,3 |\n  4 | 5,6,7\n"),),
+                6,
+                "expected key = value",
+            ),
             # Loaded as [sim], the trailing text dropped.
-            ((("[sim]\n", "[sim] extra\n"),), 28, "expected key = value"),
+            ("seven_cell_sim", (("[sim]\n", "[sim] extra\n"),), 28, "expected key = value"),
+            (
+                "four_cell_experiment",
+                (("[plan]\n", "[plan]\ngarbage\n"), ("dt = 0.01\n", "dt = 0.01\ndt = 0.02\n")),
+                14,
+                "expected key = value",
+            ),
+            ("four_cell_experiment", (("layers = 1,2,3 | 4\n", "layers = 1,2,3 |\n  4\n"),), 6, "expected key = value"),
         ],
-        ids=["first_bad_line_wins", "indented_key_stands_alone", "no_continuation_line", "header_is_the_whole_line"],
+        ids=[
+            "first_bad_line_wins",
+            "indented_key_stands_alone",
+            "no_continuation_line",
+            "header_is_the_whole_line",
+            "four_cell_first_bad_line_wins",
+            "four_cell_no_continuation_line",
+        ],
     )
-    def test_each_line_stands_alone(self, edits, line, message, tmp_path, capsys):
+    def test_each_line_stands_alone(self, scenario, edits, line, message, tmp_path, capsys):
         from atugv import bundled_scenario_path
 
-        text = bundled_scenario_path("seven_cell_sim").read_text()
+        text = bundled_scenario_path(scenario).read_text()
         for old, new in edits:
             assert text.count(old) == 1
             text = text.replace(old, new)
@@ -1016,19 +1152,23 @@ class TestStaleOutputs:
 
     def test_unreachable_plan_names_its_time_and_joint(self, tmp_path, capsys):
         # The verdict read `UNREACHABLE — separation 0.57735 m exceeds
-        # mechanism reach 0.55 m`: no time and no joint.
+        # mechanism reach 0.55 m`: no time and no joint. The bundled plan
+        # with the shorter arm alone is out of reach at its first sample too.
         from atugv import UnreachableSeparationError, plan
 
-        scenario = load_scenario_text(_unreachable_text())
-        error = plan(scenario.plan_spec, scenario.graph, scenario.sample_count)
-        assert type(error) is UnreachableSeparationError
-        assert (scenario.sample_count, error.index, error.time, error.cell, error.joint) == (200, 0, 0.0, 4, (4, 1))
         message = "plan is out of reach at t = 0 s, joint (4, 1): separation 0.57735 m exceeds mechanism reach 0.55 m"
-        assert str(error) == message
-        cfg = tmp_path / "unreachable.cfg"
-        cfg.write_text(_unreachable_text())
-        assert main(["validate", str(cfg)]) == 1
-        assert f"mechanism-reach verdict: UNREACHABLE — {message}\n" in capsys.readouterr().out
+        short_arm = bundled_scenario_path("four_cell_experiment").read_text()
+        short_arm = short_arm.replace("arm_length = 0.25\n", "arm_length = 0.225\n")
+        for text in (_unreachable_text(), short_arm):
+            scenario = load_scenario_text(text)
+            error = plan(scenario.plan_spec, scenario.graph, scenario.sample_count)
+            assert type(error) is UnreachableSeparationError
+            assert (scenario.sample_count, error.index, error.time, error.cell, error.joint) == (200, 0, 0.0, 4, (4, 1))
+            assert str(error) == message
+            cfg = tmp_path / "unreachable.cfg"
+            cfg.write_text(text)
+            assert main(["validate", str(cfg)]) == 1
+            assert f"mechanism-reach verdict: UNREACHABLE — {message}" in capsys.readouterr().out.splitlines()
 
 
 def test_main_reuses_one_parser(capsys):
@@ -1039,3 +1179,48 @@ def test_main_reuses_one_parser(capsys):
     assert main(["validate", "four_cell_experiment"]) == 0
     assert main(["reference", "four_cell_experiment"]) == 0
     assert capsys.readouterr().out.count("scenario: ") == 2
+
+
+def _python(*args, cwd):
+    """`python *args` in a new interpreter, with the repository's `src` first
+    on its path, run in `cwd`: the finished process."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestNewInterpreter:
+    """What only a new interpreter shows: what `import atugv.cli` loads, and
+    `python -m atugv.cli` with warnings turned into errors from its start."""
+
+    def test_import_loads_no_heavy_module_and_builds_no_parser(self, tmp_path):
+        # Every command pays for the import: scipy and configparser are not
+        # used, and the CSV writer and the argument parser wait for the call
+        # that needs them.
+        check = (
+            "import sys, atugv.cli\n"
+            "loaded = {'scipy', 'configparser', 'atugv.csvtext'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
+            "assert atugv.cli.build_parser.cache_info().currsize == 0\n"
+        )
+        done = _python("-c", check, cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+
+    @pytest.mark.parametrize("name", ["four_cell_experiment", "seven_cell_sim"])
+    @pytest.mark.parametrize(
+        "command, model",
+        [("run", "single"), ("validate", "single"), ("reference", "single"), ("run", "double")],
+    )
+    def test_module_entry_under_warnings_as_errors(self, command, model, name, tmp_path):
+        scenario = name
+        if model == "double":
+            text = bundled_scenario_path(name).read_text()
+            assert text.count("\nmodel = single\n") == 1
+            scenario = tmp_path / f"{name}.cfg"
+            scenario.write_text(text.replace("\nmodel = single\n", "\nmodel = double\n"))
+        args = [str(scenario), "--output-dir", "out"] if command == "run" else [str(scenario)]
+        done = _python("-W", "error", "-m", "atugv.cli", command, *args, cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        if command == "run":
+            for output in ("trajectory.csv", "elbows.csv", "report.txt"):
+                assert (tmp_path / "out" / output).stat().st_size > 0

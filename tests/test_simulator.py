@@ -80,6 +80,14 @@ LAYERED_REACH_SCENARIO = REACH_SCENARIO.replace(
 )
 
 
+REACH_MESSAGE = "step 43 (t = 0.43 s): joint (4, 1): separation 0.550201 m exceeds mechanism reach 0.55 m"
+
+# seven_cell_sim with tf = 1.5: cell 6 cannot be placed at step 65.
+UNPLACEABLE_MESSAGE = (
+    "step 65 (t = 0.65 s): elbow angles are inconsistent: circles of radii 0.477046 and 0.471772 "
+    "about neighbors 0.948888 m apart do not intersect"
+)
+
 # A four-cell vehicle held at full extension: every joint is 5.0e-13
 # (relative) beyond the reach 2(L + r).
 FULL_EXTENSION_SCENARIO = """
@@ -386,14 +394,13 @@ class TestRun:
         assert (exc.step, exc.index, exc.cell, exc.joint) == (43, (43, 0), 4, (4, 1))
         assert abs(exc.time - 0.43) < 1e-12
         # Read `step 43 (t = 0.43 s): separation ...`, with no joint and no cell.
-        message = "step 43 (t = 0.43 s): joint (4, 1): separation 0.550201 m exceeds mechanism reach 0.55 m"
-        assert str(exc) == message
+        assert str(exc) == REACH_MESSAGE
         cfg = tmp_path / "reach.cfg"
         cfg.write_text(REACH_SCENARIO.format(powered="powered = 1,2,3,4"))
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {REACH_MESSAGE}\n"
 
-    def test_reach_error_ignores_the_powered_set(self):
+    def test_reach_error_ignores_the_powered_set(self, tmp_path, capsys):
         # Cell 4 unpowered read `step 42 (t = 0.42 s): joint 1: ...` with
         # `joint = 1`, powered `step 43 (t = 0.43 s): joint (4, 1): ...`.
         errors = [
@@ -403,9 +410,14 @@ class TestRun:
         assert errors[0] == errors[1]
         kind, message, fields = errors[0]
         assert kind is UnreachableSeparationError
-        assert message == "step 43 (t = 0.43 s): joint (4, 1): separation 0.550201 m exceeds mechanism reach 0.55 m"
+        assert message == REACH_MESSAGE
         assert (fields["step"], fields["cell"], fields["joint"], fields["index"]) == (43, 4, (4, 1), (43, 0))
         assert abs(fields["time"] - 0.43) < 1e-12
+        cfg = tmp_path / "reach.cfg"
+        for powered in ("", "powered = 1,2,3,4"):
+            cfg.write_text(REACH_SCENARIO.format(powered=powered))
+            assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr() == ("", f"error: {REACH_MESSAGE}\n")
 
     def test_realized_angles_at_full_extension(self, tmp_path):
         # Every joint is 5e-13 (relative) beyond reach, within the slack
@@ -419,6 +431,7 @@ class TestRun:
         assert f"\n{verdict}\n" in report
         lines = (tmp_path / "elbows.csv").read_text().splitlines()
         assert lines[1] == "0,4,1,3.14159265,3.14159265"
+        assert (tmp_path / "elbows.csv").read_bytes().split(b"\n")[1] == b"0,4,1,3.14159265,3.14159265\r"
         assert all(not line.endswith(",") for line in lines)
         assert_same_as_reference(*scenario_inputs(FULL_EXTENSION_SCENARIO))
 
@@ -525,19 +538,29 @@ class TestMatchesStepByStep:
         assert message.startswith(f"step {step} (t = {step / 100:.6g} s): elbow angles are inconsistent")
         assert_same_as_reference(spec, graph, SimConfig(dt=0.01))
 
-    def test_later_layer_failing_first_wins(self):
+    def test_later_layer_failing_first_wins(self, tmp_path, capsys):
         # cell 4 (layer 1) is asked past its reach at row 43; the offset of
         # powered cell 3 pulls the neighbors of cell 6 (layer 2) apart at row 1
-        spec, graph, config = scenario_inputs(
-            LAYERED_REACH_SCENARIO.format(powered="powered = 1,2,3,5,7")
-            + "[sim]\noffset.3 = 0.3, 0.3\n"
-        )
+        text = LAYERED_REACH_SCENARIO.format(powered="powered = 1,2,3,5,7")
+        spec, graph, config = scenario_inputs(text + "[sim]\noffset.3 = 0.3, 0.3\n")
         kind, _, fields = _error_of(run, spec, graph, config)
         assert (kind, fields["step"], fields["cell"]) == (InconsistentAnglesError, 1, 6)
         unperturbed = SimConfig(dt=config.dt)
         later = _error_of(run, spec, graph, unperturbed)[2]  # layer 1 alone fails later
         assert (later["step"], later["cell"], later["joint"]) == (43, 4, (4, 1))
         assert_same_as_reference(spec, graph, config)
+        cfg = tmp_path / "layered.cfg"
+        for offset, message in [
+            ("", REACH_MESSAGE),
+            (
+                "[sim]\noffset.3 = 0.3, 0.3\n",
+                "step 1 (t = 0.01 s): elbow angles are inconsistent: circles of radii 0.404881 and 0.332851 "
+                "about neighbors 0.822431 m apart do not intersect",
+            ),
+        ]:
+            cfg.write_text(text + offset)
+            assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_undragged_joint_beats_a_later_failed_resolve(self):
         # Joint (4, 1) drags no cell, since cell 4 is powered; lagging at
@@ -638,18 +661,15 @@ class TestOneSearch:
         monkeypatch.setattr(kinematics, "resolve_unpowered_position", counted)
         spec, graph, config = scenario_inputs(_bundled_text("seven_cell_sim").replace("tf = 10.0\n", "tf = 1.5\n"))
         kind, message, fields = _error_of(run, spec, graph, config)
-        assert kind is InconsistentAnglesError and message == (
-            "step 65 (t = 0.65 s): elbow angles are inconsistent: circles of radii 0.477046 and 0.471772 "
-            "about neighbors 0.948888 m apart do not intersect"
-        )
+        assert kind is InconsistentAnglesError and message == UNPLACEABLE_MESSAGE
         assert (fields["step"], fields["cell"], fields["index"]) == (65, 6, (65, 5))
         assert len(calls) == sum(1 for layer in graph.layers if layer & graph.unpowered) == 1
 
 
 def _scaled(text, factor):
-    """The scenario with every length of the vehicle and of its plan
-    multiplied by `factor`."""
-    for key in ("cell_radius", "arm_length", "side_length", "d1_final", "d2_final"):
+    """The scenario with every length of the vehicle, of its plan and of its
+    terminal-error threshold multiplied by `factor`."""
+    for key in ("cell_radius", "arm_length", "side_length", "d1_final", "d2_final", "terminal_error_threshold"):
         text, count = re.subn(rf"^{key} = (.*)$", lambda m: f"{key} = {float(m[1]) * factor!r}", text, flags=re.M)
         assert count == 1, key
     return text
@@ -682,16 +702,30 @@ class TestUnitsOfLength:
         # to the end with every trace verdict but the terminal error passing.
         text = _bundled_text("seven_cell_sim").replace("tf = 10.0\n", "tf = 1.5\n")
         unit, scaled = (_error_of(run, *scenario_inputs(t)) for t in (text, _scaled(text, 2.0**k)))
-        assert unit[1] == (
-            "step 65 (t = 0.65 s): elbow angles are inconsistent: circles of radii 0.477046 and 0.471772 "
-            "about neighbors 0.948888 m apart do not intersect"
-        )
+        assert unit[1] == UNPLACEABLE_MESSAGE
         assert scaled[0] is unit[0] is InconsistentAnglesError
         assert scaled[2] == unit[2]  # step, time, cell and index
         lengths = re.compile(r"step 65 \(t = 0\.65 s\): elbow angles are inconsistent: circles of radii (\S+) and "
                              r"(\S+) about neighbors (\S+) m apart do not intersect")
         unit_lengths, scaled_lengths = (np.array(lengths.fullmatch(e[1]).groups(), float) for e in (unit, scaled))
         np.testing.assert_allclose(scaled_lengths, 2.0**k * unit_lengths, rtol=1e-5)
+
+    @pytest.mark.parametrize("k", [0, -14])
+    def test_unplaceable_cell_ends_run_with_one_error_line(self, k, tmp_path, capsys):
+        # Through `main`: the plan passes, and `run` ends in one error line at
+        # step 65 at any scale, with no verdict and no report.
+        text = _bundled_text("seven_cell_sim").replace("tf = 10.0\n", "tf = 1.5\n")
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(_scaled(text, 2.0**k) if k else text)
+        assert main(["validate", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: step 65 (t = 0.65 s): elbow angles are inconsistent: ")
+        if k == 0:
+            assert err == f"error: {UNPLACEABLE_MESSAGE}\n"
+        assert not (tmp_path / "out" / "report.txt").exists()
 
 
 class TestAllPoweredIsBarycentric:
