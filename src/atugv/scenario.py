@@ -86,15 +86,13 @@ class _Parsed:
 
     def build(self, sections: tuple, make, *args, suffix: str = "", cell_keys=None, **kwargs):
         """make(*args, **kwargs), a config type read from `sections` that
-        decides what is valid: an error naming a `field` fails at its key, the
-        field plus `suffix`, or the key that `cell_keys` gives the error's
-        `cell`, in the section that read that key (the first section if none
-        did), with the error's message and its `value`, `bound` and `cell`."""
+        decides what is valid: its error, which names a `field`, fails at
+        its key, the field plus `suffix`, or the key that `cell_keys` gives
+        the error's `cell`, in the section that read that key (the first
+        section if none did), with its message, `value`, `bound` and `cell`."""
         try:
             return make(*args, **kwargs)
         except AtugvError as exc:
-            if exc.field is None:
-                raise
             key = (cell_keys or {}).get(exc.cell, exc.field + suffix)
             section = next((s for s in sections if key in self.read.get(s, ())), sections[0])
             self.fail(section, key, str(exc), cause=exc)

@@ -81,7 +81,8 @@ class SimConfig:
 
 def step_count(spec: PlanSpec, dt: float) -> int:
     """The number of steps of `dt` over the plan's horizon, which `dt` must
-    divide evenly in at least ten and at most MAX_COUNT steps."""
+    divide evenly in at least ten and at most MAX_COUNT steps, to within
+    1e-9 of the horizon, so that no unit of time decides it."""
     horizon = spec.tf - spec.t0
     if not horizon / dt <= MAX_COUNT:  # an overflowed quotient too
         raise InvalidArgumentError(
@@ -89,11 +90,11 @@ def step_count(spec: PlanSpec, dt: float) -> int:
         )
     n_steps = int(round(horizon / dt))
     # On the rounded count, with the evenness test's tolerance: 0.7 / 10.0 < 0.07.
-    if n_steps < 10 or 10 * dt - horizon > 1e-9:
+    if n_steps < 10 or 10 * dt - horizon > 1e-9 * horizon:
         raise InvalidArgumentError(
             f"dt = {dt} must not exceed a tenth of the horizon {horizon:.6g} s", field="dt"
         )
-    if abs(n_steps * dt - horizon) > 1e-9:
+    if abs(n_steps * dt - horizon) > 1e-9 * horizon:
         raise InvalidArgumentError(f"dt = {dt} must evenly divide the horizon {horizon:.6g} s", field="dt")
     return n_steps
 

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from atugv import CellGraph, InvalidArgumentError, solve_reference_positions
+from atugv.errors import InvalidArgumentError
+from atugv.network import CellGraph, solve_reference_positions
 
 
 def make_four_cell(cell_radius=0.05, arm_length=0.25):

@@ -9,22 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from atugv import (
-    GeneralizedCoordinates,
-    apply,
-    coordinates_at,
-    desired_elbow_angles,
-    desired_positions,
-    jacobian,
-    load_scenario,
-    plan,
-    resolve_unpowered_position,
-    rotation_matrix,
-    run,
-    min_separation,
-    strain_matrix,
-)
+from atugv.affine import GeneralizedCoordinates, apply, jacobian, rotation_matrix, strain_matrix
 from atugv.cli import main
+from atugv.kinematics import desired_elbow_angles, resolve_unpowered_position
+from atugv.network import min_separation
+from atugv.planner import coordinates_at, desired_positions, plan
+from atugv.scenario import load_scenario
+from atugv.simulator import run
 from conftest import random_layered_graph
 
 SQRT3 = math.sqrt(3.0)
@@ -184,7 +175,8 @@ def test_criterion_4_kinematic_round_trip():
 
 
 def test_criterion_5_error_contraction(four_cell):
-    from atugv import PlanSpec, SimConfig
+    from atugv.planner import PlanSpec
+    from atugv.simulator import SimConfig
 
     identity = GeneralizedCoordinates.identity()
     spec = PlanSpec(t0=0.0, tf=5.0, initial=identity, final=identity)

@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atugv import (
-    GeneralizedCoordinates,
-    InvalidArgumentError,
-    apply,
-    jacobian,
-    rotation_matrix,
-    strain_matrix,
-)
+from atugv.affine import GeneralizedCoordinates, apply, jacobian, rotation_matrix, strain_matrix
+from atugv.errors import InvalidArgumentError
 
 finite_angle = st.floats(-3.0, 3.0)
 strain = st.floats(0.05, 1.0)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import atugv.cli
+from atugv.scenario import bundled_scenario_path, load_scenario
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -33,7 +34,7 @@ def _traced_run(name, out_dir):
     finally:
         tracer.restore()
     assert code == 0
-    spec = oracle.parse_scenario(atugv.bundled_scenario_path(name))
+    spec = oracle.parse_scenario(bundled_scenario_path(name))
     oracle.check_run(spec, out_dir, code, safe_by_construction=True)
     calls = {name: values[0] for name, values in tracer.by_name().items()}
     return spec, calls
@@ -53,7 +54,7 @@ def test_traced_run_passes_the_output_oracle(tmp_path):
 def test_unpowered_cells_resolve_once_per_layer(tmp_path):
     _, calls = _traced_run("seven_cell_sim", tmp_path)
     assert "simulator.step" not in calls
-    graph = atugv.load_scenario("seven_cell_sim").graph
+    graph = load_scenario("seven_cell_sim").graph
     layers = sum(1 for layer in graph.layers if layer & graph.unpowered)
     assert 1 <= calls["kinematics.resolve"] <= layers
     # the resolve reads the angles `run` commands to every joint once
@@ -99,7 +100,7 @@ def _base_text(base):
         return BOUNDARY_ONLY
     if base == "synthetic_250_cells":
         return _bench_module("workloads").synthetic_scenario(np.random.default_rng([250, 0]))
-    return atugv.bundled_scenario_path(base).read_text()
+    return bundled_scenario_path(base).read_text()
 
 
 @pytest.mark.parametrize("name", VERDICT_CORPUS)

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atugv import cli, csvtext, load_scenario_text, plan, run
-from atugv.scenario import bundled_scenario_path
+from atugv import cli, csvtext
+from atugv.planner import plan
+from atugv.scenario import bundled_scenario_path, load_scenario_text
+from atugv.simulator import run
 from test_bench_contract import BENCH, _bench_module
 
 

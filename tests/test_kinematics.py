@@ -7,16 +7,15 @@ from hypothesis import strategies as st
 
 from conftest import make_seven_cell
 
-from atugv import (
-    InconsistentAnglesError,
-    InvalidArgumentError,
-    UnreachableSeparationError,
+from atugv.errors import InconsistentAnglesError, InvalidArgumentError, UnreachableSeparationError
+from atugv.kinematics import (
+    _REACH_RTOL,
+    beyond_reach,
     desired_elbow_angles,
     elbow_angle,
     resolve_unpowered_position,
     separation_from_angle,
 )
-from atugv.kinematics import _REACH_RTOL, beyond_reach
 from atugv.planner import reach_error
 
 L, R = 0.25, 0.05
@@ -123,7 +122,7 @@ class TestDesiredElbowAngles:
         assert not math.isnan(t1) and math.isnan(t2)  # joint 2
 
     def test_seven_cell_final_configuration_joint(self, seven_cell, seven_cell_reference):
-        from atugv import GeneralizedCoordinates, apply
+        from atugv.affine import GeneralizedCoordinates, apply
 
         t = GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)
         p5 = apply(t, seven_cell_reference.positions[4])

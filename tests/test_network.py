@@ -7,18 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from atugv import (
-    CellGraph,
-    GeneralizedCoordinates,
-    InvalidArgumentError,
-    barycentric_weights,
-    load_scenario_text,
-    min_separation,
-    plan,
-    run,
-    apply,
-    solve_reference_positions,
-)
+from atugv.affine import GeneralizedCoordinates, apply
+from atugv.errors import InvalidArgumentError
+from atugv.network import CellGraph, barycentric_weights, min_separation, solve_reference_positions
+from atugv.planner import plan
+from atugv.scenario import load_scenario_text
+from atugv.simulator import run
 from test_bench_contract import BENCH, _bench_module
 
 SQRT3 = math.sqrt(3.0)

@@ -3,19 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from atugv import (
-    GeneralizedCoordinates,
-    InvalidArgumentError,
-    PlanSpec,
-    UnreachableSeparationError,
-    UnsafePlanError,
-    blend,
-    coordinates_at,
-    desired_positions,
-    jacobian,
-    min_separation,
-    plan,
-)
+from atugv.affine import GeneralizedCoordinates, jacobian
+from atugv.errors import InvalidArgumentError, UnreachableSeparationError, UnsafePlanError
+from atugv.network import min_separation
+from atugv.planner import PlanSpec, blend, coordinates_at, desired_positions, plan
 
 IDENTITY = GeneralizedCoordinates.identity()
 SIM_FINAL = GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)

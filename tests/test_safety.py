@@ -4,17 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from atugv import (
-    CellGraph,
-    GeneralizedCoordinates,
-    InvalidArgumentError,
-    UnsafePlanError,
-    apply,
-    jacobian,
-    min_separation,
-    solve_reference_positions,
-    validate_coordinates,
-)
+from atugv.affine import GeneralizedCoordinates, apply, jacobian
+from atugv.errors import InvalidArgumentError, UnsafePlanError
+from atugv.network import CellGraph, min_separation, solve_reference_positions
+from atugv.planner import validate_coordinates
 from conftest import random_layered_graph
 
 SQRT3 = math.sqrt(3.0)

@@ -1,17 +1,24 @@
+import contextlib
 import csv
+import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from atugv import CellGraph, InvalidArgumentError, SimConfig, bundled_scenario_path, load_scenario, load_scenario_text
 from atugv.cli import main
+from atugv.errors import InvalidArgumentError
+from atugv.network import CellGraph
+from atugv.planner import MAX_COUNT
+from atugv.scenario import bundled_scenario_path, load_scenario, load_scenario_text
+from atugv.simulator import SimConfig
 
 SRC = Path(__file__).parents[1] / "src"
 
@@ -104,7 +111,8 @@ class TestLoadScenario:
 
     def test_offset_alone_perturbs_the_start(self):
         # An offset needed `initial_mode = perturbed` and was rejected without it.
-        from atugv import desired_positions, plan, run
+        from atugv.planner import desired_positions, plan
+        from atugv.simulator import run
 
         scenario = load_scenario_text(_with_key(SEVEN, "sim", "offset", "0.01, -0.02") + "offset.6 = 0.3, 0.3\n")
         assert plan(scenario.plan_spec, scenario.graph) is None
@@ -126,7 +134,8 @@ class TestCli:
         assert (tmp_path / "report.txt").exists()
 
     def test_trajectory_csv_round_trip(self, tmp_path):
-        from atugv import SimConfig, plan, run
+        from atugv.planner import plan
+        from atugv.simulator import run
 
         scenario = load_scenario("seven_cell_sim")
         assert main(["run", "seven_cell_sim", "--output-dir", str(tmp_path)]) == 0
@@ -310,8 +319,6 @@ class TestRejectedInput:
 
     def test_boundary_cell_left_out_of_powered(self, tmp_path, capsys):
         # Passed `validate`, then `run` died with `KeyError: 1` in the simulator.
-        from atugv import CellGraph, InvalidArgumentError, bundled_scenario_path
-
         text = bundled_scenario_path("four_cell_experiment").read_text()
         cfg = tmp_path / "idle_boundary.cfg"
         cfg.write_text(_with_key(text, "graph", "powered", "2,3,4"))
@@ -325,8 +332,6 @@ class TestRejectedInput:
             CellGraph(graph.layers, graph.neighbors, 0.05, 0.25, powered={1, 2, 4})
 
     def test_single_layer_graph_powers_its_boundary_by_default(self):
-        from atugv import CellGraph
-
         assert CellGraph((frozenset({1, 2, 3}),), {}, 0.05, 0.25).powered == {1, 2, 3}
 
     @pytest.mark.parametrize(
@@ -350,8 +355,6 @@ class TestRejectedInput:
             load_scenario_text(_with_key(SEVEN, "sim", "offset", f"0.01, {value}"))
 
     def test_range_checks_reject_nan(self):
-        from atugv import CellGraph, InvalidArgumentError, SimConfig
-
         for field in ("dt", "alpha", "k_v"):
             with pytest.raises(InvalidArgumentError, match=field):
                 SimConfig(**{field: math.nan})
@@ -363,8 +366,6 @@ class TestRejectedInput:
                 CellGraph((frozenset({1, 2, 3}),), {}, **geometry)
 
     def test_unknown_key_exits_2_and_no_flag_allows_it(self, tmp_path, capsys):
-        from atugv import bundled_scenario_path
-
         text = bundled_scenario_path("seven_cell_sim").read_text()
         cfg = tmp_path / "x.cfg"
         cfg.write_text(text + "warp_speed = 9\n")
@@ -388,8 +389,6 @@ class TestRejectedInput:
     @pytest.mark.parametrize("value", ["-1", "0"])
     def test_non_positive_terminal_error_threshold(self, value, tmp_path, capsys):
         # -1: `validate` exited 0 and `run` reported EXCEEDED, exit 1; 0: `validate` exited 0.
-        from atugv import bundled_scenario_path
-
         text = bundled_scenario_path("seven_cell_sim").read_text()
         cfg = tmp_path / "x.cfg"
         cfg.write_text(_with_key(text, "sim", "terminal_error_threshold", value))
@@ -401,8 +400,6 @@ class TestRejectedInput:
 
     def test_neighbors_of_a_cell_in_no_layer(self, tmp_path, capsys):
         # Was ignored: `validate` exited 0.
-        from atugv import bundled_scenario_path
-
         text = bundled_scenario_path("seven_cell_sim").read_text()
         cfg = tmp_path / "x.cfg"
         cfg.write_text(text.replace("neighbors.7 = 1,3,4\n", "neighbors.7 = 1,3,4\nneighbors.9 = 1,2,3\n"))
@@ -430,7 +427,6 @@ class TestRejectedInput:
         # from `kinematics.separation_from_angle`, the reach being inf; without
         # it, exit 2 with the unlocated `error: separation must be a finite
         # non-negative length, got nan`.
-        from atugv import CellGraph
         from atugv.network import MAX_LENGTH
 
         cfg = tmp_path / "x.cfg"
@@ -452,8 +448,8 @@ class TestRejectedInput:
     def test_largest_side_length_plans_without_overflow(self):
         # The bound's reason: every squared distance of the reference and of a
         # plan stays finite, here under warnings as errors.
-        from atugv import CellGraph, plan, solve_reference_positions
-        from atugv.network import MAX_LENGTH
+        from atugv.network import MAX_LENGTH, solve_reference_positions
+        from atugv.planner import plan
 
         seven = load_scenario("seven_cell_sim")
         s = MAX_LENGTH
@@ -526,7 +522,6 @@ class TestRejectedInput:
         # Under `-W error`, `run` exited 1 with `RuntimeWarning: overflow
         # encountered in multiply` in `velocity_command`: alpha * dt = 1 is
         # stable, but alpha times the start offset is beyond float64.
-        from atugv import InvalidArgumentError
         from atugv.simulator import MAX_ALPHA
 
         text = _with_key(bundled_scenario_path("four_cell_experiment").read_text(), "graph", "powered", "1,2,3,4")
@@ -653,8 +648,6 @@ class TestRejectedInput:
 
     def test_error_line_matches_the_key_exactly(self, tmp_path):
         # Reported line 33, where `offset.3` starts with `offset`.
-        from atugv import bundled_scenario_path
-
         text = bundled_scenario_path("seven_cell_sim").read_text()
         offsets = text.replace(
             "terminal_error_threshold = 1e-3",
@@ -681,8 +674,6 @@ class TestRejectedInput:
     def test_default_section_is_an_unknown_section(self, tmp_path, capsys):
         # configparser copied its keys into every section, so the error
         # blamed another one, with no line: `default.cfg: [graph] dt: unknown key`.
-        from atugv import bundled_scenario_path
-
         text = bundled_scenario_path("seven_cell_sim").read_text()
         cfg = tmp_path / "default.cfg"
         cfg.write_text(text + "\n[DEFAULT]\ndt = 0.02\n")
@@ -695,8 +686,6 @@ class TestRejectedInput:
         # configparser drops the comment; the line lookup did not, so both
         # errors lost their line: `c.cfg: [sim] warp: unknown key` and
         # `d.cfg: unknown section [DEFAULT]`.
-        from atugv import bundled_scenario_path
-
         text = bundled_scenario_path("seven_cell_sim").read_text()
         commented = tmp_path / "c.cfg"
         commented.write_text(text.replace("[sim]\n", "[sim]  # simulation\n") + "warp = 1\n")
@@ -859,8 +848,6 @@ class TestRejectedInput:
         ],
     )
     def test_bad_value_is_located(self, scenario, section, key, value, line, message, tmp_path, capsys):
-        from atugv import bundled_scenario_path
-
         scenario, *replacement = (scenario,) if isinstance(scenario, str) else scenario
         text = _with_key(bundled_scenario_path(scenario).read_text(), section, key, value)
         cfg = tmp_path / "x.cfg"
@@ -956,8 +943,6 @@ class TestRejectedInput:
         assert (str(error.value), error.value.field) == (message, field)
 
     def test_spaces_around_commas_are_allowed(self):
-        from atugv import bundled_scenario_path
-
         text = bundled_scenario_path("four_cell_experiment").read_text()
         text = _with_key(_with_key(text, "graph", "neighbors.4", "1 , 2,3 "), "graph", "layers", " 1, 2 ,3|4")
         graph = load_scenario_text(text).graph
@@ -986,8 +971,6 @@ class TestRejectedInput:
         # Each printed configparser's own text after `error: parse error: `:
         # the first two on one line without the file:line form, the last two
         # on three and two lines.
-        from atugv import bundled_scenario_path
-
         text = bundled_scenario_path(scenario).read_text()
         assert text.count(edit[0]) == 1
         cfg = tmp_path / "x.cfg"
@@ -1037,8 +1020,6 @@ class TestRejectedInput:
         ],
     )
     def test_each_line_stands_alone(self, scenario, edits, line, message, tmp_path, capsys):
-        from atugv import bundled_scenario_path
-
         text = bundled_scenario_path(scenario).read_text()
         for old, new in edits:
             assert text.count(old) == 1
@@ -1051,7 +1032,6 @@ class TestRejectedInput:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_an_inserted_key_is_located_at_its_line(self, data):
-        from atugv import bundled_scenario_path
         from atugv.scenario import BUNDLED
 
         lines = bundled_scenario_path(data.draw(st.sampled_from(BUNDLED))).read_text().splitlines()
@@ -1065,8 +1045,6 @@ class TestRejectedInput:
 
     def test_a_cell_key_has_one_spelling(self, tmp_path, capsys):
         # Loaded as {4: [5., 5.]}: the later spelling of cell 4 won.
-        from atugv import bundled_scenario_path
-
         text = bundled_scenario_path("seven_cell_sim").read_text()
         cfg = tmp_path / "x.cfg"
         cfg.write_text(_with_key(_with_key(text, "sim", "offset.04", "5, 5"), "sim", "offset.4", "0.01, 0"))
@@ -1077,8 +1055,6 @@ class TestRejectedInput:
 def _unreachable_text():
     """four_cell_experiment with reach 0.55 m and a plan that asks joint
     (4, 1) for 0.57735 m from its first sample on."""
-    from atugv import bundled_scenario_path
-
     text = _with_key(bundled_scenario_path("four_cell_experiment").read_text(), "geometry", "arm_length", "0.225")
     for key, value in (
         ("lambda1_final", "1.0"),
@@ -1123,8 +1099,6 @@ class TestStaleOutputs:
         # Exited 2 and left the bundled run's three files: `run` solved the
         # reference before it removed them. The overlap now fails at load, at
         # its key.
-        from atugv import bundled_scenario_path
-
         overlapping = tmp_path / "overlapping.cfg"
         text = bundled_scenario_path("four_cell_experiment").read_text()
         overlapping.write_text(_with_key(text, "geometry", "cell_radius", "0.3"))
@@ -1139,8 +1113,6 @@ class TestStaleOutputs:
     def test_load_error_leaves_no_earlier_outputs(self, tmp_path, capsys):
         # Exited 2 and left the bundled run's three files: `run` loaded the
         # scenario before it removed them.
-        from atugv import bundled_scenario_path
-
         bad = tmp_path / "bad.cfg"
         bad.write_text(_with_key(bundled_scenario_path("four_cell_experiment").read_text(), "plan", "tf", "-1"))
         out = tmp_path / "out"
@@ -1154,7 +1126,8 @@ class TestStaleOutputs:
         # The verdict read `UNREACHABLE — separation 0.57735 m exceeds
         # mechanism reach 0.55 m`: no time and no joint. The bundled plan
         # with the shorter arm alone is out of reach at its first sample too.
-        from atugv import UnreachableSeparationError, plan
+        from atugv.errors import UnreachableSeparationError
+        from atugv.planner import plan
 
         message = "plan is out of reach at t = 0 s, joint (4, 1): separation 0.57735 m exceeds mechanism reach 0.55 m"
         short_arm = bundled_scenario_path("four_cell_experiment").read_text()
@@ -1169,6 +1142,65 @@ class TestStaleOutputs:
             cfg.write_text(text)
             assert main(["validate", str(cfg)]) == 1
             assert f"mechanism-reach verdict: UNREACHABLE — {message}" in capsys.readouterr().out.splitlines()
+
+
+FUZZ_KEYS = {
+    "geometry": ("cell_radius", "arm_length", "side_length"),
+    "plan": ("t0", "tf", "lambda1_final", "lambda2_initial", "d1_final", "sigma_r_final", "sigma_d_initial"),
+    "sim": ("dt", "alpha", "k_v", "terminal_error_threshold", "offset"),
+}
+FUZZ_VALUES = ("0", "5e-324", "-5e-324", "1e-300", "1e300", "-1e300", "1e308", "-1", "0.01", "0.5", "1", "3", "20")
+MAX_FUZZ_STEPS = 20_000
+
+
+@st.composite
+def fuzzed_scenarios(draw):
+    """A bundled scenario under either model, with its default or every cell
+    powered, and one to three numeric keys set to extreme or ordinary values.
+    A draw of more than MAX_FUZZ_STEPS steps that the loader would accept is
+    left out: it tests memory, not the contract."""
+    name = draw(st.sampled_from(["four_cell_experiment", "seven_cell_sim"]))
+    text = bundled_scenario_path(name).read_text()
+    scenario = load_scenario_text(text)
+    text = _with_key(text, "sim", "model", draw(st.sampled_from(["single", "double"])))
+    if draw(st.booleans()):
+        text = _with_key(text, "graph", "powered", ",".join(str(i) for i in sorted(scenario.graph.cells)))
+    keys = [(section, key) for section, names in FUZZ_KEYS.items() for key in names]
+    times = {"t0": scenario.plan_spec.t0, "tf": scenario.plan_spec.tf, "dt": scenario.sim.dt}
+    for section, key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True)):
+        value = draw(st.sampled_from(FUZZ_VALUES))
+        text = _with_key(text, section, key, f"{value}, {value}" if key == "offset" else value)
+        times[key] = float(value)
+    if times["dt"] > 0:
+        steps = (times["tf"] - times["t0"]) / times["dt"]
+        assume(not MAX_FUZZ_STEPS < steps <= MAX_COUNT)
+    return text
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(text=fuzzed_scenarios())
+def test_fuzzed_scenario_keeps_the_cli_contract(text, tmp_path_factory):
+    # A 3,000-draw run of this test passed. Where `validate` passed and `run`
+    # exited 2, it was at a step the model cannot carry (ROADMAP item 3), so
+    # "`run` exits 2 only if `validate` does" waits for that item.
+    directory = tmp_path_factory.getbasetemp() / "fuzz"
+    directory.mkdir(exist_ok=True)
+    cfg = directory / "x.cfg"
+    cfg.write_text(text)
+    results = {}
+    for command, args in (("validate", []), ("run", ["--output-dir", str(directory / "out")])):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(cfg), *args])
+        assert code in (0, 1, 2)
+        assert (err.getvalue() == "") == (code != 2)
+        results[command] = code, err.getvalue()
+    located = rf"error: {re.escape(str(cfg))}:\d+: \[(graph|geometry|plan|sim)\] [\w.]+: [^\n]*\n"
+    if results["validate"][0] == 2:
+        assert re.fullmatch(located, results["validate"][1])
+        assert results["run"] == results["validate"]
+    elif results["run"][0] == 2:
+        assert re.fullmatch(r"error: step \d+ \(t = [^)]+ s\): [^\n]*\n", results["run"][1])
 
 
 def test_main_reuses_one_parser(capsys):
@@ -1190,8 +1222,20 @@ def _python(*args, cwd):
 
 
 class TestNewInterpreter:
-    """What only a new interpreter shows: what `import atugv.cli` loads, and
-    `python -m atugv.cli` with warnings turned into errors from its start."""
+    """What only a new interpreter shows: what `import atugv` and `import
+    atugv.cli` load, and `python -m atugv.cli` in development mode, with
+    warnings turned into errors from its start."""
+
+    def test_package_import_loads_no_module(self, tmp_path):
+        # Each name has one import path, from its own module: the package
+        # re-exports nothing.
+        check = (
+            "import sys, atugv\n"
+            "loaded = sorted(name for name in sys.modules if name.startswith('atugv.'))\n"
+            "assert not loaded, loaded\n"
+        )
+        done = _python("-c", check, cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
 
     def test_import_loads_no_heavy_module_and_builds_no_parser(self, tmp_path):
         # Every command pays for the import: scipy and configparser are not
@@ -1219,7 +1263,9 @@ class TestNewInterpreter:
             scenario = tmp_path / f"{name}.cfg"
             scenario.write_text(text.replace("\nmodel = single\n", "\nmodel = double\n"))
         args = [str(scenario), "--output-dir", "out"] if command == "run" else [str(scenario)]
-        done = _python("-W", "error", "-m", "atugv.cli", command, *args, cwd=tmp_path)
+        # Development mode adds the runtime's debug checks; under `-W error` a
+        # file left unclosed prints a ResourceWarning to stderr.
+        done = _python("-X", "dev", "-W", "error", "-m", "atugv.cli", command, *args, cwd=tmp_path)
         assert (done.returncode, done.stderr) == (0, "")
         if command == "run":
             for output in ("trajectory.csv", "elbows.csv", "report.txt"):

@@ -10,32 +10,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_bench_contract import BENCH, _bench_module
 
-from atugv import (
-    AtugvError,
-    GeneralizedCoordinates,
-    InconsistentAnglesError,
-    InvalidArgumentError,
-    PlanSpec,
-    SimConfig,
-    UnreachableSeparationError,
-    barycentric_weights,
-    bundled_scenario_path,
-    desired_positions,
-    elbow_angle,
-    load_scenario_text,
-    min_separation,
-    plan,
-    resolve_unpowered,
-    resolve_unpowered_position,
-    run,
-    step,
-    velocity_command,
-)
-from atugv import kinematics
+from atugv import cli, kinematics
+from atugv.affine import GeneralizedCoordinates
 from atugv.cli import main
-from atugv.kinematics import _REACH_RTOL
-from atugv.planner import joint_separations
-from atugv.simulator import MODELS, track
+from atugv.errors import AtugvError, InconsistentAnglesError, InvalidArgumentError, UnreachableSeparationError
+from atugv.kinematics import _REACH_RTOL, elbow_angle, resolve_unpowered_position
+from atugv.network import barycentric_weights, min_separation
+from atugv.planner import PlanSpec, desired_positions, joint_separations, plan
+from atugv.scenario import bundled_scenario_path, load_scenario_text
+from atugv.simulator import MODELS, SimConfig, resolve_unpowered, run, step, step_count, track, velocity_command
 
 IDENTITY = GeneralizedCoordinates.identity()
 SIM_FINAL = GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)
@@ -442,8 +425,6 @@ class TestRun:
 
     @pytest.mark.parametrize("tf, dt", [("0.7", "0.07"), ("1.4", "0.14")])
     def test_dt_of_exactly_a_tenth_loads(self, tf, dt):
-        from atugv.simulator import step_count
-
         # Failed with `dt = 0.07 must not exceed a tenth of the horizon 0.7 s`:
         # 0.7 / 10.0 rounds below 0.07.
         text = _bundled_text("seven_cell_sim").replace("tf = 10.0\n", f"tf = {tf}\n")
@@ -726,6 +707,67 @@ class TestUnitsOfLength:
         if k == 0:
             assert err == f"error: {UNPLACEABLE_MESSAGE}\n"
         assert not (tmp_path / "out" / "report.txt").exists()
+
+
+def _rescaled_time(text, factor):
+    """The scenario with its times multiplied by `factor` and its gains,
+    which are in 1/s, divided by it; `k_v` is written out at its default."""
+    text = text.replace("\nalpha = 10.0\n", f"\nalpha = 10.0\nk_v = {SimConfig.k_v!r}\n")
+    for key, power in (("t0", 1), ("tf", 1), ("dt", 1), ("alpha", -1), ("k_v", -1)):
+        scale = factor**power
+        text, count = re.subn(rf"^{key} = (.*)$", lambda m: f"{key} = {float(m[1]) * scale!r}", text, flags=re.M)
+        assert count == 1, key
+    return text
+
+
+def _seven_cell_with(tf, dt):
+    """seven_cell_sim over the horizon [0, tf] at the timestep dt."""
+    return _bundled_text("seven_cell_sim").replace("tf = 10.0\n", f"tf = {tf}\n").replace("dt = 0.01\n", f"dt = {dt}\n")
+
+
+class TestUnitsOfTime:
+    """No verdict may depend on the unit of time either. With every time
+    scaled by a power of two and every gain by its inverse, alpha * dt and
+    the Euler matrix's spectrum are unchanged: positions and angles keep
+    every bit, times and velocity commands scale exactly."""
+
+    POSITIONS = ("actual", "desired", "errors", "separations", "min_clearance")
+    SHAPES = ("elbow_desired", "elbow_actual", "closest_pairs")
+
+    @pytest.mark.parametrize("k", [10, 30, 60])
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("name", ["four_cell_experiment", "seven_cell_sim"])
+    def test_traces_scale_exactly(self, name, model, k):
+        text = _bundled_text(name).replace("model = single", f"model = {model}")
+        unit, scaled = (load_scenario_text(t) for t in (text, _rescaled_time(text, 2.0**-k)))
+        assert cli._validate_verdicts(scaled) == cli._validate_verdicts(unit)
+        traces = [run(s.plan_spec, s.graph, s.sim) for s in (unit, scaled)]
+        for array in self.POSITIONS + self.SHAPES:
+            assert np.array_equal(getattr(traces[1], array), getattr(traces[0], array), equal_nan=True), array
+        assert np.array_equal(traces[1].times, 2.0**-k * traces[0].times)
+        assert np.array_equal(traces[1].velocity_commands, 2.0**k * traces[0].velocity_commands, equal_nan=True)
+        passed = [
+            [ok for ok, _ in cli._trace_verdicts(t, s.graph, s.terminal_error_threshold)]
+            for t, s in zip(traces, (unit, scaled))
+        ]
+        assert passed[1] == passed[0]
+
+    @pytest.mark.parametrize("k", [0, 20, 40])
+    @pytest.mark.parametrize("dt, rule", [(0.03, "must evenly divide"), (0.104, "must not exceed a tenth of")])
+    def test_dt_rule_holds_in_any_unit(self, dt, rule, k):
+        # Both loaded at 2^-40 s, and at tf = 1e-8, dt = 3e-10: dt was held
+        # to the horizon within an absolute 1e-9 s.
+        with pytest.raises(InvalidArgumentError) as error:
+            load_scenario_text(_rescaled_time(_seven_cell_with(1.0, dt), 2.0**-k), name="x.cfg")
+        tf, dt = 2.0**-k, dt * 2.0**-k
+        assert str(error.value) == f"x.cfg:30: [sim] dt: dt = {dt!r} {rule} the horizon {tf:.6g} s"
+
+    @pytest.mark.parametrize("k", [-40, 0, 40])
+    @pytest.mark.parametrize("tf, dt", [("0.7", "0.07"), ("0.5", "0.05"), ("10.0", "0.01")])
+    def test_dividing_dt_loads_in_any_unit(self, tf, dt, k):
+        # At 2^40 s, 10 * dt exceeded 0.7 s * 2^40 by one rounding, 1.2e-4 s.
+        scenario = load_scenario_text(_rescaled_time(_seven_cell_with(tf, dt), 2.0**k))
+        assert step_count(scenario.plan_spec, scenario.sim.dt) == round(float(tf) / float(dt))
 
 
 class TestAllPoweredIsBarycentric:
