@@ -27,16 +27,12 @@ class InvalidArgumentError(AtugvError, ValueError):
     names the key, keeping the config type's error as `__cause__`."""
 
 
-class UnreachableSeparationError(AtugvError):
-    """A commanded cell separation exceeds the full extension of the
-    two-arm connection mechanism. `planner.reach_error` alone builds it,
-    naming the `joint` as (interior cell, neighbor) and its interior `cell`;
+class InfeasibleMotionError(AtugvError):
+    """A motion the mechanism cannot carry: `planner.reach_error` builds it
+    for a joint beyond reach, naming the `joint` as (interior cell,
+    neighbor) and its interior `cell`; `kinematics.resolve_unpowered_position`
+    builds it, with no `joint`, for an unpowered cell it cannot place.
     `plan` (which returns it) and `run` (which raises it) add the `time`."""
-
-
-class InconsistentAnglesError(AtugvError):
-    """The two elbow-angle constraints define circles that do not
-    intersect; no cell position satisfies both."""
 
 
 class UnsafePlanError(AtugvError):

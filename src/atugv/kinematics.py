@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InconsistentAnglesError, InvalidArgumentError
+from .errors import InfeasibleMotionError, InvalidArgumentError
 
 # Relative slacks for "at full extension" and, on the squared discriminant
 # per reach^2, for tangent circles (1e-9 m^2 at the bundled reach of 0.6 m),
@@ -69,12 +69,12 @@ def resolve_unpowered_position(
     theta2,
     reach: float,
     previous,
-) -> Tuple[np.ndarray, Optional[InconsistentAnglesError]]:
+) -> Tuple[np.ndarray, Optional[InfeasibleMotionError]]:
     """Forward kinematics of an unpowered cell: intersect the circle of
     radius d_k = reach * sin(theta_k/2) about each actuated neighbor and pick
     the intersection closest to the position before (the mechanism cannot
     jump between branches). Returns the positions and the
-    `InconsistentAnglesError` of the first that cannot be placed, or None.
+    `InfeasibleMotionError` of the first that cannot be placed, or None.
 
     With `previous` of the points' shape (..., 2), each result is the
     intersection closest to it. With `previous` one axis shorter, the first
@@ -112,7 +112,7 @@ def resolve_unpowered_position(
             f"elbow angles are inconsistent: circles of radii {d1[k]:.6g} and "
             f"{d2[k]:.6g} about neighbors {dist[k]:.6g} m apart do not intersect"
         )
-        error = InconsistentAnglesError(message, index=k)
+        error = InfeasibleMotionError(message, index=k)
     h = np.sqrt(np.maximum(h_sq, 0.0))[..., None]
     perp = np.stack([-u[..., 1], u[..., 0]], axis=-1)
     cand_a = mid + h * perp

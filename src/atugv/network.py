@@ -85,7 +85,7 @@ class CellGraph:
 
         neighbors = {i: frozenset(js) for i, js in self.neighbors.items()}
         object.__setattr__(self, "neighbors", neighbors)
-        layer_of = self.layer_of
+        layer_of = {i: l for l, layer in enumerate(layers) for i in layer}
         interior = cells - layers[0]
         for i in sorted(interior):
             ns, key = neighbors.get(i), f"neighbors.{i}"
@@ -154,10 +154,6 @@ class CellGraph:
     @cached_property
     def cells(self) -> Tuple[int, ...]:
         return tuple(range(1, sum(len(layer) for layer in self.layers) + 1))
-
-    @cached_property
-    def layer_of(self) -> Dict[int, int]:
-        return {i: l for l, layer in enumerate(self.layers) for i in layer}
 
     @cached_property
     def interior(self) -> Tuple[int, ...]:

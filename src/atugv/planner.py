@@ -18,7 +18,7 @@ import numpy as np
 
 from . import affine, kinematics
 from .affine import COORD_FIELDS, GeneralizedCoordinates
-from .errors import AtugvError, InvalidArgumentError, UnreachableSeparationError, UnsafePlanError
+from .errors import AtugvError, InfeasibleMotionError, InvalidArgumentError, UnsafePlanError
 from .network import CellGraph, check_length
 
 BLEND_KINDS = ("linear", "smoothstep", "smootherstep")
@@ -114,7 +114,7 @@ def joint_separations(graph: CellGraph, positions: np.ndarray) -> np.ndarray:
     return np.linalg.norm(positions[..., i, :] - positions[..., j, :], axis=-1)
 
 
-def reach_error(graph: CellGraph, separations: np.ndarray) -> Optional[UnreachableSeparationError]:
+def reach_error(graph: CellGraph, separations: np.ndarray) -> Optional[InfeasibleMotionError]:
     """The error of the first joint beyond reach in the (T, J) `separations`
     (row-major, columns in `graph.joints` order), or None: the one place that
     names a joint beyond reach. It names the joint in front of its message,
@@ -125,7 +125,7 @@ def reach_error(graph: CellGraph, separations: np.ndarray) -> Optional[Unreachab
     k, m = divmod(int(np.argmax(over)), over.shape[1])
     joint = graph.joints[m]
     message = f"joint {joint}: separation {separations[k, m]:.6g} m exceeds mechanism reach {graph.reach:.6g} m"
-    return UnreachableSeparationError(message, joint=joint, cell=joint[0], index=(k, m))
+    return InfeasibleMotionError(message, joint=joint, cell=joint[0], index=(k, m))
 
 
 def check_sample_count(samples: int) -> None:

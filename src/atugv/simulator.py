@@ -15,7 +15,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import kinematics
-from .errors import InconsistentAnglesError, InvalidArgumentError
+from .errors import InfeasibleMotionError, InvalidArgumentError
 from .network import MAX_LENGTH, CellGraph, check_length, min_separation
 from .planner import MAX_COUNT, PlanSpec, desired_positions, joint_separations, reach_error
 from .planner import coordinates_at  # noqa: F401  (bench/tracing.py wraps this name here)
@@ -170,7 +170,7 @@ def track(start: np.ndarray, targets: np.ndarray, config: SimConfig) -> np.ndarr
 
 def resolve_unpowered(
     graph: CellGraph, actual: np.ndarray, commanded: np.ndarray
-) -> Optional[InconsistentAnglesError]:
+) -> Optional[InfeasibleMotionError]:
     """Fill in the unpowered rows of actual[1:], given actual[0], the
     powered rows at every time ((T, N, 2) arrays, like `desired`) and the
     angle commanded to every joint ((T, J), like `SimulationTrace.elbow_desired`).

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_seven_cell
 
-from atugv.errors import InconsistentAnglesError, InvalidArgumentError, UnreachableSeparationError
+from atugv.errors import InfeasibleMotionError, InvalidArgumentError
 from atugv.kinematics import (
     _REACH_RTOL,
     beyond_reach,
@@ -23,8 +23,8 @@ REACH = 2 * (L + R)
 
 
 def assert_inconsistent(error, circles, index):
-    """`error` is the disjoint circles' InconsistentAnglesError at `index`."""
-    assert type(error) is InconsistentAnglesError
+    """`error` is the disjoint circles' placement error at `index`, which names no joint."""
+    assert type(error) is InfeasibleMotionError and error.joint is None
     assert (str(error), error.index) == (f"elbow angles are inconsistent: {circles}", index)
 
 
@@ -84,7 +84,7 @@ class TestReachSlack:
         separations[2, 5] = separations[3, 0] = self.PAST
         assert np.argwhere(np.isnan(elbow_angle(separations, REACH))).tolist() == [[2, 5], [3, 0]]
         error = reach_error(self.GRAPH, separations)
-        assert type(error) is UnreachableSeparationError
+        assert type(error) is InfeasibleMotionError
         assert (error.index, error.joint) == ((2, 5), self.GRAPH.joints[5])
 
     @given(
@@ -291,7 +291,7 @@ class TestBatches:
         assert np.isfinite(got[:2]).all()  # the steps before the failing one are placed
         c2[2, 1] = 0.0  # within a step, coincident neighbors come first
         _, error = resolve_unpowered_position(c1, c2, theta, theta, REACH, start)
-        assert type(error) is InconsistentAnglesError
+        assert type(error) is InfeasibleMotionError and error.joint is None
         assert (str(error), error.index) == ("actuated neighbors coincide; cell position is not determined", (2, 1))
 
     def test_zero_steps(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from atugv.affine import GeneralizedCoordinates, jacobian
-from atugv.errors import InvalidArgumentError, UnreachableSeparationError, UnsafePlanError
+from atugv.errors import InfeasibleMotionError, InvalidArgumentError, UnsafePlanError
 from atugv.network import min_separation
 from atugv.planner import PlanSpec, blend, coordinates_at, desired_positions, plan
 
@@ -127,7 +127,8 @@ class TestPlan:
 
         short_arms = make_seven_cell(cell_radius=0.05, arm_length=0.2)  # reach 0.5
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=IDENTITY)
-        assert type(plan(spec, short_arms, sample_count=10)) is UnreachableSeparationError
+        error = plan(spec, short_arms, sample_count=10)
+        assert type(error) is InfeasibleMotionError and error.joint == (4, 1)
 
     def test_accepted_plan_clears_everywhere(self, seven_cell):
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL)
@@ -155,7 +156,8 @@ class TestPlan:
         short_arms = make_seven_cell(cell_radius=0.05, arm_length=0.2)
         late_unsafe = GeneralizedCoordinates(1.0, 0.4, 0.0, 0.0, 0.0, 0.0)
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=late_unsafe)
-        assert type(plan(spec, short_arms, sample_count=10)) is UnreachableSeparationError
+        error = plan(spec, short_arms, sample_count=10)
+        assert type(error) is InfeasibleMotionError and error.joint == (4, 1)
         # strain unsafe from t0: strain reported even though reach fails too
         spec = PlanSpec(t0=0.0, tf=10.0, initial=late_unsafe, final=late_unsafe)
         error = plan(spec, short_arms, sample_count=10)

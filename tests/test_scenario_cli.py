@@ -1126,7 +1126,7 @@ class TestStaleOutputs:
         # The verdict read `UNREACHABLE — separation 0.57735 m exceeds
         # mechanism reach 0.55 m`: no time and no joint. The bundled plan
         # with the shorter arm alone is out of reach at its first sample too.
-        from atugv.errors import UnreachableSeparationError
+        from atugv.errors import InfeasibleMotionError
         from atugv.planner import plan
 
         message = "plan is out of reach at t = 0 s, joint (4, 1): separation 0.57735 m exceeds mechanism reach 0.55 m"
@@ -1135,7 +1135,7 @@ class TestStaleOutputs:
         for text in (_unreachable_text(), short_arm):
             scenario = load_scenario_text(text)
             error = plan(scenario.plan_spec, scenario.graph, scenario.sample_count)
-            assert type(error) is UnreachableSeparationError
+            assert type(error) is InfeasibleMotionError
             assert (scenario.sample_count, error.index, error.time, error.cell, error.joint) == (200, 0, 0.0, 4, (4, 1))
             assert str(error) == message
             cfg = tmp_path / "unreachable.cfg"

@@ -13,7 +13,7 @@ from test_bench_contract import BENCH, _bench_module
 from atugv import cli, kinematics
 from atugv.affine import GeneralizedCoordinates
 from atugv.cli import main
-from atugv.errors import AtugvError, InconsistentAnglesError, InvalidArgumentError, UnreachableSeparationError
+from atugv.errors import AtugvError, InfeasibleMotionError, InvalidArgumentError
 from atugv.kinematics import _REACH_RTOL, elbow_angle, resolve_unpowered_position
 from atugv.network import barycentric_weights, min_separation
 from atugv.planner import PlanSpec, desired_positions, joint_separations, plan
@@ -124,7 +124,7 @@ def reference_run(spec, graph, config):
             m = int(np.argmax(over))
             joint = graph.joints[m]
             message = f"joint {joint}: separation {separations[row, m]:.6g} m exceeds mechanism reach {reach:.6g} m"
-            exc = UnreachableSeparationError(message, cell=joint[0], joint=joint, index=(row, m))
+            exc = InfeasibleMotionError(message, cell=joint[0], joint=joint, index=(row, m))
             raise _at_step(exc, row, times)
         elbow_desired[row] = elbow_angle(separations[row], reach)
         if row == 0:
@@ -247,7 +247,7 @@ class TestStep:
         # about them shrink to points that do not meet
         commanded[1, [seven_cell.joints.index((6, 2)), seven_cell.joints.index((6, 3))]] = 0.0
         error = resolve_unpowered(seven_cell, actual, commanded)
-        assert type(error) is InconsistentAnglesError
+        assert type(error) is InfeasibleMotionError and error.joint is None
         assert str(error).startswith("elbow angles are inconsistent: circles of radii 0 and 0 about neighbors ")
         assert (error.cell, error.index, error.step) == (6, (1, 5), 1)
 
@@ -360,7 +360,7 @@ class TestRun:
 
     def test_error_keeps_structured_fields(self):
         inputs = scenario_inputs(REACH_SCENARIO.format(powered=""))
-        with pytest.raises(UnreachableSeparationError) as excinfo:
+        with pytest.raises(InfeasibleMotionError) as excinfo:
             run(*inputs)
         exc = excinfo.value
         assert (exc.step, exc.joint, exc.cell) == (43, (4, 1), 4)
@@ -371,7 +371,7 @@ class TestRun:
         # every cell powered: the over-extended joint drags no unpowered cell,
         # and the commanded angles at time index 43 are out of reach
         inputs = scenario_inputs(REACH_SCENARIO.format(powered="powered = 1,2,3,4"))
-        with pytest.raises(UnreachableSeparationError) as excinfo:
+        with pytest.raises(InfeasibleMotionError) as excinfo:
             run(*inputs)
         exc = excinfo.value
         assert (exc.step, exc.index, exc.cell, exc.joint) == (43, (43, 0), 4, (4, 1))
@@ -392,7 +392,7 @@ class TestRun:
         ]
         assert errors[0] == errors[1]
         kind, message, fields = errors[0]
-        assert kind is UnreachableSeparationError
+        assert kind is InfeasibleMotionError
         assert message == REACH_MESSAGE
         assert (fields["step"], fields["cell"], fields["joint"], fields["index"]) == (43, 4, (4, 1), (43, 0))
         assert abs(fields["time"] - 0.43) < 1e-12
@@ -515,7 +515,7 @@ class TestMatchesStepByStep:
         kind, message, fields = _error_of(reference_run, spec, graph, SimConfig(dt=0.01))
         # read row 28 (t = 0.28 s) and row 6: the row before the one that fails
         step, cell = {19: (29, 13), 67: (7, 54)}[n_cells]
-        assert (kind, fields["step"], fields["cell"]) == (InconsistentAnglesError, step, cell)
+        assert (kind, fields["step"], fields["cell"], fields["joint"]) == (InfeasibleMotionError, step, cell, None)
         assert message.startswith(f"step {step} (t = {step / 100:.6g} s): elbow angles are inconsistent")
         assert_same_as_reference(spec, graph, SimConfig(dt=0.01))
 
@@ -525,7 +525,7 @@ class TestMatchesStepByStep:
         text = LAYERED_REACH_SCENARIO.format(powered="powered = 1,2,3,5,7")
         spec, graph, config = scenario_inputs(text + "[sim]\noffset.3 = 0.3, 0.3\n")
         kind, _, fields = _error_of(run, spec, graph, config)
-        assert (kind, fields["step"], fields["cell"]) == (InconsistentAnglesError, 1, 6)
+        assert (kind, fields["step"], fields["cell"], fields["joint"]) == (InfeasibleMotionError, 1, 6, None)
         unperturbed = SimConfig(dt=config.dt)
         later = _error_of(run, spec, graph, unperturbed)[2]  # layer 1 alone fails later
         assert (later["step"], later["cell"], later["joint"]) == (43, 4, (4, 1))
@@ -552,7 +552,7 @@ class TestMatchesStepByStep:
             LAYERED_REACH_SCENARIO.format(powered="powered = 1,2,3,4,6,7") + "[sim]\nalpha = 5\n"
         )
         kind, message, fields = _error_of(run, spec, graph, config)
-        assert kind is UnreachableSeparationError
+        assert kind is InfeasibleMotionError
         assert message.startswith("step 43 (t = 0.43 s): joint (4, 1): ")
         assert (fields["step"], fields["cell"], fields["joint"]) == (43, 4, (4, 1))
         assert_same_as_reference(spec, graph, config)
@@ -561,18 +561,22 @@ class TestMatchesStepByStep:
         for powered in ("", "powered = 1,2,3,4"):
             assert_same_as_reference(*scenario_inputs(REACH_SCENARIO.format(powered=powered)))
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(1, 11))
     def test_default_powered_synthetic_graphs(self, seed, monkeypatch):
         # 250 cells, every last-layer cell unpowered: read `step 0 (t = 0 s)`,
-        # the row before the first that cannot be placed
+        # the row before the first that cannot be placed. Each graph fails at
+        # step 1 (seed 9 at step 2) placing a cell, so the error names no joint.
         monkeypatch.syspath_prepend(str(BENCH))  # workloads imports oracle by name
         text = _bench_module("workloads").synthetic_scenario(np.random.default_rng([seed, 0]))
         text = "\n".join(line for line in text.splitlines() if not line.startswith("powered ="))
         spec, graph, config = scenario_inputs(text)
         assert graph.unpowered
         kind, message, fields = _error_of(run, spec, graph, config)
-        assert kind is InconsistentAnglesError and message.startswith("step 1 (t = 0.05 s): ")
-        assert fields["step"] == 1
+        step = 2 if seed == 9 else 1
+        assert kind is InfeasibleMotionError and message.startswith(
+            f"step {step} (t = {step * config.dt:.6g} s): elbow angles are inconsistent: "
+        )
+        assert (fields["step"], fields["joint"]) == (step, None)
         assert_same_as_reference(spec, graph, config)
 
 
@@ -625,7 +629,8 @@ class TestOneSearch:
                 seen.add("success")
                 continue
             kind, _, fields = error
-            name, first = {UnreachableSeparationError: ("reach", 0), InconsistentAnglesError: ("resolve", 1)}[kind]
+            assert kind is InfeasibleMotionError
+            name, first = ("resolve", 1) if fields["joint"] is None else ("reach", 0)
             seen.add(f"{name} at row {first}" if fields["step"] == first else f"{name} later")
         assert seen == self.OUTCOMES
 
@@ -642,7 +647,7 @@ class TestOneSearch:
         monkeypatch.setattr(kinematics, "resolve_unpowered_position", counted)
         spec, graph, config = scenario_inputs(_bundled_text("seven_cell_sim").replace("tf = 10.0\n", "tf = 1.5\n"))
         kind, message, fields = _error_of(run, spec, graph, config)
-        assert kind is InconsistentAnglesError and message == UNPLACEABLE_MESSAGE
+        assert kind is InfeasibleMotionError and message == UNPLACEABLE_MESSAGE
         assert (fields["step"], fields["cell"], fields["index"]) == (65, 6, (65, 5))
         assert len(calls) == sum(1 for layer in graph.layers if layer & graph.unpowered) == 1
 
@@ -684,7 +689,7 @@ class TestUnitsOfLength:
         text = _bundled_text("seven_cell_sim").replace("tf = 10.0\n", "tf = 1.5\n")
         unit, scaled = (_error_of(run, *scenario_inputs(t)) for t in (text, _scaled(text, 2.0**k)))
         assert unit[1] == UNPLACEABLE_MESSAGE
-        assert scaled[0] is unit[0] is InconsistentAnglesError
+        assert scaled[0] is unit[0] is InfeasibleMotionError
         assert scaled[2] == unit[2]  # step, time, cell and index
         lengths = re.compile(r"step 65 \(t = 0\.65 s\): elbow angles are inconsistent: circles of radii (\S+) and "
                              r"(\S+) about neighbors (\S+) m apart do not intersect")
