@@ -27,7 +27,7 @@ class GeneralizedCoordinates:
     sigma_d: shear (principal-axis) angle [rad]
     d1, d2: translation [m]
 
-    Each field is a float, or an array of equal shape for a batch of times.
+    Each field is a finite float (the loader's rule), or an array of equal shape for a batch of times.
     """
 
     lambda1: float
@@ -38,10 +38,6 @@ class GeneralizedCoordinates:
     d2: float
 
     def __post_init__(self):
-        for name in COORD_FIELDS:
-            value = getattr(self, name)
-            if not np.all(np.isfinite(value)):
-                raise InvalidArgumentError(f"{name} must be finite, got {value!r}", field=name)
         for name in ("lambda1", "lambda2"):
             value = getattr(self, name)
             if not np.all((0.0 < value) & (value <= 1.0)):
@@ -53,7 +49,7 @@ class GeneralizedCoordinates:
 
 
 def rotation_matrix(sigma_r) -> np.ndarray:
-    """Counterclockwise rotation by sigma_r radians (`GeneralizedCoordinates` checks it is finite)."""
+    """Counterclockwise rotation by sigma_r radians (the scenario loader checks it is finite)."""
     c, s = np.cos(sigma_r), np.sin(sigma_r)
     return np.moveaxis(np.array([[c, -s], [s, c]]), (0, 1), (-2, -1))
 
@@ -61,7 +57,7 @@ def rotation_matrix(sigma_r) -> np.ndarray:
 def strain_matrix(lambda1, lambda2, sigma_d) -> np.ndarray:
     """Symmetric positive-definite strain with principal values lambda1 and
     lambda2, the lambda1 axis rotated by sigma_d from +x. Its callers own the
-    finite values and positive strains: `GeneralizedCoordinates`."""
+    finite values and positive strains: the loader and `GeneralizedCoordinates`."""
     c, s = np.cos(sigma_d), np.sin(sigma_d)
     u11 = lambda1 * c * c + lambda2 * s * s
     u22 = lambda1 * s * s + lambda2 * c * c

@@ -19,12 +19,12 @@ class AtugvError(Exception):
 
 
 class InvalidArgumentError(AtugvError, ValueError):
-    """An argument violates a precondition: a value out of its range, a time
-    outside the planning horizon, a cell graph that is not layered (an
-    interior cell without exactly three neighbors from earlier layers) or
-    whose reference overlaps (`field` `cell_radius`), or a scenario file that
-    does not parse. A config type names the `field` it rejects; the loader
-    names the key, keeping the config type's error as `__cause__`."""
+    """An argument violates a precondition: a value out of its range, a cell
+    graph that is not layered (an interior cell without exactly three
+    neighbors from earlier layers) or whose reference overlaps (`field`
+    `cell_radius`), or a scenario file that does not parse. A config type
+    names the `field` it rejects; the loader names the key, keeping the
+    config type's error as `__cause__`."""
 
 
 class InfeasibleMotionError(AtugvError):

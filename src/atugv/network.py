@@ -55,8 +55,8 @@ class CellGraph:
     carry motors. `side_length` is the side of the boundary triangle.
 
     An error names the `field` it rejects: `layers`, `neighbors.<i>` or
-    `actuated.<i>` for cell i, `powered`, or a geometry field;
-    `cell_radius` for a reference that overlaps, which is solved here.
+    `actuated.<i>` for cell i, `powered`, or a geometry field; `cell_radius`
+    for a reference that overlaps, which is solved here. The loader rejects an empty layer.
     """
 
     layers: Tuple[FrozenSet[int], ...]
@@ -74,8 +74,6 @@ class CellGraph:
             raise InvalidArgumentError("layer 0 must contain exactly 3 boundary cells", field="layers")
         cells = set()
         for layer in layers:
-            if not layer:
-                raise InvalidArgumentError("empty layer", field="layers")
             if layer & cells:
                 duplicated = sorted(layer & cells)
                 raise InvalidArgumentError(f"layers are not disjoint: {duplicated}", field="layers")
@@ -200,10 +198,10 @@ class ReferenceConfiguration:
 
 
 def min_separation(positions: np.ndarray):
-    """The closest cell pair (i, j), i < j, and its distance over all pairs
-    of finite (..., N, 2) positions with row i - 1 holding cell i; of equal
-    distances, the lexicographically first pair. One configuration (N, 2)
-    gives a pair of ints and a float; more give pairs (..., 2) and (...).
+    """The closest cell pair (i, j), i < j, and its distance over all pairs of
+    finite (..., N, 2) positions, N >= 3 as `CellGraph` requires, with row i - 1
+    holding cell i; of equal distances, the lexicographically first pair. One
+    configuration (N, 2) gives a pair of ints and a float; more give pairs (..., 2) and (...).
 
     All configurations are swept at once, cells in x order, comparing cells
     w = 1, 2, ... ranks apart until no pair has sqrt(dx * dx) within the best
@@ -212,8 +210,6 @@ def min_separation(positions: np.ndarray):
     scan's, bit for bit."""
     positions = np.asarray(positions, dtype=float)
     *batch, n, _ = positions.shape
-    if n < 2:
-        raise InvalidArgumentError("need at least two cells")
     flat = positions.reshape(-1, n, 2)
     order = np.argsort(flat[..., 0].T, axis=0)  # (N, T): one configuration per column
     xs, ys = np.take_along_axis(flat.T, order[None], axis=1)

@@ -257,8 +257,7 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
 
 
 def bundled_scenario_path(name: str) -> Path:
-    if name not in BUNDLED:
-        raise InvalidArgumentError(f"no bundled scenario named {name!r}; available: {BUNDLED}")
+    """The file of the bundled scenario `name`, one of BUNDLED, which `load_scenario` checks."""
     return Path(resources.files("atugv") / "scenarios" / f"{name}.cfg")
 
 

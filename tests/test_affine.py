@@ -207,7 +207,3 @@ class TestGeneralizedCoordinates:
             GeneralizedCoordinates(1.1, 0.8, 0, 0, 0, 0)
         with pytest.raises(InvalidArgumentError):
             GeneralizedCoordinates(0.9, 0.0, 0, 0, 0, 0)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            GeneralizedCoordinates(0.9, 0.8, float("inf"), 0, 0, 0)

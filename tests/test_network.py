@@ -154,10 +154,6 @@ class TestMinSeparation:
     def test_two_cells(self):
         assert min_separation(np.array([[0.0, 0.0], [1.0, 0.0]])) == ((1, 2), 1.0)
 
-    def test_one_cell_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            min_separation(np.zeros((1, 2)))
-
     def test_matches_brute_force(self, seven_cell_reference):
         pos = seven_cell_reference.positions
         n = len(pos)

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from atugv.affine import GeneralizedCoordinates, jacobian
+from atugv.affine import COORD_FIELDS, GeneralizedCoordinates, jacobian
 from atugv.errors import InfeasibleMotionError, InvalidArgumentError, UnsafePlanError
-from atugv.network import min_separation
-from atugv.planner import PlanSpec, blend, coordinates_at, desired_positions, plan
+from atugv.network import MAX_LENGTH, min_separation
+from atugv.planner import BLEND_KINDS, PlanSpec, blend, coordinates_at, desired_positions, plan
+from atugv.scenario import load_scenario_text
 
 IDENTITY = GeneralizedCoordinates.identity()
 SIM_FINAL = GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)
@@ -28,16 +31,16 @@ class TestBlend:
         vals = [blend(t, 0.0, 10.0, kind) for t in ts]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
-    def test_outside_horizon_rejected(self):
-        for t in (-0.1, 10.1):
-            message = rf"^t = {t} outside planning horizon \[0\.0, 10\.0\]$"
-            with pytest.raises(InvalidArgumentError, match=message) as excinfo:
-                blend(t, 0.0, 10.0)
-            assert excinfo.value.field is None
-
     def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            blend(1.0, 0.0, 10.0, "cubic")
+        # `blend` trusts its kind: `PlanSpec` owns the rule.
+        with pytest.raises(InvalidArgumentError, match=r"^unknown blend kind 'cubic'") as excinfo:
+            PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=IDENTITY, blend="cubic")
+        assert excinfo.value.field == "blend"
+
+    def test_smootherstep_is_at_most_1(self):
+        # Was 1.0000000000000004: the rounded polynomial passes 1 next to tf,
+        # and a coordinate at float64's largest value overflowed to inf.
+        assert blend(-2.0, -753198.0, 0.0, "smootherstep") == 1.0
 
 
 class TestCoordinatesAt:
@@ -67,6 +70,27 @@ class TestCoordinatesAt:
         )
         assert coordinates_at(spec, 2.0) == IDENTITY
         assert coordinates_at(spec, 7.0) == SIM_FINAL
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from(BLEND_KINDS))
+    def test_every_field_is_finite(self, data, kind):
+        # The loader checks every number it reads; `coordinates_at` is the
+        # one producer of coordinates it does not check. Any finite
+        # endpoints, float64's largest angles included, and any time of a
+        # horizon that `step_count` accepts (tf - t0 finite) give finite
+        # coordinates, under warnings as errors.
+        biggest = float(np.finfo(float).max)
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        strain = st.floats(0.0, 1.0, exclude_min=True)
+        angle = st.sampled_from([biggest, -biggest]) | finite
+        translation = st.floats(-MAX_LENGTH, MAX_LENGTH)
+        fields = (strain, strain, angle, angle, translation, translation)
+        initial, final = (GeneralizedCoordinates(*map(data.draw, fields)) for _ in range(2))
+        t0, tf = sorted(data.draw(st.lists(finite, min_size=2, max_size=2, unique=True)))
+        assume(math.isfinite(tf - t0))
+        spec = PlanSpec(t0=t0, tf=tf, initial=initial, final=final, blend=kind)
+        coords = coordinates_at(spec, data.draw(st.floats(t0, tf)))
+        assert all(math.isfinite(getattr(coords, name)) for name in COORD_FIELDS)
 
 
 class TestPlan:
@@ -195,7 +219,11 @@ class TestPlan:
     @pytest.mark.parametrize("t0, tf, field", [(0.0, math.inf, "tf"), (-math.inf, 10.0, "t0")])
     def test_infinite_horizon_rejected(self, t0, tf, field):
         # Was accepted; `plan` then failed inside np.linspace with a
-        # RuntimeWarning, or with an error listing NaN times.
-        with pytest.raises(InvalidArgumentError, match=rf"^{field} must be finite, got -?inf$") as excinfo:
-            PlanSpec(t0=t0, tf=tf, initial=IDENTITY, final=IDENTITY)
+        # RuntimeWarning, or with an error listing NaN times. The scenario
+        # loader owns finiteness: it rejects the key.
+        graph = "[graph]\nlayers = 1,2,3\n[geometry]\ncell_radius = 0.05\narm_length = 0.25\n"
+        text = f"{graph}[plan]\nt0 = {t0}\ntf = {tf}\n"
+        message = rf"^<scenario>:\d+: \[plan\] {field}: expected a finite number, got '-?inf'$"
+        with pytest.raises(InvalidArgumentError, match=message) as excinfo:
+            load_scenario_text(text)
         assert excinfo.value.field == field

@@ -336,7 +336,13 @@ class TestRejectedInput:
 
     @pytest.mark.parametrize(
         "section, key",
-        [("sim", "dt"), ("geometry", "cell_radius"), ("sim", "alpha"), ("sim", "terminal_error_threshold")],
+        [
+            ("sim", "dt"),
+            ("geometry", "cell_radius"),
+            ("sim", "alpha"),
+            ("sim", "terminal_error_threshold"),
+            ("plan", "sigma_r_final"),
+        ],
     )
     def test_nan_in_scenario_file(self, section, key, tmp_path, capsys):
         # dt: ValueError traceback in the simulator; cell_radius: an array of
@@ -347,7 +353,7 @@ class TestRejectedInput:
         err = capsys.readouterr().err
         assert "nan.cfg:" in err and f"[{section}] {key}: expected a finite number, got 'nan'" in err
 
-    @pytest.mark.parametrize("value", ["inf", "-inf", "-nan"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "-nan", "nan"])
     def test_non_finite_numbers_rejected(self, value):
         with pytest.raises(InvalidArgumentError, match=r":\d+: \[plan\] tf: expected a finite number"):
             load_scenario_text(_with_key(SEVEN, "plan", "tf", value))
@@ -457,6 +463,19 @@ class TestRejectedInput:
         reference = solve_reference_positions(graph)
         assert math.isfinite(reference.d_min) and reference.d_min > 0.1 * s
         assert plan(seven.plan_spec, graph, 200) is None
+
+    def test_smootherstep_next_to_tf_keeps_the_strains_in_range(self, tmp_path, capsys):
+        # Exited 2 with the unlocated `error: lambda1 must lie in (0, 1], got
+        # [0.25 0.25 0.25 ... 1. 1. 1. ]`: rounding lifted the blend to 1 +
+        # 2**-52 at one sample next to tf, and lambda1 above 1 with it.
+        text = bundled_scenario_path("four_cell_experiment").read_text()
+        edits = (("samples", "300000"), ("blend", "smootherstep"), ("lambda1_initial", "0.25"), ("lambda1_final", "1.0"))
+        for key, value in edits:
+            text = _with_key(text, "plan", key, value)
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(text)
+        assert main(["validate", str(cfg)]) == 0
+        assert "strain-bound verdict: SAFE (all samples)" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "section, key, value, message",
@@ -786,6 +805,15 @@ class TestRejectedInput:
             ("seven_cell_sim", "sim", "offset", "0.01,,-0.02", 29, "expected two finite numbers"),
             ("four_cell_experiment", "sim", "offset", "0.01,,-0.02", 26, "expected two finite numbers"),
             ("seven_cell_sim", "sim", "offset.5", "0.01 -0.02", 29, "expected two finite numbers"),
+            # The loader alone owns these rules: an empty layer, a number that
+            # is not finite, an offset of other than two numbers and an offset
+            # of a cell in no layer never reach a config type or `run`.
+            ("seven_cell_sim", "graph", "layers", "1,2,3 | 4 | | 5,6,7", 5, "expected cell lists separated by '|'"),
+            ("seven_cell_sim", "plan", "d1_final", "-inf", 17, "expected a finite number, got '-inf'"),
+            ("seven_cell_sim", "plan", "t0", "-inf", 17, "expected a finite number, got '-inf'"),
+            ("seven_cell_sim", "sim", "offset.4", "0.01, nan", 29, "expected two finite numbers"),
+            ("seven_cell_sim", "sim", "offset.4", "0.01", 29, "expected two finite numbers"),
+            ("seven_cell_sim", "sim", "offset.0", "0.01, 0", 29, "cell 0 is in no layer"),
             # A coordinate error is located at its key: the field plus `_initial`.
             ("seven_cell_sim", "plan", "lambda1_initial", "1.5", 17, "lambda1 must lie in (0, 1], got 1.5"),
             # A stray `dt` under [plan] does not take the [sim] dt's error. The
@@ -842,6 +870,12 @@ class TestRejectedInput:
             "offset_empty_field",
             "four_cell_offset_empty_field",
             "offset_no_comma",
+            "layers_empty_layer",
+            "d1_final_infinite",
+            "t0_infinite",
+            "offset_nan",
+            "offset_one_number",
+            "offset_cell_zero",
             "lambda1_initial",
             "dt_stray_in_plan",
             "cell_radius_overlap",
@@ -911,35 +945,6 @@ class TestRejectedInput:
         assert text.count(old) == 1
         with pytest.raises(InvalidArgumentError) as error:
             load_scenario_text(text.replace(old, new), name="x.cfg")
-        assert (str(error.value), error.value.field) == (message, field)
-
-    @pytest.mark.parametrize(
-        "make, field, message",
-        [
-            (
-                lambda: CellGraph(layers=({1, 2, 3}, set()), neighbors={}, cell_radius=0.05, arm_length=0.25),
-                "layers",
-                "empty layer",
-            ),
-            (
-                lambda: SimConfig(initial_offsets={1: "ab"}),
-                "initial_offsets",
-                "offset of cell 1 must be two finite numbers, got 'ab'",
-            ),
-            (
-                lambda: bundled_scenario_path("nope"),
-                None,
-                "no bundled scenario named 'nope'; available: ('four_cell_experiment', 'seven_cell_sim')",
-            ),
-        ],
-        ids=["empty_layer", "offset_not_numbers", "unknown_bundled_name"],
-    )
-    def test_library_input_fails_with_its_rule(self, make, field, message):
-        # No scenario file or command reaches these rules: the loader builds
-        # no empty layer, reads an offset as two numbers before `SimConfig`
-        # sees it, and asks only for a bundled name that exists.
-        with pytest.raises(InvalidArgumentError) as error:
-            make()
         assert (str(error.value), error.value.field) == (message, field)
 
     def test_spaces_around_commas_are_allowed(self):
@@ -1223,8 +1228,34 @@ def _python(*args, cwd):
 
 class TestNewInterpreter:
     """What only a new interpreter shows: what `import atugv` and `import
-    atugv.cli` load, and `python -m atugv.cli` in development mode, with
-    warnings turned into errors from its start."""
+    atugv.cli` load, `python -m atugv.cli` in development mode, with
+    warnings turned into errors from its start, and a command whose numpy
+    warnings print, as they do by default."""
+
+    def test_lag_overflow_reaches_the_separation_check(self, tmp_path):
+        # ROADMAP item 17: alpha * dt = 1.99 on the largest vehicle lags by
+        # more than `network.MAX_LENGTH`'s derivation covers. `validate`
+        # passes; `run` overflows in numpy's norm, and only
+        # `kinematics.elbow_angle`'s check stops it, with no line or key.
+        # Under `-W error` the same run ends in a traceback with exit 1.
+        text = bundled_scenario_path("seven_cell_sim").read_text()
+        edits = (
+            ("graph", "powered", "1,2,3,4,5,6,7"),
+            ("geometry", "side_length", "3e152"),
+            ("geometry", "arm_length", "3e152"),
+            ("plan", "sigma_r_final", "3141.592653589793"),
+            ("plan", "blend", "linear"),
+            ("sim", "alpha", "199"),
+        )
+        for section, key, value in edits:
+            text = _with_key(text, section, key, value)
+        (tmp_path / "x.cfg").write_text(text)
+        done = _python("-m", "atugv.cli", "validate", "x.cfg", cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        done = _python("-m", "atugv.cli", "run", "x.cfg", "--output-dir", "out", cwd=tmp_path)
+        assert done.returncode == 2
+        assert done.stderr.splitlines()[-1] == "error: separation must be a finite non-negative length, got inf"
+        assert not (tmp_path / "out" / "report.txt").exists()
 
     def test_package_import_loads_no_module(self, tmp_path):
         # Each name has one import path, from its own module: the package

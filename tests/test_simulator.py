@@ -435,24 +435,20 @@ class TestRun:
     @pytest.mark.parametrize("cell", [0, 9])
     def test_offset_of_a_cell_in_no_layer(self, cell):
         # Cell 0 shifted cell 4 (row -1 is the last row); cell 9 raised a
-        # bare IndexError.
-        scenario = load_scenario_text(_bundled_text("four_cell_experiment"))
-        assert plan(scenario.plan_spec, scenario.graph, 20) is None
-        config = SimConfig(initial_offsets={cell: np.array([0.3, 0])})
-        with pytest.raises(InvalidArgumentError, match=rf"^cell {cell} is in no layer$") as info:
-            run(scenario.plan_spec, scenario.graph, config)
-        assert (info.value.field, info.value.cell) == ("initial_offsets", cell)
+        # bare IndexError. The scenario loader owns the rule: it rejects the key.
+        text = _bundled_text("four_cell_experiment") + f"offset.{cell} = 0.3, 0\n"
+        message = rf"^<scenario>:\d+: \[sim\] offset\.{cell}: cell {cell} is in no layer$"
+        with pytest.raises(InvalidArgumentError, match=message) as info:
+            load_scenario_text(text)
+        assert info.value.field == f"offset.{cell}"
 
-    @pytest.mark.parametrize(
-        "offset",
-        [[0.01], [0.01, 0.02, 0.03], [math.nan, 0.0], [math.inf, 0.0]],
-        ids=["one_number", "three_numbers", "nan", "inf"],
-    )
+    @pytest.mark.parametrize("offset", [[math.nan, 0.0], [math.inf, 0.0]], ids=["nan", "inf"])
     def test_offset_of_other_than_two_finite_numbers(self, offset):
-        # On four_cell_experiment, [0.01] shifted cell 4 by (0.01, 0.01),
-        # three numbers failed in `run` with a bare numpy ValueError, NaN
-        # failed as a separation, and inf ran and wrote inf at row 0.
-        with pytest.raises(InvalidArgumentError, match=r"^offset of cell 4 must be two finite numbers") as info:
+        # On four_cell_experiment, NaN failed as a separation, and inf ran and
+        # wrote inf at row 0. The length bound rejects both; the loader owns
+        # the rule that an offset is two numbers, of a cell in the graph.
+        message = rf"^offset of cell 4 must be at most 8\.37988e\+152 in magnitude .*, got \[{offset[0]}, 0\.0\]$"
+        with pytest.raises(InvalidArgumentError, match=message) as info:
             SimConfig(initial_offsets={4: offset})
         assert (info.value.field, info.value.cell) == ("initial_offsets", 4)
 
