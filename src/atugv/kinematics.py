@@ -7,8 +7,8 @@ beyond the reach spans no angle, which `elbow_angle` gives as NaN.
 Unpowered cells are positioned by intersecting the two distance circles
 implied by their actuated elbow angles.
 
-Every function takes scalars/points or arrays of them (points as (..., 2));
-an error on an array names the first failing element in `index`.
+The angle maps take a value or point or an array of them (points as
+(..., 2)); the forward kinematics takes only a sequence of steps (T, ..., 2).
 """
 from __future__ import annotations
 
@@ -76,19 +76,17 @@ def resolve_unpowered_position(
     jump between branches). Returns the positions and the
     `InfeasibleMotionError` of the first that cannot be placed, or None.
 
-    With `previous` of the points' shape (..., 2), each result is the
-    intersection closest to it. With `previous` one axis shorter, the first
-    axis of the points is a sequence of steps: the first step picks the
-    intersection closest to `previous`, every later one the intersection
-    closest to the step before, and the error names the earliest failing
-    step. Within a step (or a single call), coincident neighbors are
-    reported before disjoint circles. From a failing step on, positions are
-    undefined; a NaN center or angle fails nothing.
+    The first axis of the points (T, ..., 2) and angles (T, ...) is a
+    sequence of steps: the first step picks the intersection closest to
+    `previous` (..., 2), every later one the intersection closest to the
+    step before. The error's `index` starts with the earliest failing step;
+    within it, coincident neighbors are reported before disjoint circles.
+    From a failing step on, positions are undefined; a NaN center or angle
+    fails nothing.
     """
     c1 = np.asarray(p_j1, dtype=float)
     c2 = np.asarray(p_j2, dtype=float)
     previous = np.asarray(previous, dtype=float)
-    steps = previous.ndim < c1.ndim
     d1 = separation_from_angle(theta1, reach)
     d2 = separation_from_angle(theta2, reach)
     delta = c2 - c1
@@ -104,7 +102,7 @@ def resolve_unpowered_position(
     failed = coincide | disjoint
     error = None
     if failed.any():
-        at = (int(np.argmax(failed.any(axis=tuple(range(1, failed.ndim))))),) if steps else ()
+        at = (int(np.argmax(failed.reshape(len(failed), -1).any(axis=1))),)
         kind = coincide if coincide[at].any() else disjoint
         k = at + tuple(np.argwhere(kind[at])[0].tolist())
         message = (
@@ -117,8 +115,6 @@ def resolve_unpowered_position(
     perp = np.stack([-u[..., 1], u[..., 0]], axis=-1)
     cand_a = mid + h * perp
     cand_b = mid - h * perp
-    if not steps:
-        return np.where(_closer_to_a(cand_a, cand_b, previous)[..., None], cand_a, cand_b), error
     on_a = _follow_branches(
         _closer_to_a(cand_a, cand_b, np.concatenate([previous[None], cand_a[:-1]])),
         _closer_to_a(cand_a, cand_b, np.concatenate([previous[None], cand_b[:-1]])),

@@ -27,11 +27,6 @@ MODELS = ("single", "double")
 MAX_ALPHA = float(np.finfo(float).max) / (6 * MAX_LENGTH)
 
 
-def velocity_command(desired, actual, gain: float) -> np.ndarray:
-    """Proportional velocity command v = gain * (desired - actual), gain = `SimConfig.alpha` > 0."""
-    return gain * (np.asarray(desired, dtype=float) - np.asarray(actual, dtype=float))
-
-
 @dataclass(frozen=True)
 class SimConfig:
     dt: float = 0.01
@@ -236,7 +231,7 @@ def run(spec: PlanSpec, graph: CellGraph, config: SimConfig) -> SimulationTrace:
         error.args = (f"step {k} (t = {error.time:.6g} s): {error}",)
         raise error
     v_cmd = np.full_like(desired, np.nan)
-    v_cmd[:, powered] = velocity_command(targets, path, config.alpha)
+    v_cmd[:, powered] = config.alpha * (targets - path)
     d_act = joint_separations(graph, actual)
     elbow_act = kinematics.elbow_angle(d_act, graph.reach)
     closest_pairs, min_clearance = min_separation(actual)

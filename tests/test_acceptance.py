@@ -7,7 +7,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from atugv.affine import GeneralizedCoordinates, apply, jacobian, rotation_matrix, strain_matrix
 from atugv.cli import main
@@ -163,7 +162,7 @@ def test_criterion_4_kinematic_round_trip():
                 p_j1 = positions[k, j1 - 1]
                 p_j2 = positions[k, j2 - 1]
                 t1, t2 = desired_elbow_angles(p_i, p_j1, p_j2, graph.reach)
-                got, error = resolve_unpowered_position(p_j1, p_j2, t1, t2, graph.reach, previous)
+                (got,), error = resolve_unpowered_position([p_j1], [p_j2], t1[None], t2[None], graph.reach, previous)
                 assert error is None
                 worst = max(worst, float(np.linalg.norm(got - p_i)))
                 previous = p_i

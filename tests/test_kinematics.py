@@ -140,30 +140,30 @@ class TestResolveUnpoweredPosition:
         arm, radius = 0.65, 0.06  # reach 1.42 covers sqrt(2)
         theta = 2 * math.asin(math.sqrt(2.0) / (2 * (arm + radius)))
         got, error = resolve_unpowered_position(
-            [0, 0], [2, 0], theta, theta, 2 * (arm + radius), previous=[1.0, 0.5]
+            [[0, 0]], [[2, 0]], np.array([theta]), np.array([theta]), 2 * (arm + radius), previous=[1.0, 0.5]
         )
-        np.testing.assert_allclose(got, [1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(got, [[1.0, 1.0]], atol=1e-12)
         assert error is None
 
     def test_continuity_picks_other_branch(self):
         arm, radius = 0.65, 0.06
         theta = 2 * math.asin(math.sqrt(2.0) / (2 * (arm + radius)))
         got, error = resolve_unpowered_position(
-            [0, 0], [2, 0], theta, theta, 2 * (arm + radius), previous=[1.0, -0.5]
+            [[0, 0]], [[2, 0]], np.array([theta]), np.array([theta]), 2 * (arm + radius), previous=[1.0, -0.5]
         )
-        np.testing.assert_allclose(got, [1.0, -1.0], atol=1e-12)
+        np.testing.assert_allclose(got, [[1.0, -1.0]], atol=1e-12)
         assert error is None
 
     def test_zero_angles_distinct_centers_inconsistent(self):
-        _, error = resolve_unpowered_position([0, 0], [1, 0], 0.0, 0.0, REACH, previous=[0, 0])
-        assert_inconsistent(error, "circles of radii 0 and 0 about neighbors 1 m apart do not intersect", ())
+        _, error = resolve_unpowered_position([[0, 0]], [[1, 0]], np.zeros(1), np.zeros(1), REACH, previous=[0, 0])
+        assert_inconsistent(error, "circles of radii 0 and 0 about neighbors 1 m apart do not intersect", (0,))
 
     def test_disjoint_circles_inconsistent(self):
         _, error = resolve_unpowered_position(
-            [0, 0], [5, 0], math.pi / 6, math.pi / 6, REACH, previous=[2.5, 0]
+            [[0, 0]], [[5, 0]], np.full(1, math.pi / 6), np.full(1, math.pi / 6), REACH, previous=[2.5, 0]
         )
         assert_inconsistent(
-            error, "circles of radii 0.155291 and 0.155291 about neighbors 5 m apart do not intersect", ()
+            error, "circles of radii 0.155291 and 0.155291 about neighbors 5 m apart do not intersect", (0,)
         )
 
     def test_round_trip_with_desired_angles(self):
@@ -185,8 +185,8 @@ class TestResolveUnpoweredPosition:
             if off_line < 0.02:
                 continue
             t1, t2 = desired_elbow_angles(p_i, p_j1, p_j2, REACH)
-            got, error = resolve_unpowered_position(
-                p_j1, p_j2, t1, t2, REACH, previous=p_i + rng.uniform(-0.01, 0.01, 2)
+            (got,), error = resolve_unpowered_position(
+                [p_j1], [p_j2], t1[None], t2[None], REACH, previous=p_i + rng.uniform(-0.01, 0.01, 2)
             )
             assert error is None
             np.testing.assert_allclose(got, p_i, atol=1e-9)
@@ -198,9 +198,9 @@ class TestResolveUnpoweredPosition:
         arm = 0.8
         theta = 2 * math.asin(1.0 / (2 * (arm + 0.2)))
         got, error = resolve_unpowered_position(
-            [0, 0], [2, 0], theta, theta, 2 * (arm + 0.2), previous=[1.0, 0.3]
+            [[0, 0]], [[2, 0]], np.array([theta]), np.array([theta]), 2 * (arm + 0.2), previous=[1.0, 0.3]
         )
-        np.testing.assert_allclose(got, [1.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(got, [[1.0, 0.0]], atol=1e-9)
         assert error is None
 
 
@@ -226,12 +226,12 @@ class TestBatches:
         p_i = p_j1 + np.array([0.15, 0.2]) + rng.uniform(-0.02, 0.02, size=(5, 2))
         previous = p_i + 0.01
         t1, t2 = desired_elbow_angles(p_i, p_j1, p_j2, REACH)
-        got, error = resolve_unpowered_position(p_j1, p_j2, t1, t2, REACH, previous)
+        (got,), error = resolve_unpowered_position([p_j1], [p_j2], t1[None], t2[None], REACH, previous)
         assert error is None
         for m in range(5):
             s1, s2 = desired_elbow_angles(p_i[m], p_j1[m], p_j2[m], REACH)
             assert (t1[m], t2[m]) == (s1, s2)
-            one, error = resolve_unpowered_position(p_j1[m], p_j2[m], s1, s2, REACH, previous[m])
+            (one,), error = resolve_unpowered_position([p_j1[m]], [p_j2[m]], s1[None], s2[None], REACH, previous[m])
             np.testing.assert_array_equal(got[m], one)
             assert error is None
 
@@ -248,9 +248,9 @@ class TestBatches:
         c1 = np.zeros((2, 2))
         c2 = np.array([[0.3, 0.0], [5.0, 0.0]])
         theta = np.full(2, math.pi / 2)
-        _, error = resolve_unpowered_position(c1, c2, theta, theta, REACH, previous=c1)
+        _, error = resolve_unpowered_position([c1], [c2], theta[None], theta[None], REACH, previous=c1)
         assert_inconsistent(
-            error, "circles of radii 0.424264 and 0.424264 about neighbors 5 m apart do not intersect", (1,)
+            error, "circles of radii 0.424264 and 0.424264 about neighbors 5 m apart do not intersect", (0, 1)
         )
 
     def test_step_sequence_matches_single_steps(self):
@@ -273,7 +273,10 @@ class TestBatches:
         assert error is None
         previous = start
         for k in range(steps):
-            previous, error = resolve_unpowered_position(p_j1[k], p_j2[k], t1[k], t2[k], REACH, previous)
+            one_step = slice(k, k + 1)
+            (previous,), error = resolve_unpowered_position(
+                p_j1[one_step], p_j2[one_step], t1[one_step], t2[one_step], REACH, previous
+            )
             np.testing.assert_array_equal(got[k], previous)
             assert error is None
 

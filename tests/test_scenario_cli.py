@@ -539,7 +539,7 @@ class TestRejectedInput:
 
     def test_gain_whose_velocity_command_overflows(self, tmp_path, capsys):
         # Under `-W error`, `run` exited 1 with `RuntimeWarning: overflow
-        # encountered in multiply` in `velocity_command`: alpha * dt = 1 is
+        # encountered in multiply` in the velocity command: alpha * dt = 1 is
         # stable, but alpha times the start offset is beyond float64.
         from atugv.simulator import MAX_ALPHA
 

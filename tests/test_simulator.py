@@ -16,9 +16,9 @@ from atugv.cli import main
 from atugv.errors import AtugvError, InfeasibleMotionError, InvalidArgumentError
 from atugv.kinematics import _REACH_RTOL, elbow_angle, resolve_unpowered_position
 from atugv.network import barycentric_weights, min_separation
-from atugv.planner import PlanSpec, desired_positions, joint_separations, plan
-from atugv.scenario import bundled_scenario_path, load_scenario_text
-from atugv.simulator import MODELS, SimConfig, resolve_unpowered, run, step, step_count, track, velocity_command
+from atugv.planner import BLEND_KINDS, PlanSpec, desired_positions, joint_separations, plan
+from atugv.scenario import bundled_scenario_path, load_scenario, load_scenario_text
+from atugv.simulator import MODELS, SimConfig, resolve_unpowered, run, step, step_count, track
 
 IDENTITY = GeneralizedCoordinates.identity()
 SIM_FINAL = GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)
@@ -113,7 +113,7 @@ def reference_run(spec, graph, config):
         k = row - 1
         if row > 0:
             actual[row] = actual[k]
-            v_cmd = velocity_command(desired[k, powered], actual[k, powered], config.alpha)
+            v_cmd = config.alpha * (desired[k, powered] - actual[k, powered])
             if config.model == "single":
                 actual[row, powered] = actual[k, powered] + config.dt * v_cmd
             else:
@@ -136,12 +136,13 @@ def reference_run(spec, graph, config):
             rows = np.array(cells) - 1
             j1, j2 = (np.array([graph.actuated[i] for i in cells]) - 1).T
             m1, m2 = np.array([[graph.joints.index((i, j)) for j in graph.actuated[i]] for i in cells]).T
-            actual[row, rows], exc = resolve_unpowered_position(
-                actual[row, j1], actual[row, j2], elbow_desired[row, m1], elbow_desired[row, m2],
-                reach, actual[k, rows],
+            one_step = slice(row, row + 1)  # from the row before, as its own sequence
+            actual[one_step, rows], exc = resolve_unpowered_position(
+                actual[one_step, j1], actual[one_step, j2],
+                elbow_desired[one_step, m1], elbow_desired[one_step, m2], reach, actual[k, rows],
             )
             if exc is not None:
-                exc.cell = cells[exc.index[0]]
+                exc.cell = cells[exc.index[1]]
                 exc.index = (row, exc.cell - 1)
                 raise _at_step(exc, row, times)
     d_act = joint_separations(graph, actual)
@@ -203,19 +204,6 @@ def scenario_inputs(text):
     scenario = load_scenario_text(text)
     assert plan(scenario.plan_spec, scenario.graph, scenario.sample_count) is None
     return scenario.plan_spec, scenario.graph, scenario.sim
-
-
-class TestVelocityCommand:
-    def test_unit_gain(self):
-        np.testing.assert_array_equal(velocity_command([1, 0], [0, 0], 1.0), [1, 0])
-
-    def test_zero_error(self):
-        np.testing.assert_array_equal(velocity_command([2, 3], [2, 3], 5.0), [0, 0])
-
-    def test_hand_arithmetic(self):
-        np.testing.assert_allclose(
-            velocity_command([1, 1], [0.6, 0.2], 2.5), [1.0, 2.0], atol=1e-15
-        )
 
 
 class TestStep:
@@ -311,7 +299,7 @@ class TestRun:
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0])
     def test_nonpositive_alpha_rejected(self, alpha):
-        # the one check of the gain that velocity_command is given
+        # the one check of the gain of `run`'s velocity command alpha * (desired - actual)
         with pytest.raises(InvalidArgumentError) as excinfo:
             SimConfig(alpha=alpha)
         assert excinfo.value.field == "alpha"
@@ -646,6 +634,37 @@ class TestOneSearch:
         assert kind is InfeasibleMotionError and message == UNPLACEABLE_MESSAGE
         assert (fields["step"], fields["cell"], fields["index"]) == (65, 6, (65, 5))
         assert len(calls) == sum(1 for layer in graph.layers if layer & graph.unpowered) == 1
+
+
+class TestRowZeroCannotFail:
+    """Row 0 of a trace is the pose the gate samples at t0, plus the
+    offsets, and placement starts at row 1. So a plan that passes the gate
+    runs through or fails at step 1 or later, and a failing trace always
+    has a row before the failure: over both bundled graphs, random
+    endpoints, blends, arm lengths, sample counts, gains and offsets."""
+
+    graphs = [load_scenario(name).graph for name in ("four_cell_experiment", "seven_cell_sim")]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), model=st.sampled_from(MODELS), blend=st.sampled_from(BLEND_KINDS))
+    def test_a_gated_plan_fails_no_earlier_than_step_1(self, data, model, blend):
+        graph = data.draw(st.sampled_from(self.graphs))
+        graph = dataclasses.replace(graph, arm_length=data.draw(st.floats(0.17, 0.3)))
+
+        def pose():
+            lambdas, angles, shift = st.floats(0.35, 1.0), st.floats(-3.0, 3.0), st.floats(-1.0, 1.0)
+            return GeneralizedCoordinates(*data.draw(st.tuples(lambdas, lambdas, angles, angles, shift, shift)))
+
+        dt, alpha, k_v = data.draw(sim_settings(model))
+        spec = PlanSpec(t0=0.0, tf=data.draw(st.integers(10, 200)) * dt, initial=pose(), final=pose(), blend=blend)
+        assume(plan(spec, graph, data.draw(st.integers(2, 400))) is None)
+        offset = st.tuples(*[st.floats(-0.05, 0.05)] * 2).map(np.array)
+        offsets = data.draw(st.dictionaries(st.sampled_from(graph.cells), offset, max_size=3))
+        config = SimConfig(dt=dt, model=model, alpha=alpha, k_v=k_v, initial_offsets=offsets or None)
+        try:
+            run(spec, graph, config)
+        except InfeasibleMotionError as error:
+            assert error.step >= 1
 
 
 def _scaled(text, factor):

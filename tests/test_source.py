@@ -1,9 +1,10 @@
-"""Checks on the source text of `src/atugv`, made with `ast` since no linter
-is a test dependency."""
+"""Checks on the source text of `src/atugv` and `tests`, made with `ast`
+since no linter is a test dependency."""
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).parents[1] / "src" / "atugv"
+ROOT = Path(__file__).parents[1]
+PACKAGE = ROOT / "src" / "atugv"
 
 
 def test_no_unused_top_level_import():
@@ -11,7 +12,7 @@ def test_no_unused_top_level_import():
     # line marked `# noqa: F401` is exempt: the two re-imports that
     # bench/tracing.py wraps from outside.
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
         source = path.read_text()
         lines = source.splitlines()
         tree = ast.parse(source)
@@ -24,5 +25,35 @@ def test_no_unused_top_level_import():
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 if name not in read:
-                    unused.append(f"{path.name}:{node.lineno}: {name}")
+                    unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
     assert unused == []
+
+
+def test_every_top_level_definition_has_a_reader():
+    # A top-level function or class that nothing in the package reads is
+    # dead code. A read is a loaded name, an attribute or a relative
+    # `from ... import`. The names that bench/tracing.py wraps from outside
+    # (its `WRAPPED` table) are exempt.
+    table = next(
+        node.value
+        for node in ast.parse((ROOT / "bench" / "tracing.py").read_text()).body
+        if isinstance(node, ast.Assign) and [target.id for target in node.targets] == ["WRAPPED"]
+    )
+    wrapped = {ast.literal_eval(row.elts[1]) for row in table.elts}
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level > 0:
+                read.update(alias.name for alias in node.names)
+    unread = [
+        f"{name}:{node.lineno}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read | wrapped
+    ]
+    assert unread == []
