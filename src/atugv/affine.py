@@ -73,16 +73,13 @@ def jacobian(coords: GeneralizedCoordinates) -> np.ndarray:
 
 
 def apply(coords: GeneralizedCoordinates, reference_points) -> np.ndarray:
-    """Map reference points through the affine map of `coords`: Q @ a + d,
-    with Q = jacobian(coords) and d = (d1, d2).
-
-    A point (2,) or points (N, 2) map to the same shape; coordinates
-    batched over T times map them to (T, 2) or (T, N, 2).
+    """Map reference points (N, 2) through the affine map of `coords`: Q @ a + d,
+    with Q = jacobian(coords) and d = (d1, d2). Points map to (N, 2), or to
+    (T, N, 2) under coordinates batched over T times.
     """
     a = np.asarray(reference_points, dtype=float)
-    points = (None,) * (a.ndim - 1)  # a batch of times broadcasts over the points
-    q = jacobian(coords)[(..., *points, slice(None), slice(None))]
-    d1, d2 = (np.asarray(d, dtype=float)[(..., *points)] for d in (coords.d1, coords.d2))
+    q = jacobian(coords)[..., None, :, :]  # a batch of times broadcasts over the points
+    d1, d2 = (np.asarray(d, dtype=float)[..., None] for d in (coords.d1, coords.d2))
     x = q[..., 0, 0] * a[..., 0] + q[..., 0, 1] * a[..., 1] + d1
     y = q[..., 1, 0] * a[..., 0] + q[..., 1, 1] * a[..., 1] + d2
     return np.stack([x, y], axis=-1)

@@ -4,11 +4,11 @@
 class AtugvError(Exception):
     """Base class for every error this package raises, or returns as a plan
     verdict. Structured fields are keyword arguments kept as attributes:
-    array routines set `index` (first failing element); the simulator adds
-    `step`, `time` and `cell`, and a joint error its `joint`; a config type,
-    or the scenario loader at the key it reads, names the `field` it
-    rejects; the strain verdict and a bound on an input add the `value` and
-    the `bound` it fails."""
+    array routines set `index`, a tuple whose first entry is the failing row;
+    the simulator adds `step`, `time` and `cell`, and a joint error its
+    `joint`; a config type, or the scenario loader at the key it reads, names
+    the `field` it rejects; the strain and reach verdicts and a bound on an
+    input add the `value` and the `bound` it fails."""
 
     index = step = time = cell = field = joint = value = bound = None
 
@@ -37,5 +37,5 @@ class InfeasibleMotionError(AtugvError):
 
 class UnsafePlanError(AtugvError):
     """A planned sample violates the principal-strain safety bound: the
-    strain `field` has `value` below `bound` at sample `index`, which the
+    strain `field` has `value` below `bound` at sample `index[0]`, which the
     planner gives a `time`. Returned as the plan's verdict, never raised."""

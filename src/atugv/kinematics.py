@@ -45,7 +45,7 @@ def elbow_angle(d, reach: float):
 
 def separation_from_angle(theta, reach: float):
     """Inverse of elbow_angle on [0, pi], where `elbow_angle` puts every angle it defines."""
-    return reach * np.sin(0.5 * theta)
+    return reach * np.sin(0.5 * np.asarray(theta, dtype=float))
 
 
 def desired_elbow_angles(

@@ -198,10 +198,10 @@ class ReferenceConfiguration:
 
 
 def min_separation(positions: np.ndarray):
-    """The closest cell pair (i, j), i < j, and its distance over all pairs of
-    finite (..., N, 2) positions, N >= 3 as `CellGraph` requires, with row i - 1
-    holding cell i; of equal distances, the lexicographically first pair. One
-    configuration (N, 2) gives a pair of ints and a float; more give pairs (..., 2) and (...).
+    """The closest cell pair (i, j), i < j, and its distance in each row of a
+    batch of finite (T, N, 2) positions, N >= 3 as `CellGraph` requires, with
+    column i - 1 holding cell i: pairs (T, 2) and distances (T,); of equal
+    distances, the lexicographically first pair.
 
     All configurations are swept at once, cells in x order, comparing cells
     w = 1, 2, ... ranks apart until no pair has sqrt(dx * dx) within the best
@@ -209,12 +209,11 @@ def min_separation(positions: np.ndarray):
     so each skipped pair is strictly farther: the result is the exhaustive
     scan's, bit for bit."""
     positions = np.asarray(positions, dtype=float)
-    *batch, n, _ = positions.shape
-    flat = positions.reshape(-1, n, 2)
-    order = np.argsort(flat[..., 0].T, axis=0)  # (N, T): one configuration per column
-    xs, ys = np.take_along_axis(flat.T, order[None], axis=1)
-    best = np.full(len(flat), np.inf)
-    key = np.full(len(flat), n * n)  # (i - 1) * n + j - 1 of the pair found
+    n = positions.shape[1]
+    order = np.argsort(positions[..., 0].T, axis=0)  # (N, T): one configuration per column
+    xs, ys = np.take_along_axis(positions.T, order[None], axis=1)
+    best = np.full(len(positions), np.inf)
+    key = np.full(len(positions), n * n)  # (i - 1) * n + j - 1 of the pair found
     for w in range(1, n):
         dx2 = np.square(xs[w:] - xs[:-w])
         if not (np.sqrt(dx2) <= best).any():
@@ -224,10 +223,7 @@ def min_separation(positions: np.ndarray):
         a, b = order[w:], order[:-w]
         tied = np.where(d == new, np.minimum(a, b) * n + np.maximum(a, b), n * n).min(axis=0)
         key, best = np.where(new < best, tied, np.minimum(key, tied)), new
-    pairs = np.stack(np.divmod(key, n), axis=-1) + 1
-    if not batch:
-        return (int(pairs[0, 0]), int(pairs[0, 1])), float(best[0])
-    return pairs.reshape(*batch, 2), best.reshape(batch)
+    return np.stack(np.divmod(key, n), axis=-1) + 1, best
 
 
 def solve_reference_positions(graph: CellGraph) -> ReferenceConfiguration:
@@ -245,7 +241,7 @@ def solve_reference_positions(graph: CellGraph) -> ReferenceConfiguration:
     s = graph.side_length
     b0 = np.array([[0.0, 0.0], [s, 0.0], [0.5 * s, 0.5 * math.sqrt(3.0) * s]])
     positions = barycentric_weights(graph) @ b0
-    _, d_min = min_separation(positions)
+    d_min = float(min_separation(positions[None])[1][0])
     if d_min <= 2.0 * graph.cell_radius:
         raise InvalidArgumentError(
             f"reference separation {d_min:.6g} m does not exceed the cell "

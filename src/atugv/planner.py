@@ -4,9 +4,9 @@ Each coordinate is interpolated between its endpoints by an increasing
 blend function with beta(t0) = 0 and beta(tf) = 1. A plan is rejected
 outright if any sample violates the principal-strain safety bound or asks
 a joint for a separation beyond the mechanism reach (fail-closed: no
-silent clamping); the gate returns that verdict's error. Times may be
-floats or arrays; `desired_positions` is the one place that maps times to
-desired cell positions.
+silent clamping); the gate returns the earliest failing sample's error,
+its row first in `index`. Times may be floats or arrays; `desired_positions`
+is the one place that maps times to desired cell positions.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ BLEND_KINDS = ("linear", "smoothstep", "smootherstep")
 MAX_COUNT = np.iinfo(np.intp).max // 16
 
 
-def blend(t, t0: float, tf: float, kind: str = "smoothstep"):
+def blend(t, t0: float, tf: float, kind: str):
     """Time-scaling beta(t) in [0, 1] of t in [t0, tf], strictly increasing on (t0, tf).
 
     `PlanSpec` owns the kind. linear: u; smoothstep: 3u^2 - 2u^3 (zero end velocity);
@@ -82,12 +82,12 @@ def desired_positions(spec: PlanSpec, graph: CellGraph, times) -> np.ndarray:
 
 
 def validate_coordinates(coords: GeneralizedCoordinates, bound: float) -> Optional[UnsafePlanError]:
-    """None if both principal strains stay at or above the bound, the
-    reference's lambda_min, else the UnsafePlanError naming the strain
-    `field`, its `value` and the first violating `index` of a batch (0 for a
-    single instant). It applies to min(lambda1, lambda2): the factor by which
-    the closest pair can shrink."""
-    lambda1, lambda2 = np.atleast_1d(coords.lambda1, coords.lambda2)
+    """None if both principal strains of coordinates batched over T rows stay
+    at or above the bound, the reference's lambda_min, else the
+    UnsafePlanError naming the strain `field`, its `value` and the first
+    violating row k as `index` (k,). It applies to min(lambda1, lambda2):
+    the factor by which the closest pair can shrink."""
+    lambda1, lambda2 = coords.lambda1, coords.lambda2
     unsafe = (lambda2 < bound) | (lambda1 < bound)
     if not unsafe.any():
         return None
@@ -95,7 +95,7 @@ def validate_coordinates(coords: GeneralizedCoordinates, bound: float) -> Option
     name, values = ("lambda2", lambda2) if lambda2[k] < bound else ("lambda1", lambda1)
     value = float(values[k])
     message = f"{name} = {value:.6g} < lambda_min = {bound:.6g}"
-    return UnsafePlanError(message, field=name, value=value, bound=bound, index=k)
+    return UnsafePlanError(message, field=name, value=value, bound=bound, index=(k,))
 
 
 def joint_separations(graph: CellGraph, positions: np.ndarray) -> np.ndarray:
@@ -108,15 +108,16 @@ def joint_separations(graph: CellGraph, positions: np.ndarray) -> np.ndarray:
 def reach_error(graph: CellGraph, separations: np.ndarray) -> Optional[InfeasibleMotionError]:
     """The error of the first joint beyond reach in the (T, J) `separations`
     (row-major, columns in `graph.joints` order), or None: the one place that
-    names a joint beyond reach. It names the joint in front of its message,
-    as `joint` and by its interior `cell`; `index` is (row, column)."""
+    names a joint beyond reach, in front of its message, as `joint` and by its
+    interior `cell`, with its separation `value`, the reach `bound` and `index` (row, column)."""
     over = kinematics.beyond_reach(separations, graph.reach)
     if not over.any():
         return None
     k, m = divmod(int(np.argmax(over)), over.shape[1])
     joint = graph.joints[m]
-    message = f"joint {joint}: separation {separations[k, m]:.6g} m exceeds mechanism reach {graph.reach:.6g} m"
-    return InfeasibleMotionError(message, joint=joint, cell=joint[0], index=(k, m))
+    value = float(separations[k, m])
+    message = f"joint {joint}: separation {value:.6g} m exceeds mechanism reach {graph.reach:.6g} m"
+    return InfeasibleMotionError(message, joint=joint, cell=joint[0], index=(k, m), value=value, bound=graph.reach)
 
 
 def check_sample_count(samples: int) -> None:
@@ -125,25 +126,23 @@ def check_sample_count(samples: int) -> None:
         raise InvalidArgumentError(f"samples = {samples} must be from 2 to {MAX_COUNT}", field="samples")
 
 
-def plan(spec: PlanSpec, graph: CellGraph, sample_count: int = 200) -> Optional[AtugvError]:
+def plan(spec: PlanSpec, graph: CellGraph, sample_count: int) -> Optional[AtugvError]:
     """Gate the plan on `sample_count` uniform samples: None if every one
     keeps the strain safety bound and the mechanism reach of every
-    interior-cell joint, else the failing verdict's error. The first failing
-    sample decides the error, which names its `time` and `index`; at a tie
-    the strain verdict goes first."""
+    interior-cell joint, else the failing verdict's error. The earliest
+    failing sample k decides the error, which names its `time` and starts
+    its `index` with k; at a tie the strain verdict goes first."""
     check_sample_count(sample_count)
     times = np.linspace(spec.t0, spec.tf, sample_count)
     coords = coordinates_at(spec, times)
     unsafe = validate_coordinates(coords, graph.reference.lambda_min)
     positions = affine.apply(coords, graph.reference.positions)
-    safe_samples = sample_count if unsafe is None else unsafe.index
-    unreachable = reach_error(graph, joint_separations(graph, positions[:safe_samples]))
-    if unreachable is not None:
-        k = unreachable.index[0]  # the first unreachable sample
-        unreachable.index, unreachable.time = k, float(times[k])
-        unreachable.args = (f"plan is out of reach at t = {unreachable.time:.6g} s, {unreachable}",)
-        return unreachable
-    if unsafe is not None:
-        unsafe.time = t = float(times[unsafe.index])
-        unsafe.args = (f"plan violates the principal-strain bound at t = {t:.6g} s: {unsafe}",)
-    return unsafe
+    unreachable = reach_error(graph, joint_separations(graph, positions))
+    error = min((e for e in (unsafe, unreachable) if e is not None), key=lambda e: e.index[0], default=None)
+    if error is not None:
+        error.time = t = float(times[error.index[0]])
+        if error is unsafe:
+            error.args = (f"plan violates the principal-strain bound at t = {t:.6g} s: {error}",)
+        else:
+            error.args = (f"plan is out of reach at t = {t:.6g} s, {error}",)
+    return error

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -156,9 +156,7 @@ def track(start: np.ndarray, targets: np.ndarray, config: SimConfig) -> np.ndarr
     return positions
 
 
-def resolve_unpowered(
-    graph: CellGraph, actual: np.ndarray, commanded: np.ndarray
-) -> Optional[InfeasibleMotionError]:
+def resolve_unpowered(graph: CellGraph, actual: np.ndarray, commanded: np.ndarray) -> List[InfeasibleMotionError]:
     """Fill in the unpowered rows of actual[1:], given actual[0], the
     powered rows at every time ((T, N, 2) arrays, like `desired`) and the
     angle commanded to every joint ((T, J), like `SimulationTrace.elbow_desired`).
@@ -168,12 +166,12 @@ def resolve_unpowered(
     the angles commanded to those joints, on the branch closest to where
     the cell was a step before. Powered motion never depends on unpowered
     cells, so each layer, in order, is one call over all steps. Returns the
-    error of the earliest row k that a layer cannot place (the earlier layer
-    at a tie, then the order of `resolve_unpowered_position`), or None. It
-    names k as `step`, the `cell` and (k, cell - 1) as `index`; from row k
-    on, the unpowered rows are undefined.
+    error of each layer that cannot place a row, in layer order: the earliest
+    such row k (in the order of `resolve_unpowered_position` within it),
+    naming the `cell` and (k, cell - 1) as `index`. From row k on, the
+    unpowered rows of that layer and of every later one are undefined.
     """
-    error = None
+    errors = []
     column = {joint: m for m, joint in enumerate(graph.joints)}
     for layer in graph.layers:
         cells = sorted(layer & graph.unpowered)
@@ -187,11 +185,11 @@ def resolve_unpowered(
             actual[1:, j1], actual[1:, j2], commanded[1:, m1], commanded[1:, m2],
             graph.reach, previous=actual[0, rows],
         )
-        if failure is not None and (error is None or failure.index[0] + 1 < error.step):
+        if failure is not None:
             k, c = failure.index
-            failure.step, failure.cell, failure.index = k + 1, cells[c], (k + 1, cells[c] - 1)
-            error = failure
-    return error
+            failure.cell, failure.index = cells[c], (k + 1, cells[c] - 1)
+            errors.append(failure)
+    return errors
 
 
 def run(spec: PlanSpec, graph: CellGraph, config: SimConfig) -> SimulationTrace:
@@ -202,8 +200,8 @@ def run(spec: PlanSpec, graph: CellGraph, config: SimConfig) -> SimulationTrace:
     in one prefix scan, `resolve_unpowered` then places the unpowered cells
     layer by layer, and clearance is one batched scan of the whole trace.
     A commanded angle beyond the mechanism reach is NaN, which no layer
-    counts as its failure. The error of the first row k the model cannot
-    define is raised with k as `step` and times[k] as `time`: at a tie,
+    counts as its failure. The error whose `index` starts with the earliest
+    row k is raised with k as `step` and times[k] as `time`: at a tie,
     `planner.reach_error` for a commanded joint, then `resolve_unpowered`'s.
     """
     n_steps = step_count(spec, config.dt)
@@ -223,7 +221,7 @@ def run(spec: PlanSpec, graph: CellGraph, config: SimConfig) -> SimulationTrace:
 
     d_des = joint_separations(graph, desired)
     elbow_des = kinematics.elbow_angle(d_des, graph.reach)
-    errors = (reach_error(graph, d_des), resolve_unpowered(graph, actual, elbow_des))
+    errors = (reach_error(graph, d_des), *resolve_unpowered(graph, actual, elbow_des))
     error = min((e for e in errors if e is not None), key=lambda e: e.index[0], default=None)
     if error is not None:
         k = error.index[0]

@@ -84,7 +84,7 @@ def test_criterion_2_collision_bound_property_and_tightness():
             d1=rng.uniform(-2, 2),
             d2=rng.uniform(-2, 2),
         )
-        pair, d = min_separation(apply(coords, reference.positions))
+        (pair,), (d,) = min_separation(apply(coords, reference.positions)[None])
         assert d >= 2.0 * graph.cell_radius - 1e-9, (
             f"clearance broken at {pair} with safe strains"
         )
@@ -92,7 +92,7 @@ def test_criterion_2_collision_bound_property_and_tightness():
     for _ in range(100):
         graph, reference = random_layered_graph(rng)
         bound = 2.0 * graph.cell_radius / reference.d_min
-        (ci, cj), _ = min_separation(reference.positions)
+        ((ci, cj),), _ = min_separation(reference.positions[None])
         diff = reference.positions[ci - 1] - reference.positions[cj - 1]
         # align the minor principal axis with the critical pair direction
         sigma_d = math.atan2(diff[1], diff[0]) + math.pi / 2.0

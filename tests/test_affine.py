@@ -106,18 +106,18 @@ class TestJacobian:
 class TestApply:
     def test_identity_transform(self):
         t = GeneralizedCoordinates.identity()
-        np.testing.assert_array_equal(apply(t, [1.0, 2.0]), [1.0, 2.0])
+        np.testing.assert_array_equal(apply(t, [[1.0, 2.0]]), [[1.0, 2.0]])
 
     def test_pure_translation(self):
         t = GeneralizedCoordinates(1.0, 1.0, 0.0, 0.0, 1.0, 1.0)
-        np.testing.assert_array_equal(apply(t, [0.0, 0.0]), [1.0, 1.0])
+        np.testing.assert_array_equal(apply(t, [[0.0, 0.0]]), [[1.0, 1.0]])
 
     def test_table_coords_on_seven_cell_reference(self, seven_cell_reference):
         coords = GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)
         q, d = jacobian(coords), (coords.d1, coords.d2)
         all_cells = apply(coords, seven_cell_reference.positions)
         for i, a in enumerate(seven_cell_reference.positions):
-            got = apply(coords, a)
+            (got,) = apply(coords, a[None])
             # independent per-entry dot products
             expected = [
                 q[0, 0] * a[0] + q[0, 1] * a[1] + d[0],
@@ -149,7 +149,7 @@ class TestApply:
     )
     @settings(max_examples=50)
     def test_affine_linearity(self, coords, a, b, alpha, beta):
-        a, b = np.array(a), np.array(b)
+        a, b = np.array([a]), np.array([b])
         d = np.array([coords.d1, coords.d2])
         lhs = apply(coords, alpha * a + beta * b)
         rhs = alpha * apply(coords, a) + beta * apply(coords, b) - (alpha + beta - 1.0) * d

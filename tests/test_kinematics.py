@@ -125,9 +125,7 @@ class TestDesiredElbowAngles:
         from atugv.affine import GeneralizedCoordinates, apply
 
         t = GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)
-        p5 = apply(t, seven_cell_reference.positions[4])
-        p1 = apply(t, seven_cell_reference.positions[0])
-        p2 = apply(t, seven_cell_reference.positions[1])
+        p5, p1, p2 = apply(t, seven_cell_reference.positions[[4, 0, 1]])
         theta1, _ = desired_elbow_angles(p5, p1, p2, REACH)
         # independent norm computation
         dx, dy = p5[0] - p1[0], p5[1] - p1[1]
@@ -164,6 +162,16 @@ class TestResolveUnpoweredPosition:
         )
         assert_inconsistent(
             error, "circles of radii 0.155291 and 0.155291 about neighbors 5 m apart do not intersect", (0,)
+        )
+
+    def test_angles_as_lists(self):
+        # Raised `TypeError: can't multiply sequence by non-int of type
+        # 'float'` in `separation_from_angle`, which took the points as
+        # lists but not the angles.
+        got, error = resolve_unpowered_position([[0, 0]], [[2, 0]], [1.0], [1.0], 1.4, [1, 0.5])
+        np.testing.assert_array_equal(got, [[1.0, 0.0]])
+        assert_inconsistent(
+            error, "circles of radii 0.671196 and 0.671196 about neighbors 2 m apart do not intersect", (0,)
         )
 
     def test_round_trip_with_desired_angles(self):

@@ -152,7 +152,8 @@ class TestReferenceConfiguration:
 
 class TestMinSeparation:
     def test_two_cells(self):
-        assert min_separation(np.array([[0.0, 0.0], [1.0, 0.0]])) == ((1, 2), 1.0)
+        pairs, distances = min_separation(np.array([[[0.0, 0.0], [1.0, 0.0]]]))
+        assert pairs.tolist() == [[1, 2]] and distances.tolist() == [1.0]
 
     def test_matches_brute_force(self, seven_cell_reference):
         pos = seven_cell_reference.positions
@@ -166,9 +167,9 @@ class TestMinSeparation:
             ),
             key=lambda pair_distance: pair_distance[1],
         )
-        pair, d = min_separation(pos)
+        (pair,), (d,) = min_separation(pos[None])
         assert abs(d - brute[1]) < 1e-15
-        assert pair == brute[0]
+        assert tuple(pair.tolist()) == brute[0]
 
     def test_random_points_match_brute_force(self):
         rng = np.random.default_rng(5)
@@ -179,9 +180,9 @@ class TestMinSeparation:
                 for i in range(n)
                 for j in range(i + 1, n)
             }
-            pair, d = min_separation(pos)
+            (pair,), (d,) = min_separation(pos[None])
             assert abs(d - min(dist.values())) < 1e-15
-            assert dist[pair] == min(dist.values())
+            assert dist[tuple(pair.tolist())] == min(dist.values())
 
     def test_batches_match_per_configuration_calls(self):
         # many small configurations, a few large ones, and between
@@ -193,15 +194,15 @@ class TestMinSeparation:
             pairs, dists = min_separation(pos)
             assert pairs.shape == (t, 2) and dists.shape == (t,)
             for k in range(t):
-                pair, d = min_separation(pos[k])
-                assert tuple(pairs[k]) == pair and dists[k] == d
+                (pair,), (d,) = min_separation(pos[k : k + 1])
+                assert tuple(pairs[k]) == tuple(pair) and dists[k] == d
 
     def test_ties_go_to_the_first_pair(self):
         rng = np.random.default_rng(12)
-        pos = rng.integers(0, 4, size=(2, 3, 9, 2)) * 0.5  # exact distances
+        pos = rng.integers(0, 4, size=(6, 9, 2)) * 0.5  # exact distances
         pairs, dists = min_separation(pos)
-        assert pairs.shape == (2, 3, 2) and dists.shape == (2, 3)
-        for idx in np.ndindex(2, 3):
+        assert pairs.shape == (6, 2) and dists.shape == (6,)
+        for idx in range(6):
             p = pos[idx]
             squared = {
                 (i + 1, j + 1): float((p[i] - p[j]) @ (p[i] - p[j]))
@@ -235,8 +236,9 @@ def assert_matches_oracle(positions):
     expected_pairs, expected = exhaustive_min_separation(positions)
     assert np.array_equal(pairs, expected_pairs)
     assert np.array_equal(distances, expected)  # bitwise: no tolerance
-    for k, config in enumerate(positions):  # batched == one at a time
-        assert min_separation(config) == (tuple(pairs[k].tolist()), float(distances[k]))
+    for k in range(len(positions)):  # batched == one row at a time
+        one_pairs, one_distances = min_separation(positions[k : k + 1])
+        assert one_pairs.tolist() == [pairs[k].tolist()] and one_distances.tolist() == [distances[k]]
 
 
 def configurations(elements):
@@ -272,7 +274,8 @@ class TestSweepMatchesExhaustiveScan:
         pos[1, 9] = pos[1, 4]
         pos[2, [2, 7, 11]] = pos[2, 5]
         assert_matches_oracle(pos)
-        assert min_separation(pos[2]) == ((3, 6), 0.0)
+        pairs, distances = min_separation(pos[2:3])
+        assert pairs.tolist() == [[3, 6]] and distances.tolist() == [0.0]
 
     def test_one_shared_x(self):
         # Every pair is within every dx bound: the sweep runs to w = N - 1.

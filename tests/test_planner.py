@@ -158,7 +158,7 @@ class TestPlan:
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL)
         assert plan(spec, seven_cell, sample_count=100) is None
         for sample in desired_positions(spec, seven_cell, np.linspace(0.0, 10.0, 100)):
-            _, d = min_separation(sample)
+            _, (d,) = min_separation(sample[None])
             assert d >= 2 * seven_cell.cell_radius
 
     def test_monotone_coordinates(self, seven_cell):

@@ -40,21 +40,26 @@ class TestLambdaMin:
             assert abs(solve_reference_positions(graph).lambda_min - base) < 1e-15
 
 
+def one_row(*values):
+    """Generalized coordinates batched over one row."""
+    return GeneralizedCoordinates(*np.array(values, dtype=float)[:, None])
+
+
 class TestValidateCoordinates:
     def test_undeformed_is_safe(self):
-        coords = GeneralizedCoordinates.identity()
+        coords = one_row(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
         assert validate_coordinates(coords, 0.9) is None
 
     def test_table_strains_against_derived_bound(self, seven_cell_reference):
         bound = seven_cell_reference.lambda_min
-        coords = GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)
+        coords = one_row(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)
         assert validate_coordinates(coords, bound) is None
 
     def test_violation_names_the_strain(self):
-        coords = GeneralizedCoordinates(0.9, 0.4, 0.0, 0.0, 0.0, 0.0)
+        coords = one_row(0.9, 0.4, 0.0, 0.0, 0.0, 0.0)
         error = validate_coordinates(coords, 0.5)
         assert type(error) is UnsafePlanError
-        assert (error.field, error.value, error.bound, error.index) == ("lambda2", 0.4, 0.5, 0)
+        assert (error.field, error.value, error.bound, error.index) == ("lambda2", 0.4, 0.5, (0,))
 
     def test_batch_names_first_violating_time(self):
         lam1 = np.array([1.0, 0.9, 0.45, 0.4])
@@ -63,16 +68,16 @@ class TestValidateCoordinates:
         coords = GeneralizedCoordinates(lam1, lam2, zeros, zeros, zeros, zeros)
         error = validate_coordinates(coords, 0.5)
         assert type(error) is UnsafePlanError
-        assert (error.index, error.field, error.value) == (2, "lambda1", 0.45)
+        assert (error.index, error.field, error.value) == ((2,), "lambda1", 0.45)
 
 
 class TestPairwiseClearance:
     def test_just_clear(self):
-        _, d = min_separation(np.array([[0.0, 0.0], [0.101, 0.0]]))
+        _, (d,) = min_separation(np.array([[[0.0, 0.0], [0.101, 0.0]]]))
         assert d >= 2 * 0.05
 
     def test_seven_cell_reference_clear(self, seven_cell_reference):
-        _, d = min_separation(seven_cell_reference.positions)
+        _, (d,) = min_separation(seven_cell_reference.positions[None])
         assert d >= 2 * 0.05
         assert abs(d - SQRT3 / 9) < 1e-12
 
@@ -81,7 +86,7 @@ class TestPairwiseClearance:
         pos = seven_cell_reference.positions
         lam = seven_cell_reference.lambda_min
         coords = GeneralizedCoordinates(0.99 * lam, 0.99 * lam, 0.0, 0.0, 0.0, 0.0)
-        _, d = min_separation(apply(coords, pos))
+        _, (d,) = min_separation(apply(coords, pos)[None])
         assert d < 2 * 0.05
 
 
@@ -101,7 +106,7 @@ class TestCollisionTheoremProperties:
                 d1=rng.uniform(-3, 3),
                 d2=rng.uniform(-3, 3),
             )
-            _, d = min_separation(apply(coords, reference.positions))
+            _, (d,) = min_separation(apply(coords, reference.positions)[None])
             assert d >= 2.0 * graph.cell_radius - 1e-9
 
     def test_quadratic_form_lower_bound(self):

@@ -115,7 +115,7 @@ class TestLoadScenario:
         from atugv.simulator import run
 
         scenario = load_scenario_text(_with_key(SEVEN, "sim", "offset", "0.01, -0.02") + "offset.6 = 0.3, 0.3\n")
-        assert plan(scenario.plan_spec, scenario.graph) is None
+        assert plan(scenario.plan_spec, scenario.graph, scenario.sample_count) is None
         trace = run(scenario.plan_spec, scenario.graph, scenario.sim)
         offsets = np.array([[0.01, -0.02]] * 5 + [[0.3, 0.3], [0.01, -0.02]])
         desired = desired_positions(scenario.plan_spec, scenario.graph, scenario.plan_spec.t0)
@@ -1141,7 +1141,9 @@ class TestStaleOutputs:
             scenario = load_scenario_text(text)
             error = plan(scenario.plan_spec, scenario.graph, scenario.sample_count)
             assert type(error) is InfeasibleMotionError
-            assert (scenario.sample_count, error.index, error.time, error.cell, error.joint) == (200, 0, 0.0, 4, (4, 1))
+            assert (scenario.sample_count, error.index, error.time, error.cell, error.joint) == (200, (0, 0), 0.0, 4, (4, 1))
+            assert abs(error.value - 3**-0.5) < 1e-12 and error.bound == scenario.graph.reach
+            assert abs(error.bound - 0.55) < 1e-12
             assert str(error) == message
             cfg = tmp_path / "unreachable.cfg"
             cfg.write_text(text)

@@ -34,7 +34,7 @@ TRACE_ARRAYS = (
     "min_clearance",
 )
 EXACT_ARRAYS = ("times", "desired", "elbow_desired")
-ERROR_FIELDS = ("step", "time", "cell", "joint", "index")
+ERROR_FIELDS = ("step", "time", "cell", "joint", "index", "value", "bound")
 
 # The four-cell reach reproduction: reach 0.55 m, and two plan samples miss
 # the joint over-extension that the sigma_d sweep produces between them.
@@ -123,8 +123,9 @@ def reference_run(spec, graph, config):
         if over.any():
             m = int(np.argmax(over))
             joint = graph.joints[m]
-            message = f"joint {joint}: separation {separations[row, m]:.6g} m exceeds mechanism reach {reach:.6g} m"
-            exc = InfeasibleMotionError(message, cell=joint[0], joint=joint, index=(row, m))
+            value = float(separations[row, m])
+            message = f"joint {joint}: separation {value:.6g} m exceeds mechanism reach {reach:.6g} m"
+            exc = InfeasibleMotionError(message, cell=joint[0], joint=joint, index=(row, m), value=value, bound=reach)
             raise _at_step(exc, row, times)
         elbow_desired[row] = elbow_angle(separations[row], reach)
         if row == 0:
@@ -159,7 +160,7 @@ def reference_run(spec, graph, config):
         ),
         "separations": d_act,
         "errors": np.linalg.norm(desired - actual, axis=-1),
-        "min_clearance": np.array([min_separation(p)[1] for p in actual]),
+        "min_clearance": np.array([min_separation(p[None])[1][0] for p in actual]),
     }
 
 
@@ -234,10 +235,10 @@ class TestStep:
         # fold both actuated joints of cell 6, to cells 2 and 3: its circles
         # about them shrink to points that do not meet
         commanded[1, [seven_cell.joints.index((6, 2)), seven_cell.joints.index((6, 3))]] = 0.0
-        error = resolve_unpowered(seven_cell, actual, commanded)
+        (error,) = resolve_unpowered(seven_cell, actual, commanded)
         assert type(error) is InfeasibleMotionError and error.joint is None
         assert str(error).startswith("elbow angles are inconsistent: circles of radii 0 and 0 about neighbors ")
-        assert (error.cell, error.index, error.step) == (6, (1, 5), 1)
+        assert (error.cell, error.index, error.step) == (6, (1, 5), None)
 
 
 class TestRun:
@@ -354,6 +355,9 @@ class TestRun:
         assert (exc.step, exc.joint, exc.cell) == (43, (4, 1), 4)
         assert abs(exc.time - 0.43) < 1e-12
         assert str(exc).startswith("step 43 (t = 0.43 s): joint (4, 1): ")
+        # the separation and the reach, as numbers: 0.550201 m against 0.55 m
+        assert abs(exc.value - 0.550201) < 5e-7 and exc.value > exc.bound == inputs[1].reach
+        assert abs(exc.bound - 0.55) < 1e-12
 
     def test_unused_joint_error_names_its_step(self, tmp_path, capsys):
         # every cell powered: the over-extended joint drags no unpowered cell,
@@ -641,7 +645,9 @@ class TestRowZeroCannotFail:
     offsets, and placement starts at row 1. So a plan that passes the gate
     runs through or fails at step 1 or later, and a failing trace always
     has a row before the failure: over both bundled graphs, random
-    endpoints, blends, arm lengths, sample counts, gains and offsets."""
+    endpoints, blends, arm lengths, sample counts, gains and offsets. Every
+    error's `index` starts with its row: the sample of a plan verdict's
+    `time`, the `step` of a run error."""
 
     graphs = [load_scenario(name).graph for name in ("four_cell_experiment", "seven_cell_sim")]
 
@@ -657,14 +663,19 @@ class TestRowZeroCannotFail:
 
         dt, alpha, k_v = data.draw(sim_settings(model))
         spec = PlanSpec(t0=0.0, tf=data.draw(st.integers(10, 200)) * dt, initial=pose(), final=pose(), blend=blend)
-        assume(plan(spec, graph, data.draw(st.integers(2, 400))) is None)
+        count = data.draw(st.integers(2, 400))
+        verdict = plan(spec, graph, count)
+        if verdict is not None:  # located by its sample: the row of its time leads its index
+            assert type(verdict.index) is tuple
+            assert verdict.time == np.linspace(spec.t0, spec.tf, count)[verdict.index[0]]
+        assume(verdict is None)
         offset = st.tuples(*[st.floats(-0.05, 0.05)] * 2).map(np.array)
         offsets = data.draw(st.dictionaries(st.sampled_from(graph.cells), offset, max_size=3))
         config = SimConfig(dt=dt, model=model, alpha=alpha, k_v=k_v, initial_offsets=offsets or None)
         try:
             run(spec, graph, config)
         except InfeasibleMotionError as error:
-            assert error.step >= 1
+            assert error.step >= 1 and error.step == error.index[0]
 
 
 def _scaled(text, factor):
