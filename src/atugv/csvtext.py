@@ -5,7 +5,9 @@ around it (`write_csv`).
 A value's text is built in two little-endian uint64 words (16 bytes, NUL
 where no character goes). Rows are laid out as NUL-padded bytes a whole
 step at a time, each text copied as one `void` item, then the NUL bytes are
-dropped. Values the vectorized path cannot decide exactly use format().
+dropped. Values the vectorized path cannot decide on its first scaling use
+format(): ties, a log10 that rounds across a power of ten, nine digits that
+round up to 1e9, exponents outside -14..30, subnormals and infinities.
 """
 from __future__ import annotations
 
@@ -13,11 +15,10 @@ import numpy as np
 
 WIDTH = 16  # bytes of the longest text, "-1.23456789e-308"
 _U8, _U24, _U32, _U56, _U64 = (np.uint64(n) for n in (8, 24, 32, 56, 64))
-# Decimal exponents x, by table index 31 - x: those whose nine digits scale
-# exactly (x <= 30; x = 31 only when 9.99999999...e30 rounds up), then one
-# index for an empty field.
-_EXPONENTS = range(31, -15, -1)
-_ZERO, _EMPTY = 31, len(_EXPONENTS)
+# Decimal exponents x, by table index 30 - x: those whose nine digits scale
+# exactly, then one index for an empty field.
+_EXPONENTS = range(30, -15, -1)
+_ZERO, _EMPTY = 30, len(_EXPONENTS)
 
 
 def _ascii_words(texts) -> np.ndarray:
@@ -26,8 +27,8 @@ def _ascii_words(texts) -> np.ndarray:
 
 def _g9_tables():
     # 10**(8 - x) as a factor or a divisor, each exact in float64, so the
-    # scaled value is rounded once; NaN where it is not exact.
-    pow10 = [float(10**k) if k <= 22 else np.nan for k in range(24)]
+    # scaled value is rounded once.
+    pow10 = [float(10**k) for k in range(23)]
     scale = np.array([(pow10[max(8 - x, 0)], pow10[max(x - 8, 0)]) for x in _EXPONENTS]).T
     # The four ASCII digits of 0..9999 in one word, most significant in the
     # low byte, and how many of them are significant as the high or the low
@@ -73,31 +74,21 @@ def _nine_digits(v: np.ndarray):
     rounded once. Below 1e9 every n + 0.5 is a float, and rounding is
     monotone, so s is never on the wrong side of one: rounding s to an
     integer rounds the exact value alike, unless s is such a tie itself.
-    Ties, exponents whose power of ten is not exact, subnormals and
-    infinities are left to format().
+    Everything else is left to format(): ties, a log10 that rounds across
+    a power of ten (s below 1e8 or above 1e9), nine digits that round up
+    to 1e9, exponents outside -14..30, subnormals and infinities.
     """
     a = np.abs(v)
     with np.errstate(all="ignore"):
-        i = 31.0 - np.floor(np.log10(a))
+        i = 30.0 - np.floor(np.log10(a))
         k = np.fmin(np.fmax(i, 0), len(_EXPONENTS) - 1)
-        fast = k == i  # False for 0, NaN, inf, subnormals and x outside -14..31
+        fast = k == i  # False for 0, NaN, inf, subnormals and x outside -14..30
         k = k.astype(np.intp)
         s = a * _SCALE[0].take(k) / _SCALE[1].take(k)
-        off = fast & ((s < 1e8) | (s > 1e9))
-        if off.any():  # log10 rounded across a power of ten
-            ko = k[off] - np.sign(s[off] - 1e8).astype(np.intp)
-            inside = (ko >= 0) & (ko < len(_EXPONENTS))
-            k[off] = ko = np.clip(ko, 0, len(_EXPONENTS) - 1)
-            s[off] = so = a[off] * _SCALE[0].take(ko) / _SCALE[1].take(ko)
-            fast[off] = inside & (so >= 1e8) & (so <= 1e9)
         d = np.rint(s)
-        fast &= np.abs(s - d) < 0.5  # False at a tie and for NaN
+        fast &= (s >= 1e8) & (d < 1e9) & (np.abs(s - d) < 0.5)  # False at a tie, for NaN and off [1e8, 1e9)
     d = np.where(fast, d, 0.0)
     k = np.where(fast, k, np.where(np.isnan(v), _EMPTY, _ZERO))
-    carry = d == 1e9
-    if carry.any():
-        d[carry] = 1e8
-        k[carry] -= 1
     return d.astype(np.uint64), k, ~fast & (a > 0)
 
 

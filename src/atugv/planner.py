@@ -102,7 +102,9 @@ def joint_separations(graph: CellGraph, positions: np.ndarray) -> np.ndarray:
     """Separation of every joint in `graph.joints` order, (..., J) for
     positions (..., N, 2)."""
     i, j = (np.array(graph.joints, dtype=int).reshape(-1, 2) - 1).T
-    return np.linalg.norm(positions[..., i, :] - positions[..., j, :], axis=-1)
+    x, y = positions[..., 0], positions[..., 1]
+    dx, dy = x[..., i] - x[..., j], y[..., i] - y[..., j]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def reach_error(graph: CellGraph, separations: np.ndarray) -> Optional[InfeasibleMotionError]:

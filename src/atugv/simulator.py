@@ -228,8 +228,10 @@ def run(spec: PlanSpec, graph: CellGraph, config: SimConfig) -> SimulationTrace:
         error.step, error.time = k, float(times[k])
         error.args = (f"step {k} (t = {error.time:.6g} s): {error}",)
         raise error
+    lag = desired - actual
+    lag_x, lag_y = lag[..., 0], lag[..., 1]
     v_cmd = np.full_like(desired, np.nan)
-    v_cmd[:, powered] = config.alpha * (targets - path)
+    v_cmd[:, powered] = config.alpha * lag[:, powered]
     d_act = joint_separations(graph, actual)
     elbow_act = kinematics.elbow_angle(d_act, graph.reach)
     closest_pairs, min_clearance = min_separation(actual)
@@ -243,7 +245,7 @@ def run(spec: PlanSpec, graph: CellGraph, config: SimConfig) -> SimulationTrace:
         elbow_desired=elbow_des,
         elbow_actual=elbow_act,
         separations=d_act,
-        errors=np.linalg.norm(desired - actual, axis=-1),
+        errors=np.sqrt(lag_x * lag_x + lag_y * lag_y),
         min_clearance=min_clearance,
         closest_pairs=closest_pairs,
     )

@@ -92,15 +92,19 @@ class TestFormatKernel:
         assert kernel_text(values) == list(texts)
 
     def test_scales_and_powers_of_ten(self):
-        # Every exponent the fast path covers and the ones beside it, each
-        # power of ten with its neighbours (log10 may round across it), and
-        # 3-digit exponents.
-        powers = [10.0**x for x in range(-20, 40)]
-        powers += [np.nextafter(p, 0.0) for p in powers] + [np.nextafter(p, math.inf) for p in powers]
-        # Within the exponents that scale exactly, powers of ten and their
-        # neighbours take the vectorized path, wherever log10 rounds.
-        exact = np.array([p for p in powers if 1e-14 <= p < 9.99999999e30])
+        # Zero and the exact powers of ten take the vectorized path; a log10
+        # that rounds across a power of ten and nine digits that round up to
+        # 1e9 are left to format().
+        exact = np.array([0.0] + [10.0**x for x in range(23)])
         assert not csvtext._nine_digits(exact)[2].any()
+        across = [float(np.nextafter(1000.0, 0.0)), 0.9999999999999999, 9.9999999999]
+        assert csvtext._nine_digits(np.array(across))[2].all()
+        assert kernel_text(across) == ["1000", "1", "10"]
+        # Every power of ten from below the subnormals to the largest, each
+        # with its neighbours, at the scales of every exponent and the ones
+        # beside them.
+        powers = [10.0**x for x in range(-330, 309)]
+        powers += [float(np.nextafter(p, d)) for d in (0.0, math.inf) for p in powers]
         values = [m * p for p in powers for m in (1, 1.23456789, 9.99999999, 9.999999995, 9.9999999949)]
         values += [-v for v in values]
         values += [1e-300, 2.2250738585072014e-308, 1.7976931348623157e308, 1e22, 1e23]

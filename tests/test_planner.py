@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from atugv.affine import COORD_FIELDS, GeneralizedCoordinates, jacobian
 from atugv.errors import InfeasibleMotionError, InvalidArgumentError, UnsafePlanError
 from atugv.network import MAX_LENGTH, min_separation
-from atugv.planner import BLEND_KINDS, PlanSpec, blend, coordinates_at, desired_positions, plan
-from atugv.scenario import load_scenario_text
+from atugv.planner import BLEND_KINDS, PlanSpec, blend, coordinates_at, desired_positions, joint_separations, plan
+from atugv.scenario import bundled_scenario_path, load_scenario, load_scenario_text
 
 IDENTITY = GeneralizedCoordinates.identity()
 SIM_FINAL = GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)
@@ -91,6 +92,18 @@ class TestCoordinatesAt:
         spec = PlanSpec(t0=t0, tf=tf, initial=initial, final=final, blend=kind)
         coords = coordinates_at(spec, data.draw(st.floats(t0, tf)))
         assert all(math.isfinite(getattr(coords, name)) for name in COORD_FIELDS)
+
+
+class TestJointSeparations:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["four_cell_experiment", "seven_cell_sim"]), st.integers(1, 4), st.data())
+    def test_equals_the_norm_of_each_joint(self, name, steps, data):
+        graph = load_scenario(bundled_scenario_path(name)).graph
+        magnitudes = st.floats(1e-150, 1e150) | st.floats(-1e150, -1e-150)
+        positions = data.draw(arrays(float, (steps, len(graph.cells), 2), elements=magnitudes))
+        i, j = (np.array(graph.joints) - 1).T
+        expected = np.linalg.norm(positions[..., i, :] - positions[..., j, :], axis=-1)
+        assert np.array_equal(joint_separations(graph, positions), expected)
 
 
 class TestPlan:

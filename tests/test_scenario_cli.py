@@ -1237,7 +1237,7 @@ class TestNewInterpreter:
     def test_lag_overflow_reaches_the_separation_check(self, tmp_path):
         # ROADMAP item 17: alpha * dt = 1.99 on the largest vehicle lags by
         # more than `network.MAX_LENGTH`'s derivation covers. `validate`
-        # passes; `run` overflows in numpy's norm, and only
+        # passes; `run` overflows in `joint_separations`' squares, and only
         # `kinematics.elbow_angle`'s check stops it, with no line or key.
         # Under `-W error` the same run ends in a traceback with exit 1.
         text = bundled_scenario_path("seven_cell_sim").read_text()

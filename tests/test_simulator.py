@@ -182,8 +182,9 @@ def assert_same_as_reference(spec, graph, config):
     """`run` gives the reference trace, or the same error with the same
     fields. The times and everything desired are bit for bit the same; what
     follows the tracking loop, which `run` sums in another order, agrees
-    within 1e-12. Every NaN is where the reference has one. Returns the
-    error's type, message and fields, or None."""
+    within 1e-12. Every NaN is where the reference has one, and the
+    tracking errors are the norms of the trace's own lags bit for bit.
+    Returns the error's type, message and fields, or None."""
     try:
         expected = reference_run(spec, graph, config)
     except AtugvError:
@@ -198,6 +199,7 @@ def assert_same_as_reference(spec, graph, config):
             assert np.array_equal(got, want, equal_nan=True), name
         else:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+    assert np.array_equal(trace.errors, np.linalg.norm(trace.desired - trace.actual, axis=-1))
 
 
 def scenario_inputs(text):
