@@ -13,21 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-
 COORD_FIELDS = ("lambda1", "lambda2", "sigma_r", "sigma_d", "d1", "d2")
 
 
 @dataclass(frozen=True)
 class GeneralizedCoordinates:
-    """The six affine degrees of freedom at one instant.
+    """The six affine degrees of freedom at one instant, or over a batch of times.
 
-    lambda1, lambda2: principal strains in (0, 1]
+    lambda1, lambda2: principal strains, in (0, 1] at both poses (`PlanSpec`'s rule)
     sigma_r: rigid-body rotation angle [rad]
     sigma_d: shear (principal-axis) angle [rad]
     d1, d2: translation [m]
 
-    Each field is a finite float (the loader's rule), or an array of equal shape for a batch of times.
+    A plain record that checks nothing: each field is a finite float (the loader's
+    rule), or an array of equal shape for a batch of times.
     """
 
     lambda1: float
@@ -36,12 +35,6 @@ class GeneralizedCoordinates:
     sigma_d: float
     d1: float
     d2: float
-
-    def __post_init__(self):
-        for name in ("lambda1", "lambda2"):
-            value = getattr(self, name)
-            if not np.all((0.0 < value) & (value <= 1.0)):
-                raise InvalidArgumentError(f"{name} must lie in (0, 1], got {value}", field=name)
 
     @classmethod
     def identity(cls) -> "GeneralizedCoordinates":
@@ -57,7 +50,7 @@ def rotation_matrix(sigma_r) -> np.ndarray:
 def strain_matrix(lambda1, lambda2, sigma_d) -> np.ndarray:
     """Symmetric positive-definite strain with principal values lambda1 and
     lambda2, the lambda1 axis rotated by sigma_d from +x. Its callers own the
-    finite values and positive strains: the loader and `GeneralizedCoordinates`."""
+    finite values and positive strains: the loader and `PlanSpec`."""
     c, s = np.cos(sigma_d), np.sin(sigma_d)
     u11 = lambda1 * c * c + lambda2 * s * s
     u22 = lambda1 * s * s + lambda2 * c * c

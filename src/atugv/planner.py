@@ -5,8 +5,8 @@ blend function with beta(t0) = 0 and beta(tf) = 1. A plan is rejected
 outright if any sample violates the principal-strain safety bound or asks
 a joint for a separation beyond the mechanism reach (fail-closed: no
 silent clamping); the gate returns the earliest failing sample's error,
-its row first in `index`. Times may be floats or arrays; `desired_positions`
-is the one place that maps times to desired cell positions.
+its row first in `index`. `desired_positions` is the one place that maps a
+(T,) batch of times to desired cell positions.
 """
 from __future__ import annotations
 
@@ -43,7 +43,8 @@ def blend(t, t0: float, tf: float, kind: str):
 
 @dataclass(frozen=True)
 class PlanSpec:
-    """Endpoints of the six generalized coordinates over [t0, tf], finite by the loader's rule."""
+    """Endpoints of the six generalized coordinates over [t0, tf]: finite by
+    the loader's rule, with the strains of both poses in (0, 1] by its own."""
 
     t0: float
     tf: float
@@ -52,6 +53,11 @@ class PlanSpec:
     blend: str = "smoothstep"
 
     def __post_init__(self):
+        for pose in ("initial", "final"):
+            for name in ("lambda1", "lambda2"):
+                value = getattr(getattr(self, pose), name)
+                if not 0.0 < value <= 1.0:
+                    raise InvalidArgumentError(f"{name} must lie in (0, 1], got {value}", field=f"{name}_{pose}")
         if not self.tf > self.t0:
             raise InvalidArgumentError(f"tf must exceed t0, got [{self.t0}, {self.tf}]", field="tf")
         if self.blend not in BLEND_KINDS:
@@ -66,7 +72,7 @@ class PlanSpec:
 
 def coordinates_at(spec: PlanSpec, t) -> GeneralizedCoordinates:
     """Convex combination of the endpoint coordinates at blend fraction
-    beta(t); exactly the endpoint at beta = 0 and beta = 1."""
+    beta(t) of each of the (T,) times `t`; exactly the endpoint at beta = 0 and beta = 1."""
     b = blend(t, spec.t0, spec.tf, spec.blend)
     values = {
         name: (1.0 - b) * getattr(spec.initial, name) + b * getattr(spec.final, name)

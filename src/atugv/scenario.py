@@ -22,10 +22,6 @@ from .simulator import SimConfig, step_count
 
 BUNDLED = ("four_cell_experiment", "seven_cell_sim")
 
-# Defaults of the `*_initial` keys, built once: construction runs numpy
-# checks on every field, a noticeable share of loading a small file.
-_IDENTITY = GeneralizedCoordinates.identity()
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -84,16 +80,16 @@ class _Parsed:
         fields = {name: getattr(cause, name) for name in ("value", "bound", "cell")} if cause else {}
         raise InvalidArgumentError(f"{where}: [{section}] {key}: {message}", field=key, **fields) from cause
 
-    def build(self, sections: tuple, make, *args, suffix: str = "", cell_keys=None, **kwargs):
+    def build(self, sections: tuple, make, *args, cell_keys=None, **kwargs):
         """make(*args, **kwargs), a config type read from `sections` that
         decides what is valid: its error, which names a `field`, fails at
-        its key, the field plus `suffix`, or the key that `cell_keys` gives
-        the error's `cell`, in the section that read that key (the first
-        section if none did), with its message, `value`, `bound` and `cell`."""
+        its key, the field or the key that `cell_keys` gives the error's
+        `cell`, in the section that read that key (the first section if
+        none did), with its message, `value`, `bound` and `cell`."""
         try:
             return make(*args, **kwargs)
         except AtugvError as exc:
-            key = (cell_keys or {}).get(exc.cell, exc.field + suffix)
+            key = (cell_keys or {}).get(exc.cell, exc.field)
             section = next((s for s in sections if key in self.read.get(s, ())), sections[0])
             self.fail(section, key, str(exc), cause=exc)
 
@@ -215,9 +211,9 @@ def load_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
 
     def coords(suffix: str, defaults: GeneralizedCoordinates) -> GeneralizedCoordinates:
         values = {f: parsed.number("plan", f + suffix, getattr(defaults, f)) for f in COORD_FIELDS}
-        return parsed.build(("plan",), GeneralizedCoordinates, suffix=suffix, **values)
+        return GeneralizedCoordinates(**values)
 
-    initial = coords("_initial", _IDENTITY)
+    initial = coords("_initial", GeneralizedCoordinates.identity())
     final = coords("_final", initial)
     plan_spec = parsed.build(("plan",), PlanSpec, t0, tf, initial, final, blend)
 

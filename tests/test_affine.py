@@ -1,12 +1,10 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atugv.affine import GeneralizedCoordinates, apply, jacobian, rotation_matrix, strain_matrix
-from atugv.errors import InvalidArgumentError
 
 finite_angle = st.floats(-3.0, 3.0)
 strain = st.floats(0.05, 1.0)
@@ -200,10 +198,3 @@ class TestDecompose:
     def test_round_trip_rebuilds_jacobian(self, coords):
         assert_polar_factors(coords, atol=1e-9)
 
-
-class TestGeneralizedCoordinates:
-    def test_strain_bounds_enforced(self):
-        with pytest.raises(InvalidArgumentError):
-            GeneralizedCoordinates(1.1, 0.8, 0, 0, 0, 0)
-        with pytest.raises(InvalidArgumentError):
-            GeneralizedCoordinates(0.9, 0.0, 0, 0, 0, 0)

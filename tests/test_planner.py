@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -7,14 +9,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from atugv.affine import COORD_FIELDS, GeneralizedCoordinates, jacobian
-from atugv.errors import InfeasibleMotionError, InvalidArgumentError, UnsafePlanError
+from atugv.errors import AtugvError, InfeasibleMotionError, InvalidArgumentError, UnsafePlanError
 from atugv.network import MAX_LENGTH, min_separation
 from atugv.planner import BLEND_KINDS, PlanSpec, blend, coordinates_at, desired_positions, joint_separations, plan
-from atugv.scenario import bundled_scenario_path, load_scenario, load_scenario_text
+from atugv.scenario import BUNDLED, bundled_scenario_path, load_scenario, load_scenario_text
 
 IDENTITY = GeneralizedCoordinates.identity()
 SIM_FINAL = GeneralizedCoordinates(0.9, 0.8, 0.707, 0.3, 1.0, 1.0)
 EXP_FINAL = GeneralizedCoordinates(0.9, 0.8, 0.2, 0.15, 1.0, 1.0)
+
+
+def coordinates_at_time(spec, t):
+    """`coordinates_at` on the one-row batch [t], read at row 0."""
+    coords = coordinates_at(spec, np.array([t]))
+    return GeneralizedCoordinates(*(float(getattr(coords, name)[0]) for name in COORD_FIELDS))
 
 
 class TestBlend:
@@ -47,17 +55,17 @@ class TestBlend:
 class TestCoordinatesAt:
     def test_final_time_gives_simulation_row(self):
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL)
-        assert coordinates_at(spec, 10.0) == SIM_FINAL
+        assert coordinates_at_time(spec, 10.0) == SIM_FINAL
 
     def test_initial_time_gives_defaults(self):
         spec = PlanSpec(t0=0.0, tf=10.0, initial=IDENTITY, final=SIM_FINAL)
-        assert coordinates_at(spec, 0.0) == IDENTITY
+        assert coordinates_at_time(spec, 0.0) == IDENTITY
 
     def test_linear_midpoint_experiment_row(self):
         spec = PlanSpec(
             t0=0.0, tf=20.0, initial=IDENTITY, final=EXP_FINAL, blend="linear"
         )
-        mid = coordinates_at(spec, 10.0)
+        mid = coordinates_at_time(spec, 10.0)
         assert abs(mid.lambda1 - 0.95) < 1e-15
         assert abs(mid.lambda2 - 0.9) < 1e-15
         assert abs(mid.sigma_r - 0.1) < 1e-15
@@ -69,17 +77,17 @@ class TestCoordinatesAt:
         spec = PlanSpec(
             t0=2.0, tf=7.0, initial=IDENTITY, final=SIM_FINAL, blend="linear"
         )
-        assert coordinates_at(spec, 2.0) == IDENTITY
-        assert coordinates_at(spec, 7.0) == SIM_FINAL
+        assert coordinates_at_time(spec, 2.0) == IDENTITY
+        assert coordinates_at_time(spec, 7.0) == SIM_FINAL
 
     @settings(max_examples=300, deadline=None)
-    @given(st.data(), st.sampled_from(BLEND_KINDS))
-    def test_every_field_is_finite(self, data, kind):
+    @given(st.data(), st.sampled_from(BLEND_KINDS), st.sampled_from(BUNDLED))
+    def test_every_field_is_finite(self, data, kind, scenario):
         # The loader checks every number it reads; `coordinates_at` is the
         # one producer of coordinates it does not check. Any finite
-        # endpoints, float64's largest angles included, and any time of a
-        # horizon that `step_count` accepts (tf - t0 finite) give finite
-        # coordinates, under warnings as errors.
+        # endpoints, float64's largest angles included, and any batch of
+        # times of a horizon that `step_count` accepts (tf - t0 finite) give
+        # finite coordinates, under warnings as errors.
         biggest = float(np.finfo(float).max)
         finite = st.floats(allow_nan=False, allow_infinity=False)
         strain = st.floats(0.0, 1.0, exclude_min=True)
@@ -90,8 +98,19 @@ class TestCoordinatesAt:
         t0, tf = sorted(data.draw(st.lists(finite, min_size=2, max_size=2, unique=True)))
         assume(math.isfinite(tf - t0))
         spec = PlanSpec(t0=t0, tf=tf, initial=initial, final=final, blend=kind)
-        coords = coordinates_at(spec, data.draw(st.floats(t0, tf)))
-        assert all(math.isfinite(getattr(coords, name)) for name in COORD_FIELDS)
+        times = np.array([t0, t0 + (tf - t0) / 2, data.draw(st.floats(t0, tf)), tf])
+        coords = coordinates_at(spec, times)
+        assert all(np.isfinite(getattr(coords, name)).all() for name in COORD_FIELDS)
+        # No planned strain leaves [0, 1], so the strain verdict is the one
+        # check of a planned batch. `blend` keeps b in [0, 1] and rounding is
+        # monotone: fl(fl(1 - b) x + fl(b y)) <= fl(fl(1 - b) + b) = 1 for
+        # endpoints x, y <= 1. Only underflow takes a strain below the smaller
+        # endpoint, down to 0, and the strain verdict rejects that value.
+        for strains in (coords.lambda1, coords.lambda2):
+            assert np.all((0.0 <= strains) & (strains <= 1.0))
+        # The plan on a bundled graph gives a verdict and never raises.
+        verdict = plan(spec, load_scenario(bundled_scenario_path(scenario)).graph, 3)
+        assert verdict is None or isinstance(verdict, AtugvError)
 
 
 class TestJointSeparations:
@@ -121,7 +140,7 @@ class TestPlan:
         times = np.linspace(0.0, 10.0, 30)
         positions = desired_positions(spec, seven_cell, times)
         for k, t in enumerate(times):
-            c = coordinates_at(spec, float(t))
+            c = coordinates_at_time(spec, t)
             q = jacobian(c)
             for i, a in enumerate(seven_cell_reference.positions):
                 expected = [
@@ -139,7 +158,7 @@ class TestPlan:
         positions = desired_positions(spec, seven_cell, times)
         cells = range(len(seven_cell_reference.positions))
         for k, t in enumerate(times):
-            q = jacobian(coordinates_at(spec, float(t)))
+            q = jacobian(coordinates_at_time(spec, t))
             for i in cells:
                 for j in cells:
                     if i >= j:
@@ -207,7 +226,7 @@ class TestPlan:
         batch = desired_positions(spec, seven_cell, times)
         assert batch.shape == (4, 7, 2)
         for k, t in enumerate(times):
-            single = desired_positions(spec, seven_cell, float(t))
+            single = desired_positions(spec, seven_cell, [t])[0]
             np.testing.assert_allclose(batch[k], single, rtol=0, atol=1e-15)
 
     def test_too_few_samples_rejected(self, seven_cell):
@@ -224,6 +243,16 @@ class TestPlan:
         with pytest.raises(InvalidArgumentError, match=message) as error:
             plan(spec, seven_cell, count)
         assert error.value.field == "samples"
+
+    def test_strain_bounds_enforced(self):
+        # `PlanSpec` owns the strain range of both poses and names the full
+        # key; the coordinate record checks nothing.
+        for pose, name, value in itertools.product(("initial", "final"), ("lambda1", "lambda2"), (1.1, 0.0)):
+            poses = {"initial": SIM_FINAL, "final": SIM_FINAL}
+            poses[pose] = dataclasses.replace(SIM_FINAL, **{name: value})
+            with pytest.raises(InvalidArgumentError, match=rf"^{name} must lie in \(0, 1\], got {value}$") as error:
+                PlanSpec(t0=0.0, tf=10.0, **poses)
+            assert error.value.field == f"{name}_{pose}"
 
     def test_degenerate_horizon_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -118,7 +118,7 @@ class TestLoadScenario:
         assert plan(scenario.plan_spec, scenario.graph, scenario.sample_count) is None
         trace = run(scenario.plan_spec, scenario.graph, scenario.sim)
         offsets = np.array([[0.01, -0.02]] * 5 + [[0.3, 0.3], [0.01, -0.02]])
-        desired = desired_positions(scenario.plan_spec, scenario.graph, scenario.plan_spec.t0)
+        desired = desired_positions(scenario.plan_spec, scenario.graph, [scenario.plan_spec.t0])[0]
         np.testing.assert_array_equal(trace.actual[0], desired + offsets)
         assert load_scenario_text(SEVEN).sim.initial_offsets is None
 
@@ -467,7 +467,9 @@ class TestRejectedInput:
     def test_smootherstep_next_to_tf_keeps_the_strains_in_range(self, tmp_path, capsys):
         # Exited 2 with the unlocated `error: lambda1 must lie in (0, 1], got
         # [0.25 0.25 0.25 ... 1. 1. 1. ]`: rounding lifted the blend to 1 +
-        # 2**-52 at one sample next to tf, and lambda1 above 1 with it.
+        # 2**-52 at one sample next to tf, and lambda1 above 1 with it. No
+        # planned batch is range-checked any more, so that exit can no longer
+        # occur: `TestBlend::test_smootherstep_is_at_most_1` pins the cap.
         text = bundled_scenario_path("four_cell_experiment").read_text()
         edits = (("samples", "300000"), ("blend", "smootherstep"), ("lambda1_initial", "0.25"), ("lambda1_final", "1.0"))
         for key, value in edits:
@@ -476,6 +478,27 @@ class TestRejectedInput:
         cfg.write_text(text)
         assert main(["validate", str(cfg)]) == 0
         assert "strain-bound verdict: SAFE (all samples)" in capsys.readouterr().out
+
+    def test_underflowing_strain_gets_the_verdict_at_any_sample_count(self, tmp_path, capsys):
+        # With samples = 3, exited 2 with the unlocated `error: lambda2 must
+        # lie in (0, 1], got [5.e-324 0.e+000 5.e-324]`: the midpoint strain
+        # 0.5 * 5e-324 + 0.5 * 5e-324 rounds to 0. With samples = 200 the same
+        # file got the UNSAFE verdict at t = 0.
+        text = bundled_scenario_path("seven_cell_sim").read_text()
+        for key, value in (("samples", "3"), ("lambda2_initial", "5e-324"), ("lambda2_final", "5e-324")):
+            text = _with_key(text, "plan", key, value)
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(text)
+        verdict = "strain-bound verdict: UNSAFE"
+        violation = "at t = 0 s: lambda2 = 4.94066e-324 < lambda_min = 0.519615"
+        assert main(["validate", str(cfg)]) == 1
+        out = capsys.readouterr().out
+        assert verdict in out and violation in out
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg), "--output-dir", str(out_dir)]) == 1
+        report = (out_dir / "report.txt").read_text()
+        assert verdict in report and violation in report
+        assert sorted(path.name for path in out_dir.iterdir()) == ["report.txt"]
 
     @pytest.mark.parametrize(
         "section, key, value, message",

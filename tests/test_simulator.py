@@ -343,7 +343,7 @@ class TestRun:
         offsets = {4: np.array([0.01, -0.02])}  # no unpowered cell is actuated by cell 4
         config = SimConfig(dt=0.01, initial_offsets=offsets)
         trace = run(spec, seven_cell, config)
-        expected = desired_positions(spec, seven_cell, 0.0)
+        expected = desired_positions(spec, seven_cell, [0.0])[0]
         expected[3] += offsets[4]
         np.testing.assert_array_equal(trace.actual[0], expected)
         assert np.min(trace.min_clearance) >= 2 * seven_cell.cell_radius
